@@ -8,8 +8,7 @@ faces at a sign twisted by the parity of dim x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import IdentityFailed
 from .ids import sid
 from .molecule import GeneralisedPasting, Inclusion, Molecule
 from .poset import MINUS, PLUS, SIGNS, OgPoset, build, flip
@@ -22,16 +21,19 @@ def twist(sign: str, parity: int) -> str:
 
 def gray_poset(p: OgPoset, q: OgPoset) -> OgPoset:
     elements, faces = {}, {}
+    q_faces = {MINUS: q.faces_in, PLUS: q.faces_out}
     for x, dx in p.dim_of.items():
+        x_in, x_out = p.faces_in[x], p.faces_out[x]
+        q_in, q_out = q_faces[twist(MINUS, dx)], q_faces[twist(PLUS, dx)]
         for y, dy in q.dim_of.items():
             e = (x, y)
             elements[e] = dx + dy
             if dx + dy == 0:
                 continue
-            fin, fout = set(), set()
-            for s, acc in ((MINUS, fin), (PLUS, fout)):
-                acc.update((f, y) for f in p.faces(x, s))
-                acc.update((x, g) for g in q.faces(y, twist(s, dx)))
+            fin = {(f, y) for f in x_in}
+            fin.update((x, g) for g in q_in[y])
+            fout = {(f, y) for f in x_out}
+            fout.update((x, g) for g in q_out[y])
             faces[e] = (fin, fout)
     return build(elements, faces)
 
@@ -57,58 +59,43 @@ def gray_inclusion(i: Inclusion, j: Inclusion) -> Inclusion:
     return Inclusion(src, tgt, mapping, kind="gray-product")
 
 
-@dataclass
-class BoundaryDecomposition:
-    """Both sides of the boundary formulas for a Gray product, as element
-    sets of the product; the caller compares."""
+def gray_boundary_decomposition(p: OgPoset, q: OgPoset) -> list:
+    """Both sides of the two-piece split formula, for every boundary of
+    P (x) Q at once.
 
-    direct: frozenset                 # boundary rule applied to the product
-    union_terms: dict                 # k -> bd_k^a U x bd_(n-k)^b V
-    union: frozenset                  # union of the terms
-    splits: list                      # per j: (j, left set, right set)
+    Returns (n, sign, direct, splits) for n = 1 .. dim and both signs.
+    direct is bd_n^sign of the product.  splits holds, per cut position
+    j < n, (j, left piece, right piece): each piece is bd_n^sign of a
+    subproduct with one factor restricted to one of its boundaries,
 
+        input:  bd_j^- P (x) Q             then  P (x) bd_(n-j-1)^((-)^j) Q
+        output: P (x) bd_(n-j-1)^(-(-)^j) Q  then  bd_j^+ P (x) Q
 
-def gray_boundary_decomposition(u: Molecule, v: Molecule, n: int, sign: str) -> BoundaryDecomposition:
-    """Evaluate the union formula and the two-term splits for bd_n of U (x) V.
-
-    The union formula sums bd_k U (x) bd_(n-k) V over k with the right
-    factor's sign twisted by (-1)^k.  Each split presents the boundary as a
-    generalised pasting of two pieces, one per factor, indexed by a cut
-    position j; pieces are returned as element sets computed on the
-    corresponding subproducts, independently of the direct side.
+    so no piece reads the full product.  Each distinct subproduct is built
+    once per call and shared by every level and cut that needs it.
     """
-    prod = gray_poset(u.poset, v.poset)
-    direct = prod.boundary_set(n, sign)
+    product = gray_poset(p, q)
+    subproducts = {}
 
-    terms = {}
-    for k in range(n + 1):
-        left = u.poset.boundary_set(k, sign)
-        right = v.poset.boundary_set(n - k, twist(sign, k))
-        terms[k] = frozenset((x, y) for x in left for y in right)
-    union = frozenset().union(*terms.values()) if terms else frozenset()
+    def subproduct(left: bool, m: int, sign: str) -> OgPoset:
+        factor = p if left else q
+        cut = factor.boundary_set(m, sign)
+        key = (left, cut)
+        if key not in subproducts:
+            part = factor.restrict(cut)
+            subproducts[key] = gray_poset(part, q) if left else gray_poset(p, part)
+        return subproducts[key]
 
-    splits = []
-    for j in range(n):
-        # the V-boundary sign here is literally (-1)^j for the input case
-        # and (-1)^(j+1) for the output case
-        if sign == MINUS:
-            uu = u.poset.restrict(u.poset.boundary_set(j, MINUS))
-            left_piece = _sub_gray_boundary(uu, v.poset, n, MINUS)
-            vv = v.poset.restrict(v.poset.boundary_set(n - j - 1, twist(PLUS, j)))
-            right_piece = _sub_gray_boundary(u.poset, vv, n, MINUS)
-        else:
-            vv = v.poset.restrict(v.poset.boundary_set(n - j - 1, twist(MINUS, j)))
-            left_piece = _sub_gray_boundary(u.poset, vv, n, PLUS)
-            uu = u.poset.restrict(u.poset.boundary_set(j, PLUS))
-            right_piece = _sub_gray_boundary(uu, v.poset, n, PLUS)
-        splits.append((j, left_piece, right_piece))
-    return BoundaryDecomposition(direct, terms, union, splits)
-
-
-def _sub_gray_boundary(p: OgPoset, q: OgPoset, n: int, sign: str) -> frozenset:
-    """bd_n of the product of two (restrictions of) factors, as a subset of
-    the ambient product carrier."""
-    return gray_poset(p, q).boundary_set(n, sign)
+    result = []
+    for n in range(1, product.dim + 1):
+        for sign in SIGNS:
+            splits = []
+            for j in range(n):
+                p_piece = subproduct(True, j, sign).boundary_set(n, sign)
+                q_piece = subproduct(False, n - j - 1, twist(flip(sign), j)).boundary_set(n, sign)
+                splits.append((j, p_piece, q_piece) if sign == MINUS else (j, q_piece, p_piece))
+            result.append((n, sign, product.boundary_set(n, sign), splits))
+    return result
 
 
 def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
@@ -140,21 +127,30 @@ def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
 
 def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
     """The orientation-preserving bijection op(P (x) Q) -> op(Q) (x) op(P),
-    (x, y) -> (y, x).  Raises AssertionError with the offending element if
-    a face set fails to correspond."""
+    (x, y) -> (y, x).  Raises IdentityFailed, naming the offending element
+    and sign in its message and certificate, if the swap is not one."""
     lhs = gray_poset(p, q).op()
     rhs = gray_poset(q.op(), p.op())
     mapping = {(x, y): (y, x) for x in p.dim_of for y in q.dim_of}
-    assert set(mapping.values()) == set(rhs.dim_of)
+    if set(mapping.values()) != set(rhs.dim_of):
+        raise IdentityFailed("op-swap is not a bijection of the carriers")
     for e, image in mapping.items():
-        assert lhs.dim_of[e] == rhs.dim_of[image]
-        for s in SIGNS:
-            got = {mapping[f] for f in lhs.faces(e, s)}
-            want = set(rhs.faces(image, s))
-            assert got == want, (
-                f"op-swap failed at {sid(e)} sign {s}: {sorted(map(sid, got))} "
-                f"!= {sorted(map(sid, want))}"
+        if lhs.dim_of[e] != rhs.dim_of[image]:
+            raise IdentityFailed(
+                f"op-swap changes the dimension of {sid(e)}",
+                {"element": sid(e), "got": lhs.dim_of[e], "want": rhs.dim_of[image]},
             )
+        for s, lhs_faces, rhs_faces in ((MINUS, lhs.faces_in, rhs.faces_in),
+                                        (PLUS, lhs.faces_out, rhs.faces_out)):
+            got = {mapping[f] for f in lhs_faces[e]}
+            want = rhs_faces[image]
+            if got != want:
+                raise IdentityFailed(
+                    f"op-swap failed at {sid(e)} sign {s}: {sorted(map(sid, got))} "
+                    f"!= {sorted(map(sid, want))}",
+                    {"element": sid(e), "sign": s,
+                     "got": sorted(map(sid, got)), "want": sorted(map(sid, want))},
+                )
     return mapping
 
 

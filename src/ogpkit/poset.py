@@ -34,7 +34,6 @@ class OgPoset:
     # derived, filled in by __post_init__
     cofaces_in: dict = field(default_factory=dict, repr=False)
     cofaces_out: dict = field(default_factory=dict, repr=False)
-    order: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         cin = {x: set() for x in self.dim_of}
@@ -46,7 +45,8 @@ class OgPoset:
                 cout[y].add(x)
         self.cofaces_in = {x: frozenset(s) for x, s in cin.items()}
         self.cofaces_out = {x: frozenset(s) for x, s in cout.items()}
-        self.order = tuple(sorted(self.dim_of, key=lambda x: (self.dim_of[x], sid(x))))
+        self.dim = max(self.dim_of.values(), default=-1)  # -1 for the empty poset
+        self._order = None
         self._bd_memo = {}
         self._maximal = None
 
@@ -54,12 +54,10 @@ class OgPoset:
 
     @property
     def elements(self):
-        return self.order
-
-    @property
-    def dim(self) -> int:
-        """Top dimension; -1 for the empty poset."""
-        return max(self.dim_of.values(), default=-1)
+        """All elements in (dimension, sid) order, sorted on first read."""
+        if self._order is None:
+            self._order = tuple(sorted(self.dim_of, key=lambda x: (self.dim_of[x], sid(x))))
+        return self._order
 
     def __len__(self):
         return len(self.dim_of)
@@ -106,17 +104,22 @@ class OgPoset:
         for x in stack:
             self._check(x)
         seen = set(stack)
+        faces_in, faces_out = self.faces_in, self.faces_out
         while stack:
             x = stack.pop()
-            for y in self.all_faces(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+            for faces in (faces_in[x], faces_out[x]):
+                for y in faces:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
         return frozenset(seen)
 
     def is_closed(self, subset) -> bool:
         subset = set(subset)
-        return all(self.all_faces(x) <= subset for x in subset)
+        for x in subset:
+            self._check(x)
+        faces_in, faces_out = self.faces_in, self.faces_out
+        return all(faces_in[x] <= subset and faces_out[x] <= subset for x in subset)
 
     def _check(self, x):
         if x not in self.dim_of:
@@ -138,7 +141,8 @@ class OgPoset:
             return frozenset(self.dim_of)
         key = (n, sign)
         if key not in self._bd_memo:
-            generators = {x for x in self.grade(n) if not self.cofaces(x, flip(sign))}
+            opposite = self.cofaces_out if sign == MINUS else self.cofaces_in
+            generators = {x for x, d in self.dim_of.items() if d == n and not opposite[x]}
             generators |= {x for x in self.maximal_elements() if self.dim_of[x] < n}
             self._bd_memo[key] = self.closure(generators)
         return self._bd_memo[key]
@@ -151,8 +155,6 @@ class OgPoset:
     def restrict(self, subset) -> "OgPoset":
         """Sub-poset on a closed subset, ids preserved."""
         subset = frozenset(subset)
-        for x in subset:
-            self._check(x)
         if not self.is_closed(subset):
             raise UnknownElement("subset is not closed")
         return OgPoset(

@@ -1,5 +1,10 @@
 """Gray products: orientation formula, boundary identities, opposites."""
 
+import importlib
+
+import pytest
+
+from ogpkit.errors import IdentityFailed
 from ogpkit.gray import (
     flatten_triple_left,
     gray,
@@ -9,8 +14,11 @@ from ogpkit.gray import (
     op_swap_iso,
     twist,
 )
+from ogpkit.harness import Bounds, SuiteConfig, check_gray_boundary_sides, enumerate_catalog
 from ogpkit.molecule import arrow, globe, identity_inclusion, is_round, op, point
-from ogpkit.poset import MINUS, PLUS, find_iso
+from ogpkit.poset import MINUS, PLUS, find_iso, flip
+
+gray_mod = importlib.import_module("ogpkit.gray")
 
 
 def square():
@@ -73,30 +81,55 @@ class TestBoundaryFormula:
     def test_square_input_boundary(self):
         # bd_1^- (I (x) I) = {0-} x I  u  I x {0+}: the left-then-top path
         sq = square()
-        dec = gray_boundary_decomposition(arrow(), arrow(), 1, MINUS)
+        direct, union = check_gray_boundary_sides(sq.poset, arrow(), arrow(), 1, MINUS)
         expected = {("0-", x) for x in ("0-", "0+", "1")} | {(x, "0+") for x in ("0-", "0+", "1")}
-        assert dec.direct == expected
-        assert dec.union == expected
-        assert sq.poset.boundary_set(1, MINUS) == expected
+        assert direct == expected
+        assert union == expected
 
     def test_saturation(self):
-        dec = gray_boundary_decomposition(arrow(), arrow(), 2, MINUS)
-        assert dec.direct == dec.union == frozenset(square().poset.dim_of)
+        direct, union = check_gray_boundary_sides(square().poset, arrow(), arrow(), 2, MINUS)
+        assert direct == union == frozenset(square().poset.dim_of)
 
     def test_globe_product_all_levels(self):
         u, v = globe(2), arrow()
+        product = gray_poset(u.poset, v.poset)
         for n in range(u.dim + v.dim + 1):
             for s in (MINUS, PLUS):
-                dec = gray_boundary_decomposition(u, v, n, s)
-                assert dec.direct == dec.union, (n, s)
+                direct, union = check_gray_boundary_sides(product, u, v, n, s)
+                assert direct == union, (n, s)
 
     def test_item1_splits_cover_boundary(self):
         u, v = globe(2), arrow()
-        for n in range(1, u.dim + v.dim + 1):
-            for s in (MINUS, PLUS):
-                dec = gray_boundary_decomposition(u, v, n, s)
-                for j, left, right in dec.splits:
-                    assert left | right == dec.direct, (n, s, j)
+        levels = gray_boundary_decomposition(u.poset, v.poset)
+        assert [(n, s) for n, s, _, _ in levels] == [
+            (n, s) for n in range(1, u.dim + v.dim + 1) for s in (MINUS, PLUS)]
+        for n, s, direct, splits in levels:
+            assert [j for j, _, _ in splits] == list(range(n))
+            for j, left, right in splits:
+                assert left | right == direct, (n, s, j)
+
+    def test_splits_match_per_cut_subproducts(self):
+        # every piece equals the boundary of a subproduct built for its own
+        # cut, as the split formula reads: no sharing between cuts
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        cap = SuiteConfig().split_cap
+        pairs = [(u.poset, v.poset) for u in cat.molecules() for v in cat.molecules()
+                 if len(u) * len(v) <= cap]
+        assert len(pairs) > 20
+        for p, q in pairs:
+            want = []
+            for n in range(1, p.dim + q.dim + 1):
+                for s in (MINUS, PLUS):
+                    splits = []
+                    for j in range(n):
+                        pp = p.restrict(p.boundary_set(j, s))
+                        qq = q.restrict(q.boundary_set(n - j - 1, twist(flip(s), j)))
+                        p_piece = gray_poset(pp, q).boundary_set(n, s)
+                        q_piece = gray_poset(p, qq).boundary_set(n, s)
+                        splits.append((j, p_piece, q_piece) if s == MINUS
+                                      else (j, q_piece, p_piece))
+                    want.append((n, s, gray_poset(p, q).boundary_set(n, s), splits))
+            assert gray_boundary_decomposition(p, q) == want
 
 
 class TestOpSwap:
@@ -116,6 +149,19 @@ class TestOpSwap:
         fwd = op_swap_iso(p, q)
         back = op_swap_iso(q.op().op(), p.op().op())  # = op_swap_iso(q, p)
         assert all(back[v] == k for k, v in fwd.items())
+
+    def test_failure_raises_with_element_and_sign(self, monkeypatch):
+        # a product built with the twist parity flipped is not op-swappable;
+        # the failure must survive python -O, so it is no assert
+        real = gray_mod.gray_poset
+        monkeypatch.setattr(gray_mod, "gray_poset",
+                            lambda p, q: real(p, q.dual(range(q.dim + 1))))
+        with pytest.raises(IdentityFailed) as info:
+            op_swap_iso(arrow().poset, arrow().poset)
+        cert = info.value.certificate
+        assert cert["sign"] in (MINUS, PLUS)
+        assert f"at {cert['element']} sign {cert['sign']}" in str(info.value)
+        assert cert["got"] != cert["want"]
 
     def test_op_of_product_vs_swapped_product(self):
         # op(gray(I, I)) evaluates to gray(op I, op I) after the swap

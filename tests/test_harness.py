@@ -1,6 +1,11 @@
 """Catalog enumeration and harness plumbing."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,10 @@ from ogpkit.exprlang import eval_text
 from ogpkit.gray import gray_poset
 from ogpkit.molecule import arrow, globe, paste
 from ogpkit.poset import SIGNS, all_isos, find_iso
+
+
+gray_mod = importlib.import_module("ogpkit.gray")
+harness_mod = importlib.import_module("ogpkit.harness")
 
 
 def small_config(**kw):
@@ -136,3 +145,61 @@ class TestGlobularity:
         cat = enumerate_catalog(Bounds(depth=1, max_dim=3, max_elements=11))
         for e in cat.entries:
             assert globularity_holds(e.molecule.poset), e.expr
+
+
+def flip_twist_parity(monkeypatch):
+    """Planted fault: build every Gray product with the twist parity
+    flipped, so the right factor's faces enter (x, y) at the sign
+    (-)^(dim x + 1) . s.  Dualising the right factor in every dimension
+    does exactly that."""
+    real = gray_mod.gray_poset
+
+    def flipped(p, q):
+        return real(p, q.dual(range(q.dim + 1)))
+
+    monkeypatch.setattr(gray_mod, "gray_poset", flipped)
+    monkeypatch.setattr(harness_mod, "gray_poset", flipped)
+
+
+OP_SWAP_UNDER_FAULT = """
+import importlib, sys
+from ogpkit.harness import Bounds, SuiteConfig, check, enumerate_catalog
+gray = importlib.import_module("ogpkit.gray")
+cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+real = gray.gray_poset
+gray.gray_poset = lambda p, q: real(p, q.dual(range(q.dim + 1)))
+rep = check("OP_SWAP", cat, SuiteConfig())
+print(sys.flags.optimize, rep.instances, len(rep.failures))
+"""
+
+
+class TestPlantedFaults:
+    """Each check must be able to fail: the catalog is built first, then
+    the fault is planted in the construction under test."""
+
+    def test_flipped_twist_fails_gray_boundary_both_halves(self, monkeypatch):
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        flip_twist_parity(monkeypatch)
+        rep = check("GRAY_BOUNDARY", cat, SuiteConfig())
+        with_cut = [f for f in rep.failures if "j" in f["inputs"]]
+        assert with_cut, "the split half never failed"
+        assert len(with_cut) < len(rep.failures), "the union half never failed"
+
+    def test_flipped_twist_fails_op_swap(self, monkeypatch):
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        flip_twist_parity(monkeypatch)
+        rep = check("OP_SWAP", cat, SuiteConfig())
+        assert rep.failures
+        assert all("sign" in f["got"] for f in rep.failures)
+
+    def test_op_swap_fails_under_optimize(self):
+        # assert statements vanish under -O; the check must not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", OP_SWAP_UNDER_FAULT],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        optimize, instances, failures = map(int, out.stdout.split())
+        assert optimize == 1
+        assert 0 < failures <= instances

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogpkit.errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
+from ogpkit.gray import gray_poset
+from ogpkit.ids import sid
 from ogpkit.poset import MINUS, PLUS, all_isos, build, find_iso
 
 
@@ -90,6 +92,20 @@ class TestQueries:
     def test_closure_unknown(self):
         with pytest.raises(UnknownElement):
             the_arrow().closure({"nope"})
+
+    def test_unknown_rejected_by_is_closed_and_restrict(self):
+        with pytest.raises(UnknownElement):
+            the_arrow().is_closed({"1", "nope"})
+        with pytest.raises(UnknownElement):
+            the_arrow().restrict({"0-", "nope"})
+
+    def test_elements_in_dim_then_sid_order(self):
+        assert the_arrow().elements == ("0+", "0-", "1")
+        p = gray_poset(the_arrow(), the_arrow())
+        first = p.elements
+        assert first == tuple(sorted(p.dim_of, key=lambda x: (p.dim_of[x], sid(x))))
+        assert [p.dim_of[x] for x in first] == [0] * 4 + [1] * 4 + [2]
+        assert p.elements is first
 
     def test_cofaces(self):
         p = the_arrow()
