@@ -31,6 +31,11 @@ class UnknownElement(ShapeError):
     pass
 
 
+class BadEmbedding(ShapeError):
+    """A map of shapes is not total, injective, dimension- and
+    face-preserving (and, for marked shapes, marking-preserving)."""
+
+
 # molecule constructors
 
 class BoundaryMismatch(ShapeError):

@@ -344,11 +344,12 @@ def check_gencp_formula(catalog: Catalog, config) -> LemmaReport:
     from .gray import gray_split_of_generalised_pasting
 
     instances = _gencp_instances(catalog, config)
+    verdicts = {}
     for expr, g in instances:
         rep.instances += 1
         try:
             checked = recognise_generalised_pasting(
-                g.ambient, g.left, g.right, g.level
+                g.ambient, g.left, g.right, g.level, verdicts=verdicts
             )
         except RecognitionFailed as exc:
             rep.record({"pasting": expr}, "recognised", str(exc))
@@ -364,7 +365,8 @@ def check_gencp_formula(catalog: Catalog, config) -> LemmaReport:
             left, right, level = gray_split_of_generalised_pasting(g, v, side)
             rep.instances += 1
             try:
-                got = recognise_generalised_pasting(prod, left, right, level)
+                got = recognise_generalised_pasting(prod, left, right, level,
+                                                    verdicts=verdicts)
             except RecognitionFailed as exc:
                 rep.record({"pasting": expr, "factor": catalog.expr_of(v),
                             "side": side}, "recognised", str(exc))
@@ -380,14 +382,15 @@ def check_gencp_boundary(catalog: Catalog, config) -> LemmaReport:
     """Boundaries of generalised pastings are generalised pastings of the
     piece boundaries, at the same level."""
     rep = LemmaReport("GENCP_BOUNDARY")
+    verdicts = {}
     for expr, g in _gencp_instances(catalog, config):
         amb = g.ambient.poset
         k = g.level
         for n in range(k + 1, amb.dim + 1):
             for sign in SIGNS:
                 rep.instances += 1
-                bd_left = amb.restrict(g.left).boundary_set(n, sign)
-                bd_right = amb.restrict(g.right).boundary_set(n, sign)
+                bd_left = amb.sub_boundary_set(g.left, n, sign)
+                bd_right = amb.sub_boundary_set(g.right, n, sign)
                 direct = amb.boundary_set(n, sign)
                 if bd_left | bd_right != direct:
                     rep.record(
@@ -397,7 +400,8 @@ def check_gencp_boundary(catalog: Catalog, config) -> LemmaReport:
                     continue
                 bd_mol = g.ambient.boundary_molecule(n, sign)
                 try:
-                    got = recognise_generalised_pasting(bd_mol, bd_left, bd_right, k)
+                    got = recognise_generalised_pasting(bd_mol, bd_left, bd_right, k,
+                                                        verdicts=verdicts)
                 except RecognitionFailed as exc:
                     rep.record({"pasting": expr, "n": n, "sign": sign},
                                "recognised", str(exc))
@@ -456,6 +460,7 @@ def check_dist_lower(catalog: Catalog, config) -> LemmaReport:
     boundaries above the pasting level."""
     rep = LemmaReport("DIST_LOWER")
     small = [m for m in catalog.molecules() if len(m) <= 9][:config.dist_factor_count]
+    verdicts = {}
     for kind, w, u, whole in _paste_at_instances(catalog, config):
         n = w.dim
         w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
@@ -496,7 +501,7 @@ def check_dist_lower(catalog: Catalog, config) -> LemmaReport:
                     left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
                     try:
                         got = recognise_generalised_pasting(
-                            bd_mol, left, right, n + ell - 1
+                            bd_mol, left, right, n + ell - 1, verdicts=verdicts
                         )
                     except RecognitionFailed as exc:
                         rep.record(

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotEntire, ShapeError
+from .errors import BadEmbedding, NotEntire, ShapeError
 from .gray import gray_poset
 from .ids import sid
 from .molecule import Molecule
-from .poset import SIGNS, OgPoset
+from .poset import OgPoset, embedding_defect
 
 
 def _poset(shape) -> OgPoset:
@@ -55,15 +55,11 @@ class MarkedMap:
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        src, tgt = self.source.poset, self.target.poset
-        assert set(self.mapping) == set(src.dim_of)
-        assert len(set(self.mapping.values())) == len(self.mapping)
-        for x, y in self.mapping.items():
-            assert src.dim_of[x] == tgt.dim_of[y]
-            for s in SIGNS:
-                assert {self.mapping[f] for f in src.faces(x, s)} == set(tgt.faces(y, s))
-        assert self.apply(self.source.marking) <= self.target.marking, \
-            "marking must be preserved forward"
+        defect = embedding_defect(self.source.poset, self.target.poset, self.mapping)
+        if defect is None and not self.apply(self.source.marking) <= self.target.marking:
+            defect = "marking must be preserved forward"
+        if defect is not None:
+            raise BadEmbedding(f"marked map: {defect}")
 
     def apply(self, subset) -> frozenset:
         return frozenset(self.mapping[x] for x in subset)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadEmbedding,
     BoundaryMismatch,
     BoundExceeded,
     DimMismatch,
@@ -20,10 +21,21 @@ from .errors import (
     NotRewritable,
     NotRound,
     RecognitionFailed,
+    ShapeError,
     ZeroDimensional,
 )
 from .ids import inl, inr, sid
-from .poset import MINUS, PLUS, SIGNS, OgPoset, all_isos, build, find_iso
+from .poset import (
+    MINUS,
+    PLUS,
+    SIGNS,
+    OgPoset,
+    all_isos,
+    build,
+    canonical_key,
+    embedding_defect,
+    find_iso,
+)
 
 POINT_ID = "*"
 TOP_ID = "top"
@@ -99,16 +111,9 @@ class Inclusion:
     kind: str = "inclusion"
 
     def __post_init__(self):
-        src = self.source.poset
-        tgt = self.target.poset
-        assert set(self.mapping) == set(src.dim_of), "inclusion must be total"
-        image = set(self.mapping.values())
-        assert len(image) == len(self.mapping), "inclusion must be injective"
-        for x, y in self.mapping.items():
-            assert src.dim_of[x] == tgt.dim_of[y], "inclusion must preserve dimension"
-            for s in SIGNS:
-                assert {self.mapping[f] for f in src.faces(x, s)} == set(tgt.faces(y, s)), \
-                    f"inclusion must preserve faces at {sid(x)}"
+        defect = embedding_defect(self.source.poset, self.target.poset, self.mapping)
+        if defect is not None:
+            raise BadEmbedding(f"inclusion: {defect}")
 
     @property
     def image(self) -> frozenset:
@@ -427,12 +432,6 @@ class GeneralisedPasting:
     def shared(self) -> frozenset:
         return self.left & self.right
 
-    def left_poset(self) -> OgPoset:
-        return self.ambient.poset.restrict(self.left)
-
-    def right_poset(self) -> OgPoset:
-        return self.ambient.poset.restrict(self.right)
-
 
 def recognise_generalised_pasting(
     ambient: Molecule,
@@ -442,6 +441,7 @@ def recognise_generalised_pasting(
     *,
     shared=None,
     reconstruct_cap: int = 120,
+    verdicts: dict | None = None,
 ):
     """Check the three generalised-pasting conditions for a decomposition.
 
@@ -453,6 +453,10 @@ def recognise_generalised_pasting(
     ambient.  Condition failures return None; a factorisation failure on a
     decomposition that passed the conditions raises, since it contradicts a
     cited lemma.
+
+    verdicts, when given, maps canonical keys to molecule verdicts of
+    condition 2 and is filled in as boundaries are certified; a caller
+    passes the same dict to every recognition of one check.
     """
     w = ambient.poset
     left, right = frozenset(left), frozenset(right)
@@ -463,47 +467,66 @@ def recognise_generalised_pasting(
     meet = left & right
     if shared is not None and frozenset(shared) != meet:
         return None
-    u, v = w.restrict(left), w.restrict(right)
+
+    def left_bd(sign):
+        return w.sub_boundary_set(left, k, sign)
+
+    def right_bd(sign):
+        return w.sub_boundary_set(right, k, sign)
+
     # condition 1: the shared part lies in bd_k+ of the left and bd_k- of
     # the right piece
-    if not (meet <= u.boundary_set(k, PLUS) and meet <= v.boundary_set(k, MINUS)):
+    if not (meet <= left_bd(PLUS) and meet <= right_bd(MINUS)):
         return None
     bdm = w.boundary_set(k, MINUS)
     bdp = w.boundary_set(k, PLUS)
     # condition 2: both k-boundaries of the union are molecules
+    if verdicts is None:
+        verdicts = {}
     for subset in (bdm, bdp):
-        if reconstruct(w.restrict(subset), cap=reconstruct_cap) is None:
+        if not _is_molecule(w.restrict(subset), reconstruct_cap, verdicts):
             return None
     # condition 3
-    if not (u.boundary_set(k, MINUS) <= bdm and v.boundary_set(k, PLUS) <= bdp):
+    if not (left_bd(MINUS) <= bdm and right_bd(PLUS) <= bdp):
         return None
 
     def stage(base: frozenset, piece_bd: frozenset, target_sign: str, piece: frozenset):
         """One pasting stage: glue piece onto base along piece_bd, which must
         land in the target_sign k-boundary of base."""
-        base_poset = w.restrict(base)
-        if not piece_bd <= base_poset.boundary_set(k, target_sign):
+        target = w.sub_boundary_set(base, k, target_sign)
+        if not piece_bd <= target:
             raise RecognitionFailed(
                 "generalised pasting factorisation stage failed",
                 {
                     "level": k,
                     "stage_boundary": sorted(map(sid, piece_bd)),
-                    "target": sorted(map(sid, base_poset.boundary_set(k, target_sign))),
+                    "target": sorted(map(sid, target)),
                 },
             )
         return base | piece
 
     # (bd_k- W subcp U) subcp V
-    g1 = stage(bdm, u.boundary_set(k, MINUS), PLUS, left)
-    g2 = stage(g1, v.boundary_set(k, MINUS), PLUS, right)
+    g1 = stage(bdm, left_bd(MINUS), PLUS, left)
+    g2 = stage(g1, right_bd(MINUS), PLUS, right)
     # U cpsub (V cpsub bd_k+ W)
-    h1 = stage(bdp, v.boundary_set(k, PLUS), MINUS, right)
-    h2 = stage(h1, u.boundary_set(k, PLUS), MINUS, left)
+    h1 = stage(bdp, right_bd(PLUS), MINUS, right)
+    h2 = stage(h1, left_bd(PLUS), MINUS, left)
     if g2 != frozenset(w.dim_of) or h2 != frozenset(w.dim_of):
         raise RecognitionFailed("factorisation does not cover the ambient", {})
     if len(all_isos(w, w)) != 1:
         raise RecognitionFailed("ambient is not rigid", {})
     return GeneralisedPasting(ambient, left, right, k, checked=True)
+
+
+def _is_molecule(p: OgPoset, cap: int, verdicts: dict) -> bool:
+    """Whether reconstruct certifies p, looked up by canonical key in
+    verdicts and recorded there; without a key, reconstruct runs."""
+    key = canonical_key(p)
+    if key is None:
+        return reconstruct(p, cap=cap) is not None
+    if key not in verdicts:
+        verdicts[key] = reconstruct(p, cap=cap) is not None
+    return verdicts[key]
 
 
 # -- bounded decomposition search --------------------------------------------
@@ -513,32 +536,28 @@ def _peel_candidates(p: OgPoset, carrier: frozenset, protected: frozenset):
     """Pasting peels of one maximal element's closure off a carrier subset.
 
     Yields dicts describing carrier = rest (subcp / cpsub) cl{top} at level
-    dim(top) - 1, with the set-level pasting preconditions checked.
+    dim(top) - 1, with the set-level pasting preconditions checked on the
+    element sets of p.
     """
-    sub = p.restrict(carrier)
+    dim_of = p.dim_of
     out = []
-    for top in sorted(sub.maximal_elements(), key=lambda x: (-p.dim_of[x], sid(x))):
-        d = p.dim_of[top]
+    for top in sorted(p.sub_maximal(carrier), key=lambda x: (-dim_of[x], sid(x))):
+        d = dim_of[top]
         if d < 1 or top in protected:
             continue
         piece = p.closure({top})
-        piece_poset = p.restrict(piece)
         k = d - 1
         for side, keep_sign, attach_sign in (("right", MINUS, PLUS), ("left", PLUS, MINUS)):
-            shared = piece_poset.boundary_set(k, keep_sign)
+            shared = p.sub_boundary_set(piece, k, keep_sign)
             removed = piece - shared
             if removed & protected:
                 continue
             rest = carrier - removed
-            if not rest:
+            if not rest or not p.is_closed(rest):
                 continue
-            rest_sub = p.restrict(rest) if p.is_closed(rest) else None
-            if rest_sub is None:
+            if p.sub_dim(rest) < k:
                 continue
-            target_bd = rest_sub.boundary_set(k, attach_sign)
-            if not shared <= target_bd:
-                continue
-            if rest_sub.dim < k:
+            if not shared <= p.sub_boundary_set(rest, k, attach_sign):
                 continue
             out.append({
                 "side": side,
@@ -604,34 +623,32 @@ def replay_derivation(p: OgPoset, hole: frozenset, steps, expect: frozenset) -> 
     return carrier == frozenset(expect)
 
 
-def reconstruct(p: OgPoset, cap: int = 120, _memo=None) -> Molecule | None:
+def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
     """Bounded certifier: rebuild a paste/atom certificate for a poset.
 
     Returns a Molecule carrying p itself (ids preserved) on success, None
     if no decomposition is found within the search.  Only used on instances
     the theory guarantees to be molecules; a None on such an instance is a
-    harness failure.
+    harness failure.  The search runs on closed element sets of p; only
+    the two inputs of each atom check and the carrier it is compared with
+    become posets.
     """
     if len(p) > cap:
         raise BoundExceeded(f"reconstruct called on {len(p)} elements (cap {cap})")
-    if _memo is None:
-        _memo = {}
-    key = frozenset(p.dim_of)
+    memo = {}
 
     def rec(carrier: frozenset):
-        ck = frozenset(carrier)
-        if ck in _memo:
-            return _memo[ck]
-        sub = p.restrict(carrier)
+        if carrier in memo:
+            return memo[carrier]
         result = None
-        if len(sub) == 1 and sub.dim == 0:
+        n = p.sub_dim(carrier)
+        if len(carrier) == 1 and n == 0:
             result = {"kind": "point"}
-        elif len(sub) > 0:
-            maxima = sub.maximal_elements()
+        elif carrier:
+            maxima = p.sub_maximal(carrier)
             if len(maxima) == 1:
-                n = sub.dim
-                minus = sub.boundary_set(n - 1, MINUS)
-                plus = sub.boundary_set(n - 1, PLUS)
+                minus = p.sub_boundary_set(carrier, n - 1, MINUS)
+                plus = p.sub_boundary_set(carrier, n - 1, PLUS)
                 cm = rec(minus)
                 cp = rec(plus)
                 if cm is not None and cp is not None:
@@ -640,9 +657,9 @@ def reconstruct(p: OgPoset, cap: int = 120, _memo=None) -> Molecule | None:
                             Molecule(p.restrict(minus), cm),
                             Molecule(p.restrict(plus), cp),
                         )
-                    except Exception:
+                    except ShapeError:
                         built = None
-                    if built is not None and find_iso(built.poset, sub) is not None:
+                    if built is not None and find_iso(built.poset, p.restrict(carrier)) is not None:
                         result = {"kind": "atom", "left": cm, "right": cp}
             else:
                 for cand in _peel_candidates(p, carrier, frozenset()):
@@ -661,10 +678,10 @@ def reconstruct(p: OgPoset, cap: int = 120, _memo=None) -> Molecule | None:
                         "shared": sorted(map(sid, cand["shared"])),
                     }
                     break
-        _memo[ck] = result
+        memo[carrier] = result
         return result
 
-    cert = rec(key)
+    cert = rec(frozenset(p.dim_of))
     if cert is None:
         return None
     return Molecule(p, cert)

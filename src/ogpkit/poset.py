@@ -49,6 +49,8 @@ class OgPoset:
         self._order = None
         self._bd_memo = {}
         self._maximal = None
+        self._colours = None
+        self._form = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -141,11 +143,45 @@ class OgPoset:
             return frozenset(self.dim_of)
         key = (n, sign)
         if key not in self._bd_memo:
-            opposite = self.cofaces_out if sign == MINUS else self.cofaces_in
-            generators = {x for x, d in self.dim_of.items() if d == n and not opposite[x]}
-            generators |= {x for x in self.maximal_elements() if self.dim_of[x] < n}
-            self._bd_memo[key] = self.closure(generators)
+            self._bd_memo[key] = self._boundary_below_top(frozenset(self.dim_of), n, sign)
         return self._bd_memo[key]
+
+    # -- closed subsets, read from this poset's dicts ---------------------
+    #
+    # Each equals the same query on self.restrict(subset), for a closed
+    # subset, without building the sub-poset.
+
+    def sub_dim(self, subset) -> int:
+        dim_of = self.dim_of
+        return max((dim_of[x] for x in subset), default=-1)
+
+    def sub_maximal(self, subset: frozenset) -> frozenset:
+        cin, cout = self.cofaces_in, self.cofaces_out
+        return frozenset(x for x in subset
+                         if subset.isdisjoint(cin[x]) and subset.isdisjoint(cout[x]))
+
+    def sub_boundary_set(self, subset: frozenset, n: int, sign: str) -> frozenset:
+        """boundary_set(n, sign) of the sub-poset on subset."""
+        if n < 0:
+            return frozenset()
+        if n >= self.sub_dim(subset):
+            return frozenset(subset)
+        return self._boundary_below_top(subset, n, sign)
+
+    def _boundary_below_top(self, subset: frozenset, n: int, sign: str) -> frozenset:
+        """boundary_set's formula on a closed subset; callers answer n < 0
+        and n at or above the subset's dimension themselves."""
+        dim_of, cin, cout = self.dim_of, self.cofaces_in, self.cofaces_out
+        opposite = cout if sign == MINUS else cin
+        generators = []
+        for x in subset:
+            d = dim_of[x]
+            if d == n:
+                if subset.isdisjoint(opposite[x]):
+                    generators.append(x)
+            elif d < n and subset.isdisjoint(cin[x]) and subset.isdisjoint(cout[x]):
+                generators.append(x)
+        return self.closure(generators)
 
     def full_boundary_set(self) -> frozenset:
         """Union of input and output boundaries one level below the top."""
@@ -243,88 +279,149 @@ class Iso:
         return all(k == v for k, v in self.mapping.items())
 
 
-def _signature(p: OgPoset):
-    """Per-element invariant used to prune the backtracking search.
+def embedding_defect(p: OgPoset, q: OgPoset, mapping: dict) -> str | None:
+    """Why mapping is not an embedding of p into q, or None if it is.
 
-    One refinement round over the face/coface neighbourhood; enough to cut
-    the candidate sets down to near-singletons on the shapes we meet.
+    An embedding is total on p, injective, and preserves dimension and
+    both face sides of every element.  Reads the face dicts directly.
     """
-    base = {
-        x: (
-            p.dim_of[x],
-            len(p.faces_in[x]),
-            len(p.faces_out[x]),
-            len(p.cofaces_in[x]),
-            len(p.cofaces_out[x]),
-        )
-        for x in p.dim_of
-    }
-    refined = {}
-    for x in p.dim_of:
-        refined[x] = (
-            base[x],
-            tuple(sorted(base[y] for y in p.faces_in[x])),
-            tuple(sorted(base[y] for y in p.faces_out[x])),
-            tuple(sorted(base[y] for y in p.cofaces_in[x])),
-            tuple(sorted(base[y] for y in p.cofaces_out[x])),
-        )
-    return refined
+    if mapping.keys() != p.dim_of.keys():
+        return "map must be total"
+    if len(set(mapping.values())) != len(mapping):
+        return "map must be injective"
+    for x, y in mapping.items():
+        if y not in q.dim_of or p.dim_of[x] != q.dim_of[y]:
+            return f"map must preserve dimension at {sid(x)}"
+        for faces_p, faces_q in ((p.faces_in, q.faces_in), (p.faces_out, q.faces_out)):
+            if {mapping[f] for f in faces_p[x]} != faces_q[y]:
+                return f"map must preserve faces at {sid(x)}"
+    return None
+
+
+def _rank(signature: dict):
+    """Colour of each element: the rank of its signature; and the count."""
+    order = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+    return {x: order[s] for x, s in signature.items()}, len(order)
+
+
+def _colours(p: OgPoset):
+    """Stable colouring by iterated colour refinement, memoised on p.
+
+    Returns (colour of each element, number of colours).  The first colour
+    of an element ranks its dimension and face and coface counts; each
+    round ranks its colour together with the sorted colours of its input
+    faces, output faces, input cofaces and output cofaces (one sorted run,
+    each colour tagged by its relation), until the number of colours stops
+    growing.  Ranks depend only on the structure, so every isomorphism
+    maps each element to one of the same colour.  An element alone in its
+    colour stays alone, so its neighbours are not read again, and
+    refinement stops as soon as every element has its own colour.
+    """
+    if p._colours is None:
+        fin, fout, cin, cout = p.faces_in, p.faces_out, p.cofaces_in, p.cofaces_out
+        colour, count = _rank({
+            x: (d, len(fin[x]), len(fout[x]), len(cin[x]), len(cout[x]))
+            for x, d in p.dim_of.items()
+        })
+        while count < len(colour):
+            sizes = [0] * count
+            for c in colour.values():
+                sizes[c] += 1
+            signature = {}
+            for x, c in colour.items():
+                if sizes[c] == 1:
+                    signature[x] = (c,)
+                    continue
+                # neighbour colours tagged by relation, in one sorted run
+                near = [4 * colour[y] for y in fin[x]]
+                near += [4 * colour[y] + 1 for y in fout[x]]
+                near += [4 * colour[y] + 2 for y in cin[x]]
+                near += [4 * colour[y] + 3 for y in cout[x]]
+                near.sort()
+                signature[x] = (c, *near)
+            colour, refined = _rank(signature)
+            if refined == count:
+                break
+            count = refined
+        p._colours = colour, count
+    return p._colours
+
+
+def _colour_form(p: OgPoset) -> tuple:
+    """The poset written in its stable colours, memoised on p: per
+    element, its colour, dimension and sorted input and output face
+    colours, sorted.  Equal for isomorphic posets."""
+    if p._form is None:
+        colour = _colours(p)[0]
+        p._form = tuple(sorted(
+            (c, p.dim_of[x],
+             tuple(sorted([colour[y] for y in p.faces_in[x]])),
+             tuple(sorted([colour[y] for y in p.faces_out[x]])))
+            for x, c in colour.items()
+        ))
+    return p._form
+
+
+def canonical_key(p: OgPoset):
+    """Complete isomorphism invariant, or None.
+
+    When every element has its own stable colour, the colour form
+    determines the poset up to isomorphism: equal keys mean isomorphic
+    posets.  Otherwise there is no key.
+    """
+    colour, count = _colours(p)
+    return _colour_form(p) if count == len(colour) else None
 
 
 def _iso_search(p: OgPoset, q: OgPoset, first_only: bool):
     if len(p) != len(q):
         return []
-    sig_p, sig_q = _signature(p), _signature(q)
-    by_sig = {}
-    for y in q.dim_of:
-        by_sig.setdefault(sig_q[y], []).append(y)
-    for bucket in by_sig.values():
-        bucket.sort(key=sid)
-    counts_p = {}
-    for x in p.dim_of:
-        counts_p[sig_p[x]] = counts_p.get(sig_p[x], 0) + 1
-    if any(counts_p.get(s, 0) != len(b) for s, b in by_sig.items()) or any(
-        s not in by_sig for s in counts_p
-    ):
+    colour_p, count_p = _colours(p)
+    colour_q, count_q = _colours(q)
+    if count_p != count_q:
+        return []
+    if count_p == len(p):
+        # Discrete colourings: every isomorphism preserves colours, so the
+        # colour-matching bijection is the only candidate, and p has no
+        # automorphism but the identity.
+        of_colour = {c: y for y, c in colour_q.items()}
+        mapping = {x: of_colour[c] for x, c in colour_p.items()}
+        return [Iso(p, q, mapping)] if embedding_defect(p, q, mapping) is None else []
+    if _colour_form(p) != _colour_form(q):
         return []
 
-    # order: dimension descending, then rarest signature first
+    # backtracking over the stable colour classes
+    bucket = {}
+    for y in q.dim_of:
+        bucket.setdefault(colour_q[y], []).append(y)
+    for ys in bucket.values():
+        ys.sort(key=sid)
+    # order: dimension descending, then rarest colour first
     todo = sorted(
         p.dim_of,
-        key=lambda x: (-p.dim_of[x], len(by_sig[sig_p[x]]), sid(x)),
+        key=lambda x: (-p.dim_of[x], len(bucket[colour_p[x]]), sid(x)),
     )
+    neighbours_p = (p.faces_in, p.faces_out, p.cofaces_in, p.cofaces_out)
+    neighbours_q = (q.faces_in, q.faces_out, q.cofaces_in, q.cofaces_out)
     mapping, used, found = {}, set(), []
 
     def consistent(x, y):
-        for s in SIGNS:
-            fy = q.faces(y, s)
-            for f in p.faces(x, s):
-                if f in mapping and mapping[f] not in fy:
-                    return False
-            cy = q.cofaces(y, s)
-            for c in p.cofaces(x, s):
-                if c in mapping and mapping[c] not in cy:
-                    return False
-        return True
-
-    def verify():
-        for x in p.dim_of:
-            for s in SIGNS:
-                if {mapping[f] for f in p.faces(x, s)} != set(q.faces(mapping[x], s)):
+        for near_p, near_q in zip(neighbours_p, neighbours_q):
+            near_y = near_q[y]
+            for f in near_p[x]:
+                if f in mapping and mapping[f] not in near_y:
                     return False
         return True
 
     def backtrack(i):
         if i == len(todo):
-            if verify():
+            if embedding_defect(p, q, mapping) is None:
                 found.append(Iso(p, q, dict(mapping)))
                 return first_only
             return False
         x = todo[i]
-        for y in by_sig[sig_p[x]]:
-            if y in used:
-                continue
-            if not consistent(x, y):
+        for y in bucket[colour_p[x]]:
+            if y in used or not consistent(x, y):
                 continue
             mapping[x] = y
             used.add(y)
@@ -354,5 +451,6 @@ def is_isomorphic(p: OgPoset, q: OgPoset) -> bool:
 
 
 def iso_invariant(p: OgPoset):
-    """Cheap catalog-dedup prefilter: equal for isomorphic posets."""
-    return tuple(sorted(_signature(p).values()))
+    """Catalog-dedup prefilter, equal for isomorphic posets: the stable
+    colour form, which equals canonical_key(p) whenever that key exists."""
+    return _colour_form(p)

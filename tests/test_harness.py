@@ -1,8 +1,9 @@
 """Catalog enumeration and harness plumbing."""
 
+import hashlib
 import importlib
+import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,8 @@ from ogpkit.poset import SIGNS, all_isos, find_iso
 
 gray_mod = importlib.import_module("ogpkit.gray")
 harness_mod = importlib.import_module("ogpkit.harness")
+molecule_mod = importlib.import_module("ogpkit.molecule")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(**kw):
@@ -192,14 +195,54 @@ class TestPlantedFaults:
         assert rep.failures
         assert all("sign" in f["got"] for f in rep.failures)
 
-    def test_op_swap_fails_under_optimize(self):
+    def test_op_swap_fails_under_optimize(self, src_env):
         # assert statements vanish under -O; the check must not
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-O", "-c", OP_SWAP_UNDER_FAULT],
-                             env=env, capture_output=True, text=True, timeout=120)
+                             env=src_env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         optimize, instances, failures = map(int, out.stdout.split())
         assert optimize == 1
         assert 0 < failures <= instances
+
+    def test_failed_reconstruct_fails_recognition_checks(self, monkeypatch):
+        # The molecule verdicts of condition 2 are kept in a dict that each
+        # check owns.  Unpatched runs fill such dicts with true verdicts
+        # first; the patched runs after them must still fail, so no verdict
+        # outlives its check.
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=4, max_elements=8))
+        for lemma in ("DIST_LOWER", "GENCP_FORMULA", "GENCP_BOUNDARY"):
+            assert check(lemma, cat, SuiteConfig()).status == "pass"
+        monkeypatch.setattr(molecule_mod, "reconstruct", lambda *args, **kwargs: None)
+        dist = check("DIST_LOWER", cat, SuiteConfig())
+        assert 0 < len(dist.failures) < dist.instances
+        assert all(f["got"] == "conditions failed" for f in dist.failures)
+        for lemma in ("GENCP_FORMULA", "GENCP_BOUNDARY"):
+            rep = check(lemma, cat, SuiteConfig())
+            assert len(rep.failures) == rep.instances > 0
+
+
+def load_bench_spec():
+    path = ROOT / "perfbench" / "spec.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spec", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def test_verify_search_reports_match_benchmark_goldens(src_env):
+    # the verify-search pass of the benchmark, run as `ogpkit verify`,
+    # hashed per lemma as perfbench/run.py does
+    spec = load_bench_spec()
+    golden = json.loads((spec.GOLDENS / "verify.json").read_text())["verify-search"]["default"]
+    argv = spec.verify_argv("verify-search", 0)
+    out = subprocess.run([sys.executable, "-m", "ogpkit", *argv], env=src_env,
+                         capture_output=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    reports = {r["lemma"]: r for r in json.loads(out.stdout)["reports"]}
+    assert set(reports) == set(golden["lemmas"])
+    for lemma, want in golden["lemmas"].items():
+        got = reports[lemma]
+        assert got["instances"] == want["instances"], lemma
+        digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
+        assert digest == want["sha256"], lemma
+    assert hashlib.sha256(out.stdout).hexdigest() == golden["report_sha256"]

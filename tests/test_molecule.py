@@ -1,8 +1,12 @@
 """Molecule construction, boundaries, roundness, pastings, mergers."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ogpkit.errors import (
+    BadEmbedding,
     BoundaryMismatch,
     DimMismatch,
     NotRewritable,
@@ -12,6 +16,7 @@ from ogpkit.errors import (
 from ogpkit.ids import sid
 from ogpkit.molecule import (
     Inclusion,
+    Molecule,
     arrow,
     atom,
     find_derivation,
@@ -27,7 +32,7 @@ from ogpkit.molecule import (
     replay_derivation,
     submolecule,
 )
-from ogpkit.poset import MINUS, PLUS, find_iso, is_isomorphic
+from ogpkit.poset import MINUS, PLUS, build, canonical_key, find_iso, is_isomorphic
 
 
 def path2():
@@ -314,3 +319,72 @@ class TestPasteLaws:
             assert is_isomorphic(paste(m, bd, m.dim - 1).poset, m.poset)
             bd = m.boundary_molecule(m.dim - 1, MINUS)
             assert is_isomorphic(paste(bd, m, m.dim - 1).poset, m.poset)
+
+
+BAD_EMBEDDINGS = """
+import sys
+from ogpkit.errors import BadEmbedding
+from ogpkit.marked import MarkedMap, MarkedShape
+from ogpkit.molecule import Inclusion, arrow, globe
+raised = 0
+try:
+    Inclusion(arrow(), globe(2), {"0-": "0-", "0+": "0+", "1": "2"})
+except BadEmbedding:
+    raised += 1
+try:
+    MarkedMap(MarkedShape(arrow(), {"1"}), MarkedShape(arrow(), set()),
+              {"0-": "0-", "0+": "0+", "1": "1"})
+except BadEmbedding:
+    raised += 1
+print(sys.flags.optimize, raised)
+"""
+
+
+class TestEmbeddingValidation:
+    def test_dimension_breaking_inclusion(self):
+        with pytest.raises(BadEmbedding):
+            Inclusion(arrow(), globe(2), {"0-": "0-", "0+": "0+", "1": "2"})
+
+    def test_partial_and_non_injective_inclusions(self):
+        with pytest.raises(BadEmbedding):
+            Inclusion(arrow(), globe(2), {"0-": "0-", "0+": "0+"})
+        two_points = Molecule(build({"a": 0, "b": 0}, {}), {"kind": "test"})
+        with pytest.raises(BadEmbedding):
+            Inclusion(two_points, arrow(), {"a": "0-", "b": "0-"})
+
+    def test_face_breaking_inclusion(self):
+        with pytest.raises(BadEmbedding):
+            Inclusion(arrow(), arrow(), {"0-": "0+", "0+": "0-", "1": "1"})
+
+    def test_raises_under_optimize(self, src_env):
+        # assert statements vanish under -O; the validation must not
+        out = subprocess.run([sys.executable, "-O", "-c", BAD_EMBEDDINGS],
+                             env=src_env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "2"]
+
+
+class TestMoleculeVerdicts:
+    def test_shared_verdicts_give_the_same_recognitions(self):
+        shapes = [paste(globe(2), globe(2), 1), paste(globe(2), arrow(), 0),
+                  paste(arrow(), arrow(), 0), paste(globe(3), globe(3), 2)]
+        verdicts = {}
+        for m in shapes + shapes:
+            g = m.provenance["gencp"]
+            alone = recognise_generalised_pasting(m, g.left, g.right, g.level)
+            shared = recognise_generalised_pasting(m, g.left, g.right, g.level,
+                                                   verdicts=verdicts)
+            assert (alone is None) == (shared is None) and shared is not None
+        # both k-boundaries of each pasting are certified once per class
+        assert verdicts and all(verdicts.values())
+        assert all(key is not None for key in verdicts)
+
+    def test_verdict_is_read_by_key(self):
+        m = paste(globe(2), globe(2), 1)
+        g = m.provenance["gencp"]
+        bd = m.poset.restrict(m.poset.boundary_set(g.level, MINUS))
+        # a planted false verdict for the input boundary's class is obeyed:
+        # the dict is the only source of the answer once it has the key
+        verdicts = {canonical_key(bd): False}
+        assert recognise_generalised_pasting(m, g.left, g.right, g.level,
+                                             verdicts=verdicts) is None
