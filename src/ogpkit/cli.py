@@ -7,6 +7,7 @@ when a verification run reports failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -83,7 +84,7 @@ def cmd_iso(args) -> int:
         sys.stdout.buffer.write(to_json_bytes(None))
     else:
         sys.stdout.buffer.write(to_json_bytes(
-            {sid(k): sid(v) for k, v in sorted(iso.mapping.items(), key=lambda i: sid(i[0]))}
+            dict(sorted((sid(k), sid(v)) for k, v in iso.mapping.items()))
         ))
     return EXIT_OK
 
@@ -233,9 +234,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call; parsing leaves it
+    unchanged."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ExprSyntaxError as exc:

@@ -134,15 +134,17 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
     mapping = {(x, y): (y, x) for x in p.dim_of for y in q.dim_of}
     if set(mapping.values()) != set(rhs.dim_of):
         raise IdentityFailed("op-swap is not a bijection of the carriers")
-    for e, image in mapping.items():
-        if lhs.dim_of[e] != rhs.dim_of[image]:
+    sides = ((MINUS, lhs.faces_in, rhs.faces_in), (PLUS, lhs.faces_out, rhs.faces_out))
+    for e, d in lhs.dim_of.items():
+        x, y = e
+        image = (y, x)
+        if rhs.dim_of[image] != d:
             raise IdentityFailed(
                 f"op-swap changes the dimension of {sid(e)}",
-                {"element": sid(e), "got": lhs.dim_of[e], "want": rhs.dim_of[image]},
+                {"element": sid(e), "got": d, "want": rhs.dim_of[image]},
             )
-        for s, lhs_faces, rhs_faces in ((MINUS, lhs.faces_in, rhs.faces_in),
-                                        (PLUS, lhs.faces_out, rhs.faces_out)):
-            got = {mapping[f] for f in lhs_faces[e]}
+        for s, lhs_faces, rhs_faces in sides:
+            got = {(b, a) for (a, b) in lhs_faces[e]}
             want = rhs_faces[image]
             if got != want:
                 raise IdentityFailed(

@@ -52,7 +52,7 @@ from .molecule import (
     point,
     recognise_generalised_pasting,
 )
-from .poset import MINUS, PLUS, SIGNS, OgPoset, all_isos, build, find_iso, iso_invariant
+from .poset import MINUS, PLUS, SIGNS, OgPoset, all_isos, build, find_iso, flip, iso_invariant
 
 
 @dataclass
@@ -525,31 +525,37 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
     rep = LemmaReport("CTX_RECURSION")
     small = [m for m in catalog.molecules() if 1 <= len(m) <= 9]
 
-    def telescoping(prod: OgPoset, hole_fn, piece_fn, sign, n, top_ell):
-        """Check hole u pieces(<=ell) equals the direct boundary for each
-        ell, with each stage pasting precondition."""
+    def telescoping(prod: OgPoset, hole, piece_fn, sign, n, top_ell):
+        """Check that bd(hole) u pieces(<=ell) equals the direct boundary
+        for each ell, with each stage pasting precondition, reading every
+        boundary of a closed subset from prod.  Returns None, or the
+        failure as (detail, expected, got)."""
+        pieces = [piece_fn(j) for j in range(top_ell + 1)]
+        for where, part in (("hole", hole), *enumerate(pieces)):
+            if not prod.is_closed(part):
+                rep.instances += 1  # the first stage, which cannot be read
+                return ("not closed", where), "closed subset", _ids(part)
         for ell in range(top_ell + 1):
             rep.instances += 1
             direct = prod.boundary_set(n + ell, sign)
-            hole = hole_fn(ell)
-            pieces = [piece_fn(j) for j in range(ell + 1)]
-            assembled = hole.union(*pieces) if pieces else hole
+            hole_bd = prod.sub_boundary_set(hole, n + ell, sign)
+            assembled = hole_bd.union(*pieces[:ell + 1])
             if assembled != direct:
-                return ("cover", ell, direct, assembled)
-            carrier = hole
-            for j, piece in enumerate(pieces):
-                piece_sub = prod.restrict(piece)
+                return ("cover", ell), _ids(direct), _ids(assembled)
+            # a union of closed subsets is closed
+            carrier = hole_bd
+            for j, piece in enumerate(pieces[:ell + 1]):
                 level = n + j - 1
-                if sign == PLUS:
-                    need = piece_sub.boundary_set(level, PLUS)
-                    have = prod.restrict(carrier).boundary_set(level, MINUS)
-                else:
-                    need = piece_sub.boundary_set(level, MINUS)
-                    have = prod.restrict(carrier).boundary_set(level, PLUS)
+                need = prod.sub_boundary_set(piece, level, sign)
+                have = prod.sub_boundary_set(carrier, level, flip(sign))
                 if not need <= have:
-                    return ("stage", (ell, j), _ids(need), _ids(have))
+                    return ("stage", (ell, j)), _ids(need), _ids(have)
                 carrier = carrier | piece
         return None
+
+    def record(inputs, bad):
+        detail, expected, got = bad
+        rep.record({**inputs, "detail": str(detail)}, expected, got)
 
     # boundary-determined contexts: u (x) v with holes along bd(u) (x) v
     for u in catalog.molecules():
@@ -560,41 +566,19 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
             if len(u) * len(v) > config.product_cap:
                 continue
             prod = gray_poset(u.poset, v.poset)
-            b = u.poset.boundary_set(n - 1, PLUS)
-            a = u.poset.boundary_set(n - 1, MINUS)
+            for side, sign in (("R", PLUS), ("L", MINUS)):
+                hole = frozenset((x, y) for x in u.poset.boundary_set(n - 1, sign)
+                                 for y in v.poset.dim_of)
 
-            def hole_plus(ell):
-                sub = prod.restrict(frozenset(
-                    (x, y) for x in b for y in v.poset.dim_of))
-                return sub.boundary_set(n + ell, PLUS)
+                def piece_fn(j):
+                    return frozenset(
+                        (x, y) for x in u.poset.dim_of
+                        for y in v.poset.boundary_set(j, twist(sign, n)))
 
-            def hole_minus(ell):
-                sub = prod.restrict(frozenset(
-                    (x, y) for x in a for y in v.poset.dim_of))
-                return sub.boundary_set(n + ell, MINUS)
-
-            def piece_plus(j):
-                return frozenset(
-                    (x, y) for x in u.poset.dim_of
-                    for y in v.poset.boundary_set(j, twist(PLUS, n)))
-
-            def piece_minus(j):
-                return frozenset(
-                    (x, y) for x in u.poset.dim_of
-                    for y in v.poset.boundary_set(j, twist(MINUS, n)))
-
-            bad = telescoping(prod, hole_plus, piece_plus, PLUS, n, v.dim)
-            if bad:
-                rep.record({"u": catalog.expr_of(u), "v": catalog.expr_of(v),
-                            "side": "R", "detail": str(bad[:2])},
-                           bad[2] if isinstance(bad[2], list) else _ids(bad[2]),
-                           bad[3] if isinstance(bad[3], list) else _ids(bad[3]))
-            bad = telescoping(prod, hole_minus, piece_minus, MINUS, n, v.dim)
-            if bad:
-                rep.record({"u": catalog.expr_of(u), "v": catalog.expr_of(v),
-                            "side": "L", "detail": str(bad[:2])},
-                           bad[2] if isinstance(bad[2], list) else _ids(bad[2]),
-                           bad[3] if isinstance(bad[3], list) else _ids(bad[3]))
+                bad = telescoping(prod, hole, piece_fn, sign, n, v.dim)
+                if bad:
+                    record({"u": catalog.expr_of(u), "v": catalog.expr_of(v),
+                            "side": side}, bad)
 
     # pasted-subdiagram contexts, reusing the paste-at instances
     for kind, w, u, whole in _paste_at_instances(catalog, config):
@@ -607,23 +591,17 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
             prod = gray_poset(whole.poset, v.poset)
             sign = PLUS if kind == "cpsub" else MINUS
             vsign = twist(sign, n)
-
-            def hole_fn(ell):
-                sub = prod.restrict(frozenset(
-                    (x, y) for x in u_img for y in v.poset.dim_of))
-                return sub.boundary_set(n + ell, sign)
+            hole = frozenset((x, y) for x in u_img for y in v.poset.dim_of)
 
             def piece_fn(j):
                 return frozenset(
                     (x, y) for x in w_img
                     for y in v.poset.boundary_set(j, vsign))
 
-            bad = telescoping(prod, hole_fn, piece_fn, sign, n,
-                              u.dim + v.dim - n)
+            bad = telescoping(prod, hole, piece_fn, sign, n, u.dim + v.dim - n)
             if bad:
-                rep.record({"w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                            "v": catalog.expr_of(v), "kind": kind,
-                            "detail": str(bad[:2])}, "telescoping", "failed")
+                record({"w": catalog.expr_of(w), "u": catalog.expr_of(u),
+                        "v": catalog.expr_of(v), "kind": kind}, bad)
 
     # transport of marking-restricted contexts through the product
     horn_contexts = []

@@ -10,7 +10,7 @@ directed complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
 from .ids import sid
@@ -26,31 +26,47 @@ def flip(sign: str) -> str:
 
 @dataclass(eq=False)
 class OgPoset:
-    """Validated oriented graded poset.  Treat as immutable after build."""
+    """Validated oriented graded poset.  Treat as immutable after build.
+
+    The coface dicts cofaces_in and cofaces_out are derived from the face
+    dicts on their first read and kept, so a poset that is only built,
+    compared or dualised never inverts its faces.
+    """
 
     dim_of: dict
     faces_in: dict
     faces_out: dict
-    # derived, filled in by __post_init__
-    cofaces_in: dict = field(default_factory=dict, repr=False)
-    cofaces_out: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        cin = {x: set() for x in self.dim_of}
-        cout = {x: set() for x in self.dim_of}
-        for x in self.dim_of:
-            for y in self.faces_in.get(x, ()):
-                cin[y].add(x)
-            for y in self.faces_out.get(x, ()):
-                cout[y].add(x)
-        self.cofaces_in = {x: frozenset(s) for x, s in cin.items()}
-        self.cofaces_out = {x: frozenset(s) for x, s in cout.items()}
         self.dim = max(self.dim_of.values(), default=-1)  # -1 for the empty poset
         self._order = None
+        self._cofaces = None
         self._bd_memo = {}
         self._maximal = None
         self._colours = None
         self._form = None
+
+    def _coface_dicts(self) -> tuple:
+        """(cofaces_in, cofaces_out), inverted from the faces on first read."""
+        if self._cofaces is None:
+            cin = {x: set() for x in self.dim_of}
+            cout = {x: set() for x in self.dim_of}
+            for x in self.dim_of:
+                for y in self.faces_in.get(x, ()):
+                    cin[y].add(x)
+                for y in self.faces_out.get(x, ()):
+                    cout[y].add(x)
+            self._cofaces = ({x: frozenset(s) for x, s in cin.items()},
+                             {x: frozenset(s) for x, s in cout.items()})
+        return self._cofaces
+
+    @property
+    def cofaces_in(self) -> dict:
+        return self._coface_dicts()[0]
+
+    @property
+    def cofaces_out(self) -> dict:
+        return self._coface_dicts()[1]
 
     # -- basic queries ---------------------------------------------------
 
@@ -90,14 +106,12 @@ class OgPoset:
     def cofaces(self, x, sign: str) -> frozenset:
         """Elements having x among their faces of the given sign."""
         self._check(x)
-        return self.cofaces_in[x] if sign == MINUS else self.cofaces_out[x]
+        return self._coface_dicts()[0 if sign == MINUS else 1][x]
 
     def maximal_elements(self) -> frozenset:
         if self._maximal is None:
-            self._maximal = frozenset(
-                x for x in self.dim_of
-                if not self.cofaces_in[x] and not self.cofaces_out[x]
-            )
+            cin, cout = self._coface_dicts()
+            self._maximal = frozenset(x for x in self.dim_of if not cin[x] and not cout[x])
         return self._maximal
 
     def closure(self, subset) -> frozenset:
@@ -156,7 +170,7 @@ class OgPoset:
         return max((dim_of[x] for x in subset), default=-1)
 
     def sub_maximal(self, subset: frozenset) -> frozenset:
-        cin, cout = self.cofaces_in, self.cofaces_out
+        cin, cout = self._coface_dicts()
         return frozenset(x for x in subset
                          if subset.isdisjoint(cin[x]) and subset.isdisjoint(cout[x]))
 
@@ -171,7 +185,8 @@ class OgPoset:
     def _boundary_below_top(self, subset: frozenset, n: int, sign: str) -> frozenset:
         """boundary_set's formula on a closed subset; callers answer n < 0
         and n at or above the subset's dimension themselves."""
-        dim_of, cin, cout = self.dim_of, self.cofaces_in, self.cofaces_out
+        dim_of = self.dim_of
+        cin, cout = self._coface_dicts()
         opposite = cout if sign == MINUS else cin
         generators = []
         for x in subset:
@@ -318,7 +333,8 @@ def _colours(p: OgPoset):
     refinement stops as soon as every element has its own colour.
     """
     if p._colours is None:
-        fin, fout, cin, cout = p.faces_in, p.faces_out, p.cofaces_in, p.cofaces_out
+        fin, fout = p.faces_in, p.faces_out
+        cin, cout = p._coface_dicts()
         colour, count = _rank({
             x: (d, len(fin[x]), len(fout[x]), len(cin[x]), len(cout[x]))
             for x, d in p.dim_of.items()
@@ -401,8 +417,8 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool):
         p.dim_of,
         key=lambda x: (-p.dim_of[x], len(bucket[colour_p[x]]), sid(x)),
     )
-    neighbours_p = (p.faces_in, p.faces_out, p.cofaces_in, p.cofaces_out)
-    neighbours_q = (q.faces_in, q.faces_out, q.cofaces_in, q.cofaces_out)
+    neighbours_p = (p.faces_in, p.faces_out, *p._coface_dicts())
+    neighbours_q = (q.faces_in, q.faces_out, *q._coface_dicts())
     mapping, used, found = {}, set(), []
 
     def consistent(x, y):

@@ -22,18 +22,27 @@ def _poset(shape) -> OgPoset:
     return shape
 
 
+def _named_order(p: OgPoset):
+    """Each element's sid, computed once, and the elements in (dimension,
+    sid) order."""
+    name = {x: sid(x) for x in p.dim_of}
+    dim_of = p.dim_of
+    return name, sorted(dim_of, key=lambda x: (dim_of[x], name[x]))
+
+
 def poset_to_dict(shape) -> dict:
     p = _poset(shape)
-    order = sorted(p.dim_of, key=lambda x: (p.dim_of[x], sid(x)))
+    name, order = _named_order(p)
+    dim_of, faces_in, faces_out = p.dim_of, p.faces_in, p.faces_out
     doc = {
-        "elements": [{"id": sid(x), "dim": p.dim_of[x]} for x in order],
+        "elements": [{"id": name[x], "dim": dim_of[x]} for x in order],
         "faces": {
-            sid(x): {
-                MINUS: sorted(map(sid, p.faces(x, MINUS))),
-                PLUS: sorted(map(sid, p.faces(x, PLUS))),
+            name[x]: {
+                MINUS: sorted([name[f] for f in faces_in[x]]),
+                PLUS: sorted([name[f] for f in faces_out[x]]),
             }
             for x in order
-            if p.dim_of[x] > 0
+            if dim_of[x] > 0
         },
     }
     if isinstance(shape, Molecule):
@@ -54,7 +63,7 @@ def poset_from_dict(doc: dict) -> OgPoset:
 
 def marked_map_to_dict(m: MarkedMap) -> dict:
     return {
-        "map": {sid(k): sid(v) for k, v in sorted(m.mapping.items(), key=lambda i: sid(i[0]))},
+        "map": dict(sorted((sid(k), sid(v)) for k, v in m.mapping.items())),
         "entire": m.entire,
     }
 
@@ -65,17 +74,18 @@ def to_json_bytes(doc) -> bytes:
 
 def to_dot_bytes(shape) -> bytes:
     p = _poset(shape)
-    order = sorted(p.dim_of, key=lambda x: (p.dim_of[x], sid(x)))
+    name, order = _named_order(p)
+    dim_of = p.dim_of
     lines = ["digraph shape {"]
     for x in order:
-        lines.append(f'  "{sid(x)}" [label="{sid(x)}:{p.dim_of[x]}"];')
+        lines.append(f'  "{name[x]}" [label="{name[x]}:{dim_of[x]}"];')
     edges = []
     for x in order:
-        if p.dim_of[x] == 0:
+        if dim_of[x] == 0:
             continue
-        for sign, color in ((MINUS, "crimson"), (PLUS, "navy")):
-            for f in sorted(map(sid, p.faces(x, sign))):
-                edges.append(f'  "{f}" -> "{sid(x)}" [color={color}];')
+        for faces, color in ((p.faces_in, "crimson"), (p.faces_out, "navy")):
+            for f in sorted([name[f] for f in faces[x]]):
+                edges.append(f'  "{f}" -> "{name[x]}" [color={color}];')
     lines.extend(sorted(edges))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()

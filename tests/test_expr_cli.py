@@ -206,6 +206,17 @@ class TestCli:
     def test_verify_unknown_lemma(self, capsys):
         assert main(["verify", "--lemma", "NOPE"]) == 1
 
+    def test_repeated_calls_share_nothing(self, capsysbinary):
+        # main keeps one parser; repeated --lemma values must not pile up
+        argv = ["verify", "--lemma", "MUTATION", "--depth", "1",
+                "--max-dim", "2", "--max-elems", "9"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsysbinary.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[1])["config"]["lemmas"] == ["MUTATION"]
+
 
 class TestCertificateRoundTrip:
     def test_certificate_serializes_bit_exactly(self):

@@ -23,12 +23,15 @@ from ogpkit.harness import (
 )
 from ogpkit.exprlang import eval_text
 from ogpkit.gray import gray_poset
+from ogpkit.ids import sid
 from ogpkit.molecule import arrow, globe, paste
 from ogpkit.poset import SIGNS, all_isos, find_iso
 
 
+cylinder_mod = importlib.import_module("ogpkit.cylinder")
 gray_mod = importlib.import_module("ogpkit.gray")
 harness_mod = importlib.import_module("ogpkit.harness")
+marked_mod = importlib.import_module("ogpkit.marked")
 molecule_mod = importlib.import_module("ogpkit.molecule")
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -221,6 +224,43 @@ class TestPlantedFaults:
             assert len(rep.failures) == rep.instances > 0
 
 
+    def test_residual_upper_bound_fails_entire_residual(self, monkeypatch):
+        # the published bound lacks the marked-target exclusion
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        monkeypatch.setattr(harness_mod, "residual_formula", marked_mod.residual_upper_bound)
+        rep = check("ENTIRE_RESIDUAL", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+
+    def test_swapped_inverted_sides_fail_cylinders(self, monkeypatch):
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        real = cylinder_mod._cylinder_poset
+        swap = {"L": "R", "R": "L"}
+
+        def swapped(p, K, variant):
+            return real(p, K, swap.get(variant, variant))
+
+        monkeypatch.setattr(cylinder_mod, "_cylinder_poset", swapped)
+        rep = check("CYLINDERS", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+
+    def test_dropped_marking_fails_op_pp(self, monkeypatch):
+        # the pushout-product forgets the smallest marked element of its domain
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        real = marked_mod.pushout_product
+
+        def dropped(i, j):
+            pp = real(i, j)
+            if not pp.source.marking:
+                return pp
+            marking = pp.source.marking - {min(pp.source.marking, key=sid)}
+            return marked_mod.MarkedMap(marked_mod.MarkedShape(pp.source.shape, marking),
+                                        pp.target, pp.mapping, meta=pp.meta)
+
+        monkeypatch.setattr(harness_mod, "pushout_product", dropped)
+        rep = check("OP_PP", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+
+
 def load_bench_spec():
     path = ROOT / "perfbench" / "spec.py"
     loader = importlib.util.spec_from_file_location("perfbench_spec", path)
@@ -229,12 +269,13 @@ def load_bench_spec():
     return module
 
 
-def test_verify_search_reports_match_benchmark_goldens(src_env):
-    # the verify-search pass of the benchmark, run as `ogpkit verify`,
-    # hashed per lemma as perfbench/run.py does
+def check_verify_pass_against_goldens(src_env, workload, seed, golden_key):
+    """Run one verify pass of the benchmark as `ogpkit verify` and compare
+    its per-lemma hashes, computed as perfbench/run.py does, with the
+    recorded goldens."""
     spec = load_bench_spec()
-    golden = json.loads((spec.GOLDENS / "verify.json").read_text())["verify-search"]["default"]
-    argv = spec.verify_argv("verify-search", 0)
+    golden = json.loads((spec.GOLDENS / "verify.json").read_text())[workload][golden_key]
+    argv = spec.verify_argv(workload, seed)
     out = subprocess.run([sys.executable, "-m", "ogpkit", *argv], env=src_env,
                          capture_output=True, timeout=600)
     assert out.returncode == 0, out.stderr
@@ -246,3 +287,12 @@ def test_verify_search_reports_match_benchmark_goldens(src_env):
         digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
         assert digest == want["sha256"], lemma
     assert hashlib.sha256(out.stdout).hexdigest() == golden["report_sha256"]
+
+
+def test_verify_search_reports_match_benchmark_goldens(src_env):
+    check_verify_pass_against_goldens(src_env, "verify-search", 0, "default")
+
+
+def test_verify_products_reports_match_benchmark_goldens(src_env):
+    # MUTATION seed 0
+    check_verify_pass_against_goldens(src_env, "verify-products", 0, "0")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ogpkit.errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
 from ogpkit.gray import gray_poset
+from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.ids import sid
 from ogpkit.poset import MINUS, PLUS, all_isos, build, find_iso
 
@@ -114,6 +115,29 @@ class TestQueries:
 
     def test_maximal(self):
         assert the_arrow().maximal_elements() == {"1"}
+
+    def test_cofaces_and_maxima_invert_the_faces(self):
+        # cofaces are derived on first read; check them on every depth-1
+        # shape and product, their opposites and their boundaries
+        shapes = [e.molecule.poset
+                  for e in enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9)).entries]
+        checked = 0
+        for p in shapes + [gray_poset(a, b) for a in shapes for b in shapes]:
+            boundaries = [p.restrict(p.boundary_set(n, s))
+                          for n in range(p.dim) for s in (MINUS, PLUS)]
+            for q in [p, p.op(), *boundaries]:
+                cofaces = {(x, s): set() for x in q.dim_of for s in (MINUS, PLUS)}
+                for x in q.dim_of:
+                    for f in q.faces_in[x]:
+                        cofaces[f, MINUS].add(x)
+                    for f in q.faces_out[x]:
+                        cofaces[f, PLUS].add(x)
+                for (x, s), want in cofaces.items():
+                    assert q.cofaces(x, s) == want
+                assert q.maximal_elements() == {
+                    x for x in q.dim_of if not cofaces[x, MINUS] and not cofaces[x, PLUS]}
+                checked += 1
+        assert checked > 100
 
     def test_face_closure_invariant(self):
         # closure({x}) minus {x} is the union of the face closures
