@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BadDerivation,
+    BadHole,
+    BadMarking,
     ClauseViolation,
     IdentityFailed,
     NotAContext,
@@ -53,14 +56,15 @@ class ContextShape:
     def __post_init__(self):
         self.hole = frozenset(self.hole)
         p = self.ambient.poset
-        assert p.is_closed(self.hole), "hole must be closed"
-        sub = p.restrict(self.hole)
-        assert sub.dim == p.dim, "hole must have full dimension"
-        assert is_round(sub), "hole must be round"
-        if self.derivation is not None:
-            assert replay_derivation(p, self.hole, self.derivation,
-                                     frozenset(p.dim_of)), \
-                "stored derivation must re-evaluate to the ambient"
+        if not p.is_closed(self.hole):
+            raise BadHole("hole must be closed")
+        if p.sub_dim(self.hole) != p.dim:
+            raise BadHole("hole must have full dimension")
+        if not is_round(p, self.hole):
+            raise BadHole("hole must be round")
+        if self.derivation is not None and not replay_derivation(
+                p, self.hole, self.derivation, p.element_set):
+            raise BadDerivation("stored derivation must re-evaluate to the ambient")
 
     @property
     def dim(self) -> int:
@@ -247,8 +251,8 @@ class AtomicHorn:
     horn: frozenset       # bd U minus {x}
 
     def __post_init__(self):
-        p = self.shape.poset
-        assert p.is_closed(self.horn)
+        if not self.shape.poset.is_closed(self.horn):
+            raise BadHole("horn must be closed")
 
     def inclusion(self) -> Inclusion:
         return subset_inclusion(self.shape, self.horn,
@@ -298,7 +302,8 @@ def is_a_context(c: ContextShape, marking) -> list | None:
     """
     p = c.ambient.poset
     marking = frozenset(x for x in marking if x in p.dim_of)
-    assert all(p.dim_of[x] > 0 for x in marking), "markings are positive-dimensional"
+    if any(p.dim_of[x] <= 0 for x in marking):
+        raise BadMarking("markings are positive-dimensional")
     return find_derivation(p, frozenset(p.dim_of), c.hole, allowed=marking)
 
 
@@ -355,47 +360,52 @@ def marked_horn(u: Molecule, x, marking) -> MarkedHorn:
 # -- horn pushout-products -----------------------------------------------------
 
 
-def pp_horn(h: AtomicHorn, v: Molecule, order: str = "uv") -> AtomicHorn:
+def pp_horn(h: AtomicHorn, v: Molecule, order: str = "uv",
+            product: Molecule | None = None) -> AtomicHorn:
     """Pushout-product of a horn inclusion with a boundary inclusion.
 
     order "uv" forms the product U (x) V and expects the horn at (x, top V);
     order "vu" forms V (x) U and expects it at (top V, x).  The identity is
     checked as an elementwise equality of inclusion carriers; a mismatch
-    raises with a counterexample certificate.
+    raises with a counterexample certificate.  product, when given, is that
+    Gray product built by the caller; it feeds only the expected side, the
+    horn of the product read from its own boundaries, while the pushout
+    side is assembled from the factors' element sets.
     """
     if order not in ("uv", "vu"):
         raise IdentityFailed(f"unknown order {order!r}")
     u = h.shape
     bd_v = v.poset.full_boundary_set()
     if order == "uv":
-        prod = gray(u, v)
+        prod = product if product is not None else gray(u, v)
         facet = (h.facet, v.top())
         domain = frozenset(
             (a, b) for a in u.poset.dim_of for b in v.poset.dim_of
             if a in h.horn or b in bd_v
         )
     else:
-        prod = gray(v, u)
+        prod = product if product is not None else gray(v, u)
         facet = (v.top(), h.facet)
         domain = frozenset(
             (b, a) for a in u.poset.dim_of for b in v.poset.dim_of
             if a in h.horn or b in bd_v
         )
-    expected = prod.poset.full_boundary_set() - {facet}
-    if domain != expected:
+    expected = atomic_horn(prod, facet)
+    if domain != expected.horn:
         raise IdentityFailed(
             "pushout-product of the horn is not the expected horn",
             certificate={
                 "lemma": "HORN_PP",
                 "inputs": {"facet": sid(h.facet), "order": order},
-                "expected": sorted(map(sid, expected)),
+                "expected": sorted(map(sid, expected.horn)),
                 "got": sorted(map(sid, domain)),
             },
         )
-    return atomic_horn(prod, facet)
+    return expected
 
 
-def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv") -> MarkedHorn:
+def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv",
+                   products: dict | None = None) -> MarkedHorn:
     """Pushout-product of a marked horn with a cellular-model generator,
     re-recognised from scratch as a marked horn.
 
@@ -403,13 +413,30 @@ def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv") -> MarkedH
     the generator family's closed form and compared with the pushout
     machinery; the context recognition and two-case enlarged-marking rule
     are re-run on the product.
+
+    The Gray product U (x) V (or V (x) U) is built once and feeds both
+    pushout_product, as the ambient whose markings the pushout computes,
+    and pp_horn, as the ambient whose horn the pushout domain must equal.
+    products, when given, maps (first factor, second factor) to that
+    product and is filled in here; a caller passes the same dict to every
+    horn, generator and order of one check.
     """
     v = gen.meta.get("atom")
     if v is None or gen.meta.get("family") not in ("minbd", "markbd"):
         raise RecognitionFailed("generator must come from an M' family", {})
+    u = mh.horn.shape
+    key = (u, v) if order == "uv" else (v, u)
+    if products is None:
+        products = {}
+    if key not in products:
+        products[key] = gray(*key)
+    prod = products[key]
     i = mh.as_marked_map()
-    pp = pushout_product(i, gen) if order == "uv" else pushout_product(gen, i)
-    new_horn = pp_horn(mh.horn, v, order)
+    if order == "uv":
+        pp = pushout_product(i, gen, prod.poset)
+    else:
+        pp = pushout_product(gen, i, prod.poset)
+    new_horn = pp_horn(mh.horn, v, order, prod)
 
     # closed-form domain marking: A' (x) bd V  u  A (x) V  u  horn (x) B,
     # where B is the generator's target marking (empty for minbd)

@@ -92,6 +92,19 @@ class ClauseViolation(ShapeError):
     pass
 
 
+class BadHole(ShapeError):
+    """A context's hole is not a closed, full-dimensional, round subset of
+    its ambient, or a horn's carrier is not closed."""
+
+
+class BadDerivation(ShapeError):
+    """A stored derivation does not re-evaluate to its context."""
+
+
+class BadMarking(ShapeError):
+    """A marking holds an element of dimension 0."""
+
+
 class IdentityFailed(ShapeError):
     """A checked identity between inclusions failed; carries a certificate."""
 

@@ -23,6 +23,7 @@ from .contexts import (
 )
 from .cylinder import gray_cylinder, inverted_cylinder
 from .errors import (
+    BoundExceeded,
     IdentityFailed,
     NotAContext,
     RecognitionFailed,
@@ -665,10 +666,15 @@ def check_horn_pp(catalog: Catalog, config) -> LemmaReport:
     return rep
 
 
-def enumerate_marked_horns(u: Molecule):
+def enumerate_marked_horns(u: Molecule, exceeded: list | None = None):
     """All marked horns on the atom: every facet, every marking of the horn
     for which the context recognition succeeds.  Exhaustive over subsets of
-    the positive-dimensional horn elements."""
+    the positive-dimensional horn elements.
+
+    A recognition that runs out of its search budget raises BoundExceeded;
+    with exceeded given, (facet, marking, message) is appended to it
+    instead and the enumeration goes on.
+    """
     out = []
     top = u.top()
     for s in SIGNS:
@@ -683,7 +689,23 @@ def enumerate_marked_horns(u: Molecule):
                         out.append(marked_horn(u, x, frozenset(combo)))
                     except NotAContext:
                         continue
+                    except BoundExceeded as exc:
+                        if exceeded is None:
+                            raise
+                        exceeded.append((x, frozenset(combo), str(exc)))
     return out
+
+
+def _marked_horns_recording(rep: LemmaReport, catalog: Catalog, u: Molecule):
+    """enumerate_marked_horns(u), recording each exhausted recognition as a
+    failed instance of rep."""
+    exceeded = []
+    horns = enumerate_marked_horns(u, exceeded)
+    for x, marking, message in exceeded:
+        rep.instances += 1
+        rep.record({"U": catalog.expr_of(u), "x": sid(x), "A": _ids(marking)},
+                   "marked horn", message)
+    return horns
 
 
 def check_marked_horn_pp(catalog: Catalog, config) -> LemmaReport:
@@ -692,8 +714,10 @@ def check_marked_horn_pp(catalog: Catalog, config) -> LemmaReport:
     vs = catalog.atoms(max_dim=2, max_elements=config.horn_v_cap)
     gens = generators(vs)
     for u in us:
-        horns = enumerate_marked_horns(u)
-        for mh in horns:
+        # Gray products keyed by factor pair; every key holds u, so a dict
+        # per u shares each product with every horn, generator and order
+        products = {}
+        for mh in _marked_horns_recording(rep, catalog, u):
             for gen in gens.Mprime:
                 v = gen.meta["atom"]
                 if len(u) * len(v) > config.marked_product_cap:
@@ -701,8 +725,9 @@ def check_marked_horn_pp(catalog: Catalog, config) -> LemmaReport:
                 for order in ("uv", "vu"):
                     rep.instances += 1
                     try:
-                        pp_marked_horn(mh, gen, order)
-                    except (RecognitionFailed, NotAContext, IdentityFailed) as exc:
+                        pp_marked_horn(mh, gen, order, products)
+                    except (RecognitionFailed, NotAContext, IdentityFailed,
+                            BoundExceeded) as exc:
                         cert = getattr(exc, "certificate", str(exc))
                         rep.record(
                             {"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
@@ -808,7 +833,7 @@ def check_op_horn(catalog: Catalog, config) -> LemmaReport:
     rep = LemmaReport("OP_HORN")
     us = catalog.atoms(max_dim=3, min_dim=1, max_elements=config.horn_u_cap)
     for u in us:
-        for mh in enumerate_marked_horns(u):
+        for mh in _marked_horns_recording(rep, catalog, u):
             rep.instances += 1
             try:
                 other = marked_horn(op(u), mh.horn.facet, mh.marking)

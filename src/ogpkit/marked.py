@@ -92,9 +92,10 @@ def subset_marked_map(target: MarkedShape, subset, marking, meta=None) -> Marked
 # -- Gray product of marked shapes -------------------------------------------
 
 
-def gray_marked(a: MarkedShape, b: MarkedShape) -> MarkedShape:
-    """Product shape with marking A (x) cells  u  cells (x) B."""
-    poset = gray_poset(a.poset, b.poset)
+def gray_marked(a: MarkedShape, b: MarkedShape, product: OgPoset | None = None) -> MarkedShape:
+    """Product shape with marking A (x) cells  u  cells (x) B.  product,
+    when given, is gray_poset(a.poset, b.poset) built by the caller."""
+    poset = product if product is not None else gray_poset(a.poset, b.poset)
     marking = frozenset(
         (x, y)
         for x in a.poset.dim_of
@@ -104,14 +105,15 @@ def gray_marked(a: MarkedShape, b: MarkedShape) -> MarkedShape:
     return MarkedShape(poset, marking)
 
 
-def pushout_product(i: MarkedMap, j: MarkedMap) -> MarkedMap:
+def pushout_product(i: MarkedMap, j: MarkedMap, product: OgPoset | None = None) -> MarkedMap:
     """The induced inclusion (X (x) Y') u (X' (x) Y) -> X (x) Y.
 
     The union subobject is computed by images inside the product; its
     marking is the union of the two image markings, per the colimit marking
-    rule of the ambient quasitopos.
+    rule of the ambient quasitopos.  product, when given, is the unmarked
+    X (x) Y built by the caller; the markings are computed here either way.
     """
-    target = gray_marked(i.target, j.target)
+    target = gray_marked(i.target, j.target, product)
     img_i, img_j = i.image, j.image
     x_all = i.target.poset.dim_of
     y_all = j.target.poset.dim_of

@@ -21,7 +21,6 @@ from .errors import (
     NotRewritable,
     NotRound,
     RecognitionFailed,
-    ShapeError,
     ZeroDimensional,
 )
 from .ids import inl, inr, sid
@@ -195,13 +194,18 @@ def globe(n: int) -> Molecule:
 # -- roundness -------------------------------------------------------------
 
 
-def is_round(shape) -> bool:
-    """Lower boundaries intersect minimally: bd_k- meets bd_k+ in bd_(k-1)."""
+def is_round(shape, subset: frozenset | None = None) -> bool:
+    """Lower boundaries intersect minimally: bd_k- meets bd_k+ in bd_(k-1).
+
+    With subset, a closed subset of the shape's poset, the question is
+    asked of the sub-poset on it, read from the poset's dicts.
+    """
     p = shape.poset if isinstance(shape, Molecule) else shape
-    n = p.dim
-    for k in range(n):
-        meet = p.boundary_set(k, MINUS) & p.boundary_set(k, PLUS)
-        lower = p.boundary_set(k - 1, MINUS) | p.boundary_set(k - 1, PLUS)
+    if subset is None:
+        subset = p.element_set
+    for k in range(p.sub_dim(subset)):
+        meet = p.sub_boundary_set(subset, k, MINUS) & p.sub_boundary_set(subset, k, PLUS)
+        lower = p.sub_boundary_set(subset, k - 1, MINUS) | p.sub_boundary_set(subset, k - 1, PLUS)
         if meet != lower:
             return False
     return True
@@ -219,12 +223,14 @@ def paste_along(a: OgPoset, b: OgPoset, glue: dict):
     """
     image = {}
     for x, y in glue.items():
-        assert a.dim_of[x] == b.dim_of[y], "glue must preserve dimension"
+        if a.dim_of.get(x) != b.dim_of.get(y):
+            raise BadEmbedding(f"glue must preserve dimension at {sid(x)}")
         image[y] = x
     for x in glue:
         for s in SIGNS:
-            fx = {glue[f] for f in a.faces(x, s)}
-            assert fx == set(b.faces(glue[x], s)), "glue must preserve faces"
+            fx = {glue.get(f) for f in a.faces(x, s)}
+            if fx != b.faces(glue[x], s):
+                raise BadEmbedding(f"glue must preserve faces at {sid(x)}")
 
     def map_a(x):
         return inl(x)
@@ -540,12 +546,13 @@ def _peel_candidates(p: OgPoset, carrier: frozenset, protected: frozenset):
     element sets of p.
     """
     dim_of = p.dim_of
+    cin, cout = p._coface_dicts()
     out = []
     for top in sorted(p.sub_maximal(carrier), key=lambda x: (-dim_of[x], sid(x))):
         d = dim_of[top]
         if d < 1 or top in protected:
             continue
-        piece = p.closure({top})
+        piece = p.element_closure(top)
         k = d - 1
         for side, keep_sign, attach_sign in (("right", MINUS, PLUS), ("left", PLUS, MINUS)):
             shared = p.sub_boundary_set(piece, k, keep_sign)
@@ -553,10 +560,12 @@ def _peel_candidates(p: OgPoset, carrier: frozenset, protected: frozenset):
             if removed & protected:
                 continue
             rest = carrier - removed
-            if not rest or not p.is_closed(rest):
+            # the carrier is closed, so only a coface of a removed element
+            # can leave rest open
+            if not rest or not all(rest.isdisjoint(cin[x]) and rest.isdisjoint(cout[x])
+                                   for x in removed):
                 continue
-            if p.sub_dim(rest) < k:
-                continue
+            # rest holds shared, which has dimension k
             if not shared <= p.sub_boundary_set(rest, k, attach_sign):
                 continue
             out.append({
@@ -608,12 +617,14 @@ def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
 
 def replay_derivation(p: OgPoset, hole: frozenset, steps, expect: frozenset) -> bool:
     """Re-evaluate a derivation from the hole outward and check it lands on
-    the expected carrier, re-validating every pasting precondition."""
+    the expected carrier, re-validating every pasting precondition.  Every
+    carrier on the way must be closed; boundaries are read from p."""
     carrier = frozenset(hole)
+    if not p.is_closed(carrier):
+        return False
     for step in steps:
-        rest_sub = p.restrict(carrier)
         attach_sign = PLUS if step["side"] == "right" else MINUS
-        if not step["shared"] <= rest_sub.boundary_set(step["k"], attach_sign):
+        if not step["shared"] <= p.sub_boundary_set(carrier, step["k"], attach_sign):
             return False
         if step["removed"] & carrier:
             return False
@@ -623,15 +634,42 @@ def replay_derivation(p: OgPoset, hole: frozenset, steps, expect: frozenset) -> 
     return carrier == frozenset(expect)
 
 
+def glues_to_atom(p: OgPoset, carrier: frozenset) -> bool:
+    """Whether a closed subset of p with one maximal element, whose two
+    top boundaries minus and plus are molecules, is the atom minus => plus.
+
+    With n the carrier's dimension, both have dimension n - 1, as the
+    faces of the top do.  The carrier is the atom exactly when both are
+    round, their (n-2)-boundaries agree as sets for each sign, and
+    minus & plus is the union of those.  Molecules are rigid, so
+    the glue that atom() would find between the (n-2)-boundaries is the
+    identity, and any isomorphism from the atom it builds to the carrier
+    maps boundaries to boundaries: the conditions are necessary.  When
+    they hold, the pushout along the identity is the carrier itself.
+    """
+    n = p.sub_dim(carrier)
+    minus = p.sub_boundary_set(carrier, n - 1, MINUS)
+    plus = p.sub_boundary_set(carrier, n - 1, PLUS)
+    if not (is_round(p, minus) and is_round(p, plus)):
+        return False
+    rim = frozenset()
+    for s in SIGNS:
+        lower = p.sub_boundary_set(minus, n - 2, s)
+        if lower != p.sub_boundary_set(plus, n - 2, s):
+            return False
+        rim |= lower
+    return minus & plus == rim
+
+
 def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
     """Bounded certifier: rebuild a paste/atom certificate for a poset.
 
     Returns a Molecule carrying p itself (ids preserved) on success, None
     if no decomposition is found within the search.  Only used on instances
     the theory guarantees to be molecules; a None on such an instance is a
-    harness failure.  The search runs on closed element sets of p; only
-    the two inputs of each atom check and the carrier it is compared with
-    become posets.
+    harness failure.  The search runs on closed element sets of p and
+    builds no poset: a single-maximum carrier is certified as an atom by
+    glues_to_atom on its two boundaries.
     """
     if len(p) > cap:
         raise BoundExceeded(f"reconstruct called on {len(p)} elements (cap {cap})")
@@ -651,16 +689,8 @@ def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
                 plus = p.sub_boundary_set(carrier, n - 1, PLUS)
                 cm = rec(minus)
                 cp = rec(plus)
-                if cm is not None and cp is not None:
-                    try:
-                        built = atom(
-                            Molecule(p.restrict(minus), cm),
-                            Molecule(p.restrict(plus), cp),
-                        )
-                    except ShapeError:
-                        built = None
-                    if built is not None and find_iso(built.poset, p.restrict(carrier)) is not None:
-                        result = {"kind": "atom", "left": cm, "right": cp}
+                if cm is not None and cp is not None and glues_to_atom(p, carrier):
+                    result = {"kind": "atom", "left": cm, "right": cp}
             else:
                 for cand in _peel_candidates(p, carrier, frozenset()):
                     inner = rec(cand["rest"])
@@ -681,7 +711,7 @@ def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
         memo[carrier] = result
         return result
 
-    cert = rec(frozenset(p.dim_of))
+    cert = rec(p.element_set)
     if cert is None:
         return None
     return Molecule(p, cert)

@@ -31,6 +31,11 @@ class OgPoset:
     The coface dicts cofaces_in and cofaces_out are derived from the face
     dicts on their first read and kept, so a poset that is only built,
     compared or dualised never inverts its faces.
+
+    Boundaries are memoised in _bd_memo, keyed by (closed subset, n,
+    sign): sub_boundary_set answers every closed subset, and boundary_set
+    is its case for the whole carrier.  The closure of a single element is
+    memoised in _closures.  Both are functions of the poset alone.
     """
 
     dim_of: dict
@@ -40,8 +45,10 @@ class OgPoset:
     def __post_init__(self):
         self.dim = max(self.dim_of.values(), default=-1)  # -1 for the empty poset
         self._order = None
+        self._element_set = None
         self._cofaces = None
         self._bd_memo = {}
+        self._closures = {}
         self._maximal = None
         self._colours = None
         self._form = None
@@ -76,6 +83,13 @@ class OgPoset:
         if self._order is None:
             self._order = tuple(sorted(self.dim_of, key=lambda x: (self.dim_of[x], sid(x))))
         return self._order
+
+    @property
+    def element_set(self) -> frozenset:
+        """All elements as one frozenset, made on first read and kept."""
+        if self._element_set is None:
+            self._element_set = frozenset(self.dim_of)
+        return self._element_set
 
     def __len__(self):
         return len(self.dim_of)
@@ -130,6 +144,13 @@ class OgPoset:
                         stack.append(y)
         return frozenset(seen)
 
+    def element_closure(self, x) -> frozenset:
+        """closure({x}), memoised per element."""
+        cl = self._closures.get(x)
+        if cl is None:
+            cl = self._closures[x] = self.closure((x,))
+        return cl
+
     def is_closed(self, subset) -> bool:
         subset = set(subset)
         for x in subset:
@@ -151,14 +172,7 @@ class OgPoset:
         elements of dimension below n.  For n >= dim it is the whole poset,
         for n < 0 it is empty.
         """
-        if n < 0:
-            return frozenset()
-        if n >= self.dim:
-            return frozenset(self.dim_of)
-        key = (n, sign)
-        if key not in self._bd_memo:
-            self._bd_memo[key] = self._boundary_below_top(frozenset(self.dim_of), n, sign)
-        return self._bd_memo[key]
+        return self.sub_boundary_set(self.element_set, n, sign)
 
     # -- closed subsets, read from this poset's dicts ---------------------
     #
@@ -166,6 +180,8 @@ class OgPoset:
     # subset, without building the sub-poset.
 
     def sub_dim(self, subset) -> int:
+        if len(subset) == len(self.dim_of):
+            return self.dim
         dim_of = self.dim_of
         return max((dim_of[x] for x in subset), default=-1)
 
@@ -175,16 +191,23 @@ class OgPoset:
                          if subset.isdisjoint(cin[x]) and subset.isdisjoint(cout[x]))
 
     def sub_boundary_set(self, subset: frozenset, n: int, sign: str) -> frozenset:
-        """boundary_set(n, sign) of the sub-poset on subset."""
+        """boundary_set(n, sign) of the sub-poset on subset, a closed
+        frozenset, memoised per (subset, n, sign)."""
         if n < 0:
             return frozenset()
-        if n >= self.sub_dim(subset):
-            return frozenset(subset)
-        return self._boundary_below_top(subset, n, sign)
+        key = (subset, n, sign)
+        bd = self._bd_memo.get(key)
+        if bd is None:
+            if n >= self.sub_dim(subset):
+                bd = subset
+            else:
+                bd = self._boundary_below_top(subset, n, sign)
+            self._bd_memo[key] = bd
+        return bd
 
     def _boundary_below_top(self, subset: frozenset, n: int, sign: str) -> frozenset:
-        """boundary_set's formula on a closed subset; callers answer n < 0
-        and n at or above the subset's dimension themselves."""
+        """The boundary formula on a closed subset, for 0 <= n below the
+        subset's dimension."""
         dim_of = self.dim_of
         cin, cout = self._coface_dicts()
         opposite = cout if sign == MINUS else cin

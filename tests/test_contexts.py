@@ -1,9 +1,14 @@
 """Horns, context shapes, restricted recognition, marked horns, and the
 horn pushout-product identities."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ogpkit.contexts import (
+    AtomicHorn,
+    ContextShape,
     atomic_horn,
     classified_context,
     compose,
@@ -17,7 +22,7 @@ from ogpkit.contexts import (
     promote,
     right_paste,
 )
-from ogpkit.errors import NotAContext, NotAFacet
+from ogpkit.errors import BadDerivation, BadHole, BadMarking, NotAContext, NotAFacet
 from ogpkit.gray import gray
 from ogpkit.marked import boundary_inclusion_marked, boundary_inclusion_min
 from ogpkit.molecule import Inclusion, arrow, atom, globe, paste, point
@@ -232,6 +237,30 @@ class TestPPHorn:
                 assert out.shape.dim == 3
 
 
+class TestPPMarkedHornProducts:
+    def test_one_product_per_factor_pair(self):
+        g, a = globe(2), arrow()
+        products = {}
+        outs = []
+        for marking in (frozenset(), {"1+"}):
+            mh = marked_horn(g, "1-", marking)
+            for gen in (boundary_inclusion_min(a), boundary_inclusion_marked(a)):
+                for order in ("uv", "vu"):
+                    outs.append((order, pp_marked_horn(mh, gen, order, products)))
+        assert set(products) == {(g, a), (a, g)}
+        for order, out in outs:
+            assert out.horn.shape is products[(g, a) if order == "uv" else (a, g)]
+        # a shared product gives the same marked horns as fresh ones
+        mh = marked_horn(g, "1-", {"1+"})
+        gen = boundary_inclusion_marked(a)
+        for order in ("uv", "vu"):
+            shared = pp_marked_horn(mh, gen, order, products)
+            fresh = pp_marked_horn(mh, gen, order)
+            assert shared.enlarged == fresh.enlarged
+            assert shared.marking == fresh.marking
+            assert shared.horn.horn == fresh.horn.horn
+
+
 class TestPPMarkedHorn:
     def test_arrow_horn_with_minbd(self):
         mh = marked_horn(arrow(), "0+", frozenset())
@@ -296,3 +325,64 @@ class TestPeelSearchCompleteness:
         promoted = promote(ctx, arrow(), arrow())
         tops = {s["top"] for s in promoted.derivation}
         assert is_a_context(promoted, tops) is not None
+
+
+BAD_CONTEXTS = """
+import sys
+from ogpkit.contexts import AtomicHorn, ContextShape, is_a_context
+from ogpkit.errors import BadDerivation, BadHole, BadMarking
+from ogpkit.molecule import arrow, globe, paste
+from ogpkit.poset import MINUS
+g, composite = globe(2), paste(globe(2), globe(2), 1)
+cases = [
+    (BadHole, lambda: ContextShape(g, {"2"})),
+    (BadHole, lambda: ContextShape(g, {"0-", "0+", "1-"})),
+    (BadHole, lambda: ContextShape(paste(g, arrow(), 0),
+                                   paste(g, arrow(), 0).poset.dim_of)),
+    (BadDerivation, lambda: ContextShape(composite, composite.provenance["left"].image, [])),
+    (BadHole, lambda: AtomicHorn(g, "1-", MINUS, frozenset({"1+"}))),
+    (BadMarking, lambda: is_a_context(ContextShape(g, g.poset.dim_of), {"0-"})),
+]
+raised = 0
+for error, make in cases:
+    try:
+        make()
+    except error:
+        raised += 1
+print(sys.flags.optimize, raised)
+"""
+
+
+class TestValidation:
+    def test_hole_must_be_closed_full_and_round(self):
+        g = globe(2)
+        with pytest.raises(BadHole, match="closed"):
+            ContextShape(g, {"2"})
+        with pytest.raises(BadHole, match="full dimension"):
+            ContextShape(g, {"0-", "0+", "1-"})
+        whiskered = paste(g, arrow(), 0)
+        with pytest.raises(BadHole, match="round"):
+            ContextShape(whiskered, whiskered.poset.dim_of)
+
+    def test_derivation_must_replay(self):
+        composite = paste(globe(2), globe(2), 1)
+        hole = composite.provenance["left"].image
+        with pytest.raises(BadDerivation):
+            ContextShape(composite, hole, [])
+        assert ContextShape(composite, hole, None).hole == hole
+
+    def test_horn_must_be_closed(self):
+        with pytest.raises(BadHole):
+            AtomicHorn(globe(2), "1-", MINUS, frozenset({"1+"}))
+
+    def test_marking_must_be_positive(self):
+        g = globe(2)
+        with pytest.raises(BadMarking):
+            is_a_context(ContextShape(g, g.poset.dim_of), {"0-"})
+
+    def test_raises_under_optimize(self, src_env):
+        # assert statements vanish under -O; the validation must not
+        out = subprocess.run([sys.executable, "-O", "-c", BAD_CONTEXTS],
+                             env=src_env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "6"]

@@ -1,5 +1,6 @@
 """Catalog enumeration and harness plumbing."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ogpkit.errors import UnknownLemma
+from ogpkit.errors import BoundExceeded, UnknownLemma
 from ogpkit.harness import (
     Bounds,
     SuiteConfig,
@@ -28,6 +29,7 @@ from ogpkit.molecule import arrow, globe, paste
 from ogpkit.poset import SIGNS, all_isos, find_iso
 
 
+contexts_mod = importlib.import_module("ogpkit.contexts")
 cylinder_mod = importlib.import_module("ogpkit.cylinder")
 gray_mod = importlib.import_module("ogpkit.gray")
 harness_mod = importlib.import_module("ogpkit.harness")
@@ -261,6 +263,76 @@ class TestPlantedFaults:
         assert 0 < len(rep.failures) < rep.instances
 
 
+    def test_inverted_two_case_rule_fails_marked_horn_pp(self, monkeypatch):
+        # the product horn's enlarged marking adds the facet exactly when
+        # the plain rule would not
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        assert check("MARKED_HORN_PP", cat, SuiteConfig()).status == "pass"
+        real = contexts_mod.marked_horn
+
+        def inverted(u, x, marking):
+            mh = real(u, x, marking)
+            return dataclasses.replace(mh, enlarged=mh.enlarged ^ {x})
+
+        monkeypatch.setattr(contexts_mod, "marked_horn", inverted)
+        rep = check("MARKED_HORN_PP", cat, SuiteConfig())
+        assert len(rep.failures) == rep.instances > 0
+        assert all(f["got"]["lemma"] == "MARKED_HORN_PP" for f in rep.failures)
+
+    def test_kept_facet_fails_horn_pp(self, monkeypatch):
+        # the expected horn of the product keeps its missing facet
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        assert check("HORN_PP", cat, SuiteConfig()).status == "pass"
+        real = contexts_mod.atomic_horn
+
+        def kept(u, x):
+            h = real(u, x)
+            return contexts_mod.AtomicHorn(h.shape, h.facet, h.sign, h.horn | {x})
+
+        monkeypatch.setattr(contexts_mod, "atomic_horn", kept)
+        rep = check("HORN_PP", cat, SuiteConfig())
+        assert len(rep.failures) == rep.instances > 0
+        assert all(f["got"]["lemma"] == "HORN_PP" for f in rep.failures)
+
+    def test_rejected_atoms_fail_atom_closures(self, monkeypatch):
+        # the set-level atom test turns every carrier down: only points
+        # can still be certified
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        assert check("ATOM_CLOSURES", cat, SuiteConfig()).status == "pass"
+        monkeypatch.setattr(molecule_mod, "glues_to_atom", lambda p, carrier: False)
+        rep = check("ATOM_CLOSURES", cat, SuiteConfig())
+        points = sum(1 for e in cat.entries for d in e.molecule.poset.dim_of.values()
+                     if d == 0)
+        assert len(rep.failures) == rep.instances - points > 0
+
+
+class TestBoundExceeded:
+    """An exhausted search budget is a recorded failure with its inputs,
+    not an aborted run."""
+
+    def test_recorded_in_marked_horn_checks(self, monkeypatch):
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        real = contexts_mod.find_derivation
+        calls = []
+
+        def every_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 3 == 0:
+                raise BoundExceeded("derivation search exceeded its state budget")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(contexts_mod, "find_derivation", every_third)
+        rep = check("MARKED_HORN_PP", cat, SuiteConfig())
+        exhausted = [f for f in rep.failures if "budget" in str(f["got"])]
+        keys = {tuple(sorted(f["inputs"])) for f in exhausted}
+        # failures while enumerating the horns, and on products of horns
+        assert keys == {("A", "U", "x"), ("A", "U", "V", "family", "order", "x")}
+        assert 0 < len(rep.failures) < rep.instances
+        rep = check("OP_HORN", cat, SuiteConfig())
+        assert any("budget" in str(f["got"]) for f in rep.failures)
+        assert 0 < len(rep.failures) < rep.instances
+
+
 def load_bench_spec():
     path = ROOT / "perfbench" / "spec.py"
     loader = importlib.util.spec_from_file_location("perfbench_spec", path)
@@ -269,14 +341,14 @@ def load_bench_spec():
     return module
 
 
-def check_verify_pass_against_goldens(src_env, workload, seed, golden_key):
-    """Run one verify pass of the benchmark as `ogpkit verify` and compare
-    its per-lemma hashes, computed as perfbench/run.py does, with the
-    recorded goldens."""
+def check_verify_pass_against_goldens(src_env, workload, seed, golden_key, flags=()):
+    """Run one verify pass of the benchmark as `ogpkit verify`, with the
+    given interpreter flags, and compare its per-lemma hashes, computed as
+    perfbench/run.py does, with the recorded goldens."""
     spec = load_bench_spec()
     golden = json.loads((spec.GOLDENS / "verify.json").read_text())[workload][golden_key]
     argv = spec.verify_argv(workload, seed)
-    out = subprocess.run([sys.executable, "-m", "ogpkit", *argv], env=src_env,
+    out = subprocess.run([sys.executable, *flags, "-m", "ogpkit", *argv], env=src_env,
                          capture_output=True, timeout=600)
     assert out.returncode == 0, out.stderr
     reports = {r["lemma"]: r for r in json.loads(out.stdout)["reports"]}
@@ -296,3 +368,8 @@ def test_verify_search_reports_match_benchmark_goldens(src_env):
 def test_verify_products_reports_match_benchmark_goldens(src_env):
     # MUTATION seed 0
     check_verify_pass_against_goldens(src_env, "verify-products", 0, "0")
+
+
+def test_verify_search_reports_match_benchmark_goldens_under_optimize(src_env):
+    # no lemma may rely on an assert statement to fail or to pass
+    check_verify_pass_against_goldens(src_env, "verify-search", 0, "default", flags=("-O",))

@@ -1,9 +1,12 @@
 """Molecule construction, boundaries, roundness, pastings, mergers."""
 
+import importlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ogpkit.errors import (
     BadEmbedding,
@@ -11,8 +14,10 @@ from ogpkit.errors import (
     DimMismatch,
     NotRewritable,
     NotRound,
+    ShapeError,
     ZeroDimensional,
 )
+from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.ids import sid
 from ogpkit.molecule import (
     Inclusion,
@@ -21,10 +26,12 @@ from ogpkit.molecule import (
     atom,
     find_derivation,
     globe,
+    glues_to_atom,
     is_round,
     merger,
     op,
     paste,
+    paste_along,
     paste_at,
     point,
     recognise_generalised_pasting,
@@ -32,7 +39,9 @@ from ogpkit.molecule import (
     replay_derivation,
     submolecule,
 )
-from ogpkit.poset import MINUS, PLUS, build, canonical_key, find_iso, is_isomorphic
+from ogpkit.poset import MINUS, PLUS, SIGNS, build, canonical_key, find_iso, is_isomorphic
+
+molecule_mod = importlib.import_module("ogpkit.molecule")
 
 
 def path2():
@@ -281,6 +290,133 @@ class TestReconstruct:
                 assert reconstruct(sub) is not None
 
 
+def atom_by_construction(p, carrier):
+    """Reference for glues_to_atom: build the atom of the carrier's two top
+    boundaries with atom() and look for an isomorphism onto the carrier."""
+    n = p.sub_dim(carrier)
+    sides = [p.restrict(p.sub_boundary_set(carrier, n - 1, s)) for s in (MINUS, PLUS)]
+    try:
+        built = atom(Molecule(sides[0], {}), Molecule(sides[1], {}))
+    except ShapeError:
+        return False
+    return find_iso(built.poset, p.restrict(carrier)) is not None
+
+
+def with_new_top(m, split):
+    """m with one new top element over elements of m's top dimension, in
+    sid order: an input face where split is True, an output face where it
+    is False, and not a face where it is None."""
+    n = m.dim
+    cells = sorted(m.poset.grade(n), key=sid)
+    elements = dict(m.poset.dim_of)
+    faces = {x: (m.poset.faces_in[x], m.poset.faces_out[x])
+             for x in elements if elements[x] > 0}
+    elements["new"] = n + 1
+    faces["new"] = ({x for x, b in zip(cells, split) if b is True},
+                    {x for x, b in zip(cells, split) if b is False})
+    p = build(elements, faces)
+    return p, p.element_closure("new")
+
+
+def certified_sides(p, carrier):
+    n = p.sub_dim(carrier)
+    return all(reconstruct(p.restrict(p.sub_boundary_set(carrier, n - 1, s))) is not None
+               for s in (MINUS, PLUS))
+
+
+@pytest.fixture(scope="module")
+def depth2_catalog():
+    return enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=16))
+
+
+@pytest.fixture(scope="module")
+def top_bases(depth2_catalog):
+    """Catalog shapes with at least two cells of top dimension to put a new
+    top over, each catalog atom with its top taken away among them, so
+    that its original split gives an atom again."""
+    bases = []
+    for e in depth2_catalog.entries:
+        m = e.molecule
+        if m.is_atom() and m.dim >= 1:
+            m = Molecule(m.poset.restrict(m.poset.element_set - {m.top()}), {})
+        if len(m.grade(m.dim)) >= 2:
+            bases.append(m)
+    return bases
+
+
+class TestAtomOnSets:
+    def test_agrees_with_construction_on_catalog_carriers(self, depth2_catalog, monkeypatch):
+        # every single-maximum carrier that reconstruct tests on the catalog
+        seen = []
+        real = molecule_mod.glues_to_atom
+
+        def recording(p, carrier):
+            seen.append((p, carrier))
+            return real(p, carrier)
+
+        monkeypatch.setattr(molecule_mod, "glues_to_atom", recording)
+        for e in depth2_catalog.entries:
+            assert reconstruct(e.molecule.poset) is not None, e.expr
+        assert len(seen) > 100
+        for p, carrier in seen:
+            assert real(p, carrier) == atom_by_construction(p, carrier)
+
+    @pytest.mark.parametrize("elements, faces", [
+        # parallel paths x -> y -> z through one shared middle point: the
+        # sides meet in more than their boundaries
+        ({"x": 0, "y": 0, "z": 0, "a": 1, "b": 1, "c": 1, "d": 1, "t": 2},
+         {"a": ({"x"}, {"y"}), "b": ({"y"}, {"z"}), "c": ({"x"}, {"y"}),
+          "d": ({"y"}, {"z"}), "t": ({"a", "b"}, {"c", "d"})}),
+        # an edge and its reverse: the sides meet in their boundaries, but
+        # the boundaries are swapped
+        ({"x": 0, "z": 0, "a": 1, "c": 1, "t": 2},
+         {"a": ({"x"}, {"z"}), "c": ({"z"}, {"x"}), "t": ({"a"}, {"c"})}),
+        # two side-by-side pairs of 2-globes with the same boundaries: the
+        # sides are not round
+        ({"x": 0, "y": 0, "z": 0, "f1": 1, "g1": 1, "f2": 1, "g2": 1,
+          "al": 2, "be": 2, "de": 2, "ep": 2, "t": 3},
+         {"f1": ({"x"}, {"y"}), "g1": ({"x"}, {"y"}), "f2": ({"y"}, {"z"}),
+          "g2": ({"y"}, {"z"}), "al": ({"f1"}, {"g1"}), "be": ({"f2"}, {"g2"}),
+          "de": ({"f1"}, {"g1"}), "ep": ({"f2"}, {"g2"}),
+          "t": ({"al", "be"}, {"de", "ep"})}),
+    ])
+    def test_negative_cases_one_condition_each(self, elements, faces):
+        p = build(elements, faces)
+        carrier = p.element_closure("t")
+        assert certified_sides(p, carrier)
+        assert not glues_to_atom(p, carrier)
+        assert not atom_by_construction(p, carrier)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_construction_on_random_tops(self, top_bases, data):
+        # a new top over some of the top cells, each drawn as an input
+        # face, an output face or not a face
+        m = data.draw(st.sampled_from(top_bases))
+        k = len(m.grade(m.dim))
+        split = data.draw(st.lists(st.sampled_from((True, False, None)),
+                                   min_size=k, max_size=k))
+        assume(True in split and False in split)
+        p, carrier = with_new_top(m, split)
+        assume(certified_sides(p, carrier))
+        assert glues_to_atom(p, carrier) == atom_by_construction(p, carrier)
+
+    def test_every_split_agrees(self, top_bases):
+        # a new top over all top cells of each base, in every split
+        verdicts = []
+        for m in top_bases:
+            k = len(m.grade(m.dim))
+            for bits in range(1, 2 ** k - 1):
+                split = [(bits >> i) & 1 == 1 for i in range(k)]
+                p, carrier = with_new_top(m, split)
+                if not certified_sides(p, carrier):
+                    continue
+                got = glues_to_atom(p, carrier)
+                assert got == atom_by_construction(p, carrier), (m.certificate, split)
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+
 class TestDerivationSearch:
     def test_peel_to_hole(self):
         p = paste(globe(2), arrow(), 0)
@@ -359,6 +495,40 @@ class TestEmbeddingValidation:
     def test_raises_under_optimize(self, src_env):
         # assert statements vanish under -O; the validation must not
         out = subprocess.run([sys.executable, "-O", "-c", BAD_EMBEDDINGS],
+                             env=src_env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "2"]
+
+
+BAD_GLUES = """
+import sys
+from ogpkit.errors import BadEmbedding
+from ogpkit.molecule import arrow, globe, paste_along
+raised = 0
+for glue in ({"0-": "0-", "1": "1-"}, {"0-": "0+", "0+": "0-", "1": "1"}):
+    try:
+        paste_along(arrow().poset, globe(2).poset, glue)
+    except BadEmbedding:
+        raised += 1
+print(sys.flags.optimize, raised)
+"""
+
+
+class TestGlueValidation:
+    def test_glue_must_preserve_dimension(self):
+        with pytest.raises(BadEmbedding, match="dimension"):
+            paste_along(arrow().poset, globe(2).poset, {"0-": "0-", "1": "2"})
+
+    def test_glue_must_preserve_faces(self):
+        with pytest.raises(BadEmbedding, match="faces"):
+            paste_along(arrow().poset, arrow().poset, {"0-": "0+", "0+": "0-", "1": "1"})
+
+    def test_valid_glue_pastes(self):
+        poset, inj_a, inj_b = paste_along(arrow().poset, arrow().poset, {"0+": "0-"})
+        assert len(poset) == 5 and inj_a["0+"] == inj_b["0-"]
+
+    def test_raises_under_optimize(self, src_env):
+        out = subprocess.run([sys.executable, "-O", "-c", BAD_GLUES],
                              env=src_env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["1", "2"]

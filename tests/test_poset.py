@@ -261,3 +261,27 @@ def test_iso_search_matches_brute_force_random(p):
     oracle = {tuple(sorted((str(k), str(v)) for k, v in m.items()))
               for m in brute_force_isos(p, q)}
     assert ours == oracle
+
+
+@given(small_posets())
+@settings(max_examples=60, deadline=None)
+def test_sub_boundaries_match_restriction_random(p):
+    from ogpkit.molecule import is_round
+
+    xs = sorted(p.dim_of, key=str)
+    subsets = {p.closure(pair) for pair in itertools.combinations_with_replacement(xs, 2)}
+    subsets.add(p.element_set)
+    for subset in subsets:
+        sub = p.restrict(subset)
+        assert p.sub_dim(subset) == sub.dim
+        assert is_round(p, subset) == is_round(sub)
+        for n in range(-1, sub.dim + 1):
+            for s in (MINUS, PLUS):
+                got = p.sub_boundary_set(subset, n, s)
+                assert got == sub.boundary_set(n, s)
+                # memoised by content: an equal set built anew reads the
+                # same answer
+                assert p.sub_boundary_set(frozenset(set(subset)), n, s) is got or n < 0
+    for n in range(p.dim + 1):
+        for s in (MINUS, PLUS):
+            assert p.boundary_set(n, s) is p.sub_boundary_set(frozenset(p.dim_of), n, s)
