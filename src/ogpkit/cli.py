@@ -145,7 +145,6 @@ def cmd_verify(args) -> int:
                       max_elements=args.max_elems),
         lemmas=lemmas,
         seed=args.seed,
-        jobs=args.jobs,
     )
     reports = run_suite(config)
     doc = {
@@ -222,7 +221,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--max-dim", type=int, default=4)
     p.add_argument("--max-elems", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -56,11 +56,12 @@ class ContextShape:
     def __post_init__(self):
         self.hole = frozenset(self.hole)
         p = self.ambient.poset
-        if not p.is_closed(self.hole):
+        hole = p.encode(self.hole)
+        if not p.is_closed_mask(hole):
             raise BadHole("hole must be closed")
-        if p.sub_dim(self.hole) != p.dim:
+        if p.dim_mask(hole) != p.dim:
             raise BadHole("hole must have full dimension")
-        if not is_round(p, self.hole):
+        if not is_round(p, hole):
             raise BadHole("hole must be round")
         if self.derivation is not None and not replay_derivation(
                 p, self.hole, self.derivation, p.element_set):
@@ -78,16 +79,6 @@ class ContextShape:
 
     def pair(self):
         return (self.ambient.poset, self.hole)
-
-
-def contexts_equal(c1: ContextShape, c2: ContextShape) -> bool:
-    """Equality of contexts: an ambient iso carrying one hole to the other."""
-    if c1.ambient.poset == c2.ambient.poset and c1.hole == c2.hole:
-        return True
-    iso = find_iso(c1.ambient.poset, c2.ambient.poset)
-    if iso is None:
-        return False
-    return frozenset(iso.mapping[x] for x in c1.hole) == c2.hole
 
 
 def identity_context(v: Molecule, w: Molecule) -> ContextShape:
@@ -272,11 +263,12 @@ def atomic_horn(u: Molecule, x) -> AtomicHorn:
     """
     if not u.is_atom() or u.dim < 1:
         raise NotAFacet("horns are defined on atoms of positive dimension")
-    top = u.top()
     p = u.poset
+    top = p.index[u.top()]
+    i = p.index.get(x)
     sign = None
-    for s in (MINUS, PLUS):
-        if x in p.faces(top, s):
+    for s, faces in ((MINUS, p.fin), (PLUS, p.fout)):
+        if i is not None and faces[top] >> i & 1:
             sign = s
     if sign is None:
         raise NotAFacet(f"{sid(x)} is not a facet of the top element")
@@ -301,10 +293,10 @@ def is_a_context(c: ContextShape, marking) -> list | None:
     can be passed directly.
     """
     p = c.ambient.poset
-    marking = frozenset(x for x in marking if x in p.dim_of)
-    if any(p.dim_of[x] <= 0 for x in marking):
+    index, dims = p.index, p.dims
+    if any(dims[index[x]] <= 0 for x in marking if x in index):
         raise BadMarking("markings are positive-dimensional")
-    return find_derivation(p, frozenset(p.dim_of), c.hole, allowed=marking)
+    return find_derivation(p, p.element_set, c.hole, allowed=marking)
 
 
 # -- marked horns --------------------------------------------------------------
@@ -341,9 +333,10 @@ def marked_horn(u: Molecule, x, marking) -> MarkedHorn:
     h = atomic_horn(u, x)
     marking = frozenset(marking)
     p = u.poset
+    dims = p.dims
     for a in marking:
         p._check(a)
-        if a not in h.horn or p.dim_of[a] <= 0:
+        if a not in h.horn or dims[p.index[a]] <= 0:
             raise NotAContext(f"marking element {sid(a)} is not on the horn")
     ctx = classified_context(h)
     deriv = is_a_context(ctx, marking)

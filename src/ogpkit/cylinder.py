@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadCollapseSet, KNotClosed, NotRewritable, NotRound
+from .errors import (
+    BadCollapseSet,
+    BadProjection,
+    KNotClosed,
+    NotComposable,
+    NotRewritable,
+    NotRound,
+)
 from .ids import sid
 from .molecule import Inclusion, Molecule, is_round
 from .poset import MINUS, PLUS, OgPoset, build
@@ -133,11 +140,15 @@ class Projection:
     mapping: dict
 
     def __post_init__(self):
-        assert set(self.mapping) == set(self.source.poset.dim_of)
-        assert set(self.mapping.values()) == set(self.target.poset.dim_of), \
-            "projection must be surjective"
-        for x in self.source.poset.dim_of:
-            assert self.source.poset.dim_of[x] >= self.target.poset.dim_of[self.mapping[x]]
+        src, tgt = self.source.poset, self.target.poset
+        if self.mapping.keys() != src.index.keys():
+            raise BadProjection("projection must be total")
+        if set(self.mapping.values()) != tgt.element_set:
+            raise BadProjection("projection must be surjective")
+        src_dim, tgt_dim = src.dim_of, tgt.dim_of
+        for x, y in self.mapping.items():
+            if src_dim[x] < tgt_dim[y]:
+                raise BadProjection(f"projection must not raise the dimension of {sid(x)}")
 
     def __getitem__(self, x):
         return self.mapping[x]
@@ -154,7 +165,8 @@ class Projection:
         )
 
     def compose(self, other: "Projection") -> "Projection":
-        assert other.source is self.target or other.source.poset == self.target.poset
+        if not (other.source is self.target or other.source.poset == self.target.poset):
+            raise NotComposable("projection: the second source is not the first target")
         return Projection(
             self.source, other.target,
             {x: other.mapping[y] for x, y in self.mapping.items()},
@@ -188,17 +200,9 @@ def _one_step_projection(c: Molecule) -> Projection:
         else:
             mapping[e] = e
     proj = Projection(c, base, mapping)
-    assert proj.preserves_closures(), "cylinder projection must respect closures"
+    if not proj.preserves_closures():
+        raise BadProjection("cylinder projection must respect closures")
     return proj
-
-
-def section(c: Molecule, end: str) -> dict:
-    """The embedding of the base at an endpoint copy, x -> (end, x) off K."""
-    info = c.provenance["cylinder"]
-    return {
-        x: ((end, x) if x not in info["K"] else x)
-        for x in info["base"].poset.dim_of
-    }
 
 
 # -- units and unitors ---------------------------------------------------

@@ -8,10 +8,12 @@ faces at a sign twisted by the parity of dim x.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import IdentityFailed
 from .ids import sid
-from .molecule import GeneralisedPasting, Inclusion, Molecule
-from .poset import MINUS, PLUS, SIGNS, OgPoset, build, flip
+from .molecule import GeneralisedPasting, Molecule
+from .poset import MINUS, PLUS, SIGNS, OgPoset, flip, map_mask, spread
 
 
 def twist(sign: str, parity: int) -> str:
@@ -20,22 +22,24 @@ def twist(sign: str, parity: int) -> str:
 
 
 def gray_poset(p: OgPoset, q: OgPoset) -> OgPoset:
-    elements, faces = {}, {}
-    q_faces = {MINUS: q.faces_in, PLUS: q.faces_out}
-    for x, dx in p.dim_of.items():
-        x_in, x_out = p.faces_in[x], p.faces_out[x]
-        q_in, q_out = q_faces[twist(MINUS, dx)], q_faces[twist(PLUS, dx)]
-        for y, dy in q.dim_of.items():
-            e = (x, y)
-            elements[e] = dx + dy
-            if dx + dy == 0:
-                continue
-            fin = {(f, y) for f in x_in}
-            fin.update((x, g) for g in q_in[y])
-            fout = {(f, y) for f in x_out}
-            fout.update((x, g) for g in q_out[y])
-            faces[e] = (fin, fout)
-    return build(elements, faces)
+    """The Gray product P (x) Q, built on ids with no labels and no
+    build() re-check: a product of valid posets is valid.
+
+    Element (i, j) has id i * |Q| + j.  Its face mask of sign s is the
+    left factor's mask of sign s spread at stride |Q| and shifted by j,
+    or the right factor's mask of sign (-)^(dim i) . s shifted by i * |Q|.
+    Its label (x, y) pairs the factors' labels, decoded on first read.
+    """
+    nq = len(q)
+    dims, fin, fout = [], [], []
+    for i, dx in enumerate(p.dims):
+        base = i * nq
+        q_in, q_out = (q.fin, q.fout) if dx % 2 == 0 else (q.fout, q.fin)
+        p_in, p_out = spread(p.fin[i], nq), spread(p.fout[i], nq)
+        dims += [dx + dy for dy in q.dims]
+        fin += [p_in << j | m << base for j, m in enumerate(q_in)]
+        fout += [p_out << j | m << base for j, m in enumerate(q_out)]
+    return OgPoset(dims, fin, fout, lambda: tuple(itertools.product(p.labels, q.labels)))
 
 
 def gray(m1: Molecule, m2: Molecule) -> Molecule:
@@ -47,21 +51,9 @@ def gray(m1: Molecule, m2: Molecule) -> Molecule:
     return result
 
 
-def gray_inclusion(i: Inclusion, j: Inclusion) -> Inclusion:
-    """Product of tracked inclusions: U (x) V into U' (x) V'."""
-    src = gray(i.source, j.source)
-    tgt = gray(i.target, j.target)
-    mapping = {
-        (x, y): (i.mapping[x], j.mapping[y])
-        for x in i.source.poset.dim_of
-        for y in j.source.poset.dim_of
-    }
-    return Inclusion(src, tgt, mapping, kind="gray-product")
-
-
 def gray_boundary_decomposition(p: OgPoset, q: OgPoset) -> list:
     """Both sides of the two-piece split formula, for every boundary of
-    P (x) Q at once.
+    P (x) Q at once, as masks of the product's ids.
 
     Returns (n, sign, direct, splits) for n = 1 .. dim and both signs.
     direct is bd_n^sign of the product.  splits holds, per cut position
@@ -71,30 +63,31 @@ def gray_boundary_decomposition(p: OgPoset, q: OgPoset) -> list:
         input:  bd_j^- P (x) Q             then  P (x) bd_(n-j-1)^((-)^j) Q
         output: P (x) bd_(n-j-1)^(-(-)^j) Q  then  bd_j^+ P (x) Q
 
-    so no piece reads the full product.  Each distinct subproduct is built
-    once per call and shared by every level and cut that needs it.
+    Such a subproduct is the closed subset of the product on the pairs
+    whose factor lies in that boundary, its mask the grid of the factor
+    boundary's mask and the other factor's, so each piece is read from
+    the sub-poset on that subset and no piece reads the full product.
     """
     product = gray_poset(p, q)
-    subproducts = {}
+    nq = len(q)
+    bd = product.boundary_mask
+    p_cols = spread(p.full, nq)
 
-    def subproduct(left: bool, m: int, sign: str) -> OgPoset:
-        factor = p if left else q
-        cut = factor.boundary_set(m, sign)
-        key = (left, cut)
-        if key not in subproducts:
-            part = factor.restrict(cut)
-            subproducts[key] = gray_poset(part, q) if left else gray_poset(p, part)
-        return subproducts[key]
+    def left_cut(m: int, sign: str) -> int:
+        return spread(p.boundary_mask(p.full, m, sign), nq) * q.full
+
+    def right_cut(m: int, sign: str) -> int:
+        return p_cols * q.boundary_mask(q.full, m, sign)
 
     result = []
     for n in range(1, product.dim + 1):
         for sign in SIGNS:
             splits = []
             for j in range(n):
-                p_piece = subproduct(True, j, sign).boundary_set(n, sign)
-                q_piece = subproduct(False, n - j - 1, twist(flip(sign), j)).boundary_set(n, sign)
+                p_piece = bd(left_cut(j, sign), n, sign)
+                q_piece = bd(right_cut(n - j - 1, twist(flip(sign), j)), n, sign)
                 splits.append((j, p_piece, q_piece) if sign == MINUS else (j, q_piece, p_piece))
-            result.append((n, sign, product.boundary_set(n, sign), splits))
+            result.append((n, sign, bd(product.full, n, sign), splits))
     return result
 
 
@@ -128,35 +121,34 @@ def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
 def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
     """The orientation-preserving bijection op(P (x) Q) -> op(Q) (x) op(P),
     (x, y) -> (y, x).  Raises IdentityFailed, naming the offending element
-    and sign in its message and certificate, if the swap is not one."""
+    and sign in its message and certificate, if the swap is not one.
+
+    The swap sends id i * |Q| + j of the left side to j * |P| + i of the
+    right side; each face mask of the left side, carried through it, must
+    equal the right side's.  Labels are decoded only for a failure.
+    """
     lhs = gray_poset(p, q).op()
     rhs = gray_poset(q.op(), p.op())
-    mapping = {(x, y): (y, x) for x in p.dim_of for y in q.dim_of}
-    if set(mapping.values()) != set(rhs.dim_of):
+    np_, nq = len(p), len(q)
+    if len(lhs) != len(rhs):
         raise IdentityFailed("op-swap is not a bijection of the carriers")
-    sides = ((MINUS, lhs.faces_in, rhs.faces_in), (PLUS, lhs.faces_out, rhs.faces_out))
-    for e, d in lhs.dim_of.items():
-        x, y = e
-        image = (y, x)
-        if rhs.dim_of[image] != d:
+    swap = [j * np_ + i for i in range(np_) for j in range(nq)]
+    sides = ((MINUS, lhs.fin, rhs.fin), (PLUS, lhs.fout, rhs.fout))
+    for e, d in enumerate(lhs.dims):
+        t = swap[e]
+        if rhs.dims[t] != d:
+            name = sid(lhs.labels[e])
             raise IdentityFailed(
-                f"op-swap changes the dimension of {sid(e)}",
-                {"element": sid(e), "got": d, "want": rhs.dim_of[image]},
+                f"op-swap changes the dimension of {name}",
+                {"element": name, "got": d, "want": rhs.dims[t]},
             )
         for s, lhs_faces, rhs_faces in sides:
-            got = {(b, a) for (a, b) in lhs_faces[e]}
-            want = rhs_faces[image]
-            if got != want:
+            if map_mask(lhs_faces[e], swap) != rhs_faces[t]:
+                name = sid(lhs.labels[e])
+                got = sorted(sid((b, a)) for (a, b) in lhs.decode(lhs_faces[e]))
+                want = sorted(map(sid, rhs.decode(rhs_faces[t])))
                 raise IdentityFailed(
-                    f"op-swap failed at {sid(e)} sign {s}: {sorted(map(sid, got))} "
-                    f"!= {sorted(map(sid, want))}",
-                    {"element": sid(e), "sign": s,
-                     "got": sorted(map(sid, got)), "want": sorted(map(sid, want))},
+                    f"op-swap failed at {name} sign {s}: {got} != {want}",
+                    {"element": name, "sign": s, "got": got, "want": want},
                 )
-    return mapping
-
-
-def flatten_triple_left(x):
-    """((a, b), c) -> (a, (b, c)) on ids, for associativity comparisons."""
-    (a, b), c = x
-    return (a, (b, c))
+    return {(x, y): (y, x) for x in p.labels for y in q.labels}

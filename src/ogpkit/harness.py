@@ -53,7 +53,18 @@ from .molecule import (
     point,
     recognise_generalised_pasting,
 )
-from .poset import MINUS, PLUS, SIGNS, OgPoset, all_isos, build, find_iso, flip, iso_invariant
+from .poset import (
+    MINUS,
+    PLUS,
+    SIGNS,
+    OgPoset,
+    all_isos,
+    build,
+    find_iso,
+    flip,
+    iso_invariant,
+    spread,
+)
 
 
 @dataclass
@@ -234,20 +245,27 @@ def _ids(subset) -> list:
     return sorted(map(sid, subset))
 
 
+def _mask_ids(p: OgPoset, m: int) -> list:
+    return _ids(p.decode(m))
+
+
 # -- individual checkers -------------------------------------------------------
 
 
 def check_gray_boundary_sides(product: OgPoset, u: Molecule, v: Molecule,
                               n: int, sign: str):
     """Direct boundary of the (possibly tampered) product vs the union
-    formula evaluated on the factors.  Returns (direct, union)."""
-    direct = product.boundary_set(n, sign)
-    union = set()
+    formula evaluated on the factors.  Returns (direct, union) as masks of
+    product ids, (i, j) at i * |V| + j: the direct side reads the
+    product's faces, the union side only the factors' boundaries."""
+    p, q = u.poset, v.poset
+    direct = product.boundary_mask(product.full, n, sign)
+    union = 0
     for k in range(n + 1):
-        left = u.poset.boundary_set(k, sign)
-        right = v.poset.boundary_set(n - k, twist(sign, k))
-        union.update((x, y) for x in left for y in right)
-    return direct, frozenset(union)
+        left = p.boundary_mask(p.full, k, sign)
+        right = q.boundary_mask(q.full, n - k, twist(sign, k))
+        union |= spread(left, len(q)) * right
+    return direct, union
 
 
 def check_gray_boundary(catalog: Catalog, config) -> LemmaReport:
@@ -265,10 +283,10 @@ def check_gray_boundary(catalog: Catalog, config) -> LemmaReport:
                     rep.record(
                         {"U": catalog.expr_of(u), "V": catalog.expr_of(v),
                          "n": n, "sign": sign},
-                        _ids(union), _ids(direct),
+                        _mask_ids(product, union), _mask_ids(product, direct),
                     )
-        # the two-piece splits must cover the boundary as well; these need
-        # subproduct builds per cut, so they run on the smaller pairs
+        # the two-piece splits must cover the boundary as well; these read
+        # one sub-boundary per cut, so they run on the smaller pairs
         if len(u) * len(v) > config.split_cap:
             continue
         for n, sign, direct, splits in gray_boundary_decomposition(u.poset, v.poset):
@@ -278,7 +296,7 @@ def check_gray_boundary(catalog: Catalog, config) -> LemmaReport:
                     rep.record(
                         {"U": catalog.expr_of(u), "V": catalog.expr_of(v),
                          "n": n, "sign": sign, "j": j},
-                        _ids(direct), _ids(left | right),
+                        _mask_ids(product, direct), _mask_ids(product, left | right),
                     )
     return rep
 
@@ -318,9 +336,9 @@ def brute_force_isos(p: OgPoset, q: OgPoset):
         for (xs, _), perm in zip(per_dim, combo):
             mapping.update(zip(xs, perm))
         if all(
-            {mapping[f] for f in p.faces(x, s)} == set(q.faces(mapping[x], s))
+            {mapping[f] for f in p_faces[x]} == q_faces[mapping[x]]
+            for p_faces, q_faces in ((p.faces_in, q.faces_in), (p.faces_out, q.faces_out))
             for x in p.dim_of
-            for s in SIGNS
         ):
             found.append(mapping)
     return found
@@ -526,55 +544,60 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
     rep = LemmaReport("CTX_RECURSION")
     small = [m for m in catalog.molecules() if 1 <= len(m) <= 9]
 
-    def telescoping(prod: OgPoset, hole, piece_fn, sign, n, top_ell):
+    def telescoping(prod: OgPoset, hole: int, piece_fn, sign, n, top_ell):
         """Check that bd(hole) u pieces(<=ell) equals the direct boundary
         for each ell, with each stage pasting precondition, reading every
-        boundary of a closed subset from prod.  Returns None, or the
-        failure as (detail, expected, got)."""
+        boundary of a closed subset from prod.  hole and the pieces are
+        masks of prod.  Returns None, or the failure as (detail, expected,
+        got)."""
+        bd = prod.boundary_mask
         pieces = [piece_fn(j) for j in range(top_ell + 1)]
         for where, part in (("hole", hole), *enumerate(pieces)):
-            if not prod.is_closed(part):
+            if not prod.is_closed_mask(part):
                 rep.instances += 1  # the first stage, which cannot be read
-                return ("not closed", where), "closed subset", _ids(part)
+                return ("not closed", where), "closed subset", _mask_ids(prod, part)
         for ell in range(top_ell + 1):
             rep.instances += 1
-            direct = prod.boundary_set(n + ell, sign)
-            hole_bd = prod.sub_boundary_set(hole, n + ell, sign)
-            assembled = hole_bd.union(*pieces[:ell + 1])
+            direct = bd(prod.full, n + ell, sign)
+            hole_bd = bd(hole, n + ell, sign)
+            assembled = hole_bd
+            for piece in pieces[:ell + 1]:
+                assembled |= piece
             if assembled != direct:
-                return ("cover", ell), _ids(direct), _ids(assembled)
+                return ("cover", ell), _mask_ids(prod, direct), _mask_ids(prod, assembled)
             # a union of closed subsets is closed
             carrier = hole_bd
             for j, piece in enumerate(pieces[:ell + 1]):
                 level = n + j - 1
-                need = prod.sub_boundary_set(piece, level, sign)
-                have = prod.sub_boundary_set(carrier, level, flip(sign))
-                if not need <= have:
-                    return ("stage", (ell, j)), _ids(need), _ids(have)
-                carrier = carrier | piece
+                need = bd(piece, level, sign)
+                have = bd(carrier, level, flip(sign))
+                if need & ~have:
+                    return ("stage", (ell, j)), _mask_ids(prod, need), _mask_ids(prod, have)
+                carrier |= piece
         return None
 
     def record(inputs, bad):
         detail, expected, got = bad
         rep.record({**inputs, "detail": str(detail)}, expected, got)
 
-    # boundary-determined contexts: u (x) v with holes along bd(u) (x) v
+    # boundary-determined contexts: u (x) v with holes along bd(u) (x) v;
+    # the pair (x, y) of u (x) v has id x * |v| + y
     for u in catalog.molecules():
         if not 1 <= u.dim or not 1 <= len(u) <= 9:
             continue
         n = u.dim
+        pu = u.poset
         for v in small:
             if len(u) * len(v) > config.product_cap:
                 continue
-            prod = gray_poset(u.poset, v.poset)
+            pv = v.poset
+            prod = gray_poset(pu, pv)
+            stride = len(pv)
             for side, sign in (("R", PLUS), ("L", MINUS)):
-                hole = frozenset((x, y) for x in u.poset.boundary_set(n - 1, sign)
-                                 for y in v.poset.dim_of)
+                hole = spread(pu.boundary_mask(pu.full, n - 1, sign), stride) * pv.full
 
                 def piece_fn(j):
-                    return frozenset(
-                        (x, y) for x in u.poset.dim_of
-                        for y in v.poset.boundary_set(j, twist(sign, n)))
+                    return spread(pu.full, stride) * pv.boundary_mask(pv.full, j, twist(sign, n))
 
                 bad = telescoping(prod, hole, piece_fn, sign, n, v.dim)
                 if bad:
@@ -584,20 +607,21 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
     # pasted-subdiagram contexts, reusing the paste-at instances
     for kind, w, u, whole in _paste_at_instances(catalog, config):
         n = w.dim
-        w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
-        u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
+        pw = whole.poset
+        w_img = pw.encode(whole.provenance["left" if kind == "cpsub" else "right"].image)
+        u_img = pw.encode(whole.provenance["right" if kind == "cpsub" else "left"].image)
         for v in small[:config.ctx_factor_count]:
             if len(whole) * len(v) > config.product_cap:
                 continue
-            prod = gray_poset(whole.poset, v.poset)
+            pv = v.poset
+            prod = gray_poset(pw, pv)
+            stride = len(pv)
             sign = PLUS if kind == "cpsub" else MINUS
             vsign = twist(sign, n)
-            hole = frozenset((x, y) for x in u_img for y in v.poset.dim_of)
+            hole = spread(u_img, stride) * pv.full
 
             def piece_fn(j):
-                return frozenset(
-                    (x, y) for x in w_img
-                    for y in v.poset.boundary_set(j, vsign))
+                return spread(w_img, stride) * pv.boundary_mask(pv.full, j, vsign)
 
             bad = telescoping(prod, hole, piece_fn, sign, n, u.dim + v.dim - n)
             if bad:
@@ -875,12 +899,13 @@ def check_atom_closures(catalog: Catalog, config) -> LemmaReport:
 
 def globularity_holds(p: OgPoset) -> bool:
     """bd_k of bd_n agrees with bd_k below it, for all signs."""
+    bd = p.boundary_mask
     for n in range(p.dim):
         for s_out in SIGNS:
-            sub = p.restrict(p.boundary_set(n, s_out))
+            sub = bd(p.full, n, s_out)
             for k in range(n):
                 for s_in in SIGNS:
-                    if sub.boundary_set(k, s_in) != p.boundary_set(k, s_in):
+                    if bd(sub, k, s_in) != bd(p.full, k, s_in):
                         return False
     return True
 
@@ -971,10 +996,12 @@ def check_mutation(catalog: Catalog, config) -> LemmaReport:
     for n in range(u.dim + v.dim + 1):
         for sign in SIGNS:
             rep.instances += 1
+            # mutated keeps the product's ids, so the masks compare
             direct, union = check_gray_boundary_sides(mutated, u, v, n, sign)
             if direct != union:
                 detected.append({"n": n, "sign": sign, "mutation": info,
-                                 "expected": _ids(union), "got": _ids(direct)})
+                                 "expected": _mask_ids(mutated, union),
+                                 "got": _mask_ids(mutated, direct)})
     if not detected:
         rep.record({"mutation": info}, "GRAY_BOUNDARY failure certificate",
                    "mutation went undetected")
@@ -1010,7 +1037,6 @@ class SuiteConfig:
     bounds: Bounds = field(default_factory=Bounds)
     lemmas: tuple = tuple(LEMMAS)
     seed: int = 0
-    jobs: int = 1
     product_cap: int = 140
     split_cap: int = 45
     gencp_product_cap: int = 60
@@ -1033,17 +1059,8 @@ def check(lemma_id: str, catalog: Catalog, config: SuiteConfig) -> LemmaReport:
 def run_suite(config: SuiteConfig) -> list:
     """Run the selected lemma checks over a shared catalog."""
     catalog = enumerate_catalog(config.bounds)
-    reports = []
     warning = "" if catalog.entries else "catalog is empty; checks pass vacuously"
-    if config.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [(lid, pool.submit(check, lid, catalog, config))
-                       for lid in config.lemmas]
-            reports = [f.result() for _, f in futures]
-    else:
-        reports = [check(lid, catalog, config) for lid in config.lemmas]
+    reports = [check(lid, catalog, config) for lid in config.lemmas]
     for r in reports:
         if warning and not r.warning:
             r.warning = warning

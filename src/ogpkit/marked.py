@@ -14,7 +14,7 @@ from .errors import BadEmbedding, NotEntire, ShapeError
 from .gray import gray_poset
 from .ids import sid
 from .molecule import Molecule
-from .poset import OgPoset, embedding_defect
+from .poset import OgPoset, bits, embedding_defect, spread
 
 
 def _poset(shape) -> OgPoset:
@@ -32,10 +32,11 @@ class MarkedShape:
     def __post_init__(self):
         p = self.poset
         self.marking = frozenset(self.marking)
-        for x in self.marking:
-            p._check(x)
-            if p.dim_of[x] <= 0:
-                raise ShapeError(f"marked element {sid(x)} must have positive dimension")
+        marked = p.encode(self.marking)
+        points = marked & p.grade_masks()[0] if marked else 0
+        if points:
+            x = p.labels[bits(points)[0]]
+            raise ShapeError(f"marked element {sid(x)} must have positive dimension")
 
     @property
     def poset(self) -> OgPoset:
@@ -84,25 +85,19 @@ def residual(i: MarkedMap) -> frozenset:
     return i.target.marking - i.apply(i.source.marking)
 
 
-def subset_marked_map(target: MarkedShape, subset, marking, meta=None) -> MarkedMap:
-    src = MarkedShape(target.poset.restrict(subset), frozenset(marking))
-    return MarkedMap(src, target, {x: x for x in subset}, meta=meta or {})
-
-
 # -- Gray product of marked shapes -------------------------------------------
 
 
 def gray_marked(a: MarkedShape, b: MarkedShape, product: OgPoset | None = None) -> MarkedShape:
     """Product shape with marking A (x) cells  u  cells (x) B.  product,
-    when given, is gray_poset(a.poset, b.poset) built by the caller."""
-    poset = product if product is not None else gray_poset(a.poset, b.poset)
-    marking = frozenset(
-        (x, y)
-        for x in a.poset.dim_of
-        for y in b.poset.dim_of
-        if x in a.marking or y in b.marking
-    )
-    return MarkedShape(poset, marking)
+    when given, is gray_poset(a.poset, b.poset) built by the caller; the
+    marking is computed on its ids, (i, j) at i * |b| + j."""
+    pa, pb = a.poset, b.poset
+    poset = product if product is not None else gray_poset(pa, pb)
+    stride = len(pb)
+    marking = (spread(pa.encode(a.marking), stride) * pb.full
+               | spread(pa.full, stride) * pb.encode(b.marking))
+    return MarkedShape(poset, poset.decode(marking))
 
 
 def pushout_product(i: MarkedMap, j: MarkedMap, product: OgPoset | None = None) -> MarkedMap:
@@ -111,29 +106,22 @@ def pushout_product(i: MarkedMap, j: MarkedMap, product: OgPoset | None = None) 
     The union subobject is computed by images inside the product; its
     marking is the union of the two image markings, per the colimit marking
     rule of the ambient quasitopos.  product, when given, is the unmarked
-    X (x) Y built by the caller; the markings are computed here either way.
+    X (x) Y built by the caller; the markings are computed here either way,
+    as masks of the product's ids, (x, y) at x * |Y| + y.
     """
     target = gray_marked(i.target, j.target, product)
-    img_i, img_j = i.image, j.image
-    x_all = i.target.poset.dim_of
-    y_all = j.target.poset.dim_of
-    elements = frozenset(
-        (x, y) for x in x_all for y in y_all if x in img_i or y in img_j
-    )
-    mark_left = frozenset(
-        (x, y)
-        for x in x_all
-        for y in img_j
-        if x in i.target.marking or y in j.apply(j.source.marking)
-    )
-    mark_right = frozenset(
-        (x, y)
-        for x in img_i
-        for y in y_all
-        if x in i.apply(i.source.marking) or y in j.target.marking
-    )
-    domain = MarkedShape(target.poset.restrict(elements), mark_left | mark_right)
-    return MarkedMap(domain, target, {e: e for e in elements},
+    px, py = i.target.poset, j.target.poset
+    stride = len(py)
+    rows = spread(px.full, stride)  # the pairs (x, y) for one y, every x
+    img_i, img_j = px.encode(i.image), py.encode(j.image)
+    elements = spread(img_i, stride) * py.full | rows * img_j
+    mark_left = (spread(px.encode(i.target.marking), stride) * img_j
+                 | rows * (img_j & py.encode(j.apply(j.source.marking))))
+    mark_right = (spread(img_i & px.encode(i.apply(i.source.marking)), stride) * py.full
+                  | spread(img_i, stride) * py.encode(j.target.marking))
+    product = target.poset
+    domain = MarkedShape(product.restrict_mask(elements), product.decode(mark_left | mark_right))
+    return MarkedMap(domain, target, {e: e for e in domain.poset.labels},
                      meta={"kind": "pushout-product"})
 
 
@@ -222,15 +210,8 @@ class GeneratorFamilies:
     markbd: list
 
     @property
-    def M(self):
-        return self.minbd + self.t
-
-    @property
     def Mprime(self):
         return self.minbd + self.markbd
-
-    def J(self, n: int):
-        return [g for g in self.t if g.meta["atom"].dim > n]
 
 
 def generators(atoms, max_dim=None) -> GeneratorFamilies:

@@ -18,9 +18,11 @@ from .errors import (
     BoundExceeded,
     DimMismatch,
     LevelOutOfRange,
+    NotComposable,
     NotRewritable,
     NotRound,
     RecognitionFailed,
+    UnknownElement,
     ZeroDimensional,
 )
 from .ids import inl, inr, sid
@@ -30,10 +32,12 @@ from .poset import (
     SIGNS,
     OgPoset,
     all_isos,
+    bits,
     build,
     canonical_key,
     embedding_defect,
     find_iso,
+    map_mask,
 )
 
 POINT_ID = "*"
@@ -128,7 +132,8 @@ class Inclusion:
 
     def compose(self, other: "Inclusion") -> "Inclusion":
         """other after self: self source includes into other's target."""
-        assert self.target is other.source or self.target.poset == other.source.poset
+        if not (self.target is other.source or self.target.poset == other.source.poset):
+            raise NotComposable("inclusion: the second source is not the first target")
         return Inclusion(
             self.source,
             other.target,
@@ -194,19 +199,17 @@ def globe(n: int) -> Molecule:
 # -- roundness -------------------------------------------------------------
 
 
-def is_round(shape, subset: frozenset | None = None) -> bool:
+def is_round(shape, subset: int | None = None) -> bool:
     """Lower boundaries intersect minimally: bd_k- meets bd_k+ in bd_(k-1).
 
-    With subset, a closed subset of the shape's poset, the question is
-    asked of the sub-poset on it, read from the poset's dicts.
+    With subset, the mask of a closed subset of the shape's poset, the
+    question is asked of the sub-poset on it, read from the poset's masks.
     """
     p = shape.poset if isinstance(shape, Molecule) else shape
-    if subset is None:
-        subset = p.element_set
-    for k in range(p.sub_dim(subset)):
-        meet = p.sub_boundary_set(subset, k, MINUS) & p.sub_boundary_set(subset, k, PLUS)
-        lower = p.sub_boundary_set(subset, k - 1, MINUS) | p.sub_boundary_set(subset, k - 1, PLUS)
-        if meet != lower:
+    m = p.full if subset is None else subset
+    bd = p.boundary_mask
+    for k in range(p.dim_mask(m)):
+        if bd(m, k, MINUS) & bd(m, k, PLUS) != bd(m, k - 1, MINUS) | bd(m, k - 1, PLUS):
             return False
     return True
 
@@ -219,45 +222,41 @@ def paste_along(a: OgPoset, b: OgPoset, glue: dict):
 
     glue maps a closed subset of a isomorphically onto a closed subset of b.
     Left elements keep their ids under the in0 tag, unshared right elements
-    under in1, and the shared part keeps the left ids.
+    under in1, and the shared part keeps the left ids.  The pushout is
+    built on masks with no build() re-check: a keeps its ids, the unshared
+    elements of b follow in b's order, and a glue that preserves dimension
+    and faces leaves every element with nonempty, disjoint face sides one
+    dimension below.
     """
-    image = {}
+    a_index, b_index = a.index, b.index
+    image = [-1] * len(a)  # a id -> b id, on the glued ids
     for x, y in glue.items():
-        if a.dim_of.get(x) != b.dim_of.get(y):
+        i, j = a_index.get(x), b_index.get(y)
+        if i is None or j is None or a.dims[i] != b.dims[j]:
             raise BadEmbedding(f"glue must preserve dimension at {sid(x)}")
-        image[y] = x
-    for x in glue:
-        for s in SIGNS:
-            fx = {glue.get(f) for f in a.faces(x, s)}
-            if fx != b.faces(glue[x], s):
-                raise BadEmbedding(f"glue must preserve faces at {sid(x)}")
+        image[i] = j
+    for x, y in glue.items():
+        i, j = a_index[x], b_index[y]
+        if map_mask(a.fin[i], image) != b.fin[j] or map_mask(a.fout[i], image) != b.fout[j]:
+            raise BadEmbedding(f"glue must preserve faces at {sid(x)}")
 
-    def map_a(x):
-        return inl(x)
-
-    def map_b(y):
-        return inl(image[y]) if y in image else inr(y)
-
-    elements, faces = {}, {}
-    for x, d in a.dim_of.items():
-        elements[map_a(x)] = d
-        if d > 0:
-            faces[map_a(x)] = (
-                {map_a(f) for f in a.faces(x, MINUS)},
-                {map_a(f) for f in a.faces(x, PLUS)},
-            )
-    for y, d in b.dim_of.items():
-        if y in image:
-            continue
-        elements[map_b(y)] = d
-        if d > 0:
-            faces[map_b(y)] = (
-                {map_b(f) for f in b.faces(y, MINUS)},
-                {map_b(f) for f in b.faces(y, PLUS)},
-            )
-    poset = build(elements, faces)
-    inj_a = {x: map_a(x) for x in a.dim_of}
-    inj_b = {y: map_b(y) for y in b.dim_of}
+    na = len(a)
+    b_image = [-1] * len(b)  # b id -> pushout id
+    for i, j in enumerate(image):
+        if j >= 0:
+            b_image[j] = i
+    rest = [j for j, i in enumerate(b_image) if i < 0]
+    for k, j in enumerate(rest):
+        b_image[j] = na + k
+    a_labels = [inl(x) for x in a.labels]
+    b_labels = b.labels
+    labels = (*a_labels, *[inr(b_labels[j]) for j in rest])
+    poset = OgPoset(a.dims + [b.dims[j] for j in rest],
+                    a.fin + [map_mask(b.fin[j], b_image) for j in rest],
+                    a.fout + [map_mask(b.fout[j], b_image) for j in rest],
+                    labels)
+    inj_a = dict(zip(a.labels, a_labels))
+    inj_b = {y: labels[b_image[j]] for j, y in enumerate(b_labels)}
     return poset, inj_a, inj_b
 
 
@@ -268,8 +267,9 @@ def paste(m1: Molecule, m2: Molecule, k: int) -> Molecule:
     """Pasting m1 #_k m2 along the unique iso bd_k+ m1 = bd_k- m2."""
     if k < 0:
         raise LevelOutOfRange(f"pasting level {k} is negative")
-    b1 = m1.poset.restrict(m1.poset.boundary_set(k, PLUS))
-    b2 = m2.poset.restrict(m2.poset.boundary_set(k, MINUS))
+    p1, p2 = m1.poset, m2.poset
+    b1 = p1.restrict_mask(p1.boundary_mask(p1.full, k, PLUS))
+    b2 = p2.restrict_mask(p2.boundary_mask(p2.full, k, MINUS))
     iso = find_iso(b1, b2)
     if iso is None:
         raise BoundaryMismatch(
@@ -362,9 +362,10 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
     if not is_round(m1) or not is_round(m2):
         raise NotRound("atom inputs must be round")
     glue = {}
+    p1, p2 = m1.poset, m2.poset
     for s in SIGNS:
-        b1 = m1.poset.restrict(m1.poset.boundary_set(n - 1, s))
-        b2 = m2.poset.restrict(m2.poset.boundary_set(n - 1, s))
+        b1 = p1.restrict_mask(p1.boundary_mask(p1.full, n - 1, s))
+        b2 = p2.restrict_mask(p2.boundary_mask(p2.full, n - 1, s))
         iso = find_iso(b1, b2)
         if iso is None:
             raise BoundaryMismatch(f"bd{s} of the two inputs are not isomorphic")
@@ -372,22 +373,19 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
             if x in glue and glue[x] != y:
                 raise BoundaryMismatch("input and output boundary isos disagree on the overlap")
             glue[x] = y
-    poset, inj1, inj2 = paste_along(m1.poset, m2.poset, glue)
-    elements = dict(poset.dim_of)
-    faces = {x: (set(poset.faces_in[x]), set(poset.faces_out[x]))
-             for x in poset.dim_of if poset.dim_of[x] > 0}
-    elements[TOP_ID] = n + 1
-    faces[TOP_ID] = (
-        {inj1[x] for x in m1.poset.grade(n)},
-        {inj2[y] for y in m2.poset.grade(n)},
-    )
+    poset, inj1, inj2 = paste_along(p1, p2, glue)
+    # the top's faces: the n-cells of each input, which the glue along the
+    # (n-1)-boundaries keeps apart
+    top_in = poset.encode(inj1[x] for x in p1.grade(n))
+    top_out = poset.encode(inj2[y] for y in p2.grade(n))
     cert = {
         "kind": "atom",
         "left": m1.certificate,
         "right": m2.certificate,
         "glue": {sid(x): sid(y) for x, y in sorted(glue.items(), key=lambda i: sid(i[0]))},
     }
-    result = Molecule(build(elements, faces), cert)
+    result = Molecule(OgPoset(poset.dims + [n + 1], poset.fin + [top_in],
+                              poset.fout + [top_out], (*poset.labels, TOP_ID)), cert)
     result.provenance["left"] = Inclusion(m1, result, inj1, kind="atom-input")
     result.provenance["right"] = Inclusion(m2, result, inj2, kind="atom-output")
     return result
@@ -466,58 +464,54 @@ def recognise_generalised_pasting(
     """
     w = ambient.poset
     left, right = frozenset(left), frozenset(right)
-    if left | right != frozenset(w.dim_of):
+    if left | right != w.element_set:
         return None
-    if not (w.is_closed(left) and w.is_closed(right)):
+    lm, rm = w.encode(left), w.encode(right)
+    if not (w.is_closed_mask(lm) and w.is_closed_mask(rm)):
         return None
-    meet = left & right
-    if shared is not None and frozenset(shared) != meet:
+    meet = lm & rm
+    if shared is not None and w.encode(shared) != meet:
         return None
-
-    def left_bd(sign):
-        return w.sub_boundary_set(left, k, sign)
-
-    def right_bd(sign):
-        return w.sub_boundary_set(right, k, sign)
+    bd = w.boundary_mask
 
     # condition 1: the shared part lies in bd_k+ of the left and bd_k- of
     # the right piece
-    if not (meet <= left_bd(PLUS) and meet <= right_bd(MINUS)):
+    if meet & ~bd(lm, k, PLUS) or meet & ~bd(rm, k, MINUS):
         return None
-    bdm = w.boundary_set(k, MINUS)
-    bdp = w.boundary_set(k, PLUS)
+    bdm = bd(w.full, k, MINUS)
+    bdp = bd(w.full, k, PLUS)
     # condition 2: both k-boundaries of the union are molecules
     if verdicts is None:
         verdicts = {}
     for subset in (bdm, bdp):
-        if not _is_molecule(w.restrict(subset), reconstruct_cap, verdicts):
+        if not _is_molecule(w.restrict_mask(subset), reconstruct_cap, verdicts):
             return None
     # condition 3
-    if not (left_bd(MINUS) <= bdm and right_bd(PLUS) <= bdp):
+    if bd(lm, k, MINUS) & ~bdm or bd(rm, k, PLUS) & ~bdp:
         return None
 
-    def stage(base: frozenset, piece_bd: frozenset, target_sign: str, piece: frozenset):
+    def stage(base: int, piece_bd: int, target_sign: str, piece: int) -> int:
         """One pasting stage: glue piece onto base along piece_bd, which must
         land in the target_sign k-boundary of base."""
-        target = w.sub_boundary_set(base, k, target_sign)
-        if not piece_bd <= target:
+        target = bd(base, k, target_sign)
+        if piece_bd & ~target:
             raise RecognitionFailed(
                 "generalised pasting factorisation stage failed",
                 {
                     "level": k,
-                    "stage_boundary": sorted(map(sid, piece_bd)),
-                    "target": sorted(map(sid, target)),
+                    "stage_boundary": sorted(map(sid, w.decode(piece_bd))),
+                    "target": sorted(map(sid, w.decode(target))),
                 },
             )
         return base | piece
 
     # (bd_k- W subcp U) subcp V
-    g1 = stage(bdm, left_bd(MINUS), PLUS, left)
-    g2 = stage(g1, right_bd(MINUS), PLUS, right)
+    g1 = stage(bdm, bd(lm, k, MINUS), PLUS, lm)
+    g2 = stage(g1, bd(rm, k, MINUS), PLUS, rm)
     # U cpsub (V cpsub bd_k+ W)
-    h1 = stage(bdp, right_bd(PLUS), MINUS, right)
-    h2 = stage(h1, left_bd(PLUS), MINUS, left)
-    if g2 != frozenset(w.dim_of) or h2 != frozenset(w.dim_of):
+    h1 = stage(bdp, bd(rm, k, PLUS), MINUS, rm)
+    h2 = stage(h1, bd(lm, k, PLUS), MINUS, lm)
+    if g2 != w.full or h2 != w.full:
         raise RecognitionFailed("factorisation does not cover the ambient", {})
     if len(all_isos(w, w)) != 1:
         raise RecognitionFailed("ambient is not rigid", {})
@@ -538,35 +532,38 @@ def _is_molecule(p: OgPoset, cap: int, verdicts: dict) -> bool:
 # -- bounded decomposition search --------------------------------------------
 
 
-def _peel_candidates(p: OgPoset, carrier: frozenset, protected: frozenset):
-    """Pasting peels of one maximal element's closure off a carrier subset.
+def _peel_candidates(p: OgPoset, carrier: int, protected: int) -> list:
+    """Pasting peels of one maximal element's closure off a carrier, all
+    masks of p.
 
-    Yields dicts describing carrier = rest (subcp / cpsub) cl{top} at level
-    dim(top) - 1, with the set-level pasting preconditions checked on the
-    element sets of p.
+    Returns dicts describing carrier = rest (subcp / cpsub) cl{top} at
+    level dim(top) - 1, top an id and the rest masks, with the set-level
+    pasting preconditions checked on p's masks.
     """
-    dim_of = p.dim_of
-    cin, cout = p._coface_dicts()
+    dims = p.dims
+    rank = p.sid_ranks()
+    cin, cout = p.coface_masks()
+    cl = p.closure_masks()
+    bd = p.boundary_mask
     out = []
-    for top in sorted(p.sub_maximal(carrier), key=lambda x: (-dim_of[x], sid(x))):
-        d = dim_of[top]
-        if d < 1 or top in protected:
+    for top in sorted(bits(p.maximal_mask(carrier)), key=lambda i: (-dims[i], rank[i])):
+        d = dims[top]
+        if d < 1 or protected >> top & 1:
             continue
-        piece = p.element_closure(top)
+        piece = cl[top]
         k = d - 1
         for side, keep_sign, attach_sign in (("right", MINUS, PLUS), ("left", PLUS, MINUS)):
-            shared = p.sub_boundary_set(piece, k, keep_sign)
-            removed = piece - shared
+            shared = bd(piece, k, keep_sign)
+            removed = piece & ~shared
             if removed & protected:
                 continue
-            rest = carrier - removed
+            rest = carrier & ~removed
             # the carrier is closed, so only a coface of a removed element
             # can leave rest open
-            if not rest or not all(rest.isdisjoint(cin[x]) and rest.isdisjoint(cout[x])
-                                   for x in removed):
+            if not rest or any((cin[x] | cout[x]) & rest for x in bits(removed)):
                 continue
             # rest holds shared, which has dimension k
-            if not shared <= p.sub_boundary_set(rest, k, attach_sign):
+            if shared & ~bd(rest, k, attach_sign):
                 continue
             out.append({
                 "side": side,
@@ -586,15 +583,21 @@ def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
     pastings of single atoms.
 
     allowed, when given, restricts the tops of pasted atoms (the shape-level
-    A-context condition).  Returns the steps ordered from the hole outward,
-    or None.  Complete at the sizes this package targets: all peel orders
-    are explored with memoisation on the remaining carrier.
+    A-context condition); its elements outside p are ignored.  Returns the
+    steps ordered from the hole outward, or None.  Complete at the sizes
+    this package targets: all peel orders are explored with memoisation on
+    the remaining carrier.  The search runs on masks of p; the labels are
+    encoded on entry and the steps decoded on exit.
     """
-    hole = frozenset(hole)
+    hole = p.encode(hole)
+    top_ok = None
+    if allowed is not None:
+        index = p.index
+        top_ok = p.encode(x for x in allowed if x in index)
     failed = set()
     states = 0
 
-    def dfs(current: frozenset):
+    def dfs(current: int):
         nonlocal states
         if current == hole:
             return []
@@ -604,7 +607,7 @@ def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
         if states > max_states:
             raise BoundExceeded("derivation search exceeded its state budget")
         for cand in _peel_candidates(p, current, hole):
-            if allowed is not None and cand["top"] not in allowed:
+            if top_ok is not None and not top_ok >> cand["top"] & 1:
                 continue
             inner = dfs(cand["rest"])
             if inner is not None:
@@ -612,30 +615,45 @@ def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
         failed.add(current)
         return None
 
-    return dfs(frozenset(carrier))
+    steps = dfs(p.encode(carrier))
+    if steps is None:
+        return None
+    labels = p.labels
+    return [{"side": c["side"], "k": c["k"], "top": labels[c["top"]],
+             **{key: p.decode(c[key]) for key in ("piece", "removed", "shared", "rest")}}
+            for c in steps]
 
 
 def replay_derivation(p: OgPoset, hole: frozenset, steps, expect: frozenset) -> bool:
     """Re-evaluate a derivation from the hole outward and check it lands on
     the expected carrier, re-validating every pasting precondition.  Every
-    carrier on the way must be closed; boundaries are read from p."""
-    carrier = frozenset(hole)
-    if not p.is_closed(carrier):
+    carrier on the way must be closed; boundaries are read from p.  The
+    labels are encoded once, on entry; a step naming an element outside p
+    does not replay."""
+    carrier = p.encode(hole)
+    if not p.is_closed_mask(carrier):
         return False
-    for step in steps:
-        attach_sign = PLUS if step["side"] == "right" else MINUS
-        if not step["shared"] <= p.sub_boundary_set(carrier, step["k"], attach_sign):
+    try:
+        encoded = [(PLUS if step["side"] == "right" else MINUS, step["k"],
+                    p.encode(step["shared"]), p.encode(step["removed"]),
+                    p.encode(step["piece"]))
+                   for step in steps]
+        expect = p.encode(expect)
+    except UnknownElement:
+        return False
+    for attach_sign, k, shared, removed, piece in encoded:
+        if shared & ~p.boundary_mask(carrier, k, attach_sign):
             return False
-        if step["removed"] & carrier:
+        if removed & carrier:
             return False
-        carrier |= step["piece"]
-        if not p.is_closed(carrier):
+        carrier |= piece
+        if not p.is_closed_mask(carrier):
             return False
-    return carrier == frozenset(expect)
+    return carrier == expect
 
 
-def glues_to_atom(p: OgPoset, carrier: frozenset) -> bool:
-    """Whether a closed subset of p with one maximal element, whose two
+def glues_to_atom(p: OgPoset, carrier: int) -> bool:
+    """Whether a closed mask of p with one maximal element, whose two
     top boundaries minus and plus are molecules, is the atom minus => plus.
 
     With n the carrier's dimension, both have dimension n - 1, as the
@@ -647,15 +665,16 @@ def glues_to_atom(p: OgPoset, carrier: frozenset) -> bool:
     maps boundaries to boundaries: the conditions are necessary.  When
     they hold, the pushout along the identity is the carrier itself.
     """
-    n = p.sub_dim(carrier)
-    minus = p.sub_boundary_set(carrier, n - 1, MINUS)
-    plus = p.sub_boundary_set(carrier, n - 1, PLUS)
+    bd = p.boundary_mask
+    n = p.dim_mask(carrier)
+    minus = bd(carrier, n - 1, MINUS)
+    plus = bd(carrier, n - 1, PLUS)
     if not (is_round(p, minus) and is_round(p, plus)):
         return False
-    rim = frozenset()
+    rim = 0
     for s in SIGNS:
-        lower = p.sub_boundary_set(minus, n - 2, s)
-        if lower != p.sub_boundary_set(plus, n - 2, s):
+        lower = bd(minus, n - 2, s)
+        if lower != bd(plus, n - 2, s):
             return False
         rim |= lower
     return minus & plus == rim
@@ -667,32 +686,31 @@ def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
     Returns a Molecule carrying p itself (ids preserved) on success, None
     if no decomposition is found within the search.  Only used on instances
     the theory guarantees to be molecules; a None on such an instance is a
-    harness failure.  The search runs on closed element sets of p and
-    builds no poset: a single-maximum carrier is certified as an atom by
+    harness failure.  The search runs on closed masks of p and builds no
+    poset: a single-maximum carrier is certified as an atom by
     glues_to_atom on its two boundaries.
     """
     if len(p) > cap:
         raise BoundExceeded(f"reconstruct called on {len(p)} elements (cap {cap})")
     memo = {}
+    bd = p.boundary_mask
 
-    def rec(carrier: frozenset):
+    def rec(carrier: int):
         if carrier in memo:
             return memo[carrier]
         result = None
-        n = p.sub_dim(carrier)
-        if len(carrier) == 1 and n == 0:
+        n = p.dim_mask(carrier)
+        if n == 0 and carrier & (carrier - 1) == 0:
             result = {"kind": "point"}
         elif carrier:
-            maxima = p.sub_maximal(carrier)
-            if len(maxima) == 1:
-                minus = p.sub_boundary_set(carrier, n - 1, MINUS)
-                plus = p.sub_boundary_set(carrier, n - 1, PLUS)
-                cm = rec(minus)
-                cp = rec(plus)
+            maxima = p.maximal_mask(carrier)
+            if maxima & (maxima - 1) == 0:
+                cm = rec(bd(carrier, n - 1, MINUS))
+                cp = rec(bd(carrier, n - 1, PLUS))
                 if cm is not None and cp is not None and glues_to_atom(p, carrier):
                     result = {"kind": "atom", "left": cm, "right": cp}
             else:
-                for cand in _peel_candidates(p, carrier, frozenset()):
+                for cand in _peel_candidates(p, carrier, 0):
                     inner = rec(cand["rest"])
                     if inner is None:
                         continue
@@ -705,13 +723,13 @@ def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
                         "k": cand["k"],
                         "base": inner,
                         "piece": piece_cert,
-                        "shared": sorted(map(sid, cand["shared"])),
+                        "shared": sorted(map(sid, p.decode(cand["shared"]))),
                     }
                     break
         memo[carrier] = result
         return result
 
-    cert = rec(p.element_set)
+    cert = rec(p.full)
     if cert is None:
         return None
     return Molecule(p, cert)

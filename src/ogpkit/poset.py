@@ -10,7 +10,8 @@ directed complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
 from .ids import sid
@@ -24,82 +25,367 @@ def flip(sign: str) -> str:
     return PLUS if sign == MINUS else MINUS
 
 
+def _bit_table(width: int) -> list:
+    """The positions of the set bits of every mask below 1 << width: the
+    entry of m + 2^i, for m < 2^i, is the entry of m followed by i."""
+    table = [()]
+    for i in range(width):
+        table += [t + (i,) for t in table]
+    return table
+
+
+_SMALL_BITS = _bit_table(10)
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(m: int) -> bytes:
+    """One byte per bit of m, lowest first: 1 where the bit is set."""
+    return bin(m)[:1:-1].encode().translate(_DIGITS)
+
+
+def bits(m: int):
+    """Positions of the set bits of m, ascending, as a sequence that the
+    caller must not change."""
+    if m < 1024:
+        return _SMALL_BITS[m]
+    if m.bit_count() * 8 < m.bit_length():
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
+    return list(compress(range(m.bit_length()), _flags(m)))
+
+
+def spread(m: int, stride: int) -> int:
+    """m with bit i moved to bit i * stride.  Times a mask of fewer than
+    stride bits, it gives the grid of pairs: spread(a, s) * b has bit
+    i * s + j for every bit i of a and j of b."""
+    out = 0
+    for i in bits(m):
+        out |= 1 << (i * stride)
+    return out
+
+
+def _unknown(x) -> UnknownElement:
+    return UnknownElement(f"unknown element {sid(x) if not isinstance(x, str) else x!r}")
+
+
+def map_mask(m: int, image: list) -> int:
+    """The mask of image[i] over the bits i of m; -1 if some image[i] is
+    -1 (no image)."""
+    out = 0
+    while m:
+        low = m & -m
+        j = image[low.bit_length() - 1]
+        if j < 0:
+            return -1
+        out |= 1 << j
+        m ^= low
+    return out
+
+
 @dataclass(eq=False)
 class OgPoset:
     """Validated oriented graded poset.  Treat as immutable after build.
 
-    The coface dicts cofaces_in and cofaces_out are derived from the face
-    dicts on their first read and kept, so a poset that is only built,
-    compared or dualised never inverts its faces.
+    Storage.  The elements are the ids 0..n-1, in construction order.
+    dims[i] is the dimension of id i, and fin[i] and fout[i] are the masks
+    of its input and output faces: bit k is set when id k is such a face.
+    A set of elements is a mask in the same way.  closure_mask,
+    is_closed_mask, dim_mask, maximal_mask, boundary_mask and
+    restrict_mask are integer operations, as are dual, the stable
+    colouring, the isomorphism search and embedding_defect.  The coface
+    masks, the per-dimension masks and the closure mask of each element
+    are derived on their first read and kept, so a poset that is only
+    built, compared or dualised never inverts its faces.  boundary_mask is
+    memoised per (closed mask, n, sign).
 
-    Boundaries are memoised in _bd_memo, keyed by (closed subset, n,
-    sign): sub_boundary_set answers every closed subset, and boundary_set
-    is its case for the whole carrier.  The closure of a single element is
-    memoised in _closures.  Both are functions of the poset alone.
+    Labels.  labels[i] is the structured id (see ids.sid) of element i,
+    and index maps labels back to ids.  dim_of, faces_in and faces_out are
+    read-only label views, decoded once per poset and iterating in id
+    order.  The label-valued queries (closure, is_closed, sub_dim,
+    sub_boundary_set, boundary_set, restrict, ...) are thin wrappers: they
+    encode their arguments, call the mask query and decode its answer;
+    sub_boundary_set, and so boundary_set, keeps its answer per (label
+    set, n, sign).
+
+    Construction.  build() validates label data and numbers it in its
+    input order; its label views are that data.  The constructors that
+    combine validated posets build masks directly, with no build()
+    re-check, since their result is valid when their inputs are:
+    gray.gray_poset (by index arithmetic), molecule.paste_along and
+    molecule.atom (one new top), restrict_mask and dual.  Their labels and
+    label views are decoded from their inputs on first read.
     """
 
-    dim_of: dict
-    faces_in: dict
-    faces_out: dict
+    dims: list
+    fin: list
+    fout: list
+    # the labels tuple, or a function of no arguments that returns it
+    source: object = field(repr=False)
+    # (dim_of, faces_in, faces_out), or a function of no arguments that
+    # returns them, when known at construction
+    views: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.dim = max(self.dim_of.values(), default=-1)  # -1 for the empty poset
+        self.dim = max(self.dims, default=-1)  # -1 for the empty poset
+        self.full = (1 << len(self.dims)) - 1
+        self._labels = self.source if isinstance(self.source, tuple) else None
+        self._index = None
         self._order = None
+        self._sid_rank = None
         self._element_set = None
+        self._grades = None
         self._cofaces = None
-        self._bd_memo = {}
-        self._closures = {}
+        self._cl = None
+        self._bd = {}
+        self._bd_labels = {}
         self._maximal = None
         self._colours = None
         self._form = None
 
-    def _coface_dicts(self) -> tuple:
-        """(cofaces_in, cofaces_out), inverted from the faces on first read."""
+    # -- labels ------------------------------------------------------------
+
+    @property
+    def labels(self) -> tuple:
+        if self._labels is None:
+            self._labels = self.source()
+            self.source = self._labels  # drop the inputs it was decoded from
+        return self._labels
+
+    @property
+    def index(self) -> dict:
+        """Label -> id."""
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.labels)}
+        return self._index
+
+    def encode(self, subset) -> int:
+        """The mask of a set of labels."""
+        index = self.index
+        m = 0
+        for x in subset:
+            i = index.get(x)
+            if i is None:
+                raise _unknown(x)
+            m |= 1 << i
+        return m
+
+    def decode(self, m: int) -> frozenset:
+        """The labels of a mask."""
+        return frozenset(compress(self.labels, _flags(m)))
+
+    def _views(self) -> tuple:
+        if self.views is None:
+            labels, decode = self.labels, self.decode
+            self.views = (dict(zip(labels, self.dims)),
+                          {x: decode(m) for x, m in zip(labels, self.fin)},
+                          {x: decode(m) for x, m in zip(labels, self.fout)})
+        elif not isinstance(self.views, tuple):
+            self.views = self.views()
+        return self.views
+
+    @property
+    def dim_of(self) -> dict:
+        return self._views()[0]
+
+    @property
+    def faces_in(self) -> dict:
+        return self._views()[1]
+
+    @property
+    def faces_out(self) -> dict:
+        return self._views()[2]
+
+    # -- derived masks -------------------------------------------------------
+
+    def coface_masks(self) -> tuple:
+        """(input cofaces, output cofaces) per id, inverted from the faces
+        on first read."""
         if self._cofaces is None:
-            cin = {x: set() for x in self.dim_of}
-            cout = {x: set() for x in self.dim_of}
-            for x in self.dim_of:
-                for y in self.faces_in.get(x, ()):
-                    cin[y].add(x)
-                for y in self.faces_out.get(x, ()):
-                    cout[y].add(x)
-            self._cofaces = ({x: frozenset(s) for x, s in cin.items()},
-                             {x: frozenset(s) for x, s in cout.items()})
+            n = len(self.dims)
+            cin, cout = [0] * n, [0] * n
+            for i, (a, b) in enumerate(zip(self.fin, self.fout)):
+                bit = 1 << i
+                while a:
+                    low = a & -a
+                    cin[low.bit_length() - 1] |= bit
+                    a ^= low
+                while b:
+                    low = b & -b
+                    cout[low.bit_length() - 1] |= bit
+                    b ^= low
+            self._cofaces = (cin, cout)
         return self._cofaces
 
-    @property
-    def cofaces_in(self) -> dict:
-        return self._coface_dicts()[0]
+    def grade_masks(self) -> list:
+        """The mask of the elements of each dimension 0..dim."""
+        if self._grades is None:
+            grades = [0] * (self.dim + 1)
+            for i, d in enumerate(self.dims):
+                grades[d] |= 1 << i
+            self._grades = grades
+        return self._grades
 
-    @property
-    def cofaces_out(self) -> dict:
-        return self._coface_dicts()[1]
+    def closure_masks(self) -> list:
+        """The closure mask of each id."""
+        if self._cl is None:
+            cl = [0] * len(self.dims)
+            fin, fout = self.fin, self.fout
+            for g in self.grade_masks():  # faces sit one dimension below
+                for i in bits(g):
+                    c = 1 << i
+                    f = fin[i] | fout[i]
+                    while f:
+                        low = f & -f
+                        c |= cl[low.bit_length() - 1]
+                        f ^= low
+                    cl[i] = c
+            self._cl = cl
+        return self._cl
 
-    # -- basic queries ---------------------------------------------------
+    # -- mask queries ----------------------------------------------------------
+
+    def closure_mask(self, m: int) -> int:
+        """Smallest downward-closed set containing m."""
+        cl = self.closure_masks()
+        out = m
+        for i in bits(m):
+            out |= cl[i]
+        return out
+
+    def is_closed_mask(self, m: int) -> bool:
+        """Whether m holds the faces of its elements."""
+        fin, fout = self.fin, self.fout
+        outside = ~m
+        return not any((fin[i] | fout[i]) & outside for i in bits(m))
+
+    def dim_mask(self, m: int) -> int:
+        """Dimension of the sub-poset on m; -1 if m is empty."""
+        if m == self.full:
+            return self.dim
+        grades = self.grade_masks()
+        for d in range(self.dim, -1, -1):
+            if m & grades[d]:
+                return d
+        return -1
+
+    def maximal_mask(self, m: int) -> int:
+        """Elements of m with no coface in m."""
+        cin, cout = self.coface_masks()
+        out = 0
+        for i in bits(m):
+            if not (cin[i] | cout[i]) & m:
+                out |= 1 << i
+        return out
+
+    def boundary_mask(self, m: int, n: int, sign: str) -> int:
+        """The n-boundary of the given sign of the sub-poset on m, a closed
+        mask, memoised per (m, n, sign).
+
+        It is the closure of the n-elements with no cofaces of the opposite
+        sign, together with the closures of all maximal elements of
+        dimension below n.  For n at least the dimension it is m, for
+        n < 0 it is empty.
+        """
+        if n < 0:
+            return 0
+        key = (m, n, sign)
+        bd = self._bd.get(key)
+        if bd is None:
+            if n >= self.dim_mask(m):
+                bd = m
+            else:
+                bd = self._boundary_below_top(m, n, sign)
+            self._bd[key] = bd
+        return bd
+
+    def _boundary_below_top(self, m: int, n: int, sign: str) -> int:
+        """The boundary formula on a closed mask, for 0 <= n below its
+        dimension."""
+        cin, cout = self.coface_masks()
+        opposite = cout if sign == MINUS else cin
+        grades = self.grade_masks()
+        cl = self.closure_masks()
+        out = 0
+        for i in bits(m & grades[n]):
+            if not opposite[i] & m:
+                out |= cl[i]
+        below = 0
+        for g in grades[:n]:
+            below |= g
+        for i in bits(m & below & ~out):
+            if not (cin[i] | cout[i]) & m:
+                out |= cl[i]
+        return out
+
+    def restrict_mask(self, m: int) -> "OgPoset":
+        """Sub-poset on a closed mask, its ids renumbered in order."""
+        ids = bits(m)
+        image = [-1] * len(self.dims)
+        for k, i in enumerate(ids):
+            image[i] = k
+        fin, fout = self.fin, self.fout
+        views = None
+        if self._labels is not None:
+            labels = tuple([self._labels[i] for i in ids])
+            if isinstance(self.views, tuple):
+                def views():
+                    dim_of, faces_in, faces_out = self.views
+                    return ({x: dim_of[x] for x in labels},
+                            {x: faces_in[x] for x in labels},
+                            {x: faces_out[x] for x in labels})
+        else:
+            def labels():
+                own = self.labels
+                return tuple([own[i] for i in ids])
+        return OgPoset([self.dims[i] for i in ids],
+                       [map_mask(fin[i], image) for i in ids],
+                       [map_mask(fout[i], image) for i in ids],
+                       labels, views)
+
+    # -- basic queries on labels ---------------------------------------------
+
+    def sid_ranks(self) -> list:
+        """The rank of each id's label in sid order, made on first read."""
+        if self._sid_rank is None:
+            names = [sid(x) for x in self.labels]
+            rank = [0] * len(names)
+            for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+                rank[i] = r
+            self._sid_rank = rank
+        return self._sid_rank
 
     @property
     def elements(self):
         """All elements in (dimension, sid) order, sorted on first read."""
         if self._order is None:
-            self._order = tuple(sorted(self.dim_of, key=lambda x: (self.dim_of[x], sid(x))))
+            dims, rank, labels = self.dims, self.sid_ranks(), self.labels
+            self._order = tuple([labels[i] for i in
+                                 sorted(range(len(dims)), key=lambda i: (dims[i], rank[i]))])
         return self._order
 
     @property
     def element_set(self) -> frozenset:
         """All elements as one frozenset, made on first read and kept."""
         if self._element_set is None:
-            self._element_set = frozenset(self.dim_of)
+            self._element_set = frozenset(self.labels)
         return self._element_set
 
     def __len__(self):
-        return len(self.dim_of)
+        return len(self.dims)
 
     def __contains__(self, x):
-        return x in self.dim_of
+        return x in self.index
 
     def __eq__(self, other):
         if not isinstance(other, OgPoset):
             return NotImplemented
+        if self.labels == other.labels:
+            return self.dims == other.dims and self.fin == other.fin and self.fout == other.fout
         return (
             self.dim_of == other.dim_of
             and self.faces_in == other.faces_in
@@ -107,7 +393,8 @@ class OgPoset:
         )
 
     def grade(self, n: int) -> frozenset:
-        return frozenset(x for x, d in self.dim_of.items() if d == n)
+        grades = self.grade_masks()
+        return self.decode(grades[n]) if 0 <= n < len(grades) else frozenset()
 
     def faces(self, x, sign: str) -> frozenset:
         self._check(x)
@@ -120,75 +407,38 @@ class OgPoset:
     def cofaces(self, x, sign: str) -> frozenset:
         """Elements having x among their faces of the given sign."""
         self._check(x)
-        return self._coface_dicts()[0 if sign == MINUS else 1][x]
+        return self.decode(self.coface_masks()[0 if sign == MINUS else 1][self.index[x]])
 
     def maximal_elements(self) -> frozenset:
         if self._maximal is None:
-            cin, cout = self._coface_dicts()
-            self._maximal = frozenset(x for x in self.dim_of if not cin[x] and not cout[x])
+            self._maximal = self.decode(self.maximal_mask(self.full))
         return self._maximal
 
     def closure(self, subset) -> frozenset:
         """Smallest downward-closed set containing the given elements."""
-        stack = list(subset)
-        for x in stack:
-            self._check(x)
-        seen = set(stack)
-        faces_in, faces_out = self.faces_in, self.faces_out
-        while stack:
-            x = stack.pop()
-            for faces in (faces_in[x], faces_out[x]):
-                for y in faces:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return frozenset(seen)
-
-    def element_closure(self, x) -> frozenset:
-        """closure({x}), memoised per element."""
-        cl = self._closures.get(x)
-        if cl is None:
-            cl = self._closures[x] = self.closure((x,))
-        return cl
+        return self.decode(self.closure_mask(self.encode(subset)))
 
     def is_closed(self, subset) -> bool:
-        subset = set(subset)
-        for x in subset:
-            self._check(x)
-        faces_in, faces_out = self.faces_in, self.faces_out
-        return all(faces_in[x] <= subset and faces_out[x] <= subset for x in subset)
+        return self.is_closed_mask(self.encode(subset))
 
     def _check(self, x):
-        if x not in self.dim_of:
-            raise UnknownElement(f"unknown element {sid(x) if not isinstance(x, str) else x!r}")
+        if x not in self.index:
+            raise _unknown(x)
 
-    # -- boundaries ------------------------------------------------------
-
-    def boundary_set(self, n: int, sign: str) -> frozenset:
-        """Element set of the n-dimensional input or output boundary.
-
-        The n-boundary is the closure of the n-elements with no cofaces of
-        the opposite sign, together with the closures of all maximal
-        elements of dimension below n.  For n >= dim it is the whole poset,
-        for n < 0 it is empty.
-        """
-        return self.sub_boundary_set(self.element_set, n, sign)
-
-    # -- closed subsets, read from this poset's dicts ---------------------
+    # -- boundaries and closed subsets, on labels --------------------------------
     #
     # Each equals the same query on self.restrict(subset), for a closed
     # subset, without building the sub-poset.
 
-    def sub_dim(self, subset) -> int:
-        if len(subset) == len(self.dim_of):
-            return self.dim
-        dim_of = self.dim_of
-        return max((dim_of[x] for x in subset), default=-1)
+    def boundary_set(self, n: int, sign: str) -> frozenset:
+        """Element set of the n-dimensional input or output boundary; see
+        boundary_mask."""
+        return self.sub_boundary_set(self.element_set, n, sign)
 
-    def sub_maximal(self, subset: frozenset) -> frozenset:
-        cin, cout = self._coface_dicts()
-        return frozenset(x for x in subset
-                         if subset.isdisjoint(cin[x]) and subset.isdisjoint(cout[x]))
+    def sub_dim(self, subset) -> int:
+        if len(subset) == len(self.dims):
+            return self.dim
+        return self.dim_mask(self.encode(subset))
 
     def sub_boundary_set(self, subset: frozenset, n: int, sign: str) -> frozenset:
         """boundary_set(n, sign) of the sub-poset on subset, a closed
@@ -196,30 +446,11 @@ class OgPoset:
         if n < 0:
             return frozenset()
         key = (subset, n, sign)
-        bd = self._bd_memo.get(key)
+        bd = self._bd_labels.get(key)
         if bd is None:
-            if n >= self.sub_dim(subset):
-                bd = subset
-            else:
-                bd = self._boundary_below_top(subset, n, sign)
-            self._bd_memo[key] = bd
+            bd = self._bd_labels[key] = self.decode(
+                self.boundary_mask(self.encode(subset), n, sign))
         return bd
-
-    def _boundary_below_top(self, subset: frozenset, n: int, sign: str) -> frozenset:
-        """The boundary formula on a closed subset, for 0 <= n below the
-        subset's dimension."""
-        dim_of = self.dim_of
-        cin, cout = self._coface_dicts()
-        opposite = cout if sign == MINUS else cin
-        generators = []
-        for x in subset:
-            d = dim_of[x]
-            if d == n:
-                if subset.isdisjoint(opposite[x]):
-                    generators.append(x)
-            elif d < n and subset.isdisjoint(cin[x]) and subset.isdisjoint(cout[x]):
-                generators.append(x)
-        return self.closure(generators)
 
     def full_boundary_set(self) -> frozenset:
         """Union of input and output boundaries one level below the top."""
@@ -227,30 +458,23 @@ class OgPoset:
         return self.boundary_set(n, MINUS) | self.boundary_set(n, PLUS)
 
     def restrict(self, subset) -> "OgPoset":
-        """Sub-poset on a closed subset, ids preserved."""
-        subset = frozenset(subset)
-        if not self.is_closed(subset):
+        """Sub-poset on a closed subset, labels preserved."""
+        m = self.encode(subset)
+        if not self.is_closed_mask(m):
             raise UnknownElement("subset is not closed")
-        return OgPoset(
-            {x: self.dim_of[x] for x in subset},
-            {x: self.faces_in[x] for x in subset},
-            {x: self.faces_out[x] for x in subset},
-        )
+        return self.restrict_mask(m)
 
     # -- duals -----------------------------------------------------------
 
     def dual(self, dims) -> "OgPoset":
         """Swap input and output faces of elements whose dimension is in dims."""
         dims = frozenset(dims)
-        fin, fout = {}, {}
-        for x, d in self.dim_of.items():
+        fin, fout = list(self.fin), list(self.fout)
+        for i, d in enumerate(self.dims):
             if d in dims:
-                fin[x] = self.faces_out[x]
-                fout[x] = self.faces_in[x]
-            else:
-                fin[x] = self.faces_in[x]
-                fout[x] = self.faces_out[x]
-        return OgPoset(dict(self.dim_of), fin, fout)
+                fin[i], fout[i] = fout[i], fin[i]
+        labels = self._labels if self._labels is not None else (lambda: self.labels)
+        return OgPoset(self.dims, fin, fout, labels)
 
     def op(self) -> "OgPoset":
         """Dual at every odd dimension."""
@@ -258,7 +482,8 @@ class OgPoset:
 
 
 def build(elements, faces) -> OgPoset:
-    """Validate raw data into an OgPoset.
+    """Validate raw data into an OgPoset, numbering the elements in the
+    order of elements.
 
     elements maps id -> dimension; faces maps id -> (input ids, output ids)
     for every element of positive dimension.
@@ -267,12 +492,16 @@ def build(elements, faces) -> OgPoset:
     for x, d in dim_of.items():
         if d < 0:
             raise BadGrading(f"negative dimension for {sid(x)}")
+    index = {x: i for i, x in enumerate(dim_of)}
     faces_in, faces_out = {}, {}
+    fin_masks, fout_masks = [], []
     for x, d in dim_of.items():
         if d == 0:
             fin, fout = frozenset(), frozenset()
             if x in faces and (faces[x][0] or faces[x][1]):
                 raise BadGrading(f"0-dimensional element {sid(x)} with faces")
+            fin_masks.append(0)
+            fout_masks.append(0)
         else:
             if x not in faces:
                 raise EmptySide(f"no faces given for {sid(x)}")
@@ -288,9 +517,19 @@ def build(elements, faces) -> OgPoset:
                     raise BadGrading(
                         f"face {sid(y)} of {sid(x)} has dimension {dim_of[y]}, expected {d - 1}"
                     )
+            a = b = 0
+            for y in fin:
+                a |= 1 << index[y]
+            for y in fout:
+                b |= 1 << index[y]
+            fin_masks.append(a)
+            fout_masks.append(b)
         faces_in[x] = fin
         faces_out[x] = fout
-    return OgPoset(dim_of, faces_in, faces_out)
+    poset = OgPoset(list(dim_of.values()), fin_masks, fout_masks, tuple(dim_of),
+                    (dim_of, faces_in, faces_out))
+    poset._index = index
+    return poset
 
 
 EMPTY = build({}, {})
@@ -317,35 +556,51 @@ class Iso:
         return all(k == v for k, v in self.mapping.items())
 
 
+def _preserves_faces(p: OgPoset, q: OgPoset, image: list) -> bool:
+    """Whether the id map image (image[i] for id i of p) preserves the
+    dimension and both face masks of every element."""
+    qd, qfin, qfout = q.dims, q.fin, q.fout
+    for d, a, b, j in zip(p.dims, p.fin, p.fout, image):
+        if d != qd[j] or map_mask(a, image) != qfin[j] or map_mask(b, image) != qfout[j]:
+            return False
+    return True
+
+
 def embedding_defect(p: OgPoset, q: OgPoset, mapping: dict) -> str | None:
     """Why mapping is not an embedding of p into q, or None if it is.
 
     An embedding is total on p, injective, and preserves dimension and
-    both face sides of every element.  Reads the face dicts directly.
+    both face sides of every element.  The label mapping is encoded once
+    as an id map, and faces are compared as masks.
     """
-    if mapping.keys() != p.dim_of.keys():
+    p_index, q_index = p.index, q.index
+    if mapping.keys() != p_index.keys():
         return "map must be total"
     if len(set(mapping.values())) != len(mapping):
         return "map must be injective"
-    for x, y in mapping.items():
-        if y not in q.dim_of or p.dim_of[x] != q.dim_of[y]:
+    image = [q_index.get(mapping[x], -1) for x in p.labels]
+    if -1 not in image and _preserves_faces(p, q, image):
+        return None
+    for x in mapping:
+        i = p_index[x]
+        j = image[i]
+        if j < 0 or p.dims[i] != q.dims[j]:
             return f"map must preserve dimension at {sid(x)}"
-        for faces_p, faces_q in ((p.faces_in, q.faces_in), (p.faces_out, q.faces_out)):
-            if {mapping[f] for f in faces_p[x]} != faces_q[y]:
-                return f"map must preserve faces at {sid(x)}"
+        if map_mask(p.fin[i], image) != q.fin[j] or map_mask(p.fout[i], image) != q.fout[j]:
+            return f"map must preserve faces at {sid(x)}"
     return None
 
 
-def _rank(signature: dict):
-    """Colour of each element: the rank of its signature; and the count."""
-    order = {s: i for i, s in enumerate(sorted(set(signature.values())))}
-    return {x: order[s] for x, s in signature.items()}, len(order)
+def _rank(signature: list):
+    """Colour of each id: the rank of its signature; and the count."""
+    order = {s: i for i, s in enumerate(sorted(set(signature)))}
+    return [order[s] for s in signature], len(order)
 
 
 def _colours(p: OgPoset):
     """Stable colouring by iterated colour refinement, memoised on p.
 
-    Returns (colour of each element, number of colours).  The first colour
+    Returns (colour of each id, number of colours).  The first colour
     of an element ranks its dimension and face and coface counts; each
     round ranks its colour together with the sorted colours of its input
     faces, output faces, input cofaces and output cofaces (one sorted run,
@@ -356,28 +611,32 @@ def _colours(p: OgPoset):
     refinement stops as soon as every element has its own colour.
     """
     if p._colours is None:
-        fin, fout = p.faces_in, p.faces_out
-        cin, cout = p._coface_dicts()
-        colour, count = _rank({
-            x: (d, len(fin[x]), len(fout[x]), len(cin[x]), len(cout[x]))
-            for x, d in p.dim_of.items()
-        })
+        fin, fout = p.fin, p.fout
+        cin, cout = p.coface_masks()
+        colour, count = _rank([
+            (d, a.bit_count(), b.bit_count(), c.bit_count(), e.bit_count())
+            for d, a, b, c, e in zip(p.dims, fin, fout, cin, cout)
+        ])
+        near_ids = None
         while count < len(colour):
+            if near_ids is None:
+                near_ids = [(bits(a), bits(b), bits(c), bits(e))
+                            for a, b, c, e in zip(fin, fout, cin, cout)]
             sizes = [0] * count
-            for c in colour.values():
+            for c in colour:
                 sizes[c] += 1
-            signature = {}
-            for x, c in colour.items():
+            signature = []
+            for c, (a, b, d, e) in zip(colour, near_ids):
                 if sizes[c] == 1:
-                    signature[x] = (c,)
+                    signature.append((c,))
                     continue
                 # neighbour colours tagged by relation, in one sorted run
-                near = [4 * colour[y] for y in fin[x]]
-                near += [4 * colour[y] + 1 for y in fout[x]]
-                near += [4 * colour[y] + 2 for y in cin[x]]
-                near += [4 * colour[y] + 3 for y in cout[x]]
+                near = [4 * colour[k] for k in a]
+                near += [4 * colour[k] + 1 for k in b]
+                near += [4 * colour[k] + 2 for k in d]
+                near += [4 * colour[k] + 3 for k in e]
                 near.sort()
-                signature[x] = (c, *near)
+                signature.append((c, *near))
             colour, refined = _rank(signature)
             if refined == count:
                 break
@@ -393,10 +652,10 @@ def _colour_form(p: OgPoset) -> tuple:
     if p._form is None:
         colour = _colours(p)[0]
         p._form = tuple(sorted(
-            (c, p.dim_of[x],
-             tuple(sorted([colour[y] for y in p.faces_in[x]])),
-             tuple(sorted([colour[y] for y in p.faces_out[x]])))
-            for x, c in colour.items()
+            (c, d,
+             tuple(sorted([colour[k] for k in bits(a)])),
+             tuple(sorted([colour[k] for k in bits(b)])))
+            for c, d, a, b in zip(colour, p.dims, p.fin, p.fout)
         ))
     return p._form
 
@@ -412,7 +671,8 @@ def canonical_key(p: OgPoset):
     return _colour_form(p) if count == len(colour) else None
 
 
-def _iso_search(p: OgPoset, q: OgPoset, first_only: bool):
+def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
+    """Isomorphisms p -> q, each as a list of (id of p, id of q) pairs."""
     if len(p) != len(q):
         return []
     colour_p, count_p = _colours(p)
@@ -423,66 +683,78 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool):
         # Discrete colourings: every isomorphism preserves colours, so the
         # colour-matching bijection is the only candidate, and p has no
         # automorphism but the identity.
-        of_colour = {c: y for y, c in colour_q.items()}
-        mapping = {x: of_colour[c] for x, c in colour_p.items()}
-        return [Iso(p, q, mapping)] if embedding_defect(p, q, mapping) is None else []
+        of_colour = [0] * count_q
+        for j, c in enumerate(colour_q):
+            of_colour[c] = j
+        image = [of_colour[c] for c in colour_p]
+        return [list(enumerate(image))] if _preserves_faces(p, q, image) else []
     if _colour_form(p) != _colour_form(q):
         return []
 
-    # backtracking over the stable colour classes
+    # backtracking over the stable colour classes, in sid order
+    p_rank, q_rank = p.sid_ranks(), q.sid_ranks()
     bucket = {}
-    for y in q.dim_of:
-        bucket.setdefault(colour_q[y], []).append(y)
+    for j, c in enumerate(colour_q):
+        bucket.setdefault(c, []).append(j)
     for ys in bucket.values():
-        ys.sort(key=sid)
+        ys.sort(key=q_rank.__getitem__)
     # order: dimension descending, then rarest colour first
     todo = sorted(
-        p.dim_of,
-        key=lambda x: (-p.dim_of[x], len(bucket[colour_p[x]]), sid(x)),
+        range(len(p)),
+        key=lambda i: (-p.dims[i], len(bucket[colour_p[i]]), p_rank[i]),
     )
-    neighbours_p = (p.faces_in, p.faces_out, *p._coface_dicts())
-    neighbours_q = (q.faces_in, q.faces_out, *q._coface_dicts())
-    mapping, used, found = {}, set(), []
+    near_p = [[bits(m) for m in masks] for masks in (p.fin, p.fout, *p.coface_masks())]
+    near_q = (q.fin, q.fout, *q.coface_masks())
+    image = [-1] * len(p)
+    used = [False] * len(q)
+    order, found = [], []
 
-    def consistent(x, y):
-        for near_p, near_q in zip(neighbours_p, neighbours_q):
-            near_y = near_q[y]
-            for f in near_p[x]:
-                if f in mapping and mapping[f] not in near_y:
+    def consistent(i, j):
+        for ids, masks in zip(near_p, near_q):
+            near_j = masks[j]
+            for k in ids[i]:
+                if image[k] >= 0 and not near_j >> image[k] & 1:
                     return False
         return True
 
-    def backtrack(i):
-        if i == len(todo):
-            if embedding_defect(p, q, mapping) is None:
-                found.append(Iso(p, q, dict(mapping)))
+    def backtrack(t):
+        if t == len(todo):
+            if _preserves_faces(p, q, image):
+                found.append([(i, image[i]) for i in order])
                 return first_only
             return False
-        x = todo[i]
-        for y in bucket[colour_p[x]]:
-            if y in used or not consistent(x, y):
+        i = todo[t]
+        for j in bucket[colour_p[i]]:
+            if used[j] or not consistent(i, j):
                 continue
-            mapping[x] = y
-            used.add(y)
-            if backtrack(i + 1):
+            image[i] = j
+            used[j] = True
+            order.append(i)
+            if backtrack(t + 1):
                 return True
-            del mapping[x]
-            used.discard(y)
+            order.pop()
+            image[i] = -1
+            used[j] = False
         return False
 
     backtrack(0)
     return found
 
 
+def _as_iso(p: OgPoset, q: OgPoset, pairs: list) -> Iso:
+    p_labels, q_labels = p.labels, q.labels
+    return Iso(p, q, {p_labels[i]: q_labels[j] for i, j in pairs})
+
+
 def find_iso(p: OgPoset, q: OgPoset):
     """First orientation-preserving isomorphism in search order, or None."""
     result = _iso_search(p, q, first_only=True)
-    return result[0] if result else None
+    return _as_iso(p, q, result[0]) if result else None
 
 
 def all_isos(p: OgPoset, q: OgPoset):
     """Every orientation-preserving isomorphism, in deterministic order."""
-    return _iso_search(p, q, first_only=False)
+    return [_as_iso(p, q, pairs) for pairs in _iso_search(p, q, first_only=False)]
 
 
 def is_isomorphic(p: OgPoset, q: OgPoset) -> bool:

@@ -11,7 +11,7 @@ import json
 from .ids import sid
 from .marked import MarkedMap, MarkedShape
 from .molecule import Molecule
-from .poset import MINUS, PLUS, OgPoset, build
+from .poset import MINUS, PLUS, OgPoset
 
 
 def _poset(shape) -> OgPoset:
@@ -50,15 +50,6 @@ def poset_to_dict(shape) -> dict:
     if isinstance(shape, MarkedShape):
         doc["marked"] = sorted(map(sid, shape.marking))
     return doc
-
-
-def poset_from_dict(doc: dict) -> OgPoset:
-    elements = {e["id"]: e["dim"] for e in doc["elements"]}
-    faces = {
-        x: (set(sides.get(MINUS, ())), set(sides.get(PLUS, ())))
-        for x, sides in doc.get("faces", {}).items()
-    }
-    return build(elements, faces)
 
 
 def marked_map_to_dict(m: MarkedMap) -> dict:

@@ -7,7 +7,6 @@ from ogpkit.cylinder import (
     inverted_cylinder,
     invertor_shape,
     projection,
-    section,
     unit_shape,
     unitor_shape,
 )
@@ -151,14 +150,6 @@ class TestProjection:
             tau = projection(q)
             assert q.dim - tau.target.dim == len(s)
 
-    def test_section_then_projection_is_identity(self):
-        a = arrow()
-        cyl = gray_cylinder(a, a.poset.boundary_set(0, PLUS))
-        tau = projection(cyl)
-        emb = section(cyl, "0-")
-        for x in a.poset.dim_of:
-            assert tau.mapping[emb[x]] == x
-
 
 class TestUnitor:
     def test_identity_hole_collapses_other_side(self):
@@ -179,3 +170,61 @@ class TestUnitor:
         iota = identity_inclusion(a.boundary_molecule(sign=PLUS))
         shape = unitor_shape(a, iota, "right")
         assert len(shape) == 7 and shape.dim == 2
+
+
+PROJECTION_FAULTS = """
+import sys
+from ogpkit.cylinder import Projection, _one_step_projection
+from ogpkit.errors import BadProjection, NotComposable
+from ogpkit.molecule import Molecule, arrow, point
+from ogpkit.poset import build
+
+a, pt = arrow(), point()
+# a pinched copy of the arrow: its edge's faces land on one end point
+pinched = Molecule(build(
+    {("0-", "0-"): 0, ("0+", "0-"): 0, ("0+", "0+"): 0, ("0-", "1"): 1},
+    {("0-", "1"): ({("0-", "0-")}, {("0+", "0-")})}), {})
+pinched.provenance["cylinder"] = {"base": a, "K": frozenset(), "variant": "plain"}
+tries = [
+    lambda: Projection(a, a, {"0-": "0-", "1": "1"}),
+    lambda: Projection(a, a, {"0-": "0-", "0+": "0-", "1": "1"}),
+    lambda: Projection(a, a, {"0-": "1", "0+": "0+", "1": "0-"}),
+    lambda: Projection(a, pt, {x: "*" for x in a.poset.dim_of}).compose(
+        Projection(a, a, {x: x for x in a.poset.dim_of})),
+    lambda: _one_step_projection(pinched),
+]
+raised = []
+for attempt in tries:
+    try:
+        attempt()
+    except (BadProjection, NotComposable) as exc:
+        raised.append(type(exc).__name__)
+print(sys.flags.optimize, *raised)
+"""
+
+
+class TestProjectionValidation:
+    """Projections raise ShapeError subclasses, which survive python -O."""
+
+    def test_bad_projections_raise_under_optimize(self, src_env):
+        import subprocess
+        import sys
+
+        for flags in ((), ("-O",)):
+            out = subprocess.run([sys.executable, *flags, "-c", PROJECTION_FAULTS],
+                                 env=src_env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == [str(len(flags)), "BadProjection", "BadProjection",
+                                          "BadProjection", "NotComposable", "BadProjection"]
+
+    def test_messages_name_the_defect(self):
+        from ogpkit.cylinder import Projection
+        from ogpkit.errors import BadProjection
+
+        a = arrow()
+        with pytest.raises(BadProjection, match="total"):
+            Projection(a, a, {"0-": "0-", "1": "1"})
+        with pytest.raises(BadProjection, match="surjective"):
+            Projection(a, a, {"0-": "0-", "0+": "0-", "1": "1"})
+        with pytest.raises(BadProjection, match="dimension of 0-"):
+            Projection(a, a, {"0-": "1", "0+": "0+", "1": "0-"})

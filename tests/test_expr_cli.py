@@ -10,8 +10,8 @@ from ogpkit.cli import main
 from ogpkit.errors import EvalError, ExprSyntaxError
 from ogpkit.exprlang import Expr, eval_text, parse, print_expr
 from ogpkit.molecule import Molecule, globe
-from ogpkit.poset import find_iso
-from ogpkit.render import poset_from_dict, poset_to_dict, render, to_json_bytes
+from ogpkit.poset import MINUS, PLUS, build, find_iso
+from ogpkit.render import poset_to_dict, render, to_json_bytes
 
 
 class TestParse:
@@ -121,6 +121,16 @@ def _strip(e):
     if isinstance(e, Expr):
         return (e.head, tuple(_strip(a) for a in e.args))
     return e
+
+
+def poset_from_dict(doc: dict):
+    """Parse the JSON document of poset_to_dict back into a poset."""
+    elements = {e["id"]: e["dim"] for e in doc["elements"]}
+    faces = {
+        x: (set(sides.get(MINUS, ())), set(sides.get(PLUS, ())))
+        for x, sides in doc.get("faces", {}).items()
+    }
+    return build(elements, faces)
 
 
 class TestRender:

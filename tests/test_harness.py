@@ -35,6 +35,7 @@ gray_mod = importlib.import_module("ogpkit.gray")
 harness_mod = importlib.import_module("ogpkit.harness")
 marked_mod = importlib.import_module("ogpkit.marked")
 molecule_mod = importlib.import_module("ogpkit.molecule")
+poset_mod = importlib.import_module("ogpkit.poset")
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -100,13 +101,6 @@ class TestCheck:
         r1 = [r.to_dict() for r in run_suite(cfg)]
         r2 = [r.to_dict() for r in run_suite(cfg)]
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-
-    def test_jobs_flag_gives_same_reports(self):
-        cfg1 = small_config(lemmas=("ISO_UNIQUE", "OP_SWAP"))
-        cfg2 = small_config(lemmas=("ISO_UNIQUE", "OP_SWAP"), jobs=2)
-        r1 = [r.to_dict() for r in run_suite(cfg1)]
-        r2 = [r.to_dict() for r in run_suite(cfg2)]
-        assert r1 == r2
 
 
 class TestMutation:
@@ -305,6 +299,51 @@ class TestPlantedFaults:
                      if d == 0)
         assert len(rep.failures) == rep.instances - points > 0
 
+    def test_unsigned_iso_search_fails_iso_unique(self, monkeypatch):
+        # the iso search forgets face signs: every face becomes both an
+        # input and an output face, so reversible shapes gain automorphisms
+        # that only the brute-force oracle, which reads the signed faces,
+        # can dispute
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        assert check("ISO_UNIQUE", cat, SuiteConfig()).status == "pass"
+        real = poset_mod.all_isos
+
+        def unsigned(p):
+            faces = [a | b for a, b in zip(p.fin, p.fout)]
+            return poset_mod.OgPoset(p.dims, faces, faces, p.labels)
+
+        monkeypatch.setattr(harness_mod, "all_isos", lambda p, q: real(unsigned(p), unsigned(q)))
+        rep = check("ISO_UNIQUE", cat, SuiteConfig())
+        caught = [f for f in rep.failures if f["inputs"].get("check") == "brute-force"]
+        assert caught and all(f["expected"] < f["got"] for f in caught)
+        assert len(rep.failures) < rep.instances
+
+    def test_wrong_stage_sign_fails_ctx_recursion(self, monkeypatch):
+        # each telescoping stage reads the carrier's boundary at the
+        # piece's own sign instead of the opposite one
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        assert check("CTX_RECURSION", cat, SuiteConfig()).status == "pass"
+        monkeypatch.setattr(harness_mod, "flip", lambda sign: sign)
+        rep = check("CTX_RECURSION", cat, SuiteConfig())
+        stages = [f for f in rep.failures if f["inputs"]["detail"].startswith("('stage'")]
+        assert stages and len(stages) == len(rep.failures) < rep.instances
+
+    def test_one_sided_peels_fail_op_horn(self, monkeypatch):
+        # the context search pastes atoms on the right only; the opposite
+        # turns right pastings into left ones, so a horn recognised on U
+        # is lost on op(U)
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        assert check("OP_HORN", cat, SuiteConfig()).status == "pass"
+        real = molecule_mod._peel_candidates
+
+        def right_only(p, carrier, protected):
+            return [c for c in real(p, carrier, protected) if c["side"] == "right"]
+
+        monkeypatch.setattr(molecule_mod, "_peel_candidates", right_only)
+        rep = check("OP_HORN", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+        assert all(f["expected"] == "marked horn" for f in rep.failures)
+
 
 class TestBoundExceeded:
     """An exhausted search budget is a recorded failure with its inputs,
@@ -373,3 +412,8 @@ def test_verify_products_reports_match_benchmark_goldens(src_env):
 def test_verify_search_reports_match_benchmark_goldens_under_optimize(src_env):
     # no lemma may rely on an assert statement to fail or to pass
     check_verify_pass_against_goldens(src_env, "verify-search", 0, "default", flags=("-O",))
+
+
+def test_verify_products_reports_match_benchmark_goldens_under_optimize(src_env):
+    # MUTATION seed 3
+    check_verify_pass_against_goldens(src_env, "verify-products", 3, "3", flags=("-O",))

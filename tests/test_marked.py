@@ -9,7 +9,6 @@ from ogpkit.marked import (
     MarkedShape,
     boundary_inclusion_marked,
     boundary_inclusion_min,
-    generators,
     gray_marked,
     markmol,
     marking_inclusion,
@@ -125,13 +124,6 @@ class TestGenerators:
     def test_point_generators(self):
         # markmol of the point has empty marking
         assert markmol(point()).marking == frozenset()
-
-    def test_J_filter(self):
-        fams = generators([point(), arrow(), globe(2)])
-        j1 = fams.J(1)
-        assert [g.meta["atom"].dim for g in j1] == [2]
-        assert len(fams.M) == 6
-        assert len(fams.Mprime) == 6
 
     def test_markmol_of_molecule_marks_maxima(self):
         p = paste(arrow(), arrow(), 0)

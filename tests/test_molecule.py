@@ -27,6 +27,7 @@ from ogpkit.molecule import (
     find_derivation,
     globe,
     glues_to_atom,
+    identity_inclusion,
     is_round,
     merger,
     op,
@@ -315,7 +316,7 @@ def with_new_top(m, split):
     faces["new"] = ({x for x, b in zip(cells, split) if b is True},
                     {x for x, b in zip(cells, split) if b is False})
     p = build(elements, faces)
-    return p, p.element_closure("new")
+    return p, p.closure({"new"})
 
 
 def certified_sides(p, carrier):
@@ -359,7 +360,7 @@ class TestAtomOnSets:
             assert reconstruct(e.molecule.poset) is not None, e.expr
         assert len(seen) > 100
         for p, carrier in seen:
-            assert real(p, carrier) == atom_by_construction(p, carrier)
+            assert real(p, carrier) == atom_by_construction(p, p.decode(carrier))
 
     @pytest.mark.parametrize("elements, faces", [
         # parallel paths x -> y -> z through one shared middle point: the
@@ -382,24 +383,27 @@ class TestAtomOnSets:
     ])
     def test_negative_cases_one_condition_each(self, elements, faces):
         p = build(elements, faces)
-        carrier = p.element_closure("t")
+        carrier = p.closure({"t"})
         assert certified_sides(p, carrier)
-        assert not glues_to_atom(p, carrier)
+        assert not glues_to_atom(p, p.encode(carrier))
         assert not atom_by_construction(p, carrier)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_construction_on_random_tops(self, top_bases, data):
         # a new top over some of the top cells, each drawn as an input
-        # face, an output face or not a face
+        # face, an output face or not a face, with at least one of each
+        # of the first two: two distinct cells are made one input and one
+        # output face, rather than filtering the draws
         m = data.draw(st.sampled_from(top_bases))
         k = len(m.grade(m.dim))
         split = data.draw(st.lists(st.sampled_from((True, False, None)),
                                    min_size=k, max_size=k))
-        assume(True in split and False in split)
+        first, second = data.draw(st.permutations(range(k)))[:2]
+        split[first], split[second] = True, False
         p, carrier = with_new_top(m, split)
         assume(certified_sides(p, carrier))
-        assert glues_to_atom(p, carrier) == atom_by_construction(p, carrier)
+        assert glues_to_atom(p, p.encode(carrier)) == atom_by_construction(p, carrier)
 
     def test_every_split_agrees(self, top_bases):
         # a new top over all top cells of each base, in every split
@@ -411,7 +415,7 @@ class TestAtomOnSets:
                 p, carrier = with_new_top(m, split)
                 if not certified_sides(p, carrier):
                     continue
-                got = glues_to_atom(p, carrier)
+                got = glues_to_atom(p, p.encode(carrier))
                 assert got == atom_by_construction(p, carrier), (m.certificate, split)
                 verdicts.append(got)
         assert True in verdicts and False in verdicts
@@ -558,3 +562,30 @@ class TestMoleculeVerdicts:
         verdicts = {canonical_key(bd): False}
         assert recognise_generalised_pasting(m, g.left, g.right, g.level,
                                              verdicts=verdicts) is None
+
+
+INCLUSION_COMPOSE = """
+import sys
+from ogpkit.errors import NotComposable
+from ogpkit.molecule import arrow, globe, identity_inclusion
+a, g = arrow(), globe(2)
+try:
+    identity_inclusion(a).compose(identity_inclusion(g))
+except NotComposable:
+    print(sys.flags.optimize, "raised")
+"""
+
+
+class TestInclusionCompose:
+    def test_composes_along_a_shared_shape(self):
+        g = globe(2)
+        inc = g.boundary(1, MINUS)
+        both = inc.compose(identity_inclusion(g))
+        assert both.mapping == inc.mapping
+
+    def test_mismatch_raises_under_optimize(self, src_env):
+        for flags in ((), ("-O",)):
+            out = subprocess.run([sys.executable, *flags, "-c", INCLUSION_COMPOSE],
+                                 env=src_env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == [str(len(flags)), "raised"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ogpkit.errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
 from ogpkit.gray import gray_poset
-from ogpkit.harness import Bounds, enumerate_catalog
+from ogpkit.harness import Bounds, SuiteConfig, enumerate_catalog
 from ogpkit.ids import sid
 from ogpkit.poset import MINUS, PLUS, all_isos, build, find_iso
 
@@ -274,7 +274,7 @@ def test_sub_boundaries_match_restriction_random(p):
     for subset in subsets:
         sub = p.restrict(subset)
         assert p.sub_dim(subset) == sub.dim
-        assert is_round(p, subset) == is_round(sub)
+        assert is_round(p, p.encode(subset)) == is_round(sub)
         for n in range(-1, sub.dim + 1):
             for s in (MINUS, PLUS):
                 got = p.sub_boundary_set(subset, n, s)
@@ -285,3 +285,112 @@ def test_sub_boundaries_match_restriction_random(p):
     for n in range(p.dim + 1):
         for s in (MINUS, PLUS):
             assert p.boundary_set(n, s) is p.sub_boundary_set(frozenset(p.dim_of), n, s)
+
+
+# -- the mask core against label-level oracles --------------------------------
+
+
+def set_cofaces(p):
+    """(x, sign) -> the elements having x among their faces of that sign,
+    inverted from the label views."""
+    cofaces = {(x, s): set() for x in p.dim_of for s in (MINUS, PLUS)}
+    for x in p.dim_of:
+        for f in p.faces_in[x]:
+            cofaces[f, MINUS].add(x)
+        for f in p.faces_out[x]:
+            cofaces[f, PLUS].add(x)
+    return cofaces
+
+
+def set_closure(p, subset):
+    seen, stack = set(subset), list(subset)
+    while stack:
+        for y in p.faces_in[stack[-1]] | p.faces_out[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def set_boundary(p, cofaces, n, sign):
+    """bd_n^sign of the whole poset by its definition, on plain sets."""
+    if n < 0:
+        return set()
+    if n >= p.dim:
+        return set(p.dim_of)
+    opposite = PLUS if sign == MINUS else MINUS
+    generators = [x for x, d in p.dim_of.items()
+                  if (d == n and not cofaces[x, opposite])
+                  or (d < n and not cofaces[x, MINUS] and not cofaces[x, PLUS])]
+    return set_closure(p, generators)
+
+
+def core_shapes():
+    """Every shape of the depth-2, 10-element catalog and its opposite, and
+    every Gray product under product_cap of the depth-1 catalog."""
+    shapes = [e.molecule.poset
+              for e in enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=10)).entries]
+    small = [m.poset for m in enumerate_catalog(Bounds(depth=1)).molecules()]
+    cap = SuiteConfig().product_cap
+    products = [gray_poset(a, b) for a in small for b in small if len(a) * len(b) <= cap]
+    return shapes + [p.op() for p in shapes] + products
+
+
+class TestMaskCore:
+    def test_gray_products_pass_build_validation(self):
+        # gray_poset builds on ids without build(); rebuilding every
+        # depth-1 product from its label views runs build's checks on it
+        # and must give the same poset, ids and masks included
+        small = [m.poset for m in enumerate_catalog(Bounds(depth=1)).molecules()]
+        checked = 0
+        for a in small:
+            for b in small:
+                p = gray_poset(a, b)
+                rebuilt = build(p.dim_of, {x: (p.faces_in[x], p.faces_out[x])
+                                           for x, d in p.dim_of.items() if d > 0})
+                assert rebuilt == p
+                assert (rebuilt.labels, rebuilt.dims, rebuilt.fin, rebuilt.fout) == \
+                    (p.labels, p.dims, p.fin, p.fout)
+                checked += 1
+        assert checked == len(small) ** 2 > 40
+
+    def test_queries_match_set_oracle(self):
+        shapes = core_shapes()
+        assert len(shapes) > 100
+        for p in shapes:
+            cofaces = set_cofaces(p)
+            for x in p.dim_of:
+                for s in (MINUS, PLUS):
+                    assert p.cofaces(x, s) == cofaces[x, s]
+                closed = set_closure(p, {x})
+                assert p.closure({x}) == closed
+                assert p.is_closed(closed)
+                for faces in (p.faces_in[x], p.faces_out[x]):
+                    if faces:
+                        assert not p.is_closed(closed - {min(faces, key=sid)})
+            assert p.maximal_elements() == {
+                x for x in p.dim_of if not cofaces[x, MINUS] and not cofaces[x, PLUS]}
+            assert p.is_closed(p.dim_of) and p.is_closed(())
+            for n in range(-1, p.dim + 2):
+                for s in (MINUS, PLUS):
+                    assert p.boundary_set(n, s) == set_boundary(p, cofaces, n, s)
+
+    @given(small_posets())
+    @settings(max_examples=80, deadline=None)
+    def test_boundaries_match_set_oracle_random(self, p):
+        # random layered posets often have maximal elements below the top
+        # dimension, which catalog molecules rarely have
+        cofaces = set_cofaces(p)
+        for n in range(-1, p.dim + 2):
+            for s in (MINUS, PLUS):
+                assert p.boundary_set(n, s) == set_boundary(p, cofaces, n, s)
+
+    def test_label_views_follow_the_ids(self):
+        for p in core_shapes():
+            assert list(p.dim_of) == list(p.labels)
+            assert list(p.dim_of.values()) == list(p.dims)
+            for i, x in enumerate(p.labels):
+                assert p.index[x] == i
+                assert p.encode(p.faces_in[x]) == p.fin[i]
+                assert p.encode(p.faces_out[x]) == p.fout[i]
+                assert p.decode(p.fin[i]) == p.faces_in[x]
