@@ -405,21 +405,23 @@ def check_gencp_boundary(catalog: Catalog, config) -> LemmaReport:
     for expr, g in _gencp_instances(catalog, config):
         amb = g.ambient.poset
         k = g.level
+        left, right = amb.encode(g.left), amb.encode(g.right)
         for n in range(k + 1, amb.dim + 1):
             for sign in SIGNS:
                 rep.instances += 1
-                bd_left = amb.sub_boundary_set(g.left, n, sign)
-                bd_right = amb.sub_boundary_set(g.right, n, sign)
-                direct = amb.boundary_set(n, sign)
+                bd_left = amb.boundary_mask(left, n, sign)
+                bd_right = amb.boundary_mask(right, n, sign)
+                direct = amb.boundary_mask(amb.full, n, sign)
                 if bd_left | bd_right != direct:
                     rep.record(
                         {"pasting": expr, "n": n, "sign": sign},
-                        _ids(direct), _ids(bd_left | bd_right),
+                        _mask_ids(amb, direct), _mask_ids(amb, bd_left | bd_right),
                     )
                     continue
                 bd_mol = g.ambient.boundary_molecule(n, sign)
                 try:
-                    got = recognise_generalised_pasting(bd_mol, bd_left, bd_right, k,
+                    got = recognise_generalised_pasting(bd_mol, amb.decode(bd_left),
+                                                        amb.decode(bd_right), k,
                                                         verdicts=verdicts)
                 except RecognitionFailed as exc:
                     rep.record({"pasting": expr, "n": n, "sign": sign},

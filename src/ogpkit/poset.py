@@ -11,7 +11,6 @@ directed complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
 from .ids import sid
@@ -25,38 +24,19 @@ def flip(sign: str) -> str:
     return PLUS if sign == MINUS else MINUS
 
 
-def _bit_table(width: int) -> list:
-    """The positions of the set bits of every mask below 1 << width: the
-    entry of m + 2^i, for m < 2^i, is the entry of m followed by i."""
-    table = [()]
-    for i in range(width):
-        table += [t + (i,) for t in table]
-    return table
+def bits(m: int) -> list:
+    """Positions of the set bits of m, ascending.
 
-
-_SMALL_BITS = _bit_table(10)
-
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _flags(m: int) -> bytes:
-    """One byte per bit of m, lowest first: 1 where the bit is set."""
-    return bin(m)[:1:-1].encode().translate(_DIGITS)
-
-
-def bits(m: int):
-    """Positions of the set bits of m, ascending, as a sequence that the
-    caller must not change."""
-    if m < 1024:
-        return _SMALL_BITS[m]
-    if m.bit_count() * 8 < m.bit_length():
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
-    return list(compress(range(m.bit_length()), _flags(m)))
+    map_mask, coface_masks and closure_masks run this loop inline: they
+    list the bits of every face mask, and a call per mask made
+    verify-products 6% and catalog-d3 9% slower (BENCH_int_core.json,
+    "bit_listing")."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def spread(m: int, stride: int) -> int:
@@ -106,19 +86,18 @@ class OgPoset:
     Labels.  labels[i] is the structured id (see ids.sid) of element i,
     and index maps labels back to ids.  dim_of, faces_in and faces_out are
     read-only label views, decoded once per poset and iterating in id
-    order.  The label-valued queries (closure, is_closed, sub_dim,
-    sub_boundary_set, boundary_set, restrict, ...) are thin wrappers: they
-    encode their arguments, call the mask query and decode its answer;
-    sub_boundary_set, and so boundary_set, keeps its answer per (label
-    set, n, sign).
+    order.  The label-valued queries (closure, is_closed, boundary_set,
+    restrict, ...) are thin wrappers: they encode their arguments, call
+    the mask query, whose memo they share, and decode its answer.
 
     Construction.  build() validates label data and numbers it in its
     input order; its label views are that data.  The constructors that
     combine validated posets build masks directly, with no build()
     re-check, since their result is valid when their inputs are:
     gray.gray_poset (by index arithmetic), molecule.paste_along and
-    molecule.atom (one new top), restrict_mask and dual.  Their labels and
-    label views are decoded from their inputs on first read.
+    molecule.atom (one new top), restrict_mask and dual.  Their labels are
+    taken or decoded from their inputs on first read, and their label
+    views are decoded from the masks.
     """
 
     dims: list
@@ -126,15 +105,13 @@ class OgPoset:
     fout: list
     # the labels tuple, or a function of no arguments that returns it
     source: object = field(repr=False)
-    # (dim_of, faces_in, faces_out), or a function of no arguments that
-    # returns them, when known at construction
-    views: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.dim = max(self.dims, default=-1)  # -1 for the empty poset
         self.full = (1 << len(self.dims)) - 1
         self._labels = self.source if isinstance(self.source, tuple) else None
         self._index = None
+        self._views = None
         self._order = None
         self._sid_rank = None
         self._element_set = None
@@ -142,7 +119,6 @@ class OgPoset:
         self._cofaces = None
         self._cl = None
         self._bd = {}
-        self._bd_labels = {}
         self._maximal = None
         self._colours = None
         self._form = None
@@ -176,29 +152,29 @@ class OgPoset:
 
     def decode(self, m: int) -> frozenset:
         """The labels of a mask."""
-        return frozenset(compress(self.labels, _flags(m)))
+        labels = self.labels
+        return frozenset([labels[i] for i in bits(m)])
 
-    def _views(self) -> tuple:
-        if self.views is None:
+    def _label_views(self) -> tuple:
+        """(dim_of, faces_in, faces_out), decoded on first read."""
+        if self._views is None:
             labels, decode = self.labels, self.decode
-            self.views = (dict(zip(labels, self.dims)),
-                          {x: decode(m) for x, m in zip(labels, self.fin)},
-                          {x: decode(m) for x, m in zip(labels, self.fout)})
-        elif not isinstance(self.views, tuple):
-            self.views = self.views()
-        return self.views
+            self._views = (dict(zip(labels, self.dims)),
+                           {x: decode(m) for x, m in zip(labels, self.fin)},
+                           {x: decode(m) for x, m in zip(labels, self.fout)})
+        return self._views
 
     @property
     def dim_of(self) -> dict:
-        return self._views()[0]
+        return self._label_views()[0]
 
     @property
     def faces_in(self) -> dict:
-        return self._views()[1]
+        return self._label_views()[1]
 
     @property
     def faces_out(self) -> dict:
-        return self._views()[2]
+        return self._label_views()[2]
 
     # -- derived masks -------------------------------------------------------
 
@@ -329,15 +305,8 @@ class OgPoset:
         for k, i in enumerate(ids):
             image[i] = k
         fin, fout = self.fin, self.fout
-        views = None
         if self._labels is not None:
             labels = tuple([self._labels[i] for i in ids])
-            if isinstance(self.views, tuple):
-                def views():
-                    dim_of, faces_in, faces_out = self.views
-                    return ({x: dim_of[x] for x in labels},
-                            {x: faces_in[x] for x in labels},
-                            {x: faces_out[x] for x in labels})
         else:
             def labels():
                 own = self.labels
@@ -345,7 +314,7 @@ class OgPoset:
         return OgPoset([self.dims[i] for i in ids],
                        [map_mask(fin[i], image) for i in ids],
                        [map_mask(fout[i], image) for i in ids],
-                       labels, views)
+                       labels)
 
     # -- basic queries on labels ---------------------------------------------
 
@@ -433,24 +402,7 @@ class OgPoset:
     def boundary_set(self, n: int, sign: str) -> frozenset:
         """Element set of the n-dimensional input or output boundary; see
         boundary_mask."""
-        return self.sub_boundary_set(self.element_set, n, sign)
-
-    def sub_dim(self, subset) -> int:
-        if len(subset) == len(self.dims):
-            return self.dim
-        return self.dim_mask(self.encode(subset))
-
-    def sub_boundary_set(self, subset: frozenset, n: int, sign: str) -> frozenset:
-        """boundary_set(n, sign) of the sub-poset on subset, a closed
-        frozenset, memoised per (subset, n, sign)."""
-        if n < 0:
-            return frozenset()
-        key = (subset, n, sign)
-        bd = self._bd_labels.get(key)
-        if bd is None:
-            bd = self._bd_labels[key] = self.decode(
-                self.boundary_mask(self.encode(subset), n, sign))
-        return bd
+        return self.decode(self.boundary_mask(self.full, n, sign))
 
     def full_boundary_set(self) -> frozenset:
         """Union of input and output boundaries one level below the top."""
@@ -526,9 +478,9 @@ def build(elements, faces) -> OgPoset:
             fout_masks.append(b)
         faces_in[x] = fin
         faces_out[x] = fout
-    poset = OgPoset(list(dim_of.values()), fin_masks, fout_masks, tuple(dim_of),
-                    (dim_of, faces_in, faces_out))
+    poset = OgPoset(list(dim_of.values()), fin_masks, fout_masks, tuple(dim_of))
     poset._index = index
+    poset._views = (dim_of, faces_in, faces_out)
     return poset
 
 

@@ -9,6 +9,7 @@ from ogpkit.marked import (
     MarkedShape,
     boundary_inclusion_marked,
     boundary_inclusion_min,
+    generators,
     gray_marked,
     markmol,
     marking_inclusion,
@@ -120,6 +121,7 @@ class TestGenerators:
         assert not g.entire
         assert g.target.marking == {"1"}
         assert g.source.marking == frozenset()
+        assert len(generators([point(), arrow(), globe(2)]).Mprime) == 6
 
     def test_point_generators(self):
         # markmol of the point has empty marking

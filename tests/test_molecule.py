@@ -291,11 +291,18 @@ class TestReconstruct:
                 assert reconstruct(sub) is not None
 
 
+def top_sides(p, carrier):
+    """The sub-posets on the input and output top boundaries of a closed
+    set of labels."""
+    m = p.encode(carrier)
+    n = p.dim_mask(m)
+    return [p.restrict_mask(p.boundary_mask(m, n - 1, s)) for s in (MINUS, PLUS)]
+
+
 def atom_by_construction(p, carrier):
     """Reference for glues_to_atom: build the atom of the carrier's two top
     boundaries with atom() and look for an isomorphism onto the carrier."""
-    n = p.sub_dim(carrier)
-    sides = [p.restrict(p.sub_boundary_set(carrier, n - 1, s)) for s in (MINUS, PLUS)]
+    sides = top_sides(p, carrier)
     try:
         built = atom(Molecule(sides[0], {}), Molecule(sides[1], {}))
     except ShapeError:
@@ -320,9 +327,7 @@ def with_new_top(m, split):
 
 
 def certified_sides(p, carrier):
-    n = p.sub_dim(carrier)
-    return all(reconstruct(p.restrict(p.sub_boundary_set(carrier, n - 1, s))) is not None
-               for s in (MINUS, PLUS))
+    return all(reconstruct(side) is not None for side in top_sides(p, carrier))
 
 
 @pytest.fixture(scope="module")

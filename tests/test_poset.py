@@ -273,18 +273,12 @@ def test_sub_boundaries_match_restriction_random(p):
     subsets.add(p.element_set)
     for subset in subsets:
         sub = p.restrict(subset)
-        assert p.sub_dim(subset) == sub.dim
-        assert is_round(p, p.encode(subset)) == is_round(sub)
+        m = p.encode(subset)
+        assert p.dim_mask(m) == sub.dim
+        assert is_round(p, m) == is_round(sub)
         for n in range(-1, sub.dim + 1):
             for s in (MINUS, PLUS):
-                got = p.sub_boundary_set(subset, n, s)
-                assert got == sub.boundary_set(n, s)
-                # memoised by content: an equal set built anew reads the
-                # same answer
-                assert p.sub_boundary_set(frozenset(set(subset)), n, s) is got or n < 0
-    for n in range(p.dim + 1):
-        for s in (MINUS, PLUS):
-            assert p.boundary_set(n, s) is p.sub_boundary_set(frozenset(p.dim_of), n, s)
+                assert p.decode(p.boundary_mask(m, n, s)) == sub.boundary_set(n, s)
 
 
 # -- the mask core against label-level oracles --------------------------------
