@@ -4,16 +4,36 @@ Every checker computes both sides of its identity independently: boundary
 rules are evaluated on product or pasted carriers directly, while the
 formula side is assembled from the factors, so neither side reuses the
 construction under test as its own oracle.  Reports are deterministic for
-a fixed configuration; the random seed only drives the mutation checks.
+a fixed configuration; the random seed only drives the mutation check.
+
+Every identity follows one protocol.  `<lemma>_instances(catalog, config)`
+yields `(inputs, thunk)` pairs, and `run_instances`, the runner behind
+`check`, does the rest.  A thunk returns None when its instance passes,
+and otherwise the failure as `(expected, got)`, or a list of them where
+one instance can fail in more than one way.  The runner counts the
+instances and calls each thunk before it advances the generator, so a
+thunk may close over loop variables.  It records every failure with the
+instance's inputs.  A `ShapeError` raised inside a thunk (`BoundExceeded`,
+`IdentityFailed`, `RecognitionFailed`, `NotAContext`, ...) fails that
+instance alone: the expected side is the lemma's label and the got side is
+the exception's certificate, or its message where it carries none.  Any
+other exception is a programming error and propagates.
+
+Setup in a generator body runs outside that isolation, so it must not
+raise: it builds only what every catalog input admits, and skips the
+inputs a constructor rejects.  MUTATION inverts the comparator's verdict
+and keeps its own body.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 
 from .contexts import (
+    ContextShape,
     atomic_horn,
     classified_context,
     is_a_context,
@@ -21,16 +41,22 @@ from .contexts import (
     pp_horn,
     pp_marked_horn,
 )
-from .cylinder import gray_cylinder, inverted_cylinder
-from .errors import (
-    BoundExceeded,
-    IdentityFailed,
-    NotAContext,
-    RecognitionFailed,
-    ShapeError,
-    UnknownLemma,
+from .cylinder import (
+    gray_cylinder,
+    inverted_cylinder,
+    invertor_shape,
+    projection,
+    unit_shape,
 )
-from .gray import gray, gray_boundary_decomposition, gray_poset, op_swap_iso, twist
+from .errors import BoundExceeded, NotAContext, ShapeError, UnknownLemma
+from .gray import (
+    gray,
+    gray_boundary_decomposition,
+    gray_poset,
+    gray_split_of_generalised_pasting,
+    op_swap_iso,
+    twist,
+)
 from .ids import sid
 from .marked import (
     generators,
@@ -51,6 +77,7 @@ from .molecule import (
     paste,
     paste_at,
     point,
+    reconstruct,
     recognise_generalised_pasting,
 )
 from .poset import (
@@ -65,6 +92,20 @@ from .poset import (
     iso_invariant,
     spread,
 )
+
+# Size caps on the instances, in elements of the shapes involved.
+PRODUCT_CAP = 140  # |U| * |V| of a Gray product
+SPLIT_CAP = 45  # |U| * |V| for the two-piece splits of GRAY_BOUNDARY
+GENCP_PRODUCT_CAP = 60  # |ambient| * |V| for pastings moved through products
+PASTE_CAP = 14  # |w| + |u| of the pastings at a submolecule
+RECOGNISE_CAP = 40  # product boundaries DIST_LOWER re-recognises
+CYLINDER_CAP = 9  # bases of cylinders and invertor shapes
+ATOM_CLOSURE_CAP = 16  # shapes whose element closures are reconstructed
+HORN_U_CAP = 11  # atoms that carry marked horns
+HORN_V_CAP = 9  # atoms under the cellular-model generators
+MARKED_PRODUCT_CAP = 70  # |U| * |V| for marked-horn pushout-products
+CTX_FACTOR_COUNT = 4  # right factors of the pasted-subdiagram contexts
+DIST_FACTOR_COUNT = 8  # right factors of DIST_LOWER
 
 
 @dataclass
@@ -88,6 +129,10 @@ class Catalog:
     bounds: Bounds
     entries: list
 
+    def __post_init__(self):
+        # keyed by identity: the lemmas hand back the catalog's own molecules
+        self._names = {id(e.molecule): e.expr for e in self.entries}
+
     def molecules(self):
         return [e.molecule for e in self.entries]
 
@@ -108,10 +153,7 @@ class Catalog:
         return [e.molecule for e in self.entries if is_round(e.molecule)]
 
     def expr_of(self, m: Molecule) -> str:
-        for e in self.entries:
-            if e.molecule is m:
-                return e.expr
-        return "<anonymous>"
+        return self._names.get(id(m), "<anonymous>")
 
 
 def enumerate_catalog(bounds: Bounds) -> Catalog:
@@ -207,7 +249,7 @@ def enumerate_catalog(bounds: Bounds) -> Catalog:
     return Catalog(bounds, entries)
 
 
-# -- reports -----------------------------------------------------------------
+# -- reports and the runner ----------------------------------------------------
 
 
 @dataclass
@@ -241,6 +283,26 @@ class LemmaReport:
         })
 
 
+def run_instances(lemma_id: str, instances, label: str, catalog: Catalog,
+                  config) -> LemmaReport:
+    """Run the (inputs, thunk) pairs that instances(catalog, config)
+    yields: count them, record each failure with its inputs, and turn a
+    ShapeError from a thunk into the failure (label, certificate or
+    message) of that instance alone."""
+    rep = LemmaReport(lemma_id)
+    for inputs, thunk in instances(catalog, config):
+        rep.instances += 1
+        try:
+            failed = thunk()
+        except ShapeError as exc:
+            failed = label, getattr(exc, "certificate", None) or str(exc)
+        if failed is None:
+            continue
+        for expected, got in failed if isinstance(failed, list) else [failed]:
+            rep.record(inputs, expected, got)
+    return rep
+
+
 def _ids(subset) -> list:
     return sorted(map(sid, subset))
 
@@ -249,7 +311,41 @@ def _mask_ids(p: OgPoset, m: int) -> list:
     return _ids(p.decode(m))
 
 
-# -- individual checkers -------------------------------------------------------
+def _differ(expected, got):
+    """None when the two sides agree, else the failure."""
+    return None if expected == got else (expected, got)
+
+
+def _masks_differ(p: OgPoset, expected: int, got: int):
+    """None when two masks of p agree, else the failure as sorted ids."""
+    if expected != got:
+        return _mask_ids(p, expected), _mask_ids(p, got)
+    return None
+
+
+def _failed(expected, got):
+    """The thunk of an instance its generator has already found failing."""
+    return lambda: (expected, got)
+
+
+def _raising(fn, *args):
+    """The thunk of an instance that fn(*args) fails by raising."""
+    def thunk():
+        fn(*args)
+        return None
+    return thunk
+
+
+def _recognised(ambient: Molecule, left, right, level: int, verdicts: dict):
+    """None when (left, right) is a generalised pasting of the ambient at
+    level, else the failure."""
+    if recognise_generalised_pasting(ambient, left, right, level,
+                                     verdicts=verdicts) is None:
+        return "recognised", "conditions failed"
+    return None
+
+
+# -- the lemmas ----------------------------------------------------------------
 
 
 def check_gray_boundary_sides(product: OgPoset, u: Molecule, v: Molecule,
@@ -268,53 +364,38 @@ def check_gray_boundary_sides(product: OgPoset, u: Molecule, v: Molecule,
     return direct, union
 
 
-def check_gray_boundary(catalog: Catalog, config) -> LemmaReport:
-    rep = LemmaReport("GRAY_BOUNDARY")
+def gray_boundary_instances(catalog: Catalog, config):
     mols = catalog.molecules()
     for u, v in itertools.product(mols, mols):
-        if len(u) * len(v) > config.product_cap:
+        if len(u) * len(v) > PRODUCT_CAP:
             continue
         product = gray_poset(u.poset, v.poset)
+        names = {"U": catalog.expr_of(u), "V": catalog.expr_of(v)}
         for n in range(u.dim + v.dim + 1):
             for sign in SIGNS:
-                rep.instances += 1
-                direct, union = check_gray_boundary_sides(product, u, v, n, sign)
-                if direct != union:
-                    rep.record(
-                        {"U": catalog.expr_of(u), "V": catalog.expr_of(v),
-                         "n": n, "sign": sign},
-                        _mask_ids(product, union), _mask_ids(product, direct),
-                    )
+                def union_formula():
+                    direct, union = check_gray_boundary_sides(product, u, v, n, sign)
+                    return _masks_differ(product, union, direct)
+
+                yield {**names, "n": n, "sign": sign}, union_formula
         # the two-piece splits must cover the boundary as well; these read
         # one sub-boundary per cut, so they run on the smaller pairs
-        if len(u) * len(v) > config.split_cap:
+        if len(u) * len(v) > SPLIT_CAP:
             continue
         for n, sign, direct, splits in gray_boundary_decomposition(u.poset, v.poset):
             for j, left, right in splits:
-                rep.instances += 1
-                if left | right != direct:
-                    rep.record(
-                        {"U": catalog.expr_of(u), "V": catalog.expr_of(v),
-                         "n": n, "sign": sign, "j": j},
-                        _mask_ids(product, direct), _mask_ids(product, left | right),
-                    )
-    return rep
+                yield ({**names, "n": n, "sign": sign, "j": j},
+                       lambda: _masks_differ(product, direct, left | right))
 
 
-def check_iso_unique(catalog: Catalog, config) -> LemmaReport:
-    rep = LemmaReport("ISO_UNIQUE")
+def iso_unique_instances(catalog: Catalog, config):
     for e in catalog.entries:
-        rep.instances += 1
-        autos = all_isos(e.molecule.poset, e.molecule.poset)
-        if len(autos) != 1:
-            rep.record({"shape": e.expr}, 1, len(autos))
-        if len(e.molecule) <= 12:
-            rep.instances += 1
-            oracle = brute_force_isos(e.molecule.poset, e.molecule.poset)
-            if len(oracle) != len(autos):
-                rep.record({"shape": e.expr, "check": "brute-force"},
-                           len(oracle), len(autos))
-    return rep
+        p = e.molecule.poset
+        autos = len(all_isos(p, p))
+        yield {"shape": e.expr}, lambda: _differ(1, autos)
+        if len(p) <= 12:
+            yield ({"shape": e.expr, "check": "brute-force"},
+                   lambda: _differ(len(brute_force_isos(p, p)), autos))
 
 
 def brute_force_isos(p: OgPoset, q: OgPoset):
@@ -344,96 +425,64 @@ def brute_force_isos(p: OgPoset, q: OgPoset):
     return found
 
 
-def _gencp_instances(catalog: Catalog, config):
+def _gencp_pastings(catalog: Catalog):
     """Recognised generalised pastings: the canonical decomposition of every
     pasted catalog entry."""
     out = []
     for e in catalog.entries:
         g = e.molecule.provenance.get("gencp")
-        if g is None:
-            continue
-        out.append((e.expr, g))
+        if g is not None:
+            out.append((e.expr, g))
     return out
 
 
-def check_gencp_formula(catalog: Catalog, config) -> LemmaReport:
+def gencp_formula_instances(catalog: Catalog, config):
     """The factorisation lemma, plus transport of pastings through Gray
     products on both sides."""
-    rep = LemmaReport("GENCP_FORMULA")
-    from .gray import gray_split_of_generalised_pasting
-
-    instances = _gencp_instances(catalog, config)
     verdicts = {}
-    for expr, g in instances:
-        rep.instances += 1
-        try:
-            checked = recognise_generalised_pasting(
-                g.ambient, g.left, g.right, g.level, verdicts=verdicts
-            )
-        except RecognitionFailed as exc:
-            rep.record({"pasting": expr}, "recognised", str(exc))
-            continue
-        if checked is None:
-            rep.record({"pasting": expr}, "recognised", "conditions failed")
+    pastings = _gencp_pastings(catalog)
+    for expr, g in pastings:
+        yield ({"pasting": expr},
+               lambda: _recognised(g.ambient, g.left, g.right, g.level, verdicts))
     small = [m for m in catalog.molecules() if len(m) <= 9]
-    for (expr, g), v in itertools.product(instances, small):
-        if len(g.ambient) * len(v) > config.gencp_product_cap:
+    for (expr, g), v in itertools.product(pastings, small):
+        if len(g.ambient) * len(v) > GENCP_PRODUCT_CAP:
             continue
         for side in ("left", "right"):
-            prod = gray(g.ambient, v) if side == "left" else gray(v, g.ambient)
             left, right, level = gray_split_of_generalised_pasting(g, v, side)
-            rep.instances += 1
-            try:
-                got = recognise_generalised_pasting(prod, left, right, level,
-                                                    verdicts=verdicts)
-            except RecognitionFailed as exc:
-                rep.record({"pasting": expr, "factor": catalog.expr_of(v),
-                            "side": side}, "recognised", str(exc))
-                continue
-            if got is None:
-                rep.record({"pasting": expr, "factor": catalog.expr_of(v),
-                            "side": side, "level": level},
-                           "recognised", "conditions failed")
-    return rep
+
+            def transported():
+                prod = gray(g.ambient, v) if side == "left" else gray(v, g.ambient)
+                return _recognised(prod, left, right, level, verdicts)
+
+            yield ({"pasting": expr, "factor": catalog.expr_of(v), "side": side,
+                    "level": level}, transported)
 
 
-def check_gencp_boundary(catalog: Catalog, config) -> LemmaReport:
+def gencp_boundary_instances(catalog: Catalog, config):
     """Boundaries of generalised pastings are generalised pastings of the
     piece boundaries, at the same level."""
-    rep = LemmaReport("GENCP_BOUNDARY")
     verdicts = {}
-    for expr, g in _gencp_instances(catalog, config):
+    for expr, g in _gencp_pastings(catalog):
         amb = g.ambient.poset
         k = g.level
         left, right = amb.encode(g.left), amb.encode(g.right)
         for n in range(k + 1, amb.dim + 1):
             for sign in SIGNS:
-                rep.instances += 1
-                bd_left = amb.boundary_mask(left, n, sign)
-                bd_right = amb.boundary_mask(right, n, sign)
-                direct = amb.boundary_mask(amb.full, n, sign)
-                if bd_left | bd_right != direct:
-                    rep.record(
-                        {"pasting": expr, "n": n, "sign": sign},
-                        _mask_ids(amb, direct), _mask_ids(amb, bd_left | bd_right),
-                    )
-                    continue
-                bd_mol = g.ambient.boundary_molecule(n, sign)
-                try:
-                    got = recognise_generalised_pasting(bd_mol, amb.decode(bd_left),
-                                                        amb.decode(bd_right), k,
-                                                        verdicts=verdicts)
-                except RecognitionFailed as exc:
-                    rep.record({"pasting": expr, "n": n, "sign": sign},
-                               "recognised", str(exc))
-                    continue
-                if got is None:
-                    rep.record({"pasting": expr, "n": n, "sign": sign},
-                               "recognised", "conditions failed")
-    return rep
+                def boundary():
+                    bd_left = amb.boundary_mask(left, n, sign)
+                    bd_right = amb.boundary_mask(right, n, sign)
+                    direct = amb.boundary_mask(amb.full, n, sign)
+                    if bd_left | bd_right != direct:
+                        return _mask_ids(amb, direct), _mask_ids(amb, bd_left | bd_right)
+                    return _recognised(g.ambient.boundary_molecule(n, sign),
+                                       amb.decode(bd_left), amb.decode(bd_right), k,
+                                       verdicts)
+
+                yield {"pasting": expr, "n": n, "sign": sign}, boundary
 
 
-def _paste_at_instances(catalog: Catalog, config):
+def _paste_at_instances(catalog: Catalog):
     """Pastings w cpsub u (w round, glued along its whole output boundary or
     into a facet of the input boundary of u) and the mirrored u subcp w."""
     instances = []
@@ -443,7 +492,7 @@ def _paste_at_instances(catalog: Catalog, config):
         n = w.dim
         k = n - 1
         for u in others:
-            if u.dim < 1 or len(w) + len(u) > config.paste_cap:
+            if u.dim < 1 or len(w) + len(u) > PASTE_CAP:
                 continue
             try:
                 whole = paste(w, u, k)
@@ -476,111 +525,98 @@ def _paste_at_instances(catalog: Catalog, config):
     return instances
 
 
-def check_dist_lower(catalog: Catalog, config) -> LemmaReport:
+def dist_lower_instances(catalog: Catalog, config):
     """Distributivity of pastings at a submolecule over Gray products at
     boundaries above the pasting level."""
-    rep = LemmaReport("DIST_LOWER")
-    small = [m for m in catalog.molecules() if len(m) <= 9][:config.dist_factor_count]
+    small = [m for m in catalog.molecules() if len(m) <= 9][:DIST_FACTOR_COUNT]
     verdicts = {}
-    for kind, w, u, whole in _paste_at_instances(catalog, config):
+    for kind, w, u, whole in _paste_at_instances(catalog):
         n = w.dim
         w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
         u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
+        sign = PLUS if kind == "cpsub" else MINUS
+        vsign = twist(sign, n)
         for v in small:
-            if len(whole) * len(v) > config.product_cap:
+            if len(whole) * len(v) > PRODUCT_CAP:
                 continue
             prod = gray_poset(whole.poset, v.poset)
             u_prod = prod.restrict(frozenset(
                 (a, b) for a in u_img for b in v.poset.dim_of
             ))
+            names = {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
+                     "v": catalog.expr_of(v)}
             for ell in range(u.dim + v.dim - n + 1):
-                rep.instances += 1
-                if kind == "cpsub":
-                    sign, vsign = PLUS, twist(PLUS, n)
-                else:
-                    sign, vsign = MINUS, twist(MINUS, n)
-                direct = prod.boundary_set(n + ell, sign)
-                w_piece = frozenset(
-                    (a, b) for a in w_img
-                    for b in v.poset.boundary_set(ell, vsign)
-                )
-                u_side = u_prod.boundary_set(n + ell, sign)
-                formula = w_piece | u_side
-                if direct != formula:
-                    rep.record(
-                        {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                         "v": catalog.expr_of(v), "ell": ell, "kind": kind},
-                        _ids(direct), _ids(formula),
+                def distributes():
+                    direct = prod.boundary_set(n + ell, sign)
+                    w_piece = frozenset(
+                        (a, b) for a in w_img
+                        for b in v.poset.boundary_set(ell, vsign)
                     )
-                    continue
-                if len(direct) <= config.recognise_cap:
+                    u_side = u_prod.boundary_set(n + ell, sign)
+                    formula = w_piece | u_side
+                    if direct != formula:
+                        return _ids(direct), _ids(formula)
+                    if len(direct) > RECOGNISE_CAP:
+                        return None
                     bd_mol = Molecule(prod.restrict(direct),
                                       {"kind": "boundary", "of": "product"})
                     # generalised pasting at n + ell - 1 with the w-piece
                     # first for cpsub (it provides the input boundary),
                     # second for subcp
                     left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
-                    try:
-                        got = recognise_generalised_pasting(
-                            bd_mol, left, right, n + ell - 1, verdicts=verdicts
-                        )
-                    except RecognitionFailed as exc:
-                        rep.record(
-                            {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                             "v": catalog.expr_of(v), "ell": ell, "kind": kind},
-                            "recognised", str(exc),
-                        )
-                        continue
-                    if got is None:
-                        rep.record(
-                            {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                             "v": catalog.expr_of(v), "ell": ell, "kind": kind},
-                            "recognised", "conditions failed",
-                        )
-    return rep
+                    return _recognised(bd_mol, left, right, n + ell - 1, verdicts)
+
+                yield {**names, "ell": ell, "kind": kind}, distributes
 
 
-def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
+def _telescope(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
+               inputs: dict):
+    """bd(hole) u pieces covers the direct boundary at n + ell, where
+    ell = len(pieces) - 1, and each stage j meets the pasting precondition
+    at n + j - 1; every boundary of a closed subset is read from prod.
+    hole and the pieces are masks of prod.  Returns None or the failure,
+    naming the part that failed in inputs["detail"]."""
+    bd = prod.boundary_mask
+    ell = len(pieces) - 1
+    direct = bd(prod.full, n + ell, sign)
+    hole_bd = bd(hole, n + ell, sign)
+    assembled = hole_bd
+    for piece in pieces:
+        assembled |= piece
+    if assembled != direct:
+        inputs["detail"] = str(("cover", ell))
+        return _mask_ids(prod, direct), _mask_ids(prod, assembled)
+    # a union of closed subsets is closed
+    carrier = hole_bd
+    for j, piece in enumerate(pieces):
+        level = n + j - 1
+        need = bd(piece, level, sign)
+        have = bd(carrier, level, flip(sign))
+        if need & ~have:
+            inputs["detail"] = str(("stage", (ell, j)))
+            return _mask_ids(prod, need), _mask_ids(prod, have)
+        carrier |= piece
+    return None
+
+
+def _telescoping(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
+                 names: dict):
+    """One instance per ell of the telescoped recursion; a hole or piece
+    that is not closed is one failing instance instead."""
+    for where, part in (("hole", hole), *enumerate(pieces)):
+        if not prod.is_closed_mask(part):
+            yield ({**names, "detail": str(("not closed", where))},
+                   _failed("closed subset", _mask_ids(prod, part)))
+            return
+    for ell in range(len(pieces)):
+        inputs = dict(names)
+        yield inputs, lambda: _telescope(prod, hole, pieces[:ell + 1], sign, n, inputs)
+
+
+def ctx_recursion_instances(catalog: Catalog, config):
     """Telescoped context recursions for boundaries and pasted subdiagrams,
     plus transport of marking-restricted contexts through Gray products."""
-    rep = LemmaReport("CTX_RECURSION")
     small = [m for m in catalog.molecules() if 1 <= len(m) <= 9]
-
-    def telescoping(prod: OgPoset, hole: int, piece_fn, sign, n, top_ell):
-        """Check that bd(hole) u pieces(<=ell) equals the direct boundary
-        for each ell, with each stage pasting precondition, reading every
-        boundary of a closed subset from prod.  hole and the pieces are
-        masks of prod.  Returns None, or the failure as (detail, expected,
-        got)."""
-        bd = prod.boundary_mask
-        pieces = [piece_fn(j) for j in range(top_ell + 1)]
-        for where, part in (("hole", hole), *enumerate(pieces)):
-            if not prod.is_closed_mask(part):
-                rep.instances += 1  # the first stage, which cannot be read
-                return ("not closed", where), "closed subset", _mask_ids(prod, part)
-        for ell in range(top_ell + 1):
-            rep.instances += 1
-            direct = bd(prod.full, n + ell, sign)
-            hole_bd = bd(hole, n + ell, sign)
-            assembled = hole_bd
-            for piece in pieces[:ell + 1]:
-                assembled |= piece
-            if assembled != direct:
-                return ("cover", ell), _mask_ids(prod, direct), _mask_ids(prod, assembled)
-            # a union of closed subsets is closed
-            carrier = hole_bd
-            for j, piece in enumerate(pieces[:ell + 1]):
-                level = n + j - 1
-                need = bd(piece, level, sign)
-                have = bd(carrier, level, flip(sign))
-                if need & ~have:
-                    return ("stage", (ell, j)), _mask_ids(prod, need), _mask_ids(prod, have)
-                carrier |= piece
-        return None
-
-    def record(inputs, bad):
-        detail, expected, got = bad
-        rep.record({**inputs, "detail": str(detail)}, expected, got)
 
     # boundary-determined contexts: u (x) v with holes along bd(u) (x) v;
     # the pair (x, y) of u (x) v has id x * |v| + y
@@ -590,30 +626,26 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
         n = u.dim
         pu = u.poset
         for v in small:
-            if len(u) * len(v) > config.product_cap:
+            if len(u) * len(v) > PRODUCT_CAP:
                 continue
             pv = v.poset
             prod = gray_poset(pu, pv)
             stride = len(pv)
             for side, sign in (("R", PLUS), ("L", MINUS)):
                 hole = spread(pu.boundary_mask(pu.full, n - 1, sign), stride) * pv.full
-
-                def piece_fn(j):
-                    return spread(pu.full, stride) * pv.boundary_mask(pv.full, j, twist(sign, n))
-
-                bad = telescoping(prod, hole, piece_fn, sign, n, v.dim)
-                if bad:
-                    record({"u": catalog.expr_of(u), "v": catalog.expr_of(v),
-                            "side": side}, bad)
+                pieces = [spread(pu.full, stride) * pv.boundary_mask(pv.full, j, twist(sign, n))
+                          for j in range(v.dim + 1)]
+                yield from _telescoping(prod, hole, pieces, sign, n, {
+                    "u": catalog.expr_of(u), "v": catalog.expr_of(v), "side": side})
 
     # pasted-subdiagram contexts, reusing the paste-at instances
-    for kind, w, u, whole in _paste_at_instances(catalog, config):
+    for kind, w, u, whole in _paste_at_instances(catalog):
         n = w.dim
         pw = whole.poset
         w_img = pw.encode(whole.provenance["left" if kind == "cpsub" else "right"].image)
         u_img = pw.encode(whole.provenance["right" if kind == "cpsub" else "left"].image)
-        for v in small[:config.ctx_factor_count]:
-            if len(whole) * len(v) > config.product_cap:
+        for v in small[:CTX_FACTOR_COUNT]:
+            if len(whole) * len(v) > PRODUCT_CAP:
                 continue
             pv = v.poset
             prod = gray_poset(pw, pv)
@@ -621,14 +653,11 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
             sign = PLUS if kind == "cpsub" else MINUS
             vsign = twist(sign, n)
             hole = spread(u_img, stride) * pv.full
-
-            def piece_fn(j):
-                return spread(w_img, stride) * pv.boundary_mask(pv.full, j, vsign)
-
-            bad = telescoping(prod, hole, piece_fn, sign, n, u.dim + v.dim - n)
-            if bad:
-                record({"w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                        "v": catalog.expr_of(v), "kind": kind}, bad)
+            pieces = [spread(w_img, stride) * pv.boundary_mask(pv.full, j, vsign)
+                      for j in range(u.dim + v.dim - n + 1)]
+            yield from _telescoping(prod, hole, pieces, sign, n, {
+                "w": catalog.expr_of(w), "u": catalog.expr_of(u),
+                "v": catalog.expr_of(v), "kind": kind})
 
     # transport of marking-restricted contexts through the product
     horn_contexts = []
@@ -648,25 +677,21 @@ def check_ctx_recursion(catalog: Catalog, config) -> LemmaReport:
                 break
     for (uatom, ctx, marking), v in itertools.product(
             horn_contexts, catalog.atoms(max_dim=2, max_elements=9)):
-        if len(ctx.ambient) * len(v) > config.product_cap:
+        if len(ctx.ambient) * len(v) > PRODUCT_CAP:
             continue
-        rep.instances += 1
-        prod_mol = gray(ctx.ambient, v)
-        hole = frozenset((x, y) for x in ctx.hole for y in v.poset.dim_of)
-        from .contexts import ContextShape
 
-        prod_ctx = ContextShape(prod_mol, hole, None)
-        transported = frozenset(
-            (x, y) for x in marking for y in v.poset.dim_of
-        )
-        if is_a_context(prod_ctx, transported) is None:
-            rep.record({"u": catalog.expr_of(uatom), "v": catalog.expr_of(v)},
-                       "derivation", "none")
-    return rep
+        def transported():
+            hole = frozenset((x, y) for x in ctx.hole for y in v.poset.dim_of)
+            prod_ctx = ContextShape(gray(ctx.ambient, v), hole, None)
+            marked = frozenset((x, y) for x in marking for y in v.poset.dim_of)
+            if is_a_context(prod_ctx, marked) is None:
+                return "derivation", "none"
+            return None
+
+        yield {"u": catalog.expr_of(uatom), "v": catalog.expr_of(v)}, transported
 
 
-def check_horn_pp(catalog: Catalog, config) -> LemmaReport:
-    rep = LemmaReport("HORN_PP")
+def horn_pp_instances(catalog: Catalog, config):
     us = catalog.atoms(max_dim=3, min_dim=1)
     vs = catalog.atoms(max_dim=2)
     for u in us:
@@ -677,19 +702,12 @@ def check_horn_pp(catalog: Catalog, config) -> LemmaReport:
         for x in facets:
             h = atomic_horn(u, x)
             for v in vs:
-                if len(u) * len(v) > config.product_cap:
+                if len(u) * len(v) > PRODUCT_CAP:
                     continue
                 for order in ("uv", "vu"):
-                    rep.instances += 1
-                    try:
-                        pp_horn(h, v, order)
-                    except IdentityFailed as exc:
-                        rep.record(
-                            {"U": catalog.expr_of(u), "x": sid(x),
-                             "V": catalog.expr_of(v), "order": order},
-                            "identity", exc.certificate,
-                        )
-    return rep
+                    yield ({"U": catalog.expr_of(u), "x": sid(x),
+                            "V": catalog.expr_of(v), "order": order},
+                           _raising(pp_horn, h, v, order))
 
 
 def enumerate_marked_horns(u: Molecule, exceeded: list | None = None):
@@ -722,181 +740,140 @@ def enumerate_marked_horns(u: Molecule, exceeded: list | None = None):
     return out
 
 
-def _marked_horns_recording(rep: LemmaReport, catalog: Catalog, u: Molecule):
-    """enumerate_marked_horns(u), recording each exhausted recognition as a
-    failed instance of rep."""
+def _marked_horns(catalog: Catalog, u: Molecule):
+    """u's marked horns, and one failing instance for each marking whose
+    recognition ran out of its search budget."""
     exceeded = []
     horns = enumerate_marked_horns(u, exceeded)
-    for x, marking, message in exceeded:
-        rep.instances += 1
-        rep.record({"U": catalog.expr_of(u), "x": sid(x), "A": _ids(marking)},
-                   "marked horn", message)
-    return horns
+    exhausted = [({"U": catalog.expr_of(u), "x": sid(x), "A": _ids(marking)},
+                  _failed("marked horn", message))
+                 for x, marking, message in exceeded]
+    return horns, exhausted
 
 
-def check_marked_horn_pp(catalog: Catalog, config) -> LemmaReport:
-    rep = LemmaReport("MARKED_HORN_PP")
-    us = catalog.atoms(max_dim=3, min_dim=1, max_elements=config.horn_u_cap)
-    vs = catalog.atoms(max_dim=2, max_elements=config.horn_v_cap)
+def marked_horn_pp_instances(catalog: Catalog, config):
+    us = catalog.atoms(max_dim=3, min_dim=1, max_elements=HORN_U_CAP)
+    vs = catalog.atoms(max_dim=2, max_elements=HORN_V_CAP)
     gens = generators(vs)
     for u in us:
         # Gray products keyed by factor pair; every key holds u, so a dict
         # per u shares each product with every horn, generator and order
         products = {}
-        for mh in _marked_horns_recording(rep, catalog, u):
+        horns, exhausted = _marked_horns(catalog, u)
+        yield from exhausted
+        for mh in horns:
             for gen in gens.Mprime:
                 v = gen.meta["atom"]
-                if len(u) * len(v) > config.marked_product_cap:
+                if len(u) * len(v) > MARKED_PRODUCT_CAP:
                     continue
                 for order in ("uv", "vu"):
-                    rep.instances += 1
-                    try:
-                        pp_marked_horn(mh, gen, order, products)
-                    except (RecognitionFailed, NotAContext, IdentityFailed,
-                            BoundExceeded) as exc:
-                        cert = getattr(exc, "certificate", str(exc))
-                        rep.record(
-                            {"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
-                             "A": _ids(mh.marking), "V": catalog.expr_of(v),
-                             "family": gen.meta["family"], "order": order},
-                            "recognised", cert,
-                        )
-    return rep
+                    yield ({"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
+                            "A": _ids(mh.marking), "V": catalog.expr_of(v),
+                            "family": gen.meta["family"], "order": order},
+                           _raising(pp_marked_horn, mh, gen, order, products))
 
 
-def check_entire_residual(catalog: Catalog, config) -> LemmaReport:
-    rep = LemmaReport("ENTIRE_RESIDUAL")
+def entire_residual_instances(catalog: Catalog, config):
     atoms = catalog.atoms(max_dim=2, max_elements=9)
     fams = generators(atoms)
-    entires = fams.t
     everything = fams.minbd + fams.t + fams.markbd
-    for i in entires:
+    for i in fams.t:
         for j in everything:
-            if len(i.target.poset) * len(j.target.poset) > config.product_cap:
+            if len(i.target.poset) * len(j.target.poset) > PRODUCT_CAP:
                 continue
-            rep.instances += 1
-            pp = pushout_product(i, j)
-            got = residual(pp)
-            want = residual_formula(i, j)
-            if got != want or not got <= residual_upper_bound(i, j):
-                rep.record(
-                    {"i": catalog.expr_of(i.meta["atom"]),
-                     "j": catalog.expr_of(j.meta["atom"]),
-                     "family": j.meta["family"], "order": "ij"},
-                    _ids(want), _ids(got),
-                )
-            rep.instances += 1
-            pp = pushout_product(j, i)
-            got = residual(pp)
-            want = residual_formula_swapped(j, i)
-            if got != want:
-                rep.record(
-                    {"i": catalog.expr_of(i.meta["atom"]),
-                     "j": catalog.expr_of(j.meta["atom"]),
-                     "family": j.meta["family"], "order": "ji"},
-                    _ids(want), _ids(got),
-                )
-    return rep
+
+            def ij():
+                got = residual(pushout_product(i, j))
+                want = residual_formula(i, j)
+                if got != want or not got <= residual_upper_bound(i, j):
+                    return _ids(want), _ids(got)
+                return None
+
+            def ji():
+                got = residual(pushout_product(j, i))
+                want = residual_formula_swapped(j, i)
+                if got != want:
+                    return _ids(want), _ids(got)
+                return None
+
+            names = {"i": catalog.expr_of(i.meta["atom"]),
+                     "j": catalog.expr_of(j.meta["atom"]), "family": j.meta["family"]}
+            yield {**names, "order": "ij"}, ij
+            yield {**names, "order": "ji"}, ji
 
 
-def check_op_swap(catalog: Catalog, config) -> LemmaReport:
-    rep = LemmaReport("OP_SWAP")
+def op_swap_instances(catalog: Catalog, config):
     mols = catalog.molecules()
     for u, v in itertools.product(mols, mols):
-        if len(u) * len(v) > config.product_cap:
+        if len(u) * len(v) > PRODUCT_CAP:
             continue
-        rep.instances += 1
-        try:
-            op_swap_iso(u.poset, v.poset)
-        except IdentityFailed as exc:
-            rep.record({"U": catalog.expr_of(u), "V": catalog.expr_of(v)},
-                       "orientation-preserving swap", str(exc))
-    return rep
+        yield ({"U": catalog.expr_of(u), "V": catalog.expr_of(v)},
+               _raising(op_swap_iso, u.poset, v.poset))
 
 
-def check_op_pp(catalog: Catalog, config) -> LemmaReport:
-    """opposite(i pp j) is the swap-image of opposite(j) pp opposite(i)."""
-    rep = LemmaReport("OP_PP")
+def op_pp_instances(catalog: Catalog, config):
+    """opposite(i pp j) is the swap-image of opposite(j) pp opposite(i),
+    inside an ambient whose swap is an iso."""
     atoms = catalog.atoms(max_dim=2, max_elements=9)
     fams = generators(atoms)
     gens = fams.minbd + fams.t + fams.markbd
     # the ambient swap depends only on the two target posets, which the
-    # generators over one atom share: (id P, id Q) -> failure message or None
-    ambient_failures = {}
+    # generators over one atom share; a pair that failed is checked again
+    swapping_ambients = set()
     for i in gens:
         for j in gens:
-            if len(i.target.poset) * len(j.target.poset) > config.product_cap:
+            if len(i.target.poset) * len(j.target.poset) > PRODUCT_CAP:
                 continue
-            rep.instances += 1
-            lhs = pushout_product(i, j).op()
-            rhs = pushout_product(j.op(), i.op())
-            swapped_elements = frozenset((x, y) for (y, x) in rhs.image)
-            swapped_marking = frozenset((x, y) for (y, x) in rhs.source.marking)
-            if lhs.image != swapped_elements or lhs.source.marking != swapped_marking:
-                rep.record(
-                    {"i": catalog.expr_of(i.meta["atom"]),
-                     "j": catalog.expr_of(j.meta["atom"]),
-                     "families": [i.meta["family"], j.meta["family"]]},
-                    "swap-correspondence", "mismatch",
-                )
-                continue
-            key = (id(i.target.poset), id(j.target.poset))
-            if key not in ambient_failures:
-                try:
+
+            def swapped():
+                lhs = pushout_product(i, j).op()
+                rhs = pushout_product(j.op(), i.op())
+                swapped_elements = frozenset((x, y) for (y, x) in rhs.image)
+                swapped_marking = frozenset((x, y) for (y, x) in rhs.source.marking)
+                if lhs.image != swapped_elements or lhs.source.marking != swapped_marking:
+                    return "swap-correspondence", "mismatch"
+                ambient = id(i.target.poset), id(j.target.poset)
+                if ambient not in swapping_ambients:
                     op_swap_iso(i.target.poset, j.target.poset)
-                    ambient_failures[key] = None
-                except IdentityFailed as exc:
-                    ambient_failures[key] = str(exc)
-            if ambient_failures[key] is not None:
-                rep.record({"i": catalog.expr_of(i.meta["atom"]),
-                            "j": catalog.expr_of(j.meta["atom"])},
-                           "ambient swap iso", ambient_failures[key])
-    return rep
+                    swapping_ambients.add(ambient)
+                return None
+
+            yield ({"i": catalog.expr_of(i.meta["atom"]),
+                    "j": catalog.expr_of(j.meta["atom"]),
+                    "families": [i.meta["family"], j.meta["family"]]}, swapped)
 
 
-def check_op_horn(catalog: Catalog, config) -> LemmaReport:
+def op_horn_instances(catalog: Catalog, config):
     """The opposite of a marked horn is again a marked horn."""
-    rep = LemmaReport("OP_HORN")
-    us = catalog.atoms(max_dim=3, min_dim=1, max_elements=config.horn_u_cap)
-    for u in us:
-        for mh in _marked_horns_recording(rep, catalog, u):
-            rep.instances += 1
-            try:
+    for u in catalog.atoms(max_dim=3, min_dim=1, max_elements=HORN_U_CAP):
+        horns, exhausted = _marked_horns(catalog, u)
+        yield from exhausted
+        for mh in horns:
+            def opposite():
                 other = marked_horn(op(u), mh.horn.facet, mh.marking)
-            except (NotAContext, ShapeError) as exc:
-                rep.record(
-                    {"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
-                     "A": _ids(mh.marking)},
-                    "marked horn", str(exc),
-                )
-                continue
-            if other.enlarged != mh.enlarged:
-                rep.record(
-                    {"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
-                     "A": _ids(mh.marking)},
-                    _ids(mh.enlarged), _ids(other.enlarged),
-                )
-    return rep
+                if other.enlarged != mh.enlarged:
+                    return _ids(mh.enlarged), _ids(other.enlarged)
+                return None
+
+            yield ({"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
+                    "A": _ids(mh.marking)}, opposite)
 
 
-def check_atom_closures(catalog: Catalog, config) -> LemmaReport:
+def atom_closures_instances(catalog: Catalog, config):
     """Every element's closure reconstructs as an atom-certified molecule:
     the regularity spot check."""
-    from .molecule import reconstruct
-
-    rep = LemmaReport("ATOM_CLOSURES")
     for e in catalog.entries:
         p = e.molecule.poset
-        if len(p) > config.cylinder_cap + 7:
+        if len(p) > ATOM_CLOSURE_CAP:
             continue
         for x in p.elements:
-            rep.instances += 1
-            sub = p.restrict(p.closure({x}))
-            rebuilt = reconstruct(sub)
-            if rebuilt is None or len(sub.maximal_elements()) != 1:
-                rep.record({"shape": e.expr, "element": sid(x)},
-                           "atom-certified closure", "reconstruction failed")
-    return rep
+            def closure():
+                sub = p.restrict(p.closure({x}))
+                if reconstruct(sub) is None or len(sub.maximal_elements()) != 1:
+                    return "atom-certified closure", "reconstruction failed"
+                return None
+
+            yield {"shape": e.expr, "element": sid(x)}, closure
 
 
 def globularity_holds(p: OgPoset) -> bool:
@@ -912,40 +889,34 @@ def globularity_holds(p: OgPoset) -> bool:
     return True
 
 
-def check_cylinders(catalog: Catalog, config) -> LemmaReport:
+def cylinders_instances(catalog: Catalog, config):
     """Structural checks on cylinders and invertor shapes."""
-    from .cylinder import invertor_shape, projection, unit_shape
-
-    rep = LemmaReport("CYLINDERS")
     rounds = [m for m in catalog.round_molecules()
-              if m.dim >= 1 and len(m) <= config.cylinder_cap]
+              if m.dim >= 1 and len(m) <= CYLINDER_CAP]
     for m in rounds:
+        base = catalog.expr_of(m)
         for s in ("", "L", "R", "LL", "LR", "RL", "RR"):
-            rep.instances += 1
-            try:
+            def invertor():
                 q = invertor_shape(s, m)
-            except ShapeError as exc:
-                rep.record({"base": catalog.expr_of(m), "s": s}, "built", str(exc))
-                continue
-            ok = (
-                q.dim == m.dim + len(s)
-                and is_round(q)
-                and (not m.is_atom() or q.is_atom())
-                and globularity_holds(q.poset)
-            )
-            if not ok:
-                rep.record({"base": catalog.expr_of(m), "s": s},
-                           "molecule of the right shape", "structure check failed")
-            if s:
-                tau = projection(q)
-                if not tau.preserves_closures():
-                    rep.record({"base": catalog.expr_of(m), "s": s},
-                               "closure-preserving projection", "failed")
-        rep.instances += 1
-        un = unit_shape(m)
-        if un.dim != m.dim + 1 or not is_round(un) or not globularity_holds(un.poset):
-            rep.record({"base": catalog.expr_of(m)}, "round unit shape", "failed")
-    return rep
+                failures = []
+                if not (q.dim == m.dim + len(s)
+                        and is_round(q)
+                        and (not m.is_atom() or q.is_atom())
+                        and globularity_holds(q.poset)):
+                    failures.append(("molecule of the right shape", "structure check failed"))
+                if s and not projection(q).preserves_closures():
+                    failures.append(("closure-preserving projection", "failed"))
+                return failures
+
+            yield {"base": base, "s": s}, invertor
+
+        def unit():
+            un = unit_shape(m)
+            if un.dim != m.dim + 1 or not is_round(un) or not globularity_holds(un.poset):
+                return "round unit shape", "failed"
+            return None
+
+        yield {"base": base}, unit
 
 
 def mutate_one_face(p: OgPoset, seed: int) -> tuple:
@@ -991,47 +962,47 @@ def check_mutation(catalog: Catalog, config) -> LemmaReport:
         mutated, info = mutate_one_face(product, config.seed)
     except ShapeError as exc:
         # the flip happened to produce an invalid poset: also a detection
-        rep.instances += 1
+        rep.instances = 1
         rep.warning = f"mutation rejected by validation: {exc}"
         return rep
-    detected = []
-    for n in range(u.dim + v.dim + 1):
-        for sign in SIGNS:
-            rep.instances += 1
-            # mutated keeps the product's ids, so the masks compare
-            direct, union = check_gray_boundary_sides(mutated, u, v, n, sign)
-            if direct != union:
-                detected.append({"n": n, "sign": sign, "mutation": info,
-                                 "expected": _mask_ids(mutated, union),
-                                 "got": _mask_ids(mutated, direct)})
-    if not detected:
+    # mutated keeps the product's ids, so the masks compare
+    sides = [check_gray_boundary_sides(mutated, u, v, n, sign)
+             for n in range(u.dim + v.dim + 1) for sign in SIGNS]
+    rep.instances = len(sides)
+    detected = sum(direct != union for direct, union in sides)
+    if detected:
+        rep.warning = f"mutation detected with {detected} certificates"
+    else:
         rep.record({"mutation": info}, "GRAY_BOUNDARY failure certificate",
                    "mutation went undetected")
-    else:
-        rep.warning = f"mutation detected with {len(detected)} certificates"
     return rep
 
 
 # -- suite -------------------------------------------------------------------
 
 
-LEMMAS = {
-    "GRAY_BOUNDARY": check_gray_boundary,
-    "GENCP_FORMULA": check_gencp_formula,
-    "GENCP_BOUNDARY": check_gencp_boundary,
-    "DIST_LOWER": check_dist_lower,
-    "CTX_RECURSION": check_ctx_recursion,
-    "HORN_PP": check_horn_pp,
-    "MARKED_HORN_PP": check_marked_horn_pp,
-    "ENTIRE_RESIDUAL": check_entire_residual,
-    "OP_SWAP": check_op_swap,
-    "OP_PP": check_op_pp,
-    "OP_HORN": check_op_horn,
-    "ISO_UNIQUE": check_iso_unique,
-    "CYLINDERS": check_cylinders,
-    "ATOM_CLOSURES": check_atom_closures,
-    "MUTATION": check_mutation,
+# lemma id -> (instance generator, the expected side of a failure whose
+# thunk raised a ShapeError)
+IDENTITIES = {
+    "GRAY_BOUNDARY": (gray_boundary_instances, "boundary union"),
+    "GENCP_FORMULA": (gencp_formula_instances, "recognised"),
+    "GENCP_BOUNDARY": (gencp_boundary_instances, "recognised"),
+    "DIST_LOWER": (dist_lower_instances, "recognised"),
+    "CTX_RECURSION": (ctx_recursion_instances, "derivation"),
+    "HORN_PP": (horn_pp_instances, "identity"),
+    "MARKED_HORN_PP": (marked_horn_pp_instances, "recognised"),
+    "ENTIRE_RESIDUAL": (entire_residual_instances, "residual"),
+    "OP_SWAP": (op_swap_instances, "orientation-preserving swap"),
+    "OP_PP": (op_pp_instances, "ambient swap iso"),
+    "OP_HORN": (op_horn_instances, "marked horn"),
+    "ISO_UNIQUE": (iso_unique_instances, "rigid"),
+    "CYLINDERS": (cylinders_instances, "built"),
+    "ATOM_CLOSURES": (atom_closures_instances, "atom-certified closure"),
 }
+
+LEMMAS = {lemma_id: functools.partial(run_instances, lemma_id, instances, label)
+          for lemma_id, (instances, label) in IDENTITIES.items()}
+LEMMAS["MUTATION"] = check_mutation
 
 
 @dataclass
@@ -1039,17 +1010,6 @@ class SuiteConfig:
     bounds: Bounds = field(default_factory=Bounds)
     lemmas: tuple = tuple(LEMMAS)
     seed: int = 0
-    product_cap: int = 140
-    split_cap: int = 45
-    gencp_product_cap: int = 60
-    paste_cap: int = 14
-    recognise_cap: int = 40
-    cylinder_cap: int = 9
-    horn_u_cap: int = 11
-    horn_v_cap: int = 9
-    marked_product_cap: int = 70
-    ctx_factor_count: int = 4
-    dist_factor_count: int = 8
 
 
 def check(lemma_id: str, catalog: Catalog, config: SuiteConfig) -> LemmaReport:

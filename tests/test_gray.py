@@ -6,7 +6,7 @@ import pytest
 
 from ogpkit.errors import IdentityFailed
 from ogpkit.gray import gray, gray_boundary_decomposition, gray_poset, op_swap_iso, twist
-from ogpkit.harness import Bounds, SuiteConfig, check_gray_boundary_sides, enumerate_catalog
+from ogpkit.harness import SPLIT_CAP, Bounds, check_gray_boundary_sides, enumerate_catalog
 from ogpkit.molecule import arrow, globe, is_round, op, point
 from ogpkit.poset import MINUS, PLUS, find_iso, flip
 
@@ -105,9 +105,8 @@ class TestBoundaryFormula:
         # every piece equals the boundary of a subproduct built for its own
         # cut, as the split formula reads: no sharing between cuts
         cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
-        cap = SuiteConfig().split_cap
         pairs = [(u.poset, v.poset) for u in cat.molecules() for v in cat.molecules()
-                 if len(u) * len(v) <= cap]
+                 if len(u) * len(v) <= SPLIT_CAP]
         assert len(pairs) > 20
         for p, q in pairs:
             want = []

@@ -371,6 +371,40 @@ class TestBoundExceeded:
         assert any("budget" in str(f["got"]) for f in rep.failures)
         assert 0 < len(rep.failures) < rep.instances
 
+    def test_recorded_in_recognition_checks(self, monkeypatch):
+        # reconstruct's size cap, met inside recognise_generalised_pasting
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=4, max_elements=8))
+        real = molecule_mod.reconstruct
+        calls = []
+
+        def every_third(*args, **kwargs):
+            # the first of every three calls, so that GENCP_BOUNDARY's
+            # single call on this catalog raises too
+            calls.append(1)
+            if len(calls) % 3 == 1:
+                raise BoundExceeded("reconstruct ran past its size cap")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(molecule_mod, "reconstruct", every_third)
+        for lemma in ("DIST_LOWER", "GENCP_FORMULA", "GENCP_BOUNDARY"):
+            calls.clear()
+            rep = check(lemma, cat, SuiteConfig())
+            assert 0 < len(rep.failures) <= rep.instances, lemma
+            assert all(f["expected"] == "recognised" for f in rep.failures), lemma
+            assert all(f["got"] == "reconstruct ran past its size cap"
+                       for f in rep.failures), lemma
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only a ShapeError is an instance's failure; anything else is a bug
+        cat = enumerate_catalog(Bounds(depth=0, max_dim=1, max_elements=3))
+
+        def broken(p, q):
+            raise TypeError("not a shape error")
+
+        monkeypatch.setattr(harness_mod, "op_swap_iso", broken)
+        with pytest.raises(TypeError, match="not a shape error"):
+            check("OP_SWAP", cat, SuiteConfig())
+
 
 def load_bench_spec():
     path = ROOT / "perfbench" / "spec.py"

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from ogpkit.gray import gray_poset
-from ogpkit.harness import Bounds, SuiteConfig, enumerate_catalog
+from ogpkit.harness import PRODUCT_CAP, Bounds, enumerate_catalog
 from ogpkit.poset import all_isos, build, canonical_key, find_iso
 
 nx = pytest.importorskip("networkx")
@@ -103,14 +103,13 @@ def test_distinct_entries_not_isomorphic(d3_catalog):
 def test_products_match_oracle(d3_catalog):
     # every product of the depth-1 catalog, plus a seeded sample of the
     # depth-3 catalog's pairs, up to the suite's product cap
-    cap = SuiteConfig().product_cap
     small = enumerate_catalog(Bounds(depth=1, max_dim=4, max_elements=8)).molecules()
     pairs = [(u, v) for u in small for v in small]
     rng = random.Random(1)
     big = d3_catalog.molecules()
     pairs += [(rng.choice(big), rng.choice(big)) for _ in range(PRODUCT_SAMPLE)]
     for u, v in pairs:
-        if len(u) * len(v) > cap:
+        if len(u) * len(v) > PRODUCT_CAP:
             continue
         check_against_oracle(gray_poset(u.poset, v.poset), rng)
 

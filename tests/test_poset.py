@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ogpkit.errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
 from ogpkit.gray import gray_poset
-from ogpkit.harness import Bounds, SuiteConfig, enumerate_catalog
+from ogpkit.harness import PRODUCT_CAP, Bounds, enumerate_catalog
 from ogpkit.ids import sid
 from ogpkit.poset import MINUS, PLUS, all_isos, build, find_iso
 
@@ -321,12 +321,11 @@ def set_boundary(p, cofaces, n, sign):
 
 def core_shapes():
     """Every shape of the depth-2, 10-element catalog and its opposite, and
-    every Gray product under product_cap of the depth-1 catalog."""
+    every Gray product under PRODUCT_CAP of the depth-1 catalog."""
     shapes = [e.molecule.poset
               for e in enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=10)).entries]
     small = [m.poset for m in enumerate_catalog(Bounds(depth=1)).molecules()]
-    cap = SuiteConfig().product_cap
-    products = [gray_poset(a, b) for a in small for b in small if len(a) * len(b) <= cap]
+    products = [gray_poset(a, b) for a in small for b in small if len(a) * len(b) <= PRODUCT_CAP]
     return shapes + [p.op() for p in shapes] + products
 
 
