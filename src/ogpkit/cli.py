@@ -30,7 +30,7 @@ EXIT_VERIFY = 3
 def _eval_shape(text: str):
     value = eval_text(text)
     if isinstance(value, AtomicHorn):
-        return value.shape.poset.restrict(value.horn)
+        return value.shape.poset.restrict_mask(value.horn)
     return value
 
 
@@ -55,9 +55,9 @@ def cmd_check(args) -> int:
         doc = {
             "kind": "horn",
             "atom_elements": len(shape.shape),
-            "facet": sid(shape.facet),
+            "facet": sid(shape.shape.poset.labels[shape.facet]),
             "sign": shape.sign,
-            "carrier_elements": len(shape.horn),
+            "carrier_elements": shape.horn.bit_count(),
         }
     else:
         p = shape.poset if isinstance(shape, Molecule) else shape
@@ -93,14 +93,15 @@ def cmd_horn(args) -> int:
     shape = eval_text(args.expr)
     if not isinstance(shape, Molecule):
         raise ShapeError("horn needs a molecule expression")
-    h = atomic_horn(shape, parse_sid(args.facet))
-    doc = poset_to_dict(shape.poset.restrict(h.horn))
-    doc["facet"] = sid(h.facet)
+    p = shape.poset
+    h = atomic_horn(shape, p.id_of(parse_sid(args.facet)))
+    doc = poset_to_dict(p.restrict_mask(h.horn))
+    doc["facet"] = sid(p.labels[h.facet])
     doc["sign"] = h.sign
     if args.marking is not None:
-        mh = marked_horn(shape, h.facet, frozenset(map(parse_sid, args.marking)))
-        doc["marking"] = sorted(map(sid, mh.marking))
-        doc["enlarged"] = sorted(map(sid, mh.enlarged))
+        mh = marked_horn(shape, h.facet, p.encode(map(parse_sid, args.marking)))
+        doc["marking"] = p.sids(mh.marking)
+        doc["enlarged"] = p.sids(mh.enlarged)
     sys.stdout.buffer.write(to_json_bytes(doc))
     return EXIT_OK
 
@@ -110,23 +111,25 @@ def cmd_pp(args) -> int:
     v = eval_text(args.right)
     if not isinstance(u, Molecule) or not isinstance(v, Molecule):
         raise ShapeError("pp needs molecule expressions")
-    h = atomic_horn(u, parse_sid(args.facet))
+    h = atomic_horn(u, u.poset.id_of(parse_sid(args.facet)))
     if args.what == "horn":
         out = pp_horn(h, v, args.order)
+        p = out.shape.poset
         doc = {
-            "facet": sid(out.facet),
+            "facet": sid(p.labels[out.facet]),
             "sign": out.sign,
-            "carrier": sorted(map(sid, out.horn)),
+            "carrier": p.sids(out.horn),
         }
     else:
-        mh = marked_horn(u, h.facet, frozenset(map(parse_sid, args.marking or ())))
+        mh = marked_horn(u, h.facet, u.poset.encode(map(parse_sid, args.marking or ())))
         gen = (boundary_inclusion_min(v) if args.family == "minbd"
                else boundary_inclusion_marked(v))
         out = pp_marked_horn(mh, gen, args.order)
+        p = out.horn.shape.poset
         doc = {
-            "facet": sid(out.horn.facet),
-            "marking": sorted(map(sid, out.marking)),
-            "enlarged": sorted(map(sid, out.enlarged)),
+            "facet": sid(p.labels[out.horn.facet]),
+            "marking": p.sids(out.marking),
+            "enlarged": p.sids(out.enlarged),
             "map": marked_map_to_dict(out.as_marked_map()),
         }
     sys.stdout.buffer.write(to_json_bytes(doc))

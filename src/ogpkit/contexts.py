@@ -9,6 +9,10 @@ exactly its (ambient, hole) pair.  Recognition against a marking A peels
 one atom at a time off the carrier, restricted to atoms whose top is in A;
 the search is exhaustive over peel orders with memoisation, hence complete
 at the sizes this package targets.
+
+Contexts are given by labels.  Horns and marked horns are masks of the
+atom's ids, with the facet given by its id; marked_horn decodes its
+marking once, to recognise the classified context.
 """
 
 from __future__ import annotations
@@ -36,10 +40,8 @@ from .molecule import (
     is_round,
     paste_at,
     replay_derivation,
-    submolecule,
-    subset_inclusion,
 )
-from .poset import MINUS, PLUS, OgPoset, find_iso, flip
+from .poset import MINUS, PLUS, OgPoset, find_iso, flip, spread
 
 
 # -- context shapes -----------------------------------------------------------
@@ -71,14 +73,8 @@ class ContextShape:
     def dim(self) -> int:
         return self.ambient.dim
 
-    def hole_molecule(self) -> Molecule:
-        return submolecule(self.ambient, self.hole, {"kind": "hole"})
-
     def is_identity(self) -> bool:
         return self.hole == frozenset(self.ambient.poset.dim_of)
-
-    def pair(self):
-        return (self.ambient.poset, self.hole)
 
 
 def identity_context(v: Molecule, w: Molecule) -> ContextShape:
@@ -234,28 +230,22 @@ def promote(c: ContextShape, v: Molecule, w: Molecule) -> ContextShape:
 
 @dataclass(eq=False)
 class AtomicHorn:
-    """The boundary of an atom minus one open facet, with its inclusion."""
+    """The boundary of an atom minus one open facet, as a mask of the
+    atom's ids."""
 
     shape: Molecule       # the atom U
-    facet: object         # x, a face of the top element
+    facet: int            # the id of x, a face of the top element
     sign: str             # the side of the top element x sits on
-    horn: frozenset       # bd U minus {x}
+    horn: int             # bd U minus {x}
 
     def __post_init__(self):
-        if not self.shape.poset.is_closed(self.horn):
+        p = self.shape.poset
+        if self.horn & ~p.full or not p.is_closed_mask(self.horn):
             raise BadHole("horn must be closed")
 
-    def inclusion(self) -> Inclusion:
-        return subset_inclusion(self.shape, self.horn,
-                                {"kind": "horn", "facet": sid(self.facet)},
-                                kind="horn")
 
-    def top(self):
-        return self.shape.top()
-
-
-def atomic_horn(u: Molecule, x) -> AtomicHorn:
-    """The horn of an atom at a facet of its top element.
+def atomic_horn(u: Molecule, x: int) -> AtomicHorn:
+    """The horn of an atom at the facet of its top element with id x.
 
     The carrier is the full boundary minus the facet itself (equivalently
     the closure of the remaining facets), which is closed because the facet
@@ -264,24 +254,24 @@ def atomic_horn(u: Molecule, x) -> AtomicHorn:
     if not u.is_atom() or u.dim < 1:
         raise NotAFacet("horns are defined on atoms of positive dimension")
     p = u.poset
-    top = p.index[u.top()]
-    i = p.index.get(x)
-    sign = None
-    for s, faces in ((MINUS, p.fin), (PLUS, p.fout)):
-        if i is not None and faces[top] >> i & 1:
-            sign = s
-    if sign is None:
-        raise NotAFacet(f"{sid(x)} is not a facet of the top element")
-    horn = p.full_boundary_set() - {x}
-    return AtomicHorn(u, x, sign, horn)
+    top = u.top_id()
+    if not 0 <= x < len(p):
+        raise NotAFacet(f"id {x} is not a facet of the top element")
+    if p.fin[top] >> x & 1:
+        sign = MINUS
+    elif p.fout[top] >> x & 1:
+        sign = PLUS
+    else:
+        raise NotAFacet(f"{sid(p.labels[x])} is not a facet of the top element")
+    return AtomicHorn(u, x, sign, p.full_boundary_mask() & ~(1 << x))
 
 
 def classified_context(h: AtomicHorn) -> ContextShape:
     """The context seen through the missing facet: ambient is the boundary
     of the atom on the facet's side, the hole is the facet's closure."""
+    p = h.shape.poset
     ambient = h.shape.boundary_molecule(h.shape.dim - 1, h.sign)
-    hole = ambient.poset.closure({h.facet})
-    return ContextShape(ambient, hole, derivation=None)
+    return ContextShape(ambient, p.decode(p.closure_masks()[h.facet]), derivation=None)
 
 
 def is_a_context(c: ContextShape, marking) -> list | None:
@@ -305,52 +295,51 @@ def is_a_context(c: ContextShape, marking) -> list | None:
 @dataclass(eq=False)
 class MarkedHorn:
     """A horn whose classified context is recognised against the marking,
-    with the enlarged marking on the atom computed by the two-case rule."""
+    with the enlarged marking on the atom computed by the two-case rule.
+    Both markings are masks of the atom's ids."""
 
     horn: AtomicHorn
-    marking: frozenset     # A, on the horn carrier
-    enlarged: frozenset    # A', on the whole atom
-    derivation: list
+    marking: int     # A, on the horn carrier
+    enlarged: int    # A', on the whole atom
 
     @property
-    def added(self) -> frozenset:
-        return self.enlarged - self.marking
+    def added(self) -> int:
+        return self.enlarged & ~self.marking
 
     def as_marked_map(self) -> MarkedMap:
-        src = MarkedShape(self.horn.shape.poset.restrict(self.horn.horn), self.marking)
-        tgt = MarkedShape(self.horn.shape, self.enlarged)
-        return MarkedMap(src, tgt, {x: x for x in self.horn.horn},
-                         meta={"kind": "marked-horn", "facet": self.horn.facet})
+        return MarkedMap(MarkedShape(self.horn.shape, self.enlarged), self.horn.horn,
+                         self.marking, meta={"kind": "marked-horn", "facet": self.horn.facet})
 
 
-def marked_horn(u: Molecule, x, marking) -> MarkedHorn:
-    """Recognise (u, x, A) as a marked horn.
+def marked_horn(u: Molecule, x: int, marking: int) -> MarkedHorn:
+    """Recognise (u, x, A) as a marked horn, for the facet with id x and
+    the marking A, a mask of u's ids.
 
     Requires the classified context to admit a derivation restricted to A;
     the enlarged marking adds the top, and the facet as well when every
     facet on the other side is already marked.
     """
     h = atomic_horn(u, x)
-    marking = frozenset(marking)
     p = u.poset
-    dims = p.dims
-    for a in marking:
-        p._check(a)
-        if a not in h.horn or dims[p.index[a]] <= 0:
-            raise NotAContext(f"marking element {sid(a)} is not on the horn")
-    ctx = classified_context(h)
-    deriv = is_a_context(ctx, marking)
-    if deriv is None:
+    stray = marking & ~(h.horn & ~p.grade_masks()[0])
+    if stray:
+        i = (stray & -stray).bit_length() - 1
+        name = sid(p.labels[i]) if i < len(p) else f"id {i}"
+        raise NotAContext(f"marking element {name} is not on the horn")
+    if is_a_context(classified_context(h), p.decode(marking)) is None:
         raise NotAContext("the classified context is not derivable from the marking")
-    other = p.faces(u.top(), flip(h.sign))
-    if all(f in marking for f in other):
-        enlarged = marking | {x, u.top()}
-    else:
-        enlarged = marking | {u.top()}
-    return MarkedHorn(h, marking, enlarged, deriv)
+    top = u.top_id()
+    other = p.fout[top] if h.sign == MINUS else p.fin[top]
+    enlarged = marking | 1 << top
+    if not other & ~marking:
+        enlarged |= 1 << x
+    return MarkedHorn(h, marking, enlarged)
 
 
 # -- horn pushout-products -----------------------------------------------------
+#
+# U (x) V has (a, b) at id a * |V| + b, as in gray_poset, so a set of pairs
+# with a in S and b in T is the grid spread(S, |V|) * T.
 
 
 def pp_horn(h: AtomicHorn, v: Molecule, order: str = "uv",
@@ -359,39 +348,34 @@ def pp_horn(h: AtomicHorn, v: Molecule, order: str = "uv",
 
     order "uv" forms the product U (x) V and expects the horn at (x, top V);
     order "vu" forms V (x) U and expects it at (top V, x).  The identity is
-    checked as an elementwise equality of inclusion carriers; a mismatch
-    raises with a counterexample certificate.  product, when given, is that
-    Gray product built by the caller; it feeds only the expected side, the
-    horn of the product read from its own boundaries, while the pushout
-    side is assembled from the factors' element sets.
+    checked as an equality of inclusion carriers; a mismatch raises with a
+    counterexample certificate.  product, when given, is that Gray product
+    built by the caller; it feeds only the expected side, the horn of the
+    product read from its own boundaries, while the pushout side is
+    assembled from the factors' masks.
     """
     if order not in ("uv", "vu"):
         raise IdentityFailed(f"unknown order {order!r}")
     u = h.shape
-    bd_v = v.poset.full_boundary_set()
+    pu, pv = u.poset, v.poset
+    bd_v = pv.full_boundary_mask()
     if order == "uv":
         prod = product if product is not None else gray(u, v)
-        facet = (h.facet, v.top())
-        domain = frozenset(
-            (a, b) for a in u.poset.dim_of for b in v.poset.dim_of
-            if a in h.horn or b in bd_v
-        )
+        facet = h.facet * len(pv) + v.top_id()
+        domain = spread(h.horn, len(pv)) * pv.full | spread(pu.full, len(pv)) * bd_v
     else:
         prod = product if product is not None else gray(v, u)
-        facet = (v.top(), h.facet)
-        domain = frozenset(
-            (b, a) for a in u.poset.dim_of for b in v.poset.dim_of
-            if a in h.horn or b in bd_v
-        )
+        facet = v.top_id() * len(pu) + h.facet
+        domain = spread(pv.full, len(pu)) * h.horn | spread(bd_v, len(pu)) * pu.full
     expected = atomic_horn(prod, facet)
     if domain != expected.horn:
         raise IdentityFailed(
             "pushout-product of the horn is not the expected horn",
             certificate={
                 "lemma": "HORN_PP",
-                "inputs": {"facet": sid(h.facet), "order": order},
-                "expected": sorted(map(sid, expected.horn)),
-                "got": sorted(map(sid, domain)),
+                "inputs": {"facet": sid(pu.labels[h.facet]), "order": order},
+                "expected": prod.poset.sids(expected.horn),
+                "got": prod.poset.sids(domain),
             },
         )
     return expected
@@ -433,37 +417,34 @@ def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv",
 
     # closed-form domain marking: A' (x) bd V  u  A (x) V  u  horn (x) B,
     # where B is the generator's target marking (empty for minbd)
-    A, Ap = mh.marking, mh.enlarged
-    bd_v = v.poset.full_boundary_set()
+    A, Ap, H = mh.marking, mh.enlarged, mh.horn.horn
+    pv = v.poset
+    bd_v, B = pv.full_boundary_mask(), gen.target.marking
     if order == "uv":
-        expected_b = (
-            frozenset((a, b) for a in Ap for b in bd_v)
-            | frozenset((a, b) for a in A for b in v.poset.dim_of)
-            | frozenset((a, t) for a in mh.horn.horn for t in gen.target.marking)
-        )
+        stride = len(pv)
+        expected_b = (spread(Ap, stride) * bd_v | spread(A, stride) * pv.full
+                      | spread(H, stride) * B)
     else:
-        expected_b = (
-            frozenset((b, a) for a in Ap for b in bd_v)
-            | frozenset((b, a) for a in A for b in v.poset.dim_of)
-            | frozenset((t, a) for a in mh.horn.horn for t in gen.target.marking)
-        )
-    if pp.source.marking != expected_b:
+        stride = len(u.poset)
+        expected_b = (spread(bd_v, stride) * Ap | spread(pv.full, stride) * A
+                      | spread(B, stride) * H)
+    if pp.source_marking != expected_b:
         raise RecognitionFailed(
             "pushout-product domain marking differs from the closed form",
             certificate={
                 "lemma": "MARKED_HORN_PP",
-                "expected": sorted(map(sid, expected_b)),
-                "got": sorted(map(sid, pp.source.marking)),
+                "expected": prod.poset.sids(expected_b),
+                "got": prod.poset.sids(pp.source_marking),
             },
         )
-    result = marked_horn(new_horn.shape, new_horn.facet, pp.source.marking)
+    result = marked_horn(new_horn.shape, new_horn.facet, pp.source_marking)
     if result.enlarged != pp.target.marking:
         raise RecognitionFailed(
             "enlarged marking of the product horn differs from the pushout marking",
             certificate={
                 "lemma": "MARKED_HORN_PP",
-                "expected": sorted(map(sid, pp.target.marking)),
-                "got": sorted(map(sid, result.enlarged)),
+                "expected": prod.poset.sids(pp.target.marking),
+                "got": prod.poset.sids(result.enlarged),
             },
         )
     return result

@@ -78,7 +78,7 @@ def gray_cylinder(u: Molecule, K) -> Molecule:
     """The partial Gray cylinder I (x)_K U; K = U collapses to U itself."""
     K = frozenset(K)
     for y in K:
-        u.poset._check(y)
+        u.poset.id_of(y)
     if not u.poset.is_closed(K):
         raise KNotClosed("collapse set must be closed")
     if K == frozenset(u.poset.dim_of):
@@ -96,7 +96,7 @@ def inverted_cylinder(u: Molecule, K, side: str) -> Molecule:
         raise BadCollapseSet(f"side must be L or R, got {side!r}")
     K = frozenset(K)
     for y in K:
-        u.poset._check(y)
+        u.poset.id_of(y)
     bound = u.poset.boundary_set(u.dim - 1, PLUS if side == "L" else MINUS)
     if not (u.poset.is_closed(K) and K <= bound):
         raise BadCollapseSet(

@@ -302,7 +302,8 @@ def _apply(head, args):
     if head == "boundary":
         return _as_molecule(args[0], head).boundary_molecule(args[1], args[2])
     if head == "horn":
-        return atomic_horn(_as_molecule(args[0], head), args[1])
+        u = _as_molecule(args[0], head)
+        return atomic_horn(u, u.poset.id_of(args[1]))
     raise AssertionError(head)
 
 

@@ -118,21 +118,27 @@ def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
 # -- opposites ---------------------------------------------------------------
 
 
+def swap_ids(np_: int, nq: int) -> list:
+    """The id of (y, x) in Q (x) P for each id of (x, y) in P (x) Q, where
+    |P| = np_ and |Q| = nq: i * |Q| + j goes to j * |P| + i."""
+    return [j * np_ + i for i in range(np_) for j in range(nq)]
+
+
 def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
     """The orientation-preserving bijection op(P (x) Q) -> op(Q) (x) op(P),
     (x, y) -> (y, x).  Raises IdentityFailed, naming the offending element
     and sign in its message and certificate, if the swap is not one.
 
-    The swap sends id i * |Q| + j of the left side to j * |P| + i of the
-    right side; each face mask of the left side, carried through it, must
-    equal the right side's.  Labels are decoded only for a failure.
+    The swap sends each id of the left side to the right side's id of the
+    swapped pair (swap_ids); each face mask of the left side, carried
+    through it, must equal the right side's.  Labels are decoded only for
+    a failure.
     """
     lhs = gray_poset(p, q).op()
     rhs = gray_poset(q.op(), p.op())
-    np_, nq = len(p), len(q)
     if len(lhs) != len(rhs):
         raise IdentityFailed("op-swap is not a bijection of the carriers")
-    swap = [j * np_ + i for i in range(np_) for j in range(nq)]
+    swap = swap_ids(len(p), len(q))
     sides = ((MINUS, lhs.fin, rhs.fin), (PLUS, lhs.fout, rhs.fout))
     for e, d in enumerate(lhs.dims):
         t = swap[e]
@@ -146,7 +152,7 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
             if map_mask(lhs_faces[e], swap) != rhs_faces[t]:
                 name = sid(lhs.labels[e])
                 got = sorted(sid((b, a)) for (a, b) in lhs.decode(lhs_faces[e]))
-                want = sorted(map(sid, rhs.decode(rhs_faces[t])))
+                want = rhs.sids(rhs_faces[t])
                 raise IdentityFailed(
                     f"op-swap failed at {name} sign {s}: {got} != {want}",
                     {"element": name, "sign": s, "got": got, "want": want},

@@ -55,6 +55,7 @@ from .gray import (
     gray_poset,
     gray_split_of_generalised_pasting,
     op_swap_iso,
+    swap_ids,
     twist,
 )
 from .ids import sid
@@ -86,10 +87,12 @@ from .poset import (
     SIGNS,
     OgPoset,
     all_isos,
+    bits,
     build,
     find_iso,
     flip,
     iso_invariant,
+    map_mask,
     spread,
 )
 
@@ -307,10 +310,6 @@ def _ids(subset) -> list:
     return sorted(map(sid, subset))
 
 
-def _mask_ids(p: OgPoset, m: int) -> list:
-    return _ids(p.decode(m))
-
-
 def _differ(expected, got):
     """None when the two sides agree, else the failure."""
     return None if expected == got else (expected, got)
@@ -319,7 +318,7 @@ def _differ(expected, got):
 def _masks_differ(p: OgPoset, expected: int, got: int):
     """None when two masks of p agree, else the failure as sorted ids."""
     if expected != got:
-        return _mask_ids(p, expected), _mask_ids(p, got)
+        return p.sids(expected), p.sids(got)
     return None
 
 
@@ -474,7 +473,7 @@ def gencp_boundary_instances(catalog: Catalog, config):
                     bd_right = amb.boundary_mask(right, n, sign)
                     direct = amb.boundary_mask(amb.full, n, sign)
                     if bd_left | bd_right != direct:
-                        return _mask_ids(amb, direct), _mask_ids(amb, bd_left | bd_right)
+                        return amb.sids(direct), amb.sids(bd_left | bd_right)
                     return _recognised(g.ambient.boundary_molecule(n, sign),
                                        amb.decode(bd_left), amb.decode(bd_right), k,
                                        verdicts)
@@ -585,7 +584,7 @@ def _telescope(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
         assembled |= piece
     if assembled != direct:
         inputs["detail"] = str(("cover", ell))
-        return _mask_ids(prod, direct), _mask_ids(prod, assembled)
+        return prod.sids(direct), prod.sids(assembled)
     # a union of closed subsets is closed
     carrier = hole_bd
     for j, piece in enumerate(pieces):
@@ -594,7 +593,7 @@ def _telescope(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
         have = bd(carrier, level, flip(sign))
         if need & ~have:
             inputs["detail"] = str(("stage", (ell, j)))
-            return _mask_ids(prod, need), _mask_ids(prod, have)
+            return prod.sids(need), prod.sids(have)
         carrier |= piece
     return None
 
@@ -606,7 +605,7 @@ def _telescoping(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
     for where, part in (("hole", hole), *enumerate(pieces)):
         if not prod.is_closed_mask(part):
             yield ({**names, "detail": str(("not closed", where))},
-                   _failed("closed subset", _mask_ids(prod, part)))
+                   _failed("closed subset", prod.sids(part)))
             return
     for ell in range(len(pieces)):
         inputs = dict(names)
@@ -662,19 +661,14 @@ def ctx_recursion_instances(catalog: Catalog, config):
     # transport of marking-restricted contexts through the product
     horn_contexts = []
     for uatom in catalog.atoms(max_dim=2, min_dim=1, max_elements=9):
-        top = uatom.top()
-        for s in SIGNS:
-            for facet in sorted(uatom.poset.faces(top, s), key=sid):
-                h = atomic_horn(uatom, facet)
-                ctx = classified_context(h)
-                marking = frozenset(
-                    x for x in h.horn
-                    if uatom.poset.dim_of[x] > 0
-                )
-                deriv = is_a_context(ctx, marking)
-                if deriv is not None:
-                    horn_contexts.append((uatom, ctx, marking))
-                break
+        p = uatom.poset
+        top = uatom.top_id()
+        for faces in (p.fin, p.fout):
+            h = atomic_horn(uatom, min(bits(faces[top]), key=p.sid_ranks().__getitem__))
+            ctx = classified_context(h)
+            marking = p.decode(h.horn & ~p.grade_masks()[0])
+            if is_a_context(ctx, marking) is not None:
+                horn_contexts.append((uatom, ctx, marking))
     for (uatom, ctx, marking), v in itertools.product(
             horn_contexts, catalog.atoms(max_dim=2, max_elements=9)):
         if len(ctx.ambient) * len(v) > PRODUCT_CAP:
@@ -695,58 +689,58 @@ def horn_pp_instances(catalog: Catalog, config):
     us = catalog.atoms(max_dim=3, min_dim=1)
     vs = catalog.atoms(max_dim=2)
     for u in us:
-        top = u.top()
-        facets = sorted(
-            (x for s in SIGNS for x in u.poset.faces(top, s)), key=sid
-        )
-        for x in facets:
+        p = u.poset
+        top = u.top_id()
+        for x in sorted(bits(p.fin[top] | p.fout[top]), key=p.sid_ranks().__getitem__):
             h = atomic_horn(u, x)
             for v in vs:
                 if len(u) * len(v) > PRODUCT_CAP:
                     continue
                 for order in ("uv", "vu"):
-                    yield ({"U": catalog.expr_of(u), "x": sid(x),
+                    yield ({"U": catalog.expr_of(u), "x": sid(p.labels[x]),
                             "V": catalog.expr_of(v), "order": order},
                            _raising(pp_horn, h, v, order))
 
 
-def enumerate_marked_horns(u: Molecule, exceeded: list | None = None):
+def enumerate_marked_horns(u: Molecule):
     """All marked horns on the atom: every facet, every marking of the horn
     for which the context recognition succeeds.  Exhaustive over subsets of
-    the positive-dimensional horn elements.
+    the positive-dimensional horn elements, facets and markings in sid
+    order.
 
-    A recognition that runs out of its search budget raises BoundExceeded;
-    with exceeded given, (facet, marking, message) is appended to it
-    instead and the enumeration goes on.
+    Returns (horns, exhausted): exhausted holds (facet, marking, message)
+    for each marking whose recognition ran out of its search budget.
     """
-    out = []
-    top = u.top()
-    for s in SIGNS:
-        for x in sorted(u.poset.faces(top, s), key=sid):
+    horns, exhausted = [], []
+    p = u.poset
+    rank = p.sid_ranks().__getitem__
+    top = u.top_id()
+    for faces in (p.fin, p.fout):
+        for x in sorted(bits(faces[top]), key=rank):
             h = atomic_horn(u, x)
-            positives = sorted(
-                (a for a in h.horn if u.poset.dim_of[a] > 0), key=sid
-            )
+            positives = [1 << a for a in sorted(bits(h.horn & ~p.grade_masks()[0]), key=rank)]
             for r in range(len(positives) + 1):
                 for combo in itertools.combinations(positives, r):
+                    marking = sum(combo)
                     try:
-                        out.append(marked_horn(u, x, frozenset(combo)))
+                        horns.append(marked_horn(u, x, marking))
                     except NotAContext:
                         continue
                     except BoundExceeded as exc:
-                        if exceeded is None:
-                            raise
-                        exceeded.append((x, frozenset(combo), str(exc)))
-    return out
+                        exhausted.append((x, marking, str(exc)))
+    return horns, exhausted
+
+
+def _horn_inputs(catalog: Catalog, u: Molecule, x: int, marking: int) -> dict:
+    p = u.poset
+    return {"U": catalog.expr_of(u), "x": sid(p.labels[x]), "A": p.sids(marking)}
 
 
 def _marked_horns(catalog: Catalog, u: Molecule):
     """u's marked horns, and one failing instance for each marking whose
     recognition ran out of its search budget."""
-    exceeded = []
-    horns = enumerate_marked_horns(u, exceeded)
-    exhausted = [({"U": catalog.expr_of(u), "x": sid(x), "A": _ids(marking)},
-                  _failed("marked horn", message))
+    horns, exceeded = enumerate_marked_horns(u)
+    exhausted = [(_horn_inputs(catalog, u, x, marking), _failed("marked horn", message))
                  for x, marking, message in exceeded]
     return horns, exhausted
 
@@ -762,13 +756,13 @@ def marked_horn_pp_instances(catalog: Catalog, config):
         horns, exhausted = _marked_horns(catalog, u)
         yield from exhausted
         for mh in horns:
+            horn = _horn_inputs(catalog, u, mh.horn.facet, mh.marking)
             for gen in gens.Mprime:
                 v = gen.meta["atom"]
                 if len(u) * len(v) > MARKED_PRODUCT_CAP:
                     continue
                 for order in ("uv", "vu"):
-                    yield ({"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
-                            "A": _ids(mh.marking), "V": catalog.expr_of(v),
+                    yield ({**horn, "V": catalog.expr_of(v),
                             "family": gen.meta["family"], "order": order},
                            _raising(pp_marked_horn, mh, gen, order, products))
 
@@ -783,17 +777,17 @@ def entire_residual_instances(catalog: Catalog, config):
                 continue
 
             def ij():
-                got = residual(pushout_product(i, j))
-                want = residual_formula(i, j)
-                if got != want or not got <= residual_upper_bound(i, j):
-                    return _ids(want), _ids(got)
+                pp = pushout_product(i, j)
+                got, want = residual(pp), residual_formula(i, j)
+                if got != want or got & ~residual_upper_bound(i, j):
+                    return pp.target.poset.sids(want), pp.target.poset.sids(got)
                 return None
 
             def ji():
-                got = residual(pushout_product(j, i))
-                want = residual_formula_swapped(j, i)
+                pp = pushout_product(j, i)
+                got, want = residual(pp), residual_formula_swapped(j, i)
                 if got != want:
-                    return _ids(want), _ids(got)
+                    return pp.target.poset.sids(want), pp.target.poset.sids(got)
                 return None
 
             names = {"i": catalog.expr_of(i.meta["atom"]),
@@ -828,9 +822,9 @@ def op_pp_instances(catalog: Catalog, config):
             def swapped():
                 lhs = pushout_product(i, j).op()
                 rhs = pushout_product(j.op(), i.op())
-                swapped_elements = frozenset((x, y) for (y, x) in rhs.image)
-                swapped_marking = frozenset((x, y) for (y, x) in rhs.source.marking)
-                if lhs.image != swapped_elements or lhs.source.marking != swapped_marking:
+                swap = swap_ids(len(i.target.poset), len(j.target.poset))
+                if (map_mask(lhs.image, swap) != rhs.image
+                        or map_mask(lhs.source_marking, swap) != rhs.source_marking):
                     return "swap-correspondence", "mismatch"
                 ambient = id(i.target.poset), id(j.target.poset)
                 if ambient not in swapping_ambients:
@@ -852,11 +846,10 @@ def op_horn_instances(catalog: Catalog, config):
             def opposite():
                 other = marked_horn(op(u), mh.horn.facet, mh.marking)
                 if other.enlarged != mh.enlarged:
-                    return _ids(mh.enlarged), _ids(other.enlarged)
+                    return u.poset.sids(mh.enlarged), u.poset.sids(other.enlarged)
                 return None
 
-            yield ({"U": catalog.expr_of(u), "x": sid(mh.horn.facet),
-                    "A": _ids(mh.marking)}, opposite)
+            yield _horn_inputs(catalog, u, mh.horn.facet, mh.marking), opposite
 
 
 def atom_closures_instances(catalog: Catalog, config):

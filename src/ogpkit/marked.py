@@ -3,7 +3,13 @@ Gray products of marked shapes, and pushout-products of marked inclusions.
 
 At shape level there are no degenerate cells, so a marking is simply a set
 of positive-dimensional elements; the degeneracy clause of the presheaf
-definition is vacuous here.
+definition is vacuous here.  A marking is a mask of its shape's ids (see
+the OgPoset docstring).  Every marked map built here is the inclusion of
+a closed subset of its target, so a MarkedMap is its target, the mask of
+its image and the source marking as a mask of target ids.  A Gray product
+has (x, y) at id x * |Y| + y, as in gray_poset, so the product markings,
+pushout-products and residuals are grids of the factors' masks.  Labels
+are decoded only to report or render.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from .errors import BadEmbedding, NotEntire, ShapeError
 from .gray import gray_poset
 from .ids import sid
 from .molecule import Molecule
-from .poset import OgPoset, bits, embedding_defect, spread
+from .poset import OgPoset, spread
 
 
 def _poset(shape) -> OgPoset:
@@ -23,19 +29,19 @@ def _poset(shape) -> OgPoset:
 
 @dataclass(eq=False)
 class MarkedShape:
-    """A shape (molecule or plain poset) with marked positive-dimensional
-    elements."""
+    """A shape (molecule or plain poset) with a marking: a mask of its
+    positive-dimensional ids."""
 
     shape: object
-    marking: frozenset
+    marking: int
 
     def __post_init__(self):
         p = self.poset
-        self.marking = frozenset(self.marking)
-        marked = p.encode(self.marking)
-        points = marked & p.grade_masks()[0] if marked else 0
+        if self.marking & ~p.full:
+            raise ShapeError("marking has bits outside its poset")
+        points = self.marking & p.grade_masks()[0] if self.marking else 0
         if points:
-            x = p.labels[bits(points)[0]]
+            x = p.labels[(points & -points).bit_length() - 1]
             raise ShapeError(f"marked element {sid(x)} must have positive dimension")
 
     @property
@@ -48,41 +54,40 @@ class MarkedShape:
 
 @dataclass(eq=False)
 class MarkedMap:
-    """Injective, marking-preserving map of marked shapes."""
+    """Marking-preserving inclusion of a closed subset of the target: the
+    image mask and the source marking, a mask of target ids."""
 
-    source: MarkedShape
     target: MarkedShape
-    mapping: dict
+    image: int
+    source_marking: int
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        defect = embedding_defect(self.source.poset, self.target.poset, self.mapping)
-        if defect is None and not self.apply(self.source.marking) <= self.target.marking:
+        p = self.target.poset
+        if self.image & ~p.full or not p.is_closed_mask(self.image):
+            defect = "image must be a closed subset of the target"
+        elif self.source_marking & ~self.image:
+            defect = "source marking must lie in the image"
+        elif self.source_marking & ~self.target.marking:
             defect = "marking must be preserved forward"
-        if defect is not None:
-            raise BadEmbedding(f"marked map: {defect}")
-
-    def apply(self, subset) -> frozenset:
-        return frozenset(self.mapping[x] for x in subset)
-
-    @property
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
+        else:
+            return
+        raise BadEmbedding(f"marked map: {defect}")
 
     @property
     def entire(self) -> bool:
-        return len(self.mapping) == len(self.target.poset)
+        return self.image == self.target.poset.full
 
     def op(self) -> "MarkedMap":
-        return MarkedMap(self.source.op(), self.target.op(), dict(self.mapping),
+        return MarkedMap(self.target.op(), self.image, self.source_marking,
                          meta=dict(self.meta))
 
 
-def residual(i: MarkedMap) -> frozenset:
+def residual(i: MarkedMap) -> int:
     """Newly marked elements of an entire map."""
     if not i.entire:
         raise NotEntire("residual is only defined for entire monomorphisms")
-    return i.target.marking - i.apply(i.source.marking)
+    return i.target.marking & ~i.source_marking
 
 
 # -- Gray product of marked shapes -------------------------------------------
@@ -90,14 +95,12 @@ def residual(i: MarkedMap) -> frozenset:
 
 def gray_marked(a: MarkedShape, b: MarkedShape, product: OgPoset | None = None) -> MarkedShape:
     """Product shape with marking A (x) cells  u  cells (x) B.  product,
-    when given, is gray_poset(a.poset, b.poset) built by the caller; the
-    marking is computed on its ids, (i, j) at i * |b| + j."""
+    when given, is gray_poset(a.poset, b.poset) built by the caller."""
     pa, pb = a.poset, b.poset
     poset = product if product is not None else gray_poset(pa, pb)
     stride = len(pb)
-    marking = (spread(pa.encode(a.marking), stride) * pb.full
-               | spread(pa.full, stride) * pb.encode(b.marking))
-    return MarkedShape(poset, poset.decode(marking))
+    marking = spread(a.marking, stride) * pb.full | spread(pa.full, stride) * b.marking
+    return MarkedShape(poset, marking)
 
 
 def pushout_product(i: MarkedMap, j: MarkedMap, product: OgPoset | None = None) -> MarkedMap:
@@ -106,26 +109,21 @@ def pushout_product(i: MarkedMap, j: MarkedMap, product: OgPoset | None = None) 
     The union subobject is computed by images inside the product; its
     marking is the union of the two image markings, per the colimit marking
     rule of the ambient quasitopos.  product, when given, is the unmarked
-    X (x) Y built by the caller; the markings are computed here either way,
-    as masks of the product's ids, (x, y) at x * |Y| + y.
+    X (x) Y built by the caller.
     """
     target = gray_marked(i.target, j.target, product)
-    px, py = i.target.poset, j.target.poset
+    py = j.target.poset
     stride = len(py)
-    rows = spread(px.full, stride)  # the pairs (x, y) for one y, every x
-    img_i, img_j = px.encode(i.image), py.encode(j.image)
-    elements = spread(img_i, stride) * py.full | rows * img_j
-    mark_left = (spread(px.encode(i.target.marking), stride) * img_j
-                 | rows * (img_j & py.encode(j.apply(j.source.marking))))
-    mark_right = (spread(img_i & px.encode(i.apply(i.source.marking)), stride) * py.full
-                  | spread(img_i, stride) * py.encode(j.target.marking))
-    product = target.poset
-    domain = MarkedShape(product.restrict_mask(elements), product.decode(mark_left | mark_right))
-    return MarkedMap(domain, target, {e: e for e in domain.poset.labels},
+    rows = spread(i.target.poset.full, stride)  # the pairs (x, y) for one y, every x
+    img_i = spread(i.image, stride)
+    elements = img_i * py.full | rows * j.image
+    mark_left = spread(i.target.marking, stride) * j.image | rows * j.source_marking
+    mark_right = spread(i.source_marking, stride) * py.full | img_i * j.target.marking
+    return MarkedMap(target, elements, mark_left | mark_right,
                      meta={"kind": "pushout-product"})
 
 
-def residual_formula(i: MarkedMap, j: MarkedMap) -> frozenset:
+def residual_formula(i: MarkedMap, j: MarkedMap) -> int:
     """Closed form for the residual of i pp j with i entire.
 
     The residual consists of the pairs (a, v) with a newly marked by i and
@@ -136,27 +134,25 @@ def residual_formula(i: MarkedMap, j: MarkedMap) -> frozenset:
     """
     if not i.entire:
         raise NotEntire("formula applies to entire first argument")
-    new = residual(i)
-    outside = frozenset(j.target.poset.dim_of) - j.image - j.target.marking
-    return frozenset((a, v) for a in new for v in outside)
+    py = j.target.poset
+    outside = py.full & ~j.image & ~j.target.marking
+    return spread(residual(i), len(py)) * outside
 
 
-def residual_upper_bound(i: MarkedMap, j: MarkedMap) -> frozenset:
+def residual_upper_bound(i: MarkedMap, j: MarkedMap) -> int:
     """The published residual bound: (A minus A') (x) (cells minus image)."""
     if not i.entire:
         raise NotEntire("formula applies to entire first argument")
-    new = residual(i)
-    outside = frozenset(j.target.poset.dim_of) - j.image
-    return frozenset((a, v) for a in new for v in outside)
+    py = j.target.poset
+    return spread(residual(i), len(py)) * (py.full & ~j.image)
 
 
-def residual_formula_swapped(j: MarkedMap, i: MarkedMap) -> frozenset:
+def residual_formula_swapped(j: MarkedMap, i: MarkedMap) -> int:
     """Closed form for j pp i with i entire (the mirrored order)."""
     if not i.entire:
         raise NotEntire("formula applies to entire second argument")
-    new = residual(i)
-    outside = frozenset(j.target.poset.dim_of) - j.image - j.target.marking
-    return frozenset((v, a) for v in outside for a in new)
+    outside = j.target.poset.full & ~j.image & ~j.target.marking
+    return spread(outside, len(i.target.poset)) * residual(i)
 
 
 # -- generator families -------------------------------------------------------
@@ -164,40 +160,26 @@ def residual_formula_swapped(j: MarkedMap, i: MarkedMap) -> frozenset:
 
 def markmol(u: Molecule) -> MarkedShape:
     """Marking every maximal positive-dimensional element; {top} for atoms."""
-    marking = frozenset(x for x in u.poset.maximal_elements() if u.poset.dim_of[x] > 0)
-    return MarkedShape(u, marking)
+    p = u.poset
+    maximal = p.maximal_mask(p.full)
+    return MarkedShape(u, maximal & ~p.grade_masks()[0] if maximal else 0)
 
 
 def boundary_inclusion_min(u: Molecule) -> MarkedMap:
     """(bd U, empty) -> (U, empty)."""
-    bd = u.poset.full_boundary_set()
-    return MarkedMap(
-        MarkedShape(u.poset.restrict(bd), frozenset()),
-        MarkedShape(u, frozenset()),
-        {x: x for x in bd},
-        meta={"family": "minbd", "atom": u},
-    )
+    return MarkedMap(MarkedShape(u, 0), u.poset.full_boundary_mask(), 0,
+                     meta={"family": "minbd", "atom": u})
 
 
 def marking_inclusion(u: Molecule) -> MarkedMap:
     """t_U : (U, empty) -> (U, top marked); entire."""
-    return MarkedMap(
-        MarkedShape(u, frozenset()),
-        markmol(u),
-        {x: x for x in u.poset.dim_of},
-        meta={"family": "t", "atom": u},
-    )
+    return MarkedMap(markmol(u), u.poset.full, 0, meta={"family": "t", "atom": u})
 
 
 def boundary_inclusion_marked(u: Molecule) -> MarkedMap:
     """(bd U, empty) -> (U, top marked); the second M' family."""
-    bd = u.poset.full_boundary_set()
-    return MarkedMap(
-        MarkedShape(u.poset.restrict(bd), frozenset()),
-        markmol(u),
-        {x: x for x in bd},
-        meta={"family": "markbd", "atom": u},
-    )
+    return MarkedMap(markmol(u), u.poset.full_boundary_mask(), 0,
+                     meta={"family": "markbd", "atom": u})
 
 
 @dataclass

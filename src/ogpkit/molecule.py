@@ -72,13 +72,17 @@ class Molecule:
 
     def top(self):
         """The unique maximal element of an atom."""
-        ms = self.poset.maximal_elements()
-        if len(ms) != 1:
-            raise NotRound(f"shape with {len(ms)} maximal elements is not an atom")
-        return next(iter(ms))
+        return self.poset.labels[self.top_id()]
+
+    def top_id(self) -> int:
+        """The id of the unique maximal element of an atom."""
+        ms = self.poset.maximal_mask(self.poset.full)
+        if ms.bit_count() != 1:
+            raise NotRound(f"shape with {ms.bit_count()} maximal elements is not an atom")
+        return ms.bit_length() - 1
 
     def is_atom(self) -> bool:
-        return len(self.poset.maximal_elements()) == 1 and len(self.poset) > 0
+        return self.poset.maximal_mask(self.poset.full).bit_count() == 1
 
     def boundary(self, n: int | None = None, sign: str = MINUS) -> "Inclusion":
         """Inclusion of the n-dimensional boundary of the given sign.
@@ -152,11 +156,6 @@ def identity_inclusion(m: Molecule) -> Inclusion:
 def submolecule(m: Molecule, subset, certificate) -> Molecule:
     """Molecule structure on a closed subset, ids preserved."""
     return Molecule(m.poset.restrict(subset), certificate)
-
-
-def subset_inclusion(m: Molecule, subset, certificate, kind="inclusion") -> Inclusion:
-    src = submolecule(m, subset, certificate)
-    return Inclusion(src, m, {x: x for x in subset}, kind=kind)
 
 
 # -- base shapes -----------------------------------------------------------
@@ -499,8 +498,8 @@ def recognise_generalised_pasting(
                 "generalised pasting factorisation stage failed",
                 {
                     "level": k,
-                    "stage_boundary": sorted(map(sid, w.decode(piece_bd))),
-                    "target": sorted(map(sid, w.decode(target))),
+                    "stage_boundary": w.sids(piece_bd),
+                    "target": w.sids(target),
                 },
             )
         return base | piece
@@ -723,7 +722,7 @@ def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
                         "k": cand["k"],
                         "base": inner,
                         "piece": piece_cert,
-                        "shared": sorted(map(sid, p.decode(cand["shared"]))),
+                        "shared": p.sids(cand["shared"]),
                     }
                     break
         memo[carrier] = result

@@ -78,10 +78,11 @@ class OgPoset:
     is_closed_mask, dim_mask, maximal_mask, boundary_mask and
     restrict_mask are integer operations, as are dual, the stable
     colouring, the isomorphism search and embedding_defect.  The coface
-    masks, the per-dimension masks and the closure mask of each element
-    are derived on their first read and kept, so a poset that is only
-    built, compared or dualised never inverts its faces.  boundary_mask is
-    memoised per (closed mask, n, sign).
+    masks, the per-dimension masks, the closure mask of each element and
+    the mask of the maximal elements are derived on their first read and
+    kept, so a poset that is only built, compared or dualised never
+    inverts its faces.  boundary_mask is memoised per (closed mask, n,
+    sign).
 
     Labels.  labels[i] is the structured id (see ids.sid) of element i,
     and index maps labels back to ids.  dim_of, faces_in and faces_out are
@@ -154,6 +155,10 @@ class OgPoset:
         """The labels of a mask."""
         labels = self.labels
         return frozenset([labels[i] for i in bits(m)])
+
+    def sids(self, m: int) -> list:
+        """The sorted sids of the labels of a mask, as reports list them."""
+        return sorted(map(sid, self.decode(m)))
 
     def _label_views(self) -> tuple:
         """(dim_of, faces_in, faces_out), decoded on first read."""
@@ -250,12 +255,16 @@ class OgPoset:
         return -1
 
     def maximal_mask(self, m: int) -> int:
-        """Elements of m with no coface in m."""
+        """Elements of m with no coface in m; kept for the whole poset."""
+        if m == self.full and self._maximal is not None:
+            return self._maximal
         cin, cout = self.coface_masks()
         out = 0
         for i in bits(m):
             if not (cin[i] | cout[i]) & m:
                 out |= 1 << i
+        if m == self.full:
+            self._maximal = out
         return out
 
     def boundary_mask(self, m: int, n: int, sign: str) -> int:
@@ -297,6 +306,11 @@ class OgPoset:
             if not (cin[i] | cout[i]) & m:
                 out |= cl[i]
         return out
+
+    def full_boundary_mask(self) -> int:
+        """Union of input and output boundaries one level below the top."""
+        n = self.dim - 1
+        return self.boundary_mask(self.full, n, MINUS) | self.boundary_mask(self.full, n, PLUS)
 
     def restrict_mask(self, m: int) -> "OgPoset":
         """Sub-poset on a closed mask, its ids renumbered in order."""
@@ -366,22 +380,19 @@ class OgPoset:
         return self.decode(grades[n]) if 0 <= n < len(grades) else frozenset()
 
     def faces(self, x, sign: str) -> frozenset:
-        self._check(x)
+        self.id_of(x)
         return self.faces_in[x] if sign == MINUS else self.faces_out[x]
 
     def all_faces(self, x) -> frozenset:
-        self._check(x)
+        self.id_of(x)
         return self.faces_in[x] | self.faces_out[x]
 
     def cofaces(self, x, sign: str) -> frozenset:
         """Elements having x among their faces of the given sign."""
-        self._check(x)
-        return self.decode(self.coface_masks()[0 if sign == MINUS else 1][self.index[x]])
+        return self.decode(self.coface_masks()[0 if sign == MINUS else 1][self.id_of(x)])
 
     def maximal_elements(self) -> frozenset:
-        if self._maximal is None:
-            self._maximal = self.decode(self.maximal_mask(self.full))
-        return self._maximal
+        return self.decode(self.maximal_mask(self.full))
 
     def closure(self, subset) -> frozenset:
         """Smallest downward-closed set containing the given elements."""
@@ -390,9 +401,12 @@ class OgPoset:
     def is_closed(self, subset) -> bool:
         return self.is_closed_mask(self.encode(subset))
 
-    def _check(self, x):
-        if x not in self.index:
+    def id_of(self, x) -> int:
+        """The id of a label; UnknownElement for a label outside p."""
+        i = self.index.get(x)
+        if i is None:
             raise _unknown(x)
+        return i
 
     # -- boundaries and closed subsets, on labels --------------------------------
     #
@@ -406,8 +420,7 @@ class OgPoset:
 
     def full_boundary_set(self) -> frozenset:
         """Union of input and output boundaries one level below the top."""
-        n = self.dim - 1
-        return self.boundary_set(n, MINUS) | self.boundary_set(n, PLUS)
+        return self.decode(self.full_boundary_mask())
 
     def restrict(self, subset) -> "OgPoset":
         """Sub-poset on a closed subset, labels preserved."""

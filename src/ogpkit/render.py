@@ -48,15 +48,13 @@ def poset_to_dict(shape) -> dict:
     if isinstance(shape, Molecule):
         doc["certificate"] = shape.certificate
     if isinstance(shape, MarkedShape):
-        doc["marked"] = sorted(map(sid, shape.marking))
+        doc["marked"] = p.sids(shape.marking)
     return doc
 
 
 def marked_map_to_dict(m: MarkedMap) -> dict:
-    return {
-        "map": dict(sorted((sid(k), sid(v)) for k, v in m.mapping.items())),
-        "entire": m.entire,
-    }
+    """The map as {id: id} on its image, which it fixes."""
+    return {"map": {x: x for x in m.target.poset.sids(m.image)}, "entire": m.entire}
 
 
 def to_json_bytes(doc) -> bytes:

@@ -96,10 +96,12 @@ def test_criterion_3_marked_horn_pp(suite):
     full_seen = False
     for u in suite["catalog"].atoms(max_dim=3, min_dim=1, max_elements=11):
         p = u.poset
-        for mh in enumerate_marked_horns(u):
-            if mh.marking == frozenset():
+        # an exhausted marking is a failing MARKED_HORN_PP instance
+        horns, _ = enumerate_marked_horns(u)
+        for mh in horns:
+            if mh.marking == 0:
                 empty_seen = True
-            positives = {a for a in mh.horn.horn if p.dim_of[a] > 0}
+            positives = mh.horn.horn & ~p.grade_masks()[0]
             if mh.marking == positives and positives:
                 full_seen = True
     announce(
@@ -194,11 +196,13 @@ def test_criterion_9_mutation_and_wall_clock(suite):
 
 def test_square_horn_marking_examples():
     # spot checks pinning the two-case enlargement rule used throughout
-    mh = marked_horn(globe(2), "1-", frozenset())
-    assert mh.enlarged == {"2"}
-    mh = marked_horn(globe(2), "1-", {"1+"})
-    assert mh.enlarged == {"1+", "1-", "2"}
+    g = globe(2)
+    p = g.poset
+    mh = marked_horn(g, p.id_of("1-"), 0)
+    assert p.decode(mh.enlarged) == {"2"}
+    mh = marked_horn(g, p.id_of("1-"), p.encode({"1+"}))
+    assert p.decode(mh.enlarged) == {"1+", "1-", "2"}
     sq = eval_text("gray(arrow,arrow)")
-    ctx = classified_context(atomic_horn(sq, ("0-", "1")))
+    ctx = classified_context(atomic_horn(sq, sq.poset.id_of(("0-", "1"))))
     assert is_a_context(ctx, frozenset()) is None
     assert is_a_context(ctx, {("1", "0+")}) is not None

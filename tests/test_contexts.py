@@ -23,6 +23,7 @@ from ogpkit.contexts import (
 )
 from ogpkit.errors import BadDerivation, BadHole, BadMarking, NotAContext, NotAFacet
 from ogpkit.gray import gray
+from ogpkit.ids import parse_sid
 from ogpkit.marked import boundary_inclusion_marked, boundary_inclusion_min
 from ogpkit.molecule import Inclusion, arrow, atom, globe, paste, point
 from ogpkit.poset import MINUS, PLUS, find_iso
@@ -32,50 +33,69 @@ def square():
     return gray(arrow(), arrow())
 
 
+def horn(u, x):
+    """The horn of u at the facet labelled x."""
+    return atomic_horn(u, u.poset.id_of(x))
+
+
+def labelled_marked_horn(u, x, marking):
+    """The marked horn of u at the facet labelled x, with the marking
+    given by labels."""
+    return marked_horn(u, u.poset.id_of(x), u.poset.encode(marking))
+
+
+def labels(shape, mask):
+    return shape.poset.decode(mask)
+
+
 class TestAtomicHorn:
     def test_arrow_horn(self):
-        h = atomic_horn(arrow(), "0+")
-        assert h.horn == {"0-"}
+        a = arrow()
+        h = horn(a, "0+")
+        assert labels(a, h.horn) == {"0-"}
         assert h.sign == PLUS
 
     def test_globe_horn(self):
-        h = atomic_horn(globe(2), "1-")
-        assert h.horn == {"1+", "0-", "0+"}
+        g = globe(2)
+        h = horn(g, "1-")
+        assert labels(g, h.horn) == {"1+", "0-", "0+"}
         assert h.sign == MINUS
 
     def test_square_horn(self):
         sq = square()
-        h = atomic_horn(sq, ("0-", "1"))
-        assert len(h.horn) == 7
+        h = horn(sq, ("0-", "1"))
+        assert h.horn.bit_count() == 7
         assert h.sign == MINUS
 
     def test_horn_is_closed(self):
         sq = square()
         for s in (MINUS, PLUS):
             for x in sq.poset.faces(sq.top(), s):
-                h = atomic_horn(sq, x)
-                assert sq.poset.is_closed(h.horn)
-                assert sq.poset.closure(h.horn) == h.horn
+                h = horn(sq, x)
+                assert sq.poset.is_closed(labels(sq, h.horn))
+                assert sq.poset.closure(labels(sq, h.horn)) == labels(sq, h.horn)
 
     def test_not_a_facet(self):
         with pytest.raises(NotAFacet):
-            atomic_horn(globe(2), "0-")
+            horn(globe(2), "0-")
         with pytest.raises(NotAFacet):
-            atomic_horn(paste(arrow(), arrow(), 0), "in0:1")
+            horn(paste(arrow(), arrow(), 0), parse_sid("in0:1"))
+        with pytest.raises(NotAFacet):
+            atomic_horn(globe(2), len(globe(2)))
 
 
 class TestClassifiedContext:
     def test_arrow_horn_is_identity_context(self):
-        ctx = classified_context(atomic_horn(arrow(), "0+"))
+        ctx = classified_context(horn(arrow(), "0+"))
         assert ctx.is_identity()
 
     def test_globe_horn_is_identity_context(self):
-        ctx = classified_context(atomic_horn(globe(2), "1-"))
+        ctx = classified_context(horn(globe(2), "1-"))
         assert ctx.is_identity()
 
     def test_square_horn_context(self):
         sq = square()
-        ctx = classified_context(atomic_horn(sq, ("0-", "1")))
+        ctx = classified_context(horn(sq, ("0-", "1")))
         assert ctx.ambient.poset.dim_of == {
             e: sq.poset.dim_of[e] for e in sq.poset.boundary_set(1, MINUS)
         }
@@ -85,12 +105,12 @@ class TestClassifiedContext:
 
 class TestIsAContext:
     def test_identity_for_empty_marking(self):
-        ctx = classified_context(atomic_horn(globe(2), "1-"))
+        ctx = classified_context(horn(globe(2), "1-"))
         assert is_a_context(ctx, frozenset()) == []
 
     def test_square_horn_needs_the_other_edge(self):
         sq = square()
-        ctx = classified_context(atomic_horn(sq, ("0-", "1")))
+        ctx = classified_context(horn(sq, ("0-", "1")))
         deriv = is_a_context(ctx, {("1", "0+")})
         assert deriv is not None and len(deriv) == 1
         assert deriv[0]["top"] == ("1", "0+")
@@ -98,7 +118,7 @@ class TestIsAContext:
 
     def test_monotone_in_marking(self):
         sq = square()
-        ctx = classified_context(atomic_horn(sq, ("0-", "1")))
+        ctx = classified_context(horn(sq, ("0-", "1")))
         small = {("1", "0+")}
         big = small | {("0-", "1")}
         assert is_a_context(ctx, small) is not None
@@ -132,7 +152,7 @@ class TestContextOps:
             {"0-": next(iter(ctx.ambient.poset.boundary_set(0, PLUS)))},
         )
         bigger = right_paste(edge, iota, ctx, k=0)
-        sq_ctx = classified_context(atomic_horn(square(), ("0-", "1")))
+        sq_ctx = classified_context(horn(square(), ("0-", "1")))
         assert contexts_equal(bigger, sq_ctx)
 
     def test_left_paste(self):
@@ -191,23 +211,35 @@ class TestContextOps:
 
 class TestMarkedHorn:
     def test_globe_case_otherwise(self):
-        mh = marked_horn(globe(2), "1-", frozenset())
-        assert mh.enlarged == {"2"}
+        g = globe(2)
+        mh = labelled_marked_horn(g, "1-", frozenset())
+        assert labels(g, mh.enlarged) == {"2"}
 
     def test_globe_case_marked(self):
-        mh = marked_horn(globe(2), "1-", {"1+"})
-        assert mh.enlarged == {"1+", "1-", "2"}
+        g = globe(2)
+        mh = labelled_marked_horn(g, "1-", {"1+"})
+        assert labels(g, mh.enlarged) == {"1+", "1-", "2"}
 
     def test_arrow_horn(self):
-        mh = marked_horn(arrow(), "0+", frozenset())
-        assert mh.enlarged == {"1"}
-        assert mh.horn.horn == {"0-"}
+        a = arrow()
+        mh = labelled_marked_horn(a, "0+", frozenset())
+        assert labels(a, mh.enlarged) == {"1"}
+        assert labels(a, mh.horn.horn) == {"0-"}
 
     def test_square_horn_requires_marking(self):
+        sq = square()
         with pytest.raises(NotAContext):
-            marked_horn(square(), ("0-", "1"), frozenset())
-        mh = marked_horn(square(), ("0-", "1"), {("1", "0+")})
-        assert mh.enlarged == {("1", "0+"), ("1", "1")}
+            labelled_marked_horn(sq, ("0-", "1"), frozenset())
+        mh = labelled_marked_horn(sq, ("0-", "1"), {("1", "0+")})
+        assert labels(sq, mh.enlarged) == {("1", "0+"), ("1", "1")}
+
+    def test_marking_must_lie_on_the_horn(self):
+        g = globe(2)
+        for marking in ({"1-"}, {"2"}, {"0-"}):
+            with pytest.raises(NotAContext, match="not on the horn"):
+                labelled_marked_horn(g, "1-", marking)
+        with pytest.raises(NotAContext, match="not on the horn"):
+            marked_horn(g, g.poset.id_of("1-"), 1 << len(g))
 
     def test_fully_marked_always_recognised(self):
         sq = square()
@@ -215,32 +247,33 @@ class TestMarkedHorn:
             x for x in sq.poset.full_boundary_set()
             if sq.poset.dim_of[x] > 0 and x != ("0-", "1")
         )
-        mh = marked_horn(sq, ("0-", "1"), marking)
-        assert sq.top() in mh.enlarged
+        mh = labelled_marked_horn(sq, ("0-", "1"), marking)
+        assert sq.top() in labels(sq, mh.enlarged)
 
 
 class TestPPHorn:
     def test_arrow_arrow_uv(self):
-        h = atomic_horn(arrow(), "0-")
+        h = horn(arrow(), "0-")
         out = pp_horn(h, arrow(), "uv")
-        assert out.facet == ("0-", "1")
+        assert out.shape.poset.labels[out.facet] == ("0-", "1")
         assert out.shape.poset == square().poset
 
     def test_arrow_arrow_vu(self):
-        h = atomic_horn(arrow(), "0-")
+        h = horn(arrow(), "0-")
         out = pp_horn(h, arrow(), "vu")
-        assert out.facet == ("1", "0-")
+        assert out.shape.poset.labels[out.facet] == ("1", "0-")
 
     def test_point_factor_reduces_to_horn(self):
-        h = atomic_horn(arrow(), "0+")
+        a = arrow()
+        h = horn(a, "0+")
         out = pp_horn(h, point(), "uv")
-        assert out.facet == ("0+", "*")
-        assert {a for (a, b) in out.horn} == h.horn
+        assert out.shape.poset.labels[out.facet] == ("0+", "*")
+        assert {x for (x, y) in labels(out.shape, out.horn)} == labels(a, h.horn)
 
     def test_globe_horns_all_facets(self):
         g = globe(2)
         for facet in ("1-", "1+"):
-            h = atomic_horn(g, facet)
+            h = horn(g, facet)
             for order in ("uv", "vu"):
                 out = pp_horn(h, arrow(), order)
                 assert out.shape.dim == 3
@@ -252,7 +285,7 @@ class TestPPMarkedHornProducts:
         products = {}
         outs = []
         for marking in (frozenset(), {"1+"}):
-            mh = marked_horn(g, "1-", marking)
+            mh = labelled_marked_horn(g, "1-", marking)
             for gen in (boundary_inclusion_min(a), boundary_inclusion_marked(a)):
                 for order in ("uv", "vu"):
                     outs.append((order, pp_marked_horn(mh, gen, order, products)))
@@ -260,7 +293,7 @@ class TestPPMarkedHornProducts:
         for order, out in outs:
             assert out.horn.shape is products[(g, a) if order == "uv" else (a, g)]
         # a shared product gives the same marked horns as fresh ones
-        mh = marked_horn(g, "1-", {"1+"})
+        mh = labelled_marked_horn(g, "1-", {"1+"})
         gen = boundary_inclusion_marked(a)
         for order in ("uv", "vu"):
             shared = pp_marked_horn(mh, gen, order, products)
@@ -272,21 +305,21 @@ class TestPPMarkedHornProducts:
 
 class TestPPMarkedHorn:
     def test_arrow_horn_with_minbd(self):
-        mh = marked_horn(arrow(), "0+", frozenset())
+        mh = labelled_marked_horn(arrow(), "0+", frozenset())
         gen = boundary_inclusion_min(arrow())
         out = pp_marked_horn(mh, gen, "uv")
-        assert out.horn.facet == ("0+", "1")
+        assert out.horn.shape.poset.labels[out.horn.facet] == ("0+", "1")
         # case "otherwise": only the product top is newly marked beyond B
-        assert out.added == {("1", "1")}
+        assert labels(out.horn.shape, out.added) == {("1", "1")}
 
     def test_globe_horn_with_markbd(self):
-        mh = marked_horn(globe(2), "1-", {"1+"})
+        mh = labelled_marked_horn(globe(2), "1-", {"1+"})
         gen = boundary_inclusion_marked(arrow())
         out = pp_marked_horn(mh, gen, "uv")
-        assert out.added == {("1-", "1"), ("2", "1")}
+        assert labels(out.horn.shape, out.added) == {("1-", "1"), ("2", "1")}
 
     def test_both_orders(self):
-        mh = marked_horn(globe(2), "1-", frozenset())
+        mh = labelled_marked_horn(globe(2), "1-", frozenset())
         for gen in (boundary_inclusion_min(arrow()), boundary_inclusion_marked(arrow())):
             for order in ("uv", "vu"):
                 out = pp_marked_horn(mh, gen, order)
@@ -349,7 +382,7 @@ cases = [
     (BadHole, lambda: ContextShape(paste(g, arrow(), 0),
                                    paste(g, arrow(), 0).poset.dim_of)),
     (BadDerivation, lambda: ContextShape(composite, composite.provenance["left"].image, [])),
-    (BadHole, lambda: AtomicHorn(g, "1-", MINUS, frozenset({"1+"}))),
+    (BadHole, lambda: AtomicHorn(g, g.poset.id_of("1-"), MINUS, g.poset.encode({"1+"}))),
     (BadMarking, lambda: is_a_context(ContextShape(g, g.poset.dim_of), {"0-"})),
 ]
 raised = 0
@@ -381,8 +414,11 @@ class TestValidation:
         assert ContextShape(composite, hole, None).hole == hole
 
     def test_horn_must_be_closed(self):
+        g = globe(2)
         with pytest.raises(BadHole):
-            AtomicHorn(globe(2), "1-", MINUS, frozenset({"1+"}))
+            AtomicHorn(g, g.poset.id_of("1-"), MINUS, g.poset.encode({"1+"}))
+        with pytest.raises(BadHole):
+            AtomicHorn(g, g.poset.id_of("1-"), MINUS, 1 << len(g))
 
     def test_marking_must_be_positive(self):
         g = globe(2)

@@ -26,7 +26,7 @@ from ogpkit.exprlang import eval_text
 from ogpkit.gray import gray_poset
 from ogpkit.ids import sid
 from ogpkit.molecule import arrow, globe, paste
-from ogpkit.poset import SIGNS, all_isos, find_iso
+from ogpkit.poset import SIGNS, all_isos, bits, find_iso
 
 
 contexts_mod = importlib.import_module("ogpkit.contexts")
@@ -246,11 +246,12 @@ class TestPlantedFaults:
 
         def dropped(i, j):
             pp = real(i, j)
-            if not pp.source.marking:
+            if not pp.source_marking:
                 return pp
-            marking = pp.source.marking - {min(pp.source.marking, key=sid)}
-            return marked_mod.MarkedMap(marked_mod.MarkedShape(pp.source.shape, marking),
-                                        pp.target, pp.mapping, meta=pp.meta)
+            labels = pp.target.poset.labels
+            smallest = min(bits(pp.source_marking), key=lambda k: sid(labels[k]))
+            return marked_mod.MarkedMap(pp.target, pp.image,
+                                        pp.source_marking & ~(1 << smallest), meta=pp.meta)
 
         monkeypatch.setattr(harness_mod, "pushout_product", dropped)
         rep = check("OP_PP", cat, SuiteConfig())
@@ -266,7 +267,7 @@ class TestPlantedFaults:
 
         def inverted(u, x, marking):
             mh = real(u, x, marking)
-            return dataclasses.replace(mh, enlarged=mh.enlarged ^ {x})
+            return dataclasses.replace(mh, enlarged=mh.enlarged ^ 1 << x)
 
         monkeypatch.setattr(contexts_mod, "marked_horn", inverted)
         rep = check("MARKED_HORN_PP", cat, SuiteConfig())
@@ -281,7 +282,7 @@ class TestPlantedFaults:
 
         def kept(u, x):
             h = real(u, x)
-            return contexts_mod.AtomicHorn(h.shape, h.facet, h.sign, h.horn | {x})
+            return contexts_mod.AtomicHorn(h.shape, h.facet, h.sign, h.horn | 1 << x)
 
         monkeypatch.setattr(contexts_mod, "atomic_horn", kept)
         rep = check("HORN_PP", cat, SuiteConfig())
@@ -406,12 +407,16 @@ class TestBoundExceeded:
             check("OP_SWAP", cat, SuiteConfig())
 
 
-def load_bench_spec():
-    path = ROOT / "perfbench" / "spec.py"
-    loader = importlib.util.spec_from_file_location("perfbench_spec", path)
+def load_bench_module(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module
+
+
+def load_bench_spec():
+    return load_bench_module("spec")
 
 
 def check_verify_pass_against_goldens(src_env, workload, seed, golden_key, flags=()):
@@ -451,3 +456,18 @@ def test_verify_search_reports_match_benchmark_goldens_under_optimize(src_env):
 def test_verify_products_reports_match_benchmark_goldens_under_optimize(src_env):
     # MUTATION seed 3
     check_verify_pass_against_goldens(src_env, "verify-products", 3, "3", flags=("-O",))
+
+
+def test_horn_commands_match_shapes_goldens():
+    # every horn, pp-horn and pp-marked-horn command of the shapes
+    # workload, run through cli.main as the benchmark's child runs it
+    from ogpkit import cli
+
+    spec, child = load_bench_spec(), load_bench_module("child")
+    pool = json.loads((spec.GOLDENS / "shapes.json").read_text())["pool"]
+    entries = [e for e in pool if e["kind"] in ("horn", "pp-horn", "pp-marked-horn")]
+    assert len(entries) == 144
+    for entry in entries:
+        code, data, _ = child.run_command(cli, entry["argv"])
+        assert (code, hashlib.sha256(data).hexdigest()) == (entry["exit"], entry["sha256"]), \
+            entry["argv"]

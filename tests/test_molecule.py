@@ -476,9 +476,19 @@ try:
     Inclusion(arrow(), globe(2), {"0-": "0-", "0+": "0+", "1": "2"})
 except BadEmbedding:
     raised += 1
-try:
-    MarkedMap(MarkedShape(arrow(), {"1"}), MarkedShape(arrow(), set()),
-              {"0-": "0-", "0+": "0+", "1": "1"})
+a = arrow()
+try:  # marking not preserved
+    MarkedMap(MarkedShape(a, 0), a.poset.full, a.poset.encode({"1"}))
+except BadEmbedding:
+    raised += 1
+try:  # image not closed
+    MarkedMap(MarkedShape(a, 0), a.poset.encode({"1"}), 0)
+except BadEmbedding:
+    raised += 1
+g = globe(2)
+try:  # source marking outside the image
+    MarkedMap(MarkedShape(g, g.poset.encode({"2"})), g.poset.full_boundary_mask(),
+              g.poset.encode({"2"}))
 except BadEmbedding:
     raised += 1
 print(sys.flags.optimize, raised)
@@ -506,7 +516,7 @@ class TestEmbeddingValidation:
         out = subprocess.run([sys.executable, "-O", "-c", BAD_EMBEDDINGS],
                              env=src_env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["1", "2"]
+        assert out.stdout.split() == ["1", "4"]
 
 
 BAD_GLUES = """
