@@ -99,7 +99,7 @@ def cmd_horn(args) -> int:
     doc["facet"] = sid(p.labels[h.facet])
     doc["sign"] = h.sign
     if args.marking is not None:
-        mh = marked_horn(shape, h.facet, p.encode(map(parse_sid, args.marking)))
+        mh = marked_horn(h, p.encode(map(parse_sid, args.marking)))
         doc["marking"] = p.sids(mh.marking)
         doc["enlarged"] = p.sids(mh.enlarged)
     sys.stdout.buffer.write(to_json_bytes(doc))
@@ -121,7 +121,7 @@ def cmd_pp(args) -> int:
             "carrier": p.sids(out.horn),
         }
     else:
-        mh = marked_horn(u, h.facet, u.poset.encode(map(parse_sid, args.marking or ())))
+        mh = marked_horn(h, u.poset.encode(map(parse_sid, args.marking or ())))
         gen = (boundary_inclusion_min(v) if args.family == "minbd"
                else boundary_inclusion_marked(v))
         out = pp_marked_horn(mh, gen, args.order)

@@ -10,9 +10,11 @@ one atom at a time off the carrier, restricted to atoms whose top is in A;
 the search is exhaustive over peel orders with memoisation, hence complete
 at the sizes this package targets.
 
-Contexts are given by labels.  Horns and marked horns are masks of the
-atom's ids, with the facet given by its id; marked_horn decodes its
-marking once, to recognise the classified context.
+Contexts, derivations, horns and markings are masks of their shape's ids,
+and a facet or the top of a step is an id; a step is a dict as
+molecule.find_derivation returns it.  A marked horn is recognised on its
+atom's own poset: the classified context is a closed subset of the atom,
+so its search needs no context object.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .molecule import (
     paste_at,
     replay_derivation,
 )
-from .poset import MINUS, PLUS, OgPoset, find_iso, flip, spread
+from .poset import MINUS, PLUS, OgPoset, bits, find_iso, flip, map_mask, spread
 
 
 # -- context shapes -----------------------------------------------------------
@@ -49,16 +51,18 @@ from .poset import MINUS, PLUS, OgPoset, find_iso, flip, spread
 
 @dataclass(eq=False)
 class ContextShape:
-    """Ambient molecule with a rewritable hole, plus optional derivation."""
+    """Ambient molecule with a rewritable hole, a mask of the ambient's
+    ids, plus an optional derivation."""
 
     ambient: Molecule
-    hole: frozenset
+    hole: int
     derivation: list | None = None
 
     def __post_init__(self):
-        self.hole = frozenset(self.hole)
         p = self.ambient.poset
-        hole = p.encode(self.hole)
+        hole = self.hole
+        if hole & ~p.full:
+            raise BadHole("hole has elements outside the ambient")
         if not p.is_closed_mask(hole):
             raise BadHole("hole must be closed")
         if p.dim_mask(hole) != p.dim:
@@ -66,7 +70,7 @@ class ContextShape:
         if not is_round(p, hole):
             raise BadHole("hole must be round")
         if self.derivation is not None and not replay_derivation(
-                p, self.hole, self.derivation, p.element_set):
+                p, hole, self.derivation, p.full):
             raise BadDerivation("stored derivation must re-evaluate to the ambient")
 
     @property
@@ -74,44 +78,42 @@ class ContextShape:
         return self.ambient.dim
 
     def is_identity(self) -> bool:
-        return self.hole == frozenset(self.ambient.poset.dim_of)
+        return self.hole == self.ambient.poset.full
 
 
 def identity_context(v: Molecule, w: Molecule) -> ContextShape:
     """Identity context at the type v => w: hole equals ambient."""
     amb = atom(v, w)
-    return ContextShape(amb, frozenset(amb.poset.dim_of), derivation=[])
+    return ContextShape(amb, amb.poset.full, derivation=[])
 
 
-def _translate_steps(steps, mapping):
-    out = []
-    for s in steps:
-        out.append({
-            "side": s["side"],
-            "k": s["k"],
-            "top": mapping[s["top"]],
-            "piece": frozenset(mapping[x] for x in s["piece"]),
-            "removed": frozenset(mapping[x] for x in s["removed"]),
-            "shared": frozenset(mapping[x] for x in s["shared"]),
-            "rest": frozenset(mapping[x] for x in s["rest"]) if s.get("rest") else None,
-        })
-    return out
+def _image(inc: Inclusion) -> list:
+    """The target id of each source id of an inclusion."""
+    index, mapping = inc.target.poset.index, inc.mapping
+    return [index[mapping[x]] for x in inc.source.poset.labels]
 
 
-def _forward_step(result: Molecule, piece_ids: frozenset, side: str, k: int):
-    piece_poset = result.poset.restrict(piece_ids)
-    tops = [x for x in piece_ids
-            if result.poset.dim_of[x] == piece_poset.dim]
-    keep_sign = MINUS if side == "right" else PLUS
-    shared = piece_poset.boundary_set(piece_poset.dim - 1, keep_sign)
+def _translate_steps(steps, image: list) -> list:
+    """Steps carried along an id image."""
+    return [{**s, "top": None if s["top"] is None else image[s["top"]],
+             **{key: map_mask(s[key], image) for key in ("piece", "removed", "shared", "rest")}}
+            for s in steps]
+
+
+def _forward_step(result: Molecule, piece: int, side: str, k: int) -> dict:
+    """The step that pasted the closed mask piece onto the rest of result."""
+    p = result.poset
+    d = p.dim_mask(piece)
+    tops = piece & p.grade_masks()[d]
+    shared = p.boundary_mask(piece, d - 1, MINUS if side == "right" else PLUS)
     return {
         "side": side,
         "k": k,
-        "top": tops[0] if len(tops) == 1 else None,
-        "piece": piece_ids,
-        "removed": piece_ids - shared,
+        "top": tops.bit_length() - 1 if tops.bit_count() == 1 else None,
+        "piece": piece,
+        "removed": piece & ~shared,
         "shared": shared,
-        "rest": frozenset(result.poset.dim_of) - (piece_ids - shared),
+        "rest": p.full & ~(piece & ~shared),
     }
 
 
@@ -119,88 +121,84 @@ def left_paste(u: Molecule, iota: Inclusion, c: ContextShape, k: int) -> Context
     """The clause pasting u on the input side: iota maps bd_k+ u into the
     k-input boundary of the ambient."""
     result = paste_at(u, iota, c.ambient, side="left", k=k)
-    inj_c = result.provenance["right"].mapping
-    inj_u = result.provenance["left"].mapping
-    hole = frozenset(inj_c[x] for x in c.hole)
+    image = _image(result.provenance["right"])
     deriv = None
     if c.derivation is not None and u.is_atom():
-        deriv = _translate_steps(c.derivation, inj_c)
-        deriv.append(_forward_step(result, frozenset(inj_u.values()), "left", k))
-    return ContextShape(result, hole, deriv)
+        piece = map_mask(u.poset.full, _image(result.provenance["left"]))
+        deriv = _translate_steps(c.derivation, image)
+        deriv.append(_forward_step(result, piece, "left", k))
+    return ContextShape(result, map_mask(c.hole, image), deriv)
 
 
 def right_paste(u: Molecule, iota: Inclusion, c: ContextShape, k: int) -> ContextShape:
     """The clause pasting u on the output side: iota maps bd_k- u into the
     k-output boundary of the ambient."""
     result = paste_at(c.ambient, iota, u, side="right", k=k)
-    inj_c = result.provenance["left"].mapping
-    inj_u = result.provenance["right"].mapping
-    hole = frozenset(inj_c[x] for x in c.hole)
+    image = _image(result.provenance["left"])
     deriv = None
     if c.derivation is not None and u.is_atom():
-        deriv = _translate_steps(c.derivation, inj_c)
-        deriv.append(_forward_step(result, frozenset(inj_u.values()), "right", k))
-    return ContextShape(result, hole, deriv)
+        piece = map_mask(u.poset.full, _image(result.provenance["right"]))
+        deriv = _translate_steps(c.derivation, image)
+        deriv.append(_forward_step(result, piece, "right", k))
+    return ContextShape(result, map_mask(c.hole, image), deriv)
 
 
-def _replay(old_poset: OgPoset, old_hole: frozenset, steps, base: Molecule):
+def _replay(old_poset: OgPoset, old_hole: int, steps, base: Molecule):
     """Re-run a derivation on a new base of matching boundary type.
 
     Gluing positions transport through the unique isomorphisms between the
     k-boundaries of the old and new carriers; molecule rigidity (checked by
     the harness) makes the transport canonical.  Returns the new ambient,
-    the map from base ids into it, and the transported steps.
+    the id image of base in it, and the transported steps.  Labels are
+    read only to build the inclusion that paste_at takes.
     """
-    carrier_old = frozenset(old_hole)
+    carrier_old = old_hole
     current = base
-    base_map = {x: x for x in base.poset.dim_of}
+    base_image = list(range(len(base.poset)))
     new_steps = []
     for step in steps:
         k, side = step["k"], step["side"]
         attach_sign = PLUS if side == "right" else MINUS
-        old_sub = old_poset.restrict(carrier_old)
-        old_bd = old_sub.boundary_set(k, attach_sign)
-        new_bd = current.poset.boundary_set(k, attach_sign)
-        iso = find_iso(current.poset.restrict(new_bd), old_poset.restrict(old_bd))
+        old_bd = old_poset.boundary_mask(carrier_old, k, attach_sign)
+        cur = current.poset
+        new_bd = cur.boundary_mask(cur.full, k, attach_sign)
+        iso = find_iso(cur.restrict_mask(new_bd), old_poset.restrict_mask(old_bd))
         if iso is None:
             raise ClauseViolation(
                 f"cannot transport a level-{k} pasting onto the new carrier"
             )
         back = {old: new for new, old in iso.mapping.items()}
-        piece = Molecule(old_poset.restrict(step["piece"]), {"kind": "atom-closure"})
-        keep_sign = flip(attach_sign)
-        piece_bd = piece.poset.boundary_set(k, keep_sign)
-        iota = Inclusion(
-            Molecule(piece.poset.restrict(piece_bd), {"kind": "boundary"}),
-            current,
-            {x: back[x] for x in piece_bd},
-        )
+        piece = Molecule(old_poset.restrict_mask(step["piece"]), {"kind": "atom-closure"})
+        pp = piece.poset
+        piece_bd = pp.restrict_mask(pp.boundary_mask(pp.full, k, flip(attach_sign)))
+        iota = Inclusion(Molecule(piece_bd, {"kind": "boundary"}), current,
+                         {x: back[x] for x in piece_bd.labels})
         if side == "right":
             result = paste_at(current, iota, piece, side="right", k=k)
-            inj_keep = result.provenance["left"].mapping
-            inj_piece = result.provenance["right"].mapping
+            keep, put = "left", "right"
         else:
             result = paste_at(piece, iota, current, side="left", k=k)
-            inj_keep = result.provenance["right"].mapping
-            inj_piece = result.provenance["left"].mapping
-        base_map = {x: inj_keep[y] for x, y in base_map.items()}
-        new_steps = _translate_steps(new_steps, inj_keep)
-        new_steps.append(_forward_step(result, frozenset(inj_piece.values()), side, k))
-        carrier_old = carrier_old | step["piece"]
+            keep, put = "right", "left"
+        image = _image(result.provenance[keep])
+        base_image = [image[i] for i in base_image]
+        new_steps = _translate_steps(new_steps, image)
+        piece_ids = map_mask(pp.full, _image(result.provenance[put]))
+        new_steps.append(_forward_step(result, piece_ids, side, k))
+        carrier_old |= step["piece"]
         current = result
-    return current, base_map, new_steps
+    return current, base_image, new_steps
 
 
 def compose(c: ContextShape, d: ContextShape) -> ContextShape:
     """d after c: replay d's derivation with c's ambient in d's hole."""
     if d.derivation is None:
         raise ClauseViolation("composition needs a derivation for the outer context")
-    ambient, base_map, outer_steps = _replay(d.ambient.poset, d.hole, d.derivation,
-                                             c.ambient)
-    hole = frozenset(base_map[x] for x in c.hole)
+    ambient, base_image, outer_steps = _replay(d.ambient.poset, d.hole, d.derivation,
+                                               c.ambient)
+    hole = map_mask(c.hole, base_image)
     if c.derivation is None:
         return ContextShape(ambient, hole, None)
-    inner_steps = _translate_steps(c.derivation, base_map)
+    inner_steps = _translate_steps(c.derivation, base_image)
     return ContextShape(ambient, hole, inner_steps + outer_steps)
 
 
@@ -213,16 +211,16 @@ def promote(c: ContextShape, v: Molecule, w: Molecule) -> ContextShape:
     """
     if c.derivation is None:
         raise ClauseViolation("promotion needs a derivation")
-    hole_sub = c.ambient.poset.restrict(c.hole)
+    p = c.ambient.poset
     for sign, m in ((MINUS, v), (PLUS, w)):
-        old_bd = hole_sub.restrict(hole_sub.boundary_set(hole_sub.dim - 1, sign))
-        new_bd = m.poset.restrict(m.poset.boundary_set(m.dim - 1, sign))
+        old_bd = p.restrict_mask(p.boundary_mask(c.hole, c.dim - 1, sign))
+        q = m.poset
+        new_bd = q.restrict_mask(q.boundary_mask(q.full, m.dim - 1, sign))
         if find_iso(new_bd, old_bd) is None:
             raise ClauseViolation("promotion types do not match the hole type")
     base = atom(v, w)
-    ambient, base_map, steps = _replay(c.ambient.poset, c.hole, c.derivation, base)
-    hole = frozenset(base_map.values())
-    return ContextShape(ambient, hole, steps)
+    ambient, base_image, steps = _replay(p, c.hole, c.derivation, base)
+    return ContextShape(ambient, map_mask(base.poset.full, base_image), steps)
 
 
 # -- atomic horns --------------------------------------------------------------
@@ -269,24 +267,25 @@ def atomic_horn(u: Molecule, x: int) -> AtomicHorn:
 def classified_context(h: AtomicHorn) -> ContextShape:
     """The context seen through the missing facet: ambient is the boundary
     of the atom on the facet's side, the hole is the facet's closure."""
-    p = h.shape.poset
-    ambient = h.shape.boundary_molecule(h.shape.dim - 1, h.sign)
-    return ContextShape(ambient, p.decode(p.closure_masks()[h.facet]), derivation=None)
+    u = h.shape
+    p = u.poset
+    carrier = p.boundary_mask(p.full, u.dim - 1, h.sign)
+    # the boundary molecule numbers the carrier's bits in order, so an id
+    # becomes the count of carrier bits below it
+    hole = 0
+    for i in bits(p.closure_masks()[h.facet]):
+        hole |= 1 << (carrier & ((1 << i) - 1)).bit_count()
+    return ContextShape(u.boundary_molecule(u.dim - 1, h.sign), hole, derivation=None)
 
 
-def is_a_context(c: ContextShape, marking) -> list | None:
+def is_a_context(c: ContextShape, marking: int) -> list | None:
     """Derivation of the context using only pastings of atoms whose top is
-    marked, or None.  Monotone in the marking.
-
-    Marking elements outside the ambient carrier are irrelevant to the
-    derivation and ignored, so a marking on a larger shape (a horn, say)
-    can be passed directly.
-    """
+    marked, or None.  marking is a mask of positive-dimensional ids of the
+    ambient.  Monotone in the marking."""
     p = c.ambient.poset
-    index, dims = p.index, p.dims
-    if any(dims[index[x]] <= 0 for x in marking if x in index):
-        raise BadMarking("markings are positive-dimensional")
-    return find_derivation(p, p.element_set, c.hole, allowed=marking)
+    if marking & ~(p.full & ~p.grade_masks()[0]):
+        raise BadMarking("markings are positive-dimensional elements of the ambient")
+    return find_derivation(p, p.full, c.hole, allowed=marking)
 
 
 # -- marked horns --------------------------------------------------------------
@@ -311,28 +310,32 @@ class MarkedHorn:
                          self.marking, meta={"kind": "marked-horn", "facet": self.horn.facet})
 
 
-def marked_horn(u: Molecule, x: int, marking: int) -> MarkedHorn:
-    """Recognise (u, x, A) as a marked horn, for the facet with id x and
-    the marking A, a mask of u's ids.
+def marked_horn(h: AtomicHorn, marking: int) -> MarkedHorn:
+    """Recognise (h, A) as a marked horn, for the marking A, a mask of the
+    atom's ids.
 
     Requires the classified context to admit a derivation restricted to A;
     the enlarged marking adds the top, and the facet as well when every
-    facet on the other side is already marked.
+    facet on the other side is already marked.  The context is searched on
+    the atom's own poset: its ambient is a closed subset there, whose
+    boundaries, closures and cofaces within it, and sid order, are those
+    of the boundary molecule.
     """
-    h = atomic_horn(u, x)
+    u = h.shape
     p = u.poset
     stray = marking & ~(h.horn & ~p.grade_masks()[0])
     if stray:
         i = (stray & -stray).bit_length() - 1
         name = sid(p.labels[i]) if i < len(p) else f"id {i}"
         raise NotAContext(f"marking element {name} is not on the horn")
-    if is_a_context(classified_context(h), p.decode(marking)) is None:
+    carrier = p.boundary_mask(p.full, u.dim - 1, h.sign)
+    if find_derivation(p, carrier, p.closure_masks()[h.facet], allowed=marking) is None:
         raise NotAContext("the classified context is not derivable from the marking")
     top = u.top_id()
     other = p.fout[top] if h.sign == MINUS else p.fin[top]
     enlarged = marking | 1 << top
     if not other & ~marking:
-        enlarged |= 1 << x
+        enlarged |= 1 << h.facet
     return MarkedHorn(h, marking, enlarged)
 
 
@@ -437,7 +440,7 @@ def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv",
                 "got": prod.poset.sids(pp.source_marking),
             },
         )
-    result = marked_horn(new_horn.shape, new_horn.facet, pp.source_marking)
+    result = marked_horn(new_horn, pp.source_marking)
     if result.enlarged != pp.target.marking:
         raise RecognitionFailed(
             "enlarged marking of the product horn differs from the pushout marking",

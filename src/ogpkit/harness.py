@@ -306,10 +306,6 @@ def run_instances(lemma_id: str, instances, label: str, catalog: Catalog,
     return rep
 
 
-def _ids(subset) -> list:
-    return sorted(map(sid, subset))
-
-
 def _differ(expected, got):
     """None when the two sides agree, else the failure."""
     return None if expected == got else (expected, got)
@@ -531,39 +527,38 @@ def dist_lower_instances(catalog: Catalog, config):
     verdicts = {}
     for kind, w, u, whole in _paste_at_instances(catalog):
         n = w.dim
-        w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
-        u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
+        pw = whole.poset
+        w_img = pw.encode(whole.provenance["left" if kind == "cpsub" else "right"].image)
+        u_img = pw.encode(whole.provenance["right" if kind == "cpsub" else "left"].image)
         sign = PLUS if kind == "cpsub" else MINUS
         vsign = twist(sign, n)
         for v in small:
             if len(whole) * len(v) > PRODUCT_CAP:
                 continue
-            prod = gray_poset(whole.poset, v.poset)
-            u_prod = prod.restrict(frozenset(
-                (a, b) for a in u_img for b in v.poset.dim_of
-            ))
+            pv = v.poset
+            prod = gray_poset(pw, pv)
+            stride = len(pv)
+            u_grid = spread(u_img, stride) * pv.full
             names = {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
                      "v": catalog.expr_of(v)}
             for ell in range(u.dim + v.dim - n + 1):
                 def distributes():
-                    direct = prod.boundary_set(n + ell, sign)
-                    w_piece = frozenset(
-                        (a, b) for a in w_img
-                        for b in v.poset.boundary_set(ell, vsign)
-                    )
-                    u_side = u_prod.boundary_set(n + ell, sign)
+                    direct = prod.boundary_mask(prod.full, n + ell, sign)
+                    w_piece = spread(w_img, stride) * pv.boundary_mask(pv.full, ell, vsign)
+                    u_side = prod.boundary_mask(u_grid, n + ell, sign)
                     formula = w_piece | u_side
                     if direct != formula:
-                        return _ids(direct), _ids(formula)
-                    if len(direct) > RECOGNISE_CAP:
+                        return prod.sids(direct), prod.sids(formula)
+                    if direct.bit_count() > RECOGNISE_CAP:
                         return None
-                    bd_mol = Molecule(prod.restrict(direct),
+                    bd_mol = Molecule(prod.restrict_mask(direct),
                                       {"kind": "boundary", "of": "product"})
                     # generalised pasting at n + ell - 1 with the w-piece
                     # first for cpsub (it provides the input boundary),
                     # second for subcp
                     left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
-                    return _recognised(bd_mol, left, right, n + ell - 1, verdicts)
+                    return _recognised(bd_mol, prod.decode(left), prod.decode(right),
+                                       n + ell - 1, verdicts)
 
                 yield {**names, "ell": ell, "kind": kind}, distributes
 
@@ -666,7 +661,9 @@ def ctx_recursion_instances(catalog: Catalog, config):
         for faces in (p.fin, p.fout):
             h = atomic_horn(uatom, min(bits(faces[top]), key=p.sid_ranks().__getitem__))
             ctx = classified_context(h)
-            marking = p.decode(h.horn & ~p.grade_masks()[0])
+            # the horn's positive elements on the facet's side
+            pa = ctx.ambient.poset
+            marking = pa.full & ~pa.grade_masks()[0] & ~pa.maximal_mask(ctx.hole)
             if is_a_context(ctx, marking) is not None:
                 horn_contexts.append((uatom, ctx, marking))
     for (uatom, ctx, marking), v in itertools.product(
@@ -675,10 +672,10 @@ def ctx_recursion_instances(catalog: Catalog, config):
             continue
 
         def transported():
-            hole = frozenset((x, y) for x in ctx.hole for y in v.poset.dim_of)
-            prod_ctx = ContextShape(gray(ctx.ambient, v), hole, None)
-            marked = frozenset((x, y) for x in marking for y in v.poset.dim_of)
-            if is_a_context(prod_ctx, marked) is None:
+            pv = v.poset
+            grid = spread(ctx.hole, len(pv)) * pv.full
+            prod_ctx = ContextShape(gray(ctx.ambient, v), grid, None)
+            if is_a_context(prod_ctx, spread(marking, len(pv)) * pv.full) is None:
                 return "derivation", "none"
             return None
 
@@ -723,7 +720,7 @@ def enumerate_marked_horns(u: Molecule):
                 for combo in itertools.combinations(positives, r):
                     marking = sum(combo)
                     try:
-                        horns.append(marked_horn(u, x, marking))
+                        horns.append(marked_horn(h, marking))
                     except NotAContext:
                         continue
                     except BoundExceeded as exc:
@@ -842,9 +839,12 @@ def op_horn_instances(catalog: Catalog, config):
     for u in catalog.atoms(max_dim=3, min_dim=1, max_elements=HORN_U_CAP):
         horns, exhausted = _marked_horns(catalog, u)
         yield from exhausted
+        # op(u) is an atom with the same top and facets
+        opposite_u = op(u)
+        opposite_horns = {x: atomic_horn(opposite_u, x) for x in {mh.horn.facet for mh in horns}}
         for mh in horns:
             def opposite():
-                other = marked_horn(op(u), mh.horn.facet, mh.marking)
+                other = marked_horn(opposite_horns[mh.horn.facet], mh.marking)
                 if other.enlarged != mh.enlarged:
                     return u.poset.sids(mh.enlarged), u.poset.sids(other.enlarged)
                 return None

@@ -22,7 +22,6 @@ from .errors import (
     NotRewritable,
     NotRound,
     RecognitionFailed,
-    UnknownElement,
     ZeroDimensional,
 )
 from .ids import inl, inr, sid
@@ -576,23 +575,18 @@ def _peel_candidates(p: OgPoset, carrier: int, protected: int) -> list:
     return out
 
 
-def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
-                    allowed=None, max_states: int = 500_000):
+def find_derivation(p: OgPoset, carrier: int, hole: int, allowed: int | None = None,
+                    max_states: int = 500_000):
     """Exhaustive peel search: decompose carrier onto hole by extended
     pastings of single atoms.
 
-    allowed, when given, restricts the tops of pasted atoms (the shape-level
-    A-context condition); its elements outside p are ignored.  Returns the
-    steps ordered from the hole outward, or None.  Complete at the sizes
-    this package targets: all peel orders are explored with memoisation on
-    the remaining carrier.  The search runs on masks of p; the labels are
-    encoded on entry and the steps decoded on exit.
+    carrier and hole are closed masks of p.  allowed, when given, is a
+    mask of p that restricts the tops of pasted atoms (the shape-level
+    A-context condition).  Returns the steps ordered from the hole
+    outward, each a dict of _peel_candidates (top an id, the rest masks
+    of p), or None.  Complete at the sizes this package targets: all
+    peel orders are explored with memoisation on the remaining carrier.
     """
-    hole = p.encode(hole)
-    top_ok = None
-    if allowed is not None:
-        index = p.index
-        top_ok = p.encode(x for x in allowed if x in index)
     failed = set()
     states = 0
 
@@ -606,7 +600,7 @@ def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
         if states > max_states:
             raise BoundExceeded("derivation search exceeded its state budget")
         for cand in _peel_candidates(p, current, hole):
-            if top_ok is not None and not top_ok >> cand["top"] & 1:
+            if allowed is not None and not allowed >> cand["top"] & 1:
                 continue
             inner = dfs(cand["rest"])
             if inner is not None:
@@ -614,34 +608,27 @@ def find_derivation(p: OgPoset, carrier: frozenset, hole: frozenset,
         failed.add(current)
         return None
 
-    steps = dfs(p.encode(carrier))
-    if steps is None:
-        return None
-    labels = p.labels
-    return [{"side": c["side"], "k": c["k"], "top": labels[c["top"]],
-             **{key: p.decode(c[key]) for key in ("piece", "removed", "shared", "rest")}}
-            for c in steps]
+    return dfs(carrier)
 
 
-def replay_derivation(p: OgPoset, hole: frozenset, steps, expect: frozenset) -> bool:
+def replay_derivation(p: OgPoset, hole: int, steps, expect: int) -> bool:
     """Re-evaluate a derivation from the hole outward and check it lands on
-    the expected carrier, re-validating every pasting precondition.  Every
-    carrier on the way must be closed; boundaries are read from p.  The
-    labels are encoded once, on entry; a step naming an element outside p
-    does not replay."""
-    carrier = p.encode(hole)
-    if not p.is_closed_mask(carrier):
+    the expected carrier, re-validating every pasting precondition.
+
+    hole and expect are masks of p, and the steps are dicts as
+    find_derivation returns them.  Every carrier on the way must be
+    closed; boundaries are read from p.  A hole or step with bits outside
+    p does not replay.
+    """
+    carrier = hole
+    if carrier & ~p.full or not p.is_closed_mask(carrier):
         return False
-    try:
-        encoded = [(PLUS if step["side"] == "right" else MINUS, step["k"],
-                    p.encode(step["shared"]), p.encode(step["removed"]),
-                    p.encode(step["piece"]))
-                   for step in steps]
-        expect = p.encode(expect)
-    except UnknownElement:
-        return False
-    for attach_sign, k, shared, removed, piece in encoded:
-        if shared & ~p.boundary_mask(carrier, k, attach_sign):
+    for step in steps:
+        shared, removed, piece = step["shared"], step["removed"], step["piece"]
+        if (shared | removed | piece) & ~p.full:
+            return False
+        attach_sign = PLUS if step["side"] == "right" else MINUS
+        if shared & ~p.boundary_mask(carrier, step["k"], attach_sign):
             return False
         if removed & carrier:
             return False

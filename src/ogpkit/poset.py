@@ -497,9 +497,6 @@ def build(elements, faces) -> OgPoset:
     return poset
 
 
-EMPTY = build({}, {})
-
-
 # -- isomorphism search ---------------------------------------------------
 
 

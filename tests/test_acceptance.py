@@ -198,11 +198,12 @@ def test_square_horn_marking_examples():
     # spot checks pinning the two-case enlargement rule used throughout
     g = globe(2)
     p = g.poset
-    mh = marked_horn(g, p.id_of("1-"), 0)
+    h = atomic_horn(g, p.id_of("1-"))
+    mh = marked_horn(h, 0)
     assert p.decode(mh.enlarged) == {"2"}
-    mh = marked_horn(g, p.id_of("1-"), p.encode({"1+"}))
+    mh = marked_horn(h, p.encode({"1+"}))
     assert p.decode(mh.enlarged) == {"1+", "1-", "2"}
     sq = eval_text("gray(arrow,arrow)")
     ctx = classified_context(atomic_horn(sq, sq.poset.id_of(("0-", "1"))))
-    assert is_a_context(ctx, frozenset()) is None
-    assert is_a_context(ctx, {("1", "0+")}) is not None
+    assert is_a_context(ctx, 0) is None
+    assert is_a_context(ctx, ctx.ambient.poset.encode({("1", "0+")})) is not None

@@ -23,10 +23,11 @@ from ogpkit.contexts import (
 )
 from ogpkit.errors import BadDerivation, BadHole, BadMarking, NotAContext, NotAFacet
 from ogpkit.gray import gray
+from ogpkit.harness import HORN_U_CAP, Bounds, enumerate_catalog
 from ogpkit.ids import parse_sid
 from ogpkit.marked import boundary_inclusion_marked, boundary_inclusion_min
-from ogpkit.molecule import Inclusion, arrow, atom, globe, paste, point
-from ogpkit.poset import MINUS, PLUS, find_iso
+from ogpkit.molecule import Inclusion, arrow, atom, find_derivation, globe, paste, point
+from ogpkit.poset import MINUS, PLUS, bits, find_iso
 
 
 def square():
@@ -41,11 +42,24 @@ def horn(u, x):
 def labelled_marked_horn(u, x, marking):
     """The marked horn of u at the facet labelled x, with the marking
     given by labels."""
-    return marked_horn(u, u.poset.id_of(x), u.poset.encode(marking))
+    return marked_horn(horn(u, x), u.poset.encode(marking))
 
 
 def labels(shape, mask):
     return shape.poset.decode(mask)
+
+
+def marked(ctx, marking):
+    """A marking given by labels, as a mask of the context's ambient."""
+    return ctx.ambient.poset.encode(marking)
+
+
+def tops(ctx):
+    """The mask of the tops of the context's derivation steps."""
+    out = 0
+    for s in ctx.derivation:
+        out |= 1 << s["top"]
+    return out
 
 
 class TestAtomicHorn:
@@ -99,28 +113,28 @@ class TestClassifiedContext:
         assert ctx.ambient.poset.dim_of == {
             e: sq.poset.dim_of[e] for e in sq.poset.boundary_set(1, MINUS)
         }
-        assert ctx.hole == sq.poset.closure({("0-", "1")})
+        assert labels(ctx.ambient, ctx.hole) == sq.poset.closure({("0-", "1")})
         assert not ctx.is_identity()
 
 
 class TestIsAContext:
     def test_identity_for_empty_marking(self):
         ctx = classified_context(horn(globe(2), "1-"))
-        assert is_a_context(ctx, frozenset()) == []
+        assert is_a_context(ctx, 0) == []
 
     def test_square_horn_needs_the_other_edge(self):
         sq = square()
         ctx = classified_context(horn(sq, ("0-", "1")))
-        deriv = is_a_context(ctx, {("1", "0+")})
+        deriv = is_a_context(ctx, marked(ctx, {("1", "0+")}))
         assert deriv is not None and len(deriv) == 1
-        assert deriv[0]["top"] == ("1", "0+")
-        assert is_a_context(ctx, frozenset()) is None
+        assert ctx.ambient.poset.labels[deriv[0]["top"]] == ("1", "0+")
+        assert is_a_context(ctx, 0) is None
 
     def test_monotone_in_marking(self):
         sq = square()
         ctx = classified_context(horn(sq, ("0-", "1")))
-        small = {("1", "0+")}
-        big = small | {("0-", "1")}
+        small = marked(ctx, {("1", "0+")})
+        big = small | marked(ctx, {("0-", "1")})
         assert is_a_context(ctx, small) is not None
         assert is_a_context(ctx, big) is not None
 
@@ -132,7 +146,8 @@ def contexts_equal(c1, c2) -> bool:
     iso = find_iso(c1.ambient.poset, c2.ambient.poset)
     if iso is None:
         return False
-    return frozenset(iso.mapping[x] for x in c1.hole) == c2.hole
+    return (frozenset(iso.mapping[x] for x in labels(c1.ambient, c1.hole))
+            == labels(c2.ambient, c2.hole))
 
 
 class TestContextOps:
@@ -205,7 +220,7 @@ class TestContextOps:
         assert promoted.dim == 2
         # ambient is a 2-globe with a trailing whisker edge
         assert len(promoted.ambient.poset) == 7
-        deriv = is_a_context(promoted, {s["top"] for s in promoted.derivation})
+        deriv = is_a_context(promoted, tops(promoted))
         assert deriv is not None
 
 
@@ -239,7 +254,7 @@ class TestMarkedHorn:
             with pytest.raises(NotAContext, match="not on the horn"):
                 labelled_marked_horn(g, "1-", marking)
         with pytest.raises(NotAContext, match="not on the horn"):
-            marked_horn(g, g.poset.id_of("1-"), 1 << len(g))
+            marked_horn(horn(g, "1-"), 1 << len(g))
 
     def test_fully_marked_always_recognised(self):
         sq = square()
@@ -342,9 +357,8 @@ class TestPeelSearchCompleteness:
 
     def test_single_step(self):
         ctx = self._whisker_context()
-        tops = {s["top"] for s in ctx.derivation}
-        assert is_a_context(ctx, tops) is not None
-        assert is_a_context(ctx, frozenset()) is None
+        assert is_a_context(ctx, tops(ctx)) is not None
+        assert is_a_context(ctx, 0) is None
 
     def test_two_steps(self):
         ctx = self._whisker_context()
@@ -355,35 +369,78 @@ class TestPeelSearchCompleteness:
             {"0+": next(iter(ctx.ambient.poset.boundary_set(0, MINUS)))},
         )
         bigger = left_paste(edge, iota, ctx, k=0)
-        tops = {s["top"] for s in bigger.derivation}
-        assert len(tops) == 2
-        assert is_a_context(bigger, tops) is not None
+        pasted = tops(bigger)
+        assert pasted.bit_count() == 2
+        assert is_a_context(bigger, pasted) is not None
         # dropping either pasted atom from the marking blocks recognition
-        for t in tops:
-            assert is_a_context(bigger, tops - {t}) is None
+        for t in bits(pasted):
+            assert is_a_context(bigger, pasted & ~(1 << t)) is None
 
     def test_promoted_context_rerecognised(self):
         ctx = self._whisker_context()
         promoted = promote(ctx, arrow(), arrow())
-        tops = {s["top"] for s in promoted.derivation}
-        assert is_a_context(promoted, tops) is not None
+        assert is_a_context(promoted, tops(promoted)) is not None
+
+
+class TestOnAtomSearch:
+    """marked_horn searches the classified context on the atom's own
+    poset; is_a_context searches it on the boundary molecule.  Both must
+    accept the same markings."""
+
+    def test_agrees_with_the_classified_context(self):
+        cat = enumerate_catalog(Bounds(depth=1))
+        verdicts = []
+        for u in cat.atoms(min_dim=1, max_elements=HORN_U_CAP):
+            p = u.poset
+            top = u.top_id()
+            for x in bits(p.fin[top] | p.fout[top]):
+                h = atomic_horn(u, x)
+                ctx = classified_context(h)
+                carrier = p.boundary_mask(p.full, u.dim - 1, h.sign)
+                positives = bits(h.horn & ~p.grade_masks()[0])
+                for choice in range(1 << len(positives)):
+                    marking = 0
+                    for k, a in enumerate(positives):
+                        if choice >> k & 1:
+                            marking |= 1 << a
+                    # the marking on the facet's side, in the ambient's ids
+                    in_ambient = 0
+                    for a in bits(marking & carrier):
+                        in_ambient |= 1 << (carrier & ((1 << a) - 1)).bit_count()
+                    expected = is_a_context(ctx, in_ambient) is not None
+                    try:
+                        marked_horn(h, marking)
+                        got = True
+                    except NotAContext:
+                        got = False
+                    assert got == expected, (cat.expr_of(u), x, marking)
+                    verdicts.append(got)
+        # five atoms, 62 markings: 38 marked horns and 24 rejections
+        assert (verdicts.count(True), verdicts.count(False)) == (38, 24)
 
 
 BAD_CONTEXTS = """
 import sys
 from ogpkit.contexts import AtomicHorn, ContextShape, is_a_context
 from ogpkit.errors import BadDerivation, BadHole, BadMarking
-from ogpkit.molecule import arrow, globe, paste
+from ogpkit.molecule import arrow, find_derivation, globe, paste
 from ogpkit.poset import MINUS
 g, composite = globe(2), paste(globe(2), globe(2), 1)
+p, cp = g.poset, composite.poset
+whiskered = paste(g, arrow(), 0)
+hole = cp.encode(composite.provenance["left"].image)
+steps = find_derivation(cp, cp.full, hole)
+foreign = [{**steps[0], "piece": steps[0]["piece"] | 1 << len(cp)}]
 cases = [
-    (BadHole, lambda: ContextShape(g, {"2"})),
-    (BadHole, lambda: ContextShape(g, {"0-", "0+", "1-"})),
-    (BadHole, lambda: ContextShape(paste(g, arrow(), 0),
-                                   paste(g, arrow(), 0).poset.dim_of)),
-    (BadDerivation, lambda: ContextShape(composite, composite.provenance["left"].image, [])),
-    (BadHole, lambda: AtomicHorn(g, g.poset.id_of("1-"), MINUS, g.poset.encode({"1+"}))),
-    (BadMarking, lambda: is_a_context(ContextShape(g, g.poset.dim_of), {"0-"})),
+    (BadHole, lambda: ContextShape(g, p.encode({"2"}))),
+    (BadHole, lambda: ContextShape(g, p.encode({"0-", "0+", "1-"}))),
+    (BadHole, lambda: ContextShape(whiskered, whiskered.poset.full)),
+    (BadDerivation, lambda: ContextShape(composite, hole, [])),
+    (BadHole, lambda: AtomicHorn(g, p.id_of("1-"), MINUS, p.encode({"1+"}))),
+    (BadMarking, lambda: is_a_context(ContextShape(g, p.full), p.encode({"0-"}))),
+    (BadHole, lambda: ContextShape(g, p.full | 1 << len(p))),
+    (BadMarking, lambda: is_a_context(ContextShape(g, p.full), 1 << len(p))),
+    (BadDerivation, lambda: ContextShape(composite, hole, foreign)),
 ]
 raised = 0
 for error, make in cases:
@@ -398,20 +455,29 @@ print(sys.flags.optimize, raised)
 class TestValidation:
     def test_hole_must_be_closed_full_and_round(self):
         g = globe(2)
+        p = g.poset
         with pytest.raises(BadHole, match="closed"):
-            ContextShape(g, {"2"})
+            ContextShape(g, p.encode({"2"}))
         with pytest.raises(BadHole, match="full dimension"):
-            ContextShape(g, {"0-", "0+", "1-"})
+            ContextShape(g, p.encode({"0-", "0+", "1-"}))
         whiskered = paste(g, arrow(), 0)
         with pytest.raises(BadHole, match="round"):
-            ContextShape(whiskered, whiskered.poset.dim_of)
+            ContextShape(whiskered, whiskered.poset.full)
+        with pytest.raises(BadHole, match="outside"):
+            ContextShape(g, p.full | 1 << len(p))
 
     def test_derivation_must_replay(self):
         composite = paste(globe(2), globe(2), 1)
-        hole = composite.provenance["left"].image
+        p = composite.poset
+        hole = p.encode(composite.provenance["left"].image)
         with pytest.raises(BadDerivation):
             ContextShape(composite, hole, [])
         assert ContextShape(composite, hole, None).hole == hole
+        steps = find_derivation(p, p.full, hole)
+        assert ContextShape(composite, hole, steps).derivation == steps
+        foreign = [{**steps[0], "shared": steps[0]["shared"] | 1 << len(p)}]
+        with pytest.raises(BadDerivation):
+            ContextShape(composite, hole, foreign)
 
     def test_horn_must_be_closed(self):
         g = globe(2)
@@ -422,12 +488,15 @@ class TestValidation:
 
     def test_marking_must_be_positive(self):
         g = globe(2)
+        ctx = ContextShape(g, g.poset.full)
         with pytest.raises(BadMarking):
-            is_a_context(ContextShape(g, g.poset.dim_of), {"0-"})
+            is_a_context(ctx, g.poset.encode({"0-"}))
+        with pytest.raises(BadMarking):
+            is_a_context(ctx, 1 << len(g))
 
     def test_raises_under_optimize(self, src_env):
         # assert statements vanish under -O; the validation must not
         out = subprocess.run([sys.executable, "-O", "-c", BAD_CONTEXTS],
                              env=src_env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["1", "6"]
+        assert out.stdout.split() == ["1", "9"]

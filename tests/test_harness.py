@@ -265,9 +265,9 @@ class TestPlantedFaults:
         assert check("MARKED_HORN_PP", cat, SuiteConfig()).status == "pass"
         real = contexts_mod.marked_horn
 
-        def inverted(u, x, marking):
-            mh = real(u, x, marking)
-            return dataclasses.replace(mh, enlarged=mh.enlarged ^ 1 << x)
+        def inverted(h, marking):
+            mh = real(h, marking)
+            return dataclasses.replace(mh, enlarged=mh.enlarged ^ 1 << h.facet)
 
         monkeypatch.setattr(contexts_mod, "marked_horn", inverted)
         rep = check("MARKED_HORN_PP", cat, SuiteConfig())

@@ -429,15 +429,20 @@ class TestAtomOnSets:
 class TestDerivationSearch:
     def test_peel_to_hole(self):
         p = paste(globe(2), arrow(), 0)
-        hole = p.provenance["left"].image  # the 2-globe copy
-        steps = find_derivation(p.poset, frozenset(p.poset.dim_of), hole)
+        q = p.poset
+        hole = q.encode(p.provenance["left"].image)  # the 2-globe copy
+        steps = find_derivation(q, q.full, hole)
         assert steps is not None and len(steps) == 1
-        assert replay_derivation(p.poset, hole, steps, frozenset(p.poset.dim_of))
+        assert replay_derivation(q, hole, steps, q.full)
+        # a step with bits outside the poset does not replay
+        foreign = [{**steps[0], "piece": steps[0]["piece"] | 1 << len(q)}]
+        assert not replay_derivation(q, hole, foreign, q.full)
 
     def test_restriction_blocks(self):
         p = paste(globe(2), arrow(), 0)
-        hole = p.provenance["left"].image
-        steps = find_derivation(p.poset, frozenset(p.poset.dim_of), hole, allowed=set())
+        q = p.poset
+        hole = q.encode(p.provenance["left"].image)
+        steps = find_derivation(q, q.full, hole, allowed=0)
         assert steps is None
 
 
