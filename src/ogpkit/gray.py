@@ -51,9 +51,12 @@ def gray(m1: Molecule, m2: Molecule) -> Molecule:
     return result
 
 
-def gray_boundary_decomposition(p: OgPoset, q: OgPoset) -> list:
+def gray_boundary_decomposition(p: OgPoset, q: OgPoset,
+                                product: OgPoset | None = None) -> list:
     """Both sides of the two-piece split formula, for every boundary of
-    P (x) Q at once, as masks of the product's ids.
+    P (x) Q at once, as masks of the product's ids.  product is
+    gray_poset(p, q) when the caller has built it already, so that the
+    boundary memo is shared; otherwise it is built here.
 
     Returns (n, sign, direct, splits) for n = 1 .. dim and both signs.
     direct is bd_n^sign of the product.  splits holds, per cut position
@@ -67,8 +70,11 @@ def gray_boundary_decomposition(p: OgPoset, q: OgPoset) -> list:
     whose factor lies in that boundary, its mask the grid of the factor
     boundary's mask and the other factor's, so each piece is read from
     the sub-poset on that subset and no piece reads the full product.
+    direct is read at the memo key (product.full, n, sign), each piece at
+    its cut's mask.
     """
-    product = gray_poset(p, q)
+    if product is None:
+        product = gray_poset(p, q)
     nq = len(q)
     bd = product.boundary_mask
     p_cols = spread(p.full, nq)
@@ -124,15 +130,14 @@ def swap_ids(np_: int, nq: int) -> list:
     return [j * np_ + i for i in range(np_) for j in range(nq)]
 
 
-def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
+def op_swap_iso(p: OgPoset, q: OgPoset) -> list:
     """The orientation-preserving bijection op(P (x) Q) -> op(Q) (x) op(P),
-    (x, y) -> (y, x).  Raises IdentityFailed, naming the offending element
+    (x, y) -> (y, x), as swap_ids(|P|, |Q|): the id on the right of each
+    id on the left.  Raises IdentityFailed, naming the offending element
     and sign in its message and certificate, if the swap is not one.
 
-    The swap sends each id of the left side to the right side's id of the
-    swapped pair (swap_ids); each face mask of the left side, carried
-    through it, must equal the right side's.  Labels are decoded only for
-    a failure.
+    Each face mask of the left side, carried through the swap, must equal
+    the right side's.  Labels are decoded only for a failure.
     """
     lhs = gray_poset(p, q).op()
     rhs = gray_poset(q.op(), p.op())
@@ -157,4 +162,4 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> dict:
                     f"op-swap failed at {name} sign {s}: {got} != {want}",
                     {"element": name, "sign": s, "got": got, "want": want},
                 )
-    return {(x, y): (y, x) for x in p.labels for y in q.labels}
+    return swap

@@ -344,18 +344,25 @@ def _recognised(ambient: Molecule, left, right, level: int, verdicts: dict):
 
 
 def check_gray_boundary_sides(product: OgPoset, u: Molecule, v: Molecule,
-                              n: int, sign: str):
+                              n: int, sign: str, rows: dict):
     """Direct boundary of the (possibly tampered) product vs the union
     formula evaluated on the factors.  Returns (direct, union) as masks of
     product ids, (i, j) at i * |V| + j: the direct side reads the
-    product's faces, the union side only the factors' boundaries."""
+    product's faces, the union side only the factors' boundaries.
+
+    The union's term k is the grid of bd_k^sign U and
+    bd_(n-k)^((-)^k . sign) V: the first spread at stride |V|, times the
+    second.  rows keeps the spread of each (k, sign): one dict for all the
+    (n, sign) of a pair spreads each factor boundary once.  It feeds only
+    the union side."""
     p, q = u.poset, v.poset
     direct = product.boundary_mask(product.full, n, sign)
     union = 0
     for k in range(n + 1):
-        left = p.boundary_mask(p.full, k, sign)
-        right = q.boundary_mask(q.full, n - k, twist(sign, k))
-        union |= spread(left, len(q)) * right
+        left = rows.get((k, sign))
+        if left is None:
+            left = rows[k, sign] = spread(p.boundary_mask(p.full, k, sign), len(q))
+        union |= left * q.boundary_mask(q.full, n - k, twist(sign, k))
     return direct, union
 
 
@@ -364,12 +371,16 @@ def gray_boundary_instances(catalog: Catalog, config):
     for u, v in itertools.product(mols, mols):
         if len(u) * len(v) > PRODUCT_CAP:
             continue
+        # This setup runs outside the thunks' isolation, and cannot raise:
+        # gray_poset and the boundary reads in gray_boundary_decomposition
+        # validate nothing, and do only integer arithmetic on valid posets
         product = gray_poset(u.poset, v.poset)
+        rows = {}
         names = {"U": catalog.expr_of(u), "V": catalog.expr_of(v)}
         for n in range(u.dim + v.dim + 1):
             for sign in SIGNS:
                 def union_formula():
-                    direct, union = check_gray_boundary_sides(product, u, v, n, sign)
+                    direct, union = check_gray_boundary_sides(product, u, v, n, sign, rows)
                     return _masks_differ(product, union, direct)
 
                 yield {**names, "n": n, "sign": sign}, union_formula
@@ -377,7 +388,7 @@ def gray_boundary_instances(catalog: Catalog, config):
         # one sub-boundary per cut, so they run on the smaller pairs
         if len(u) * len(v) > SPLIT_CAP:
             continue
-        for n, sign, direct, splits in gray_boundary_decomposition(u.poset, v.poset):
+        for n, sign, direct, splits in gray_boundary_decomposition(u.poset, v.poset, product):
             for j, left, right in splits:
                 yield ({**names, "n": n, "sign": sign, "j": j},
                        lambda: _masks_differ(product, direct, left | right))
@@ -959,7 +970,8 @@ def check_mutation(catalog: Catalog, config) -> LemmaReport:
         rep.warning = f"mutation rejected by validation: {exc}"
         return rep
     # mutated keeps the product's ids, so the masks compare
-    sides = [check_gray_boundary_sides(mutated, u, v, n, sign)
+    rows = {}
+    sides = [check_gray_boundary_sides(mutated, u, v, n, sign, rows)
              for n in range(u.dim + v.dim + 1) for sign in SIGNS]
     rep.instances = len(sides)
     detected = sum(direct != union for direct, union in sides)

@@ -27,10 +27,10 @@ def flip(sign: str) -> str:
 def bits(m: int) -> list:
     """Positions of the set bits of m, ascending.
 
-    map_mask, coface_masks and closure_masks run this loop inline: they
-    list the bits of every face mask, and a call per mask made
-    verify-products 6% and catalog-d3 9% slower (BENCH_int_core.json,
-    "bit_listing")."""
+    map_mask, spread, coface_masks, closure_masks and _boundary_below_top
+    run this loop inline: they run once per face mask, factor boundary or
+    boundary grade, and a call per mask made verify-products 6% and
+    catalog-d3 9% slower (BENCH_int_core.json, "bit_listing")."""
     out = []
     while m:
         low = m & -m
@@ -44,8 +44,10 @@ def spread(m: int, stride: int) -> int:
     stride bits, it gives the grid of pairs: spread(a, s) * b has bit
     i * s + j for every bit i of a and j of b."""
     out = 0
-    for i in bits(m):
-        out |= 1 << (i * stride)
+    while m:
+        low = m & -m
+        out |= 1 << ((low.bit_length() - 1) * stride)
+        m ^= low
     return out
 
 
@@ -78,11 +80,14 @@ class OgPoset:
     is_closed_mask, dim_mask, maximal_mask, boundary_mask and
     restrict_mask are integer operations, as are dual, the stable
     colouring, the isomorphism search and embedding_defect.  The coface
-    masks, the per-dimension masks, the closure mask of each element and
-    the mask of the maximal elements are derived on their first read and
-    kept, so a poset that is only built, compared or dualised never
-    inverts its faces.  boundary_mask is memoised per (closed mask, n,
-    sign).
+    masks, the per-dimension masks, the closure mask of each element, the
+    mask of the maximal elements and the per-dimension unions of the face
+    masks are derived on their first read and kept, so a poset that is
+    only built, compared or dualised never inverts its faces.
+    boundary_mask is memoised per (closed mask, n, sign).  A boundary read
+    takes only the per-dimension masks and face unions (computed over its
+    mask when that is not the whole poset) and one pass down the faces of
+    the boundary: it builds no coface or closure table.
 
     Labels.  labels[i] is the structured id (see ids.sid) of element i,
     and index maps labels back to ids.  dim_of, faces_in and faces_out are
@@ -121,6 +126,7 @@ class OgPoset:
         self._cl = None
         self._bd = {}
         self._maximal = None
+        self._face_unions = None
         self._colours = None
         self._form = None
 
@@ -288,23 +294,42 @@ class OgPoset:
             self._bd[key] = bd
         return bd
 
+    def face_unions(self, m: int) -> tuple:
+        """(inputs, outputs): per dimension d, the union of the input and
+        of the output face masks of the d-elements of m; kept for the
+        whole poset."""
+        if m == self.full and self._face_unions is not None:
+            return self._face_unions
+        ins, outs = [0] * (self.dim + 1), [0] * (self.dim + 1)
+        dims, fin, fout = self.dims, self.fin, self.fout
+        for i in range(len(dims)) if m == self.full else bits(m):
+            ins[dims[i]] |= fin[i]
+            outs[dims[i]] |= fout[i]
+        if m == self.full:
+            self._face_unions = ins, outs
+        return ins, outs
+
     def _boundary_below_top(self, m: int, n: int, sign: str) -> int:
         """The boundary formula on a closed mask, for 0 <= n below its
-        dimension."""
-        cin, cout = self.coface_masks()
-        opposite = cout if sign == MINUS else cin
+        dimension, read from the faces one grade at a time.
+
+        Its seeds are the n-elements of m that are no face of the opposite
+        sign of an (n+1)-element of m, and the elements of m below n that
+        are no face of any element of m.  Their closure is taken downward
+        one grade at a time, each grade's elements adding their faces."""
+        ins, outs = self.face_unions(m)
         grades = self.grade_masks()
-        cl = self.closure_masks()
-        out = 0
-        for i in bits(m & grades[n]):
-            if not opposite[i] & m:
-                out |= cl[i]
-        below = 0
-        for g in grades[:n]:
-            below |= g
-        for i in bits(m & below & ~out):
-            if not (cin[i] | cout[i]) & m:
-                out |= cl[i]
+        out = m & grades[n] & ~(outs if sign == MINUS else ins)[n + 1]
+        for d in range(n):
+            out |= m & grades[d] & ~(ins[d + 1] | outs[d + 1])
+        fin, fout = self.fin, self.fout
+        for d in range(n, 0, -1):
+            g = out & grades[d]
+            while g:
+                low = g & -g
+                i = low.bit_length() - 1
+                out |= fin[i] | fout[i]
+                g ^= low
         return out
 
     def full_boundary_mask(self) -> int:

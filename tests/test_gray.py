@@ -73,22 +73,24 @@ class TestBoundaryFormula:
         # bd_1^- (I (x) I) = {0-} x I  u  I x {0+}: the left-then-top path
         sq = square()
         direct, union = map(sq.poset.decode,
-                            check_gray_boundary_sides(sq.poset, arrow(), arrow(), 1, MINUS))
+                            check_gray_boundary_sides(sq.poset, arrow(), arrow(), 1, MINUS, {}))
         expected = {("0-", x) for x in ("0-", "0+", "1")} | {(x, "0+") for x in ("0-", "0+", "1")}
         assert direct == expected
         assert union == expected
 
     def test_saturation(self):
         sq = square().poset
-        direct, union = map(sq.decode, check_gray_boundary_sides(sq, arrow(), arrow(), 2, MINUS))
+        direct, union = map(sq.decode, check_gray_boundary_sides(sq, arrow(), arrow(), 2, MINUS, {}))
         assert direct == union == frozenset(sq.dim_of)
 
     def test_globe_product_all_levels(self):
         u, v = globe(2), arrow()
         product = gray_poset(u.poset, v.poset)
+        rows = {}  # shared by every (n, s), as the lemma shares it
         for n in range(u.dim + v.dim + 1):
             for s in (MINUS, PLUS):
-                direct, union = check_gray_boundary_sides(product, u, v, n, s)
+                direct, union = check_gray_boundary_sides(product, u, v, n, s, rows)
+                assert union == check_gray_boundary_sides(product, u, v, n, s, {})[1]
                 assert direct == union, (n, s)
 
     def test_item1_splits_cover_boundary(self):
@@ -100,6 +102,9 @@ class TestBoundaryFormula:
             assert [j for j, _, _ in splits] == list(range(n))
             for j, left, right in splits:
                 assert left | right == direct, (n, s, j)
+        # a product built by the caller gives the same masks
+        assert gray_boundary_decomposition(u.poset, v.poset,
+                                           gray_poset(u.poset, v.poset)) == levels
 
     def test_splits_match_per_cut_subproducts(self):
         # every piece equals the boundary of a subproduct built for its own
@@ -127,22 +132,32 @@ class TestBoundaryFormula:
             assert got == want
 
 
+def swap_labels(p, q) -> dict:
+    """op_swap_iso's id list decoded: the label in op(Q) (x) op(P) of each
+    label of op(P (x) Q)."""
+    swap = op_swap_iso(p, q)
+    lhs, rhs = gray_poset(p, q).op().labels, gray_poset(q.op(), p.op()).labels
+    assert sorted(swap) == list(range(len(rhs)))
+    return {lhs[e]: rhs[t] for e, t in enumerate(swap)}
+
+
 class TestOpSwap:
     def test_square(self):
-        mapping = op_swap_iso(arrow().poset, arrow().poset)
+        mapping = swap_labels(arrow().poset, arrow().poset)
         assert len(mapping) == 9
+        assert all(k == (v[1], v[0]) for k, v in mapping.items())
 
     def test_point_factor(self):
-        mapping = op_swap_iso(point().poset, arrow().poset)
+        mapping = swap_labels(point().poset, arrow().poset)
         assert all(k == (v[1], v[0]) for k, v in mapping.items())
 
     def test_globe_times_arrow(self):
-        assert len(op_swap_iso(globe(2).poset, arrow().poset)) == 15
+        assert len(swap_labels(globe(2).poset, arrow().poset)) == 15
 
     def test_double_swap_is_identity(self):
         p, q = globe(2).poset, arrow().poset
-        fwd = op_swap_iso(p, q)
-        back = op_swap_iso(q.op().op(), p.op().op())  # = op_swap_iso(q, p)
+        fwd = swap_labels(p, q)
+        back = swap_labels(q.op().op(), p.op().op())  # = swap_labels(q, p)
         assert all(back[v] == k for k, v in fwd.items())
 
     def test_failure_raises_with_element_and_sign(self, monkeypatch):

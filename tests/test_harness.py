@@ -112,7 +112,7 @@ class TestMutation:
         bad = []
         for n in range(3):
             for sign in SIGNS:
-                direct, union = check_gray_boundary_sides(mutated, u, v, n, sign)
+                direct, union = check_gray_boundary_sides(mutated, u, v, n, sign, {})
                 if direct != union:
                     bad.append((n, sign))
         assert bad, info

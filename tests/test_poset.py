@@ -377,6 +377,17 @@ class TestMaskCore:
         for n in range(-1, p.dim + 2):
             for s in (MINUS, PLUS):
                 assert p.boundary_set(n, s) == set_boundary(p, cofaces, n, s)
+        # closed sub-masks, the closures of element pairs: each boundary
+        # read on the mask equals the oracle on the restricted sub-poset
+        for pair in itertools.combinations_with_replacement(p.labels, 2):
+            closed = set_closure(p, pair)
+            sub = p.restrict(closed)
+            sub_cofaces = set_cofaces(sub)
+            m = p.encode(closed)
+            for n in range(-1, sub.dim + 2):
+                for s in (MINUS, PLUS):
+                    assert p.decode(p.boundary_mask(m, n, s)) == \
+                        set_boundary(sub, sub_cofaces, n, s)
 
     def test_label_views_follow_the_ids(self):
         for p in core_shapes():
