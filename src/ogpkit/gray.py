@@ -51,12 +51,10 @@ def gray(m1: Molecule, m2: Molecule) -> Molecule:
     return result
 
 
-def gray_boundary_decomposition(p: OgPoset, q: OgPoset,
-                                product: OgPoset | None = None) -> list:
+def gray_boundary_decomposition(p: OgPoset, q: OgPoset, product: OgPoset) -> list:
     """Both sides of the two-piece split formula, for every boundary of
-    P (x) Q at once, as masks of the product's ids.  product is
-    gray_poset(p, q) when the caller has built it already, so that the
-    boundary memo is shared; otherwise it is built here.
+    P (x) Q at once, as masks of the ids of product, which is
+    gray_poset(p, q).
 
     Returns (n, sign, direct, splits) for n = 1 .. dim and both signs.
     direct is bd_n^sign of the product.  splits holds, per cut position
@@ -73,8 +71,6 @@ def gray_boundary_decomposition(p: OgPoset, q: OgPoset,
     direct is read at the memo key (product.full, n, sign), each piece at
     its cut's mask.
     """
-    if product is None:
-        product = gray_poset(p, q)
     nq = len(q)
     bd = product.boundary_mask
     p_cols = spread(p.full, nq)

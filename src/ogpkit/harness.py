@@ -343,26 +343,29 @@ def _recognised(ambient: Molecule, left, right, level: int, verdicts: dict):
 # -- the lemmas ----------------------------------------------------------------
 
 
-def check_gray_boundary_sides(product: OgPoset, u: Molecule, v: Molecule,
-                              n: int, sign: str, rows: dict):
+def gray_union_rows(u: Molecule, v: Molecule) -> dict:
+    """The rows of the union formula's terms for one pair: per (k, sign),
+    bd_k^sign U spread at stride |V|, for k = 0 .. dim U + dim V."""
+    p, nq = u.poset, len(v)
+    return {(k, sign): spread(p.boundary_mask(p.full, k, sign), nq)
+            for k in range(u.dim + v.dim + 1) for sign in SIGNS}
+
+
+def check_gray_boundary_sides(product: OgPoset, rows: dict, v: Molecule,
+                              n: int, sign: str):
     """Direct boundary of the (possibly tampered) product vs the union
     formula evaluated on the factors.  Returns (direct, union) as masks of
     product ids, (i, j) at i * |V| + j: the direct side reads the
     product's faces, the union side only the factors' boundaries.
 
-    The union's term k is the grid of bd_k^sign U and
-    bd_(n-k)^((-)^k . sign) V: the first spread at stride |V|, times the
-    second.  rows keeps the spread of each (k, sign): one dict for all the
-    (n, sign) of a pair spreads each factor boundary once.  It feeds only
-    the union side."""
-    p, q = u.poset, v.poset
+    rows is gray_union_rows(U, V), built once per pair.  The union's term
+    k is the grid of bd_k^sign U and bd_(n-k)^((-)^k . sign) V: the row
+    of (k, sign) times the second."""
+    q = v.poset
     direct = product.boundary_mask(product.full, n, sign)
     union = 0
     for k in range(n + 1):
-        left = rows.get((k, sign))
-        if left is None:
-            left = rows[k, sign] = spread(p.boundary_mask(p.full, k, sign), len(q))
-        union |= left * q.boundary_mask(q.full, n - k, twist(sign, k))
+        union |= rows[k, sign] * q.boundary_mask(q.full, n - k, twist(sign, k))
     return direct, union
 
 
@@ -372,15 +375,16 @@ def gray_boundary_instances(catalog: Catalog, config):
         if len(u) * len(v) > PRODUCT_CAP:
             continue
         # This setup runs outside the thunks' isolation, and cannot raise:
-        # gray_poset and the boundary reads in gray_boundary_decomposition
-        # validate nothing, and do only integer arithmetic on valid posets
+        # gray_poset, gray_union_rows and the boundary reads in
+        # gray_boundary_decomposition validate nothing, and do only integer
+        # arithmetic on valid posets
         product = gray_poset(u.poset, v.poset)
-        rows = {}
+        rows = gray_union_rows(u, v)
         names = {"U": catalog.expr_of(u), "V": catalog.expr_of(v)}
         for n in range(u.dim + v.dim + 1):
             for sign in SIGNS:
                 def union_formula():
-                    direct, union = check_gray_boundary_sides(product, u, v, n, sign, rows)
+                    direct, union = check_gray_boundary_sides(product, rows, v, n, sign)
                     return _masks_differ(product, union, direct)
 
                 yield {**names, "n": n, "sign": sign}, union_formula
@@ -970,8 +974,8 @@ def check_mutation(catalog: Catalog, config) -> LemmaReport:
         rep.warning = f"mutation rejected by validation: {exc}"
         return rep
     # mutated keeps the product's ids, so the masks compare
-    rows = {}
-    sides = [check_gray_boundary_sides(mutated, u, v, n, sign, rows)
+    rows = gray_union_rows(u, v)
+    sides = [check_gray_boundary_sides(mutated, rows, v, n, sign)
              for n in range(u.dim + v.dim + 1) for sign in SIGNS]
     rep.instances = len(sides)
     detected = sum(direct != union for direct, union in sides)

@@ -85,9 +85,10 @@ class OgPoset:
     masks are derived on their first read and kept, so a poset that is
     only built, compared or dualised never inverts its faces.
     boundary_mask is memoised per (closed mask, n, sign).  A boundary read
-    takes only the per-dimension masks and face unions (computed over its
-    mask when that is not the whole poset) and one pass down the faces of
-    the boundary: it builds no coface or closure table.
+    takes only the per-dimension masks and face unions (for a proper
+    sub-mask, gathered over the grades of the mask that the read needs)
+    and one pass down the faces of the boundary: it builds no coface or
+    closure table.
 
     Labels.  labels[i] is the structured id (see ids.sid) of element i,
     and index maps labels back to ids.  dim_of, faces_in and faces_out are
@@ -126,7 +127,7 @@ class OgPoset:
         self._cl = None
         self._bd = {}
         self._maximal = None
-        self._face_unions = None
+        self._unions = None
         self._colours = None
         self._form = None
 
@@ -294,35 +295,43 @@ class OgPoset:
             self._bd[key] = bd
         return bd
 
-    def face_unions(self, m: int) -> tuple:
-        """(inputs, outputs): per dimension d, the union of the input and
-        of the output face masks of the d-elements of m; kept for the
-        whole poset."""
-        if m == self.full and self._face_unions is not None:
-            return self._face_unions
-        ins, outs = [0] * (self.dim + 1), [0] * (self.dim + 1)
-        dims, fin, fout = self.dims, self.fin, self.fout
-        for i in range(len(dims)) if m == self.full else bits(m):
-            ins[dims[i]] |= fin[i]
-            outs[dims[i]] |= fout[i]
-        if m == self.full:
-            self._face_unions = ins, outs
-        return ins, outs
-
     def _boundary_below_top(self, m: int, n: int, sign: str) -> int:
         """The boundary formula on a closed mask, for 0 <= n below its
         dimension, read from the faces one grade at a time.
 
         Its seeds are the n-elements of m that are no face of the opposite
         sign of an (n+1)-element of m, and the elements of m below n that
-        are no face of any element of m.  Their closure is taken downward
-        one grade at a time, each grade's elements adding their faces."""
-        ins, outs = self.face_unions(m)
+        are no face of any element of m.  Both are read from ins[d] and
+        outs[d], the unions of the input and of the output face masks of
+        the d-elements of m: kept for the whole poset, and gathered over
+        the grades 1 .. n+1 of m for a proper sub-mask.  The seeds' closure
+        is taken downward one grade at a time, each grade's elements adding
+        their faces."""
         grades = self.grade_masks()
+        dims, fin, fout = self.dims, self.fin, self.fout
+        if m == self.full:
+            if self._unions is None:
+                ins, outs = [0] * (self.dim + 1), [0] * (self.dim + 1)
+                for d, a, b in zip(dims, fin, fout):
+                    ins[d] |= a
+                    outs[d] |= b
+                self._unions = ins, outs
+            ins, outs = self._unions
+        else:
+            ins, outs = [0] * (n + 2), [0] * (n + 2)
+            g = 0
+            for d in range(1, n + 2):
+                g |= grades[d]
+            g &= m
+            while g:
+                low = g & -g
+                i = low.bit_length() - 1
+                ins[dims[i]] |= fin[i]
+                outs[dims[i]] |= fout[i]
+                g ^= low
         out = m & grades[n] & ~(outs if sign == MINUS else ins)[n + 1]
         for d in range(n):
             out |= m & grades[d] & ~(ins[d + 1] | outs[d + 1])
-        fin, fout = self.fin, self.fout
         for d in range(n, 0, -1):
             g = out & grades[d]
             while g:

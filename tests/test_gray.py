@@ -6,7 +6,8 @@ import pytest
 
 from ogpkit.errors import IdentityFailed
 from ogpkit.gray import gray, gray_boundary_decomposition, gray_poset, op_swap_iso, twist
-from ogpkit.harness import SPLIT_CAP, Bounds, check_gray_boundary_sides, enumerate_catalog
+from ogpkit.harness import (SPLIT_CAP, Bounds, check_gray_boundary_sides, enumerate_catalog,
+                            gray_union_rows)
 from ogpkit.molecule import arrow, globe, is_round, op, point
 from ogpkit.poset import MINUS, PLUS, find_iso, flip
 
@@ -71,40 +72,36 @@ class TestProduct:
 class TestBoundaryFormula:
     def test_square_input_boundary(self):
         # bd_1^- (I (x) I) = {0-} x I  u  I x {0+}: the left-then-top path
-        sq = square()
+        sq, rows = square(), gray_union_rows(arrow(), arrow())
         direct, union = map(sq.poset.decode,
-                            check_gray_boundary_sides(sq.poset, arrow(), arrow(), 1, MINUS, {}))
+                            check_gray_boundary_sides(sq.poset, rows, arrow(), 1, MINUS))
         expected = {("0-", x) for x in ("0-", "0+", "1")} | {(x, "0+") for x in ("0-", "0+", "1")}
         assert direct == expected
         assert union == expected
 
     def test_saturation(self):
-        sq = square().poset
-        direct, union = map(sq.decode, check_gray_boundary_sides(sq, arrow(), arrow(), 2, MINUS, {}))
+        sq, rows = square().poset, gray_union_rows(arrow(), arrow())
+        direct, union = map(sq.decode, check_gray_boundary_sides(sq, rows, arrow(), 2, MINUS))
         assert direct == union == frozenset(sq.dim_of)
 
     def test_globe_product_all_levels(self):
         u, v = globe(2), arrow()
         product = gray_poset(u.poset, v.poset)
-        rows = {}  # shared by every (n, s), as the lemma shares it
+        rows = gray_union_rows(u, v)
         for n in range(u.dim + v.dim + 1):
             for s in (MINUS, PLUS):
-                direct, union = check_gray_boundary_sides(product, u, v, n, s, rows)
-                assert union == check_gray_boundary_sides(product, u, v, n, s, {})[1]
+                direct, union = check_gray_boundary_sides(product, rows, v, n, s)
                 assert direct == union, (n, s)
 
     def test_item1_splits_cover_boundary(self):
         u, v = globe(2), arrow()
-        levels = gray_boundary_decomposition(u.poset, v.poset)
+        levels = gray_boundary_decomposition(u.poset, v.poset, gray_poset(u.poset, v.poset))
         assert [(n, s) for n, s, _, _ in levels] == [
             (n, s) for n in range(1, u.dim + v.dim + 1) for s in (MINUS, PLUS)]
         for n, s, direct, splits in levels:
             assert [j for j, _, _ in splits] == list(range(n))
             for j, left, right in splits:
                 assert left | right == direct, (n, s, j)
-        # a product built by the caller gives the same masks
-        assert gray_boundary_decomposition(u.poset, v.poset,
-                                           gray_poset(u.poset, v.poset)) == levels
 
     def test_splits_match_per_cut_subproducts(self):
         # every piece equals the boundary of a subproduct built for its own
@@ -126,9 +123,10 @@ class TestBoundaryFormula:
                         splits.append((j, p_piece, q_piece) if s == MINUS
                                       else (j, q_piece, p_piece))
                     want.append((n, s, gray_poset(p, q).boundary_set(n, s), splits))
-            decode = gray_poset(p, q).decode
+            product = gray_poset(p, q)
+            decode = product.decode
             got = [(n, s, decode(direct), [(j, decode(a), decode(b)) for j, a, b in splits])
-                   for n, s, direct, splits in gray_boundary_decomposition(p, q)]
+                   for n, s, direct, splits in gray_boundary_decomposition(p, q, product)]
             assert got == want
 
 
