@@ -83,8 +83,9 @@ def cmd_iso(args) -> int:
     if iso is None:
         sys.stdout.buffer.write(to_json_bytes(None))
     else:
+        pa_labels, pb_labels = pa.labels, pb.labels
         sys.stdout.buffer.write(to_json_bytes(
-            dict(sorted((sid(k), sid(v)) for k, v in iso.mapping.items()))
+            dict(sorted((sid(pa_labels[i]), sid(pb_labels[j])) for i, j in enumerate(iso)))
         ))
     return EXIT_OK
 

@@ -43,7 +43,7 @@ from .molecule import (
     paste_at,
     replay_derivation,
 )
-from .poset import MINUS, PLUS, OgPoset, bits, find_iso, flip, map_mask, spread
+from .poset import MINUS, PLUS, OgPoset, bits, find_iso, flip, map_mask, preimage, spread
 
 
 # -- context shapes -----------------------------------------------------------
@@ -87,12 +87,6 @@ def identity_context(v: Molecule, w: Molecule) -> ContextShape:
     return ContextShape(amb, amb.poset.full, derivation=[])
 
 
-def _image(inc: Inclusion) -> list:
-    """The target id of each source id of an inclusion."""
-    index, mapping = inc.target.poset.index, inc.mapping
-    return [index[mapping[x]] for x in inc.source.poset.labels]
-
-
 def _translate_steps(steps, image: list) -> list:
     """Steps carried along an id image."""
     return [{**s, "top": None if s["top"] is None else image[s["top"]],
@@ -121,10 +115,10 @@ def left_paste(u: Molecule, iota: Inclusion, c: ContextShape, k: int) -> Context
     """The clause pasting u on the input side: iota maps bd_k+ u into the
     k-input boundary of the ambient."""
     result = paste_at(u, iota, c.ambient, side="left", k=k)
-    image = _image(result.provenance["right"])
+    image = result.provenance["right"].ids
     deriv = None
     if c.derivation is not None and u.is_atom():
-        piece = map_mask(u.poset.full, _image(result.provenance["left"]))
+        piece = result.provenance["left"].image
         deriv = _translate_steps(c.derivation, image)
         deriv.append(_forward_step(result, piece, "left", k))
     return ContextShape(result, map_mask(c.hole, image), deriv)
@@ -134,10 +128,10 @@ def right_paste(u: Molecule, iota: Inclusion, c: ContextShape, k: int) -> Contex
     """The clause pasting u on the output side: iota maps bd_k- u into the
     k-output boundary of the ambient."""
     result = paste_at(c.ambient, iota, u, side="right", k=k)
-    image = _image(result.provenance["left"])
+    image = result.provenance["left"].ids
     deriv = None
     if c.derivation is not None and u.is_atom():
-        piece = map_mask(u.poset.full, _image(result.provenance["right"]))
+        piece = result.provenance["right"].image
         deriv = _translate_steps(c.derivation, image)
         deriv.append(_forward_step(result, piece, "right", k))
     return ContextShape(result, map_mask(c.hole, image), deriv)
@@ -149,8 +143,7 @@ def _replay(old_poset: OgPoset, old_hole: int, steps, base: Molecule):
     Gluing positions transport through the unique isomorphisms between the
     k-boundaries of the old and new carriers; molecule rigidity (checked by
     the harness) makes the transport canonical.  Returns the new ambient,
-    the id image of base in it, and the transported steps.  Labels are
-    read only to build the inclusion that paste_at takes.
+    the id image of base in it, and the transported steps.
     """
     carrier_old = old_hole
     current = base
@@ -167,23 +160,27 @@ def _replay(old_poset: OgPoset, old_hole: int, steps, base: Molecule):
             raise ClauseViolation(
                 f"cannot transport a level-{k} pasting onto the new carrier"
             )
-        back = {old: new for new, old in iso.mapping.items()}
+        # the current id of each old id on the boundary, -1 off it
+        back = [-1] * len(old_poset)
+        old_ids = bits(old_bd)
+        for i, j in zip(bits(new_bd), iso):
+            back[old_ids[j]] = i
         piece = Molecule(old_poset.restrict_mask(step["piece"]), {"kind": "atom-closure"})
         pp = piece.poset
-        piece_bd = pp.restrict_mask(pp.boundary_mask(pp.full, k, flip(attach_sign)))
-        iota = Inclusion(Molecule(piece_bd, {"kind": "boundary"}), current,
-                         {x: back[x] for x in piece_bd.labels})
+        piece_bd_mask = pp.boundary_mask(pp.full, k, flip(attach_sign))
+        piece_ids = bits(step["piece"])
+        iota = Inclusion(Molecule(pp.restrict_mask(piece_bd_mask), {"kind": "boundary"}),
+                         current, [back[piece_ids[t]] for t in bits(piece_bd_mask)])
         if side == "right":
             result = paste_at(current, iota, piece, side="right", k=k)
             keep, put = "left", "right"
         else:
             result = paste_at(piece, iota, current, side="left", k=k)
             keep, put = "right", "left"
-        image = _image(result.provenance[keep])
+        image = result.provenance[keep].ids
         base_image = [image[i] for i in base_image]
         new_steps = _translate_steps(new_steps, image)
-        piece_ids = map_mask(pp.full, _image(result.provenance[put]))
-        new_steps.append(_forward_step(result, piece_ids, side, k))
+        new_steps.append(_forward_step(result, result.provenance[put].image, side, k))
         carrier_old |= step["piece"]
         current = result
     return current, base_image, new_steps
@@ -270,11 +267,8 @@ def classified_context(h: AtomicHorn) -> ContextShape:
     u = h.shape
     p = u.poset
     carrier = p.boundary_mask(p.full, u.dim - 1, h.sign)
-    # the boundary molecule numbers the carrier's bits in order, so an id
-    # becomes the count of carrier bits below it
-    hole = 0
-    for i in bits(p.closure_masks()[h.facet]):
-        hole |= 1 << (carrier & ((1 << i) - 1)).bit_count()
+    # the boundary molecule's ids are the carrier's bits in order
+    hole = preimage(p.closure_masks()[h.facet], bits(carrier))
     return ContextShape(u.boundary_molecule(u.dim - 1, h.sign), hole, derivation=None)
 
 

@@ -23,19 +23,24 @@ from .errors import (
 )
 from .ids import sid
 from .molecule import Inclusion, Molecule, is_round
-from .poset import MINUS, PLUS, OgPoset, build
+from .poset import MINUS, PLUS, OgPoset, bits, build, map_mask, same_ids
 
 I_SRC = "0-"
 I_MID = "1"
 I_TGT = "0+"
 
 
-def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> OgPoset:
-    """Shared construction; variant is "plain", "L", or "R"."""
+def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> tuple:
+    """Shared construction; variant is "plain", "L", or "R".  Returns the
+    cylinder and its collapse map onto p as an id image: an element of K
+    and each (i, x) go to the id of x, recorded as the elements are
+    numbered."""
     n = p.dim
     elements, faces = {}, {}
+    collapse = []
     for y in K:
         elements[y] = p.dim_of[y]
+        collapse.append(p.index[y])
         if p.dim_of[y] > 0:
             faces[y] = (set(p.faces(y, MINUS)), set(p.faces(y, PLUS)))
 
@@ -43,13 +48,14 @@ def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> OgPoset:
         """Faces of (i, x) for i an endpoint, the plain rule."""
         return {(i, y) for y in p.faces(x, sign) - K} | (p.faces(x, sign) & K)
 
-    for x, dx in p.dim_of.items():
+    for x_id, (x, dx) in enumerate(p.dim_of.items()):
         if x in K:
             continue
         top = dx == n and variant != "plain"
         for i in (I_SRC, I_TGT):
             e = (i, x)
             elements[e] = dx
+            collapse.append(x_id)
             if dx == 0:
                 continue
             if top and variant == "L" and i == I_TGT:
@@ -61,6 +67,7 @@ def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> OgPoset:
                 faces[e] = (side_copy(i, x, MINUS), side_copy(i, x, PLUS))
         e = (I_MID, x)
         elements[e] = dx + 1
+        collapse.append(x_id)
         if top and variant == "L":
             fin = {(I_SRC, x), (I_TGT, x)} | {(I_MID, y) for y in p.faces(x, PLUS) - K}
             fout = {(I_MID, y) for y in p.faces(x, MINUS)}
@@ -71,7 +78,7 @@ def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> OgPoset:
             fin = {(I_SRC, x)} | {(I_MID, y) for y in p.faces(x, PLUS) - K}
             fout = {(I_TGT, x)} | {(I_MID, y) for y in p.faces(x, MINUS) - K}
         faces[e] = (fin, fout)
-    return build(elements, faces)
+    return build(elements, faces), collapse
 
 
 def gray_cylinder(u: Molecule, K) -> Molecule:
@@ -83,10 +90,11 @@ def gray_cylinder(u: Molecule, K) -> Molecule:
         raise KNotClosed("collapse set must be closed")
     if K == frozenset(u.poset.dim_of):
         return u
-    poset = _cylinder_poset(u.poset, K, "plain")
+    poset, collapse = _cylinder_poset(u.poset, K, "plain")
     cert = {"kind": "cylinder", "K": sorted(map(sid, K)), "of": u.certificate}
     result = Molecule(poset, cert)
-    result.provenance["cylinder"] = {"base": u, "K": K, "variant": "plain"}
+    result.provenance["cylinder"] = {"base": u, "K": K, "variant": "plain",
+                                     "collapse": collapse}
     return result
 
 
@@ -102,11 +110,12 @@ def inverted_cylinder(u: Molecule, K, side: str) -> Molecule:
         raise BadCollapseSet(
             f"collapse set must be a closed subset of the {'output' if side == 'L' else 'input'} boundary"
         )
-    poset = _cylinder_poset(u.poset, K, side)
+    poset, collapse = _cylinder_poset(u.poset, K, side)
     cert = {"kind": "inverted-cylinder", "side": side,
             "K": sorted(map(sid, K)), "of": u.certificate}
     result = Molecule(poset, cert)
-    result.provenance["cylinder"] = {"base": u, "K": K, "variant": side}
+    result.provenance["cylinder"] = {"base": u, "K": K, "variant": side,
+                                     "collapse": collapse}
     return result
 
 
@@ -133,44 +142,36 @@ def invertor_shape(s: str, u: Molecule) -> Molecule:
 
 @dataclass
 class Projection:
-    """Surjective collapse map of a cylinder or invertor shape onto its base."""
+    """Surjective collapse map of a cylinder or invertor shape onto its
+    base: ids is the id image, the target id of each source id."""
 
     source: Molecule
     target: Molecule
-    mapping: dict
+    ids: list
 
     def __post_init__(self):
         src, tgt = self.source.poset, self.target.poset
-        if self.mapping.keys() != src.index.keys():
+        ids = self.ids
+        if len(ids) != len(src) or min(ids, default=0) < 0 or max(ids, default=-1) >= len(tgt):
             raise BadProjection("projection must be total")
-        if set(self.mapping.values()) != tgt.element_set:
+        if len(set(ids)) != len(tgt):
             raise BadProjection("projection must be surjective")
-        src_dim, tgt_dim = src.dim_of, tgt.dim_of
-        for x, y in self.mapping.items():
-            if src_dim[x] < tgt_dim[y]:
-                raise BadProjection(f"projection must not raise the dimension of {sid(x)}")
-
-    def __getitem__(self, x):
-        return self.mapping[x]
-
-    def apply(self, subset):
-        return frozenset(self.mapping[x] for x in subset)
+        for i, (d, j) in enumerate(zip(src.dims, ids)):
+            if d < tgt.dims[j]:
+                raise BadProjection(
+                    f"projection must not raise the dimension of {sid(src.labels[i])}")
 
     def preserves_closures(self) -> bool:
         """Image of a closure is the closure of the image, elementwise."""
-        src, tgt = self.source.poset, self.target.poset
-        return all(
-            self.apply(src.closure({x})) == tgt.closure({self.mapping[x]})
-            for x in src.dim_of
-        )
+        ids = self.ids
+        src_cl = self.source.poset.closure_masks()
+        tgt_cl = self.target.poset.closure_masks()
+        return all(map_mask(c, ids) == tgt_cl[j] for c, j in zip(src_cl, ids))
 
     def compose(self, other: "Projection") -> "Projection":
-        if not (other.source is self.target or other.source.poset == self.target.poset):
+        if not same_ids(other.source.poset, self.target.poset):
             raise NotComposable("projection: the second source is not the first target")
-        return Projection(
-            self.source, other.target,
-            {x: other.mapping[y] for x, y in self.mapping.items()},
-        )
+        return Projection(self.source, other.target, [other.ids[j] for j in self.ids])
 
 
 def projection(c: Molecule) -> Projection:
@@ -178,28 +179,17 @@ def projection(c: Molecule) -> Projection:
     if "invertor" in c.provenance:
         info = c.provenance["invertor"]
         if info["s"] == "":
-            base = info["base"]
-            return Projection(c, base, {x: x for x in c.poset.dim_of})
-        inner = info["inner"]
-        outer = _one_step_projection(c)
-        return outer.compose(projection(inner))
+            return Projection(c, info["base"], list(range(len(c))))
+        return _one_step_projection(c).compose(projection(info["inner"]))
     if "cylinder" in c.provenance:
         return _one_step_projection(c)
     # a shape that is its own trivial cylinder (s = "", or K = U collapse)
-    return Projection(c, c, {x: x for x in c.poset.dim_of})
+    return Projection(c, c, list(range(len(c))))
 
 
 def _one_step_projection(c: Molecule) -> Projection:
     info = c.provenance["cylinder"]
-    base = info["base"]
-    mapping = {}
-    for e in c.poset.dim_of:
-        if isinstance(e, tuple) and len(e) == 2 and e[0] in (I_SRC, I_MID, I_TGT) \
-                and e[1] in base.poset.dim_of and e[1] not in info["K"]:
-            mapping[e] = e[1]
-        else:
-            mapping[e] = e
-    proj = Projection(c, base, mapping)
+    proj = Projection(c, info["base"], info["collapse"])
     if not proj.preserves_closures():
         raise BadProjection("cylinder projection must respect closures")
     return proj
@@ -219,14 +209,16 @@ def unitor_shape(u: Molecule, iota: Inclusion, side: str) -> Molecule:
     if side not in ("left", "right"):
         raise NotRewritable(f"side must be left or right, got {side!r}")
     sign = MINUS if side == "left" else PLUS
-    expected = u.poset.boundary_set(u.dim - 1, sign)
-    if frozenset(iota.target.poset.dim_of) != expected:
+    p = u.poset
+    expected = p.boundary_mask(p.full, u.dim - 1, sign)
+    if not same_ids(iota.target.poset, p.restrict_mask(expected)):
         raise NotRewritable("unitor inclusion must land in the matching boundary of u")
     if not iota.rewritable:
         raise NotRewritable("unitor hole must be rewritable")
-    hole_boundary = iota.apply(iota.source.poset.full_boundary_set())
-    interior = iota.image - hole_boundary
-    K = u.poset.full_boundary_set() - interior
-    if not u.poset.is_closed(K):
+    # the target's ids are the bits of expected in order
+    hole_boundary = map_mask(iota.source.poset.full_boundary_mask(), iota.ids)
+    interior = map_mask(iota.image & ~hole_boundary, bits(expected))
+    K = p.full_boundary_mask() & ~interior
+    if not p.is_closed_mask(K):
         raise KNotClosed("unitor collapse set is not closed")
-    return gray_cylinder(u, K)
+    return gray_cylinder(u, p.decode(K))

@@ -101,17 +101,16 @@ def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
     (W (x) V, W' (x) V) at level k + dim V.  side "right": the pasting lives
     in the right factor; the product splits at level k + dim U, with the
     two pieces swapped when dim U is odd.
-    Returns (left ids, right ids, level) in the product of g.ambient and
-    the other factor (in the order dictated by side).
+    Returns (left mask, right mask, level) in the product of g.ambient and
+    the other factor (in the order dictated by side), each piece the grid
+    of one side of g and the whole of the other factor.
     """
+    full = other.poset.full
     if side == "left":
-        pieces = (
-            frozenset((x, y) for x in g.left for y in other.poset.dim_of),
-            frozenset((x, y) for x in g.right for y in other.poset.dim_of),
-        )
-        return pieces[0], pieces[1], g.level + other.dim
-    first = frozenset((y, x) for x in g.left for y in other.poset.dim_of)
-    second = frozenset((y, x) for x in g.right for y in other.poset.dim_of)
+        stride = len(other)
+        return spread(g.left, stride) * full, spread(g.right, stride) * full, g.level + other.dim
+    stride = len(g.ambient)
+    first, second = spread(full, stride) * g.left, spread(full, stride) * g.right
     if other.dim % 2 == 1:
         first, second = second, first
     return first, second, g.level + other.dim

@@ -93,6 +93,7 @@ from .poset import (
     flip,
     iso_invariant,
     map_mask,
+    preimage,
     spread,
 )
 
@@ -331,9 +332,9 @@ def _raising(fn, *args):
     return thunk
 
 
-def _recognised(ambient: Molecule, left, right, level: int, verdicts: dict):
-    """None when (left, right) is a generalised pasting of the ambient at
-    level, else the failure."""
+def _recognised(ambient: Molecule, left: int, right: int, level: int, verdicts: dict):
+    """None when the masks (left, right) are a generalised pasting of the
+    ambient at level, else the failure."""
     if recognise_generalised_pasting(ambient, left, right, level,
                                      verdicts=verdicts) is None:
         return "recognised", "conditions failed"
@@ -410,28 +411,23 @@ def iso_unique_instances(catalog: Catalog, config):
 
 def brute_force_isos(p: OgPoset, q: OgPoset):
     """Oracle iso enumeration: all dimension-preserving bijections, filtered
-    by the face-preservation condition."""
-    if len(p) != len(q):
+    by the face-preservation condition; each an id image."""
+    if len(p) != len(q) or p.dim != q.dim:
         return []
-    dims = sorted(set(p.dim_of.values()) | set(q.dim_of.values()))
     per_dim = []
-    for d in dims:
-        xs = sorted(p.grade(d), key=sid)
-        ys = sorted(q.grade(d), key=sid)
-        if len(xs) != len(ys):
+    for xs, ys in zip(p.grade_masks(), q.grade_masks()):
+        if xs.bit_count() != ys.bit_count():
             return []
-        per_dim.append((xs, ys))
+        per_dim.append((bits(xs), bits(ys)))
     found = []
     for combo in itertools.product(*(itertools.permutations(ys) for _, ys in per_dim)):
-        mapping = {}
+        image = [-1] * len(p)
         for (xs, _), perm in zip(per_dim, combo):
-            mapping.update(zip(xs, perm))
-        if all(
-            {mapping[f] for f in p_faces[x]} == q_faces[mapping[x]]
-            for p_faces, q_faces in ((p.faces_in, q.faces_in), (p.faces_out, q.faces_out))
-            for x in p.dim_of
-        ):
-            found.append(mapping)
+            for i, j in zip(xs, perm):
+                image[i] = j
+        if all(map_mask(p.fin[i], image) == q.fin[j] and map_mask(p.fout[i], image) == q.fout[j]
+               for i, j in enumerate(image)):
+            found.append(image)
     return found
 
 
@@ -476,18 +472,17 @@ def gencp_boundary_instances(catalog: Catalog, config):
     for expr, g in _gencp_pastings(catalog):
         amb = g.ambient.poset
         k = g.level
-        left, right = amb.encode(g.left), amb.encode(g.right)
         for n in range(k + 1, amb.dim + 1):
             for sign in SIGNS:
                 def boundary():
-                    bd_left = amb.boundary_mask(left, n, sign)
-                    bd_right = amb.boundary_mask(right, n, sign)
+                    bd_left = amb.boundary_mask(g.left, n, sign)
+                    bd_right = amb.boundary_mask(g.right, n, sign)
                     direct = amb.boundary_mask(amb.full, n, sign)
                     if bd_left | bd_right != direct:
                         return amb.sids(direct), amb.sids(bd_left | bd_right)
-                    return _recognised(g.ambient.boundary_molecule(n, sign),
-                                       amb.decode(bd_left), amb.decode(bd_right), k,
-                                       verdicts)
+                    inc = g.ambient.boundary(n, sign)
+                    return _recognised(inc.source, preimage(bd_left, inc.ids),
+                                       preimage(bd_right, inc.ids), k, verdicts)
 
                 yield {"pasting": expr, "n": n, "sign": sign}, boundary
 
@@ -516,17 +511,20 @@ def _paste_at_instances(catalog: Catalog):
                 pass
             # proper submolecule gluings: facet closures inside the boundary
             if u.dim >= n:
-                bd_in = u.poset.restrict(u.poset.boundary_set(k, MINUS))
+                pu = u.poset
+                bd_in = pu.boundary_mask(pu.full, k, MINUS)
                 wout = w.boundary_molecule(k, PLUS)
-                for cell in sorted(bd_in.grade(k), key=sid):
-                    hole = bd_in.closure({cell})
-                    if len(hole) == len(bd_in):
+                for cell in sorted(bits(bd_in & pu.grade_masks()[k]),
+                                   key=pu.sid_ranks().__getitem__):
+                    hole = pu.closure_masks()[cell]
+                    if hole == bd_in:
                         continue
-                    iso = find_iso(wout.poset, bd_in.restrict(hole))
+                    iso = find_iso(wout.poset, pu.restrict_mask(hole))
                     if iso is None:
                         continue
-                    iota = Inclusion(wout, u, dict(iso.mapping))
+                    hole_ids = bits(hole)
                     try:
+                        iota = Inclusion(wout, u, [hole_ids[j] for j in iso])
                         whole = paste_at(w, iota, u, side="left", k=k)
                     except ShapeError:
                         continue
@@ -543,8 +541,8 @@ def dist_lower_instances(catalog: Catalog, config):
     for kind, w, u, whole in _paste_at_instances(catalog):
         n = w.dim
         pw = whole.poset
-        w_img = pw.encode(whole.provenance["left" if kind == "cpsub" else "right"].image)
-        u_img = pw.encode(whole.provenance["right" if kind == "cpsub" else "left"].image)
+        w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
+        u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
         sign = PLUS if kind == "cpsub" else MINUS
         vsign = twist(sign, n)
         for v in small:
@@ -570,9 +568,10 @@ def dist_lower_instances(catalog: Catalog, config):
                                       {"kind": "boundary", "of": "product"})
                     # generalised pasting at n + ell - 1 with the w-piece
                     # first for cpsub (it provides the input boundary),
-                    # second for subcp
+                    # second for subcp; bd_mol's ids are the bits of direct
                     left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
-                    return _recognised(bd_mol, prod.decode(left), prod.decode(right),
+                    ids = bits(direct)
+                    return _recognised(bd_mol, preimage(left, ids), preimage(right, ids),
                                        n + ell - 1, verdicts)
 
                 yield {**names, "ell": ell, "kind": kind}, distributes
@@ -651,8 +650,8 @@ def ctx_recursion_instances(catalog: Catalog, config):
     for kind, w, u, whole in _paste_at_instances(catalog):
         n = w.dim
         pw = whole.poset
-        w_img = pw.encode(whole.provenance["left" if kind == "cpsub" else "right"].image)
-        u_img = pw.encode(whole.provenance["right" if kind == "cpsub" else "left"].image)
+        w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
+        u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
         for v in small[:CTX_FACTOR_COUNT]:
             if len(whole) * len(v) > PRODUCT_CAP:
                 continue

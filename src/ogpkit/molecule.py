@@ -18,7 +18,6 @@ from .errors import (
     BoundExceeded,
     DimMismatch,
     LevelOutOfRange,
-    NotComposable,
     NotRewritable,
     NotRound,
     RecognitionFailed,
@@ -37,6 +36,7 @@ from .poset import (
     embedding_defect,
     find_iso,
     map_mask,
+    same_ids,
 )
 
 POINT_ID = "*"
@@ -93,14 +93,14 @@ class Molecule:
             n = self.dim - 1
         key = (n, sign)
         if key not in self._boundaries:
-            subset = self.poset.boundary_set(n, sign)
-            if len(subset) == len(self.poset):
+            p = self.poset
+            mask = p.boundary_mask(p.full, n, sign)
+            if mask == p.full:
                 self._boundaries[key] = identity_inclusion(self)
             else:
-                src = submolecule(self, subset, {"kind": "boundary", "n": n, "sign": sign,
-                                                 "of": self.certificate})
-                self._boundaries[key] = Inclusion(src, self, {x: x for x in subset},
-                                                  kind="boundary")
+                src = Molecule(p.restrict_mask(mask), {"kind": "boundary", "n": n, "sign": sign,
+                                                       "of": self.certificate})
+                self._boundaries[key] = Inclusion(src, self, bits(mask), kind="boundary")
         return self._boundaries[key]
 
     def boundary_molecule(self, n=None, sign=MINUS) -> "Molecule":
@@ -109,52 +109,31 @@ class Molecule:
 
 @dataclass(eq=False)
 class Inclusion:
-    """Tracked injective map of shapes, tagged with how it arose."""
+    """Tracked injective map of shapes, tagged with how it arose: ids is
+    the id image, the target id of each source id."""
 
     source: Molecule
     target: Molecule
-    mapping: dict
+    ids: list
     kind: str = "inclusion"
 
     def __post_init__(self):
-        defect = embedding_defect(self.source.poset, self.target.poset, self.mapping)
+        defect = embedding_defect(self.source.poset, self.target.poset, self.ids)
         if defect is not None:
             raise BadEmbedding(f"inclusion: {defect}")
 
     @property
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
-
-    @property
-    def is_iso(self) -> bool:
-        return len(self.mapping) == len(self.target.poset)
+    def image(self) -> int:
+        """The mask of the image in the target."""
+        return map_mask(self.source.poset.full, self.ids)
 
     @property
     def rewritable(self) -> bool:
         return self.source.dim == self.target.dim and is_round(self.source)
 
-    def compose(self, other: "Inclusion") -> "Inclusion":
-        """other after self: self source includes into other's target."""
-        if not (self.target is other.source or self.target.poset == other.source.poset):
-            raise NotComposable("inclusion: the second source is not the first target")
-        return Inclusion(
-            self.source,
-            other.target,
-            {x: other.mapping[y] for x, y in self.mapping.items()},
-            kind="compose",
-        )
-
-    def apply(self, subset) -> frozenset:
-        return frozenset(self.mapping[x] for x in subset)
-
 
 def identity_inclusion(m: Molecule) -> Inclusion:
-    return Inclusion(m, m, {x: x for x in m.poset.dim_of}, kind="iso")
-
-
-def submolecule(m: Molecule, subset, certificate) -> Molecule:
-    """Molecule structure on a closed subset, ids preserved."""
-    return Molecule(m.poset.restrict(subset), certificate)
+    return Inclusion(m, m, list(range(len(m))), kind="iso")
 
 
 # -- base shapes -----------------------------------------------------------
@@ -215,50 +194,79 @@ def is_round(shape, subset: int | None = None) -> bool:
 # -- pushout gluing --------------------------------------------------------
 
 
-def paste_along(a: OgPoset, b: OgPoset, glue: dict):
+def paste_along(a: OgPoset, b: OgPoset, glue: list):
     """Pushout of a <- dom(glue) -> b in oriented graded posets.
 
-    glue maps a closed subset of a isomorphically onto a closed subset of b.
-    Left elements keep their ids under the in0 tag, unshared right elements
-    under in1, and the shared part keeps the left ids.  The pushout is
-    built on masks with no build() re-check: a keeps its ids, the unshared
-    elements of b follow in b's order, and a glue that preserves dimension
-    and faces leaves every element with nonempty, disjoint face sides one
-    dimension below.
+    glue is an id image on a: the id in b of each glued id of a, -1 for
+    the others.  It must map a closed subset of a isomorphically onto a
+    closed subset of b.  a keeps its ids in the pushout, and the unglued
+    ids of b follow in b's order.  Returns the pushout and the id images
+    of a and of b in it.  The pushout's labels are decoded on first read:
+    a's under the in0 tag, the unglued elements of b under in1, so the
+    shared part keeps the left labels.  It is built on masks with no
+    build() re-check: a glue that preserves dimension and faces leaves
+    every element with nonempty, disjoint face sides one dimension below.
     """
-    a_index, b_index = a.index, b.index
-    image = [-1] * len(a)  # a id -> b id, on the glued ids
-    for x, y in glue.items():
-        i, j = a_index.get(x), b_index.get(y)
-        if i is None or j is None or a.dims[i] != b.dims[j]:
-            raise BadEmbedding(f"glue must preserve dimension at {sid(x)}")
-        image[i] = j
-    for x, y in glue.items():
-        i, j = a_index[x], b_index[y]
-        if map_mask(a.fin[i], image) != b.fin[j] or map_mask(a.fout[i], image) != b.fout[j]:
-            raise BadEmbedding(f"glue must preserve faces at {sid(x)}")
+    na, nb = len(a), len(b)
+    b_image = [-1] * nb  # b id -> pushout id
+    for i, j in enumerate(glue):
+        if j < 0:
+            continue
+        if j >= nb or a.dims[i] != b.dims[j]:
+            raise BadEmbedding(f"glue must preserve dimension at {sid(a.labels[i])}")
+        if b_image[j] >= 0:
+            raise BadEmbedding(f"glue must be injective at {sid(a.labels[i])}")
+        b_image[j] = i
+    for i, j in enumerate(glue):
+        if j >= 0 and (map_mask(a.fin[i], glue) != b.fin[j]
+                       or map_mask(a.fout[i], glue) != b.fout[j]):
+            raise BadEmbedding(f"glue must preserve faces at {sid(a.labels[i])}")
 
-    na = len(a)
-    b_image = [-1] * len(b)  # b id -> pushout id
-    for i, j in enumerate(image):
-        if j >= 0:
-            b_image[j] = i
     rest = [j for j, i in enumerate(b_image) if i < 0]
     for k, j in enumerate(rest):
         b_image[j] = na + k
-    a_labels = [inl(x) for x in a.labels]
-    b_labels = b.labels
-    labels = (*a_labels, *[inr(b_labels[j]) for j in rest])
+
+    def labels():
+        b_labels = b.labels
+        return (*[inl(x) for x in a.labels], *[inr(b_labels[j]) for j in rest])
+
     poset = OgPoset(a.dims + [b.dims[j] for j in rest],
                     a.fin + [map_mask(b.fin[j], b_image) for j in rest],
                     a.fout + [map_mask(b.fout[j], b_image) for j in rest],
                     labels)
-    inj_a = dict(zip(a.labels, a_labels))
-    inj_b = {y: labels[b_image[j]] for j, y in enumerate(b_labels)}
-    return poset, inj_a, inj_b
+    return poset, list(range(na)), b_image
 
 
 # -- pastings --------------------------------------------------------------
+
+
+def _glue(n: int, keys: list, values: list) -> list:
+    """The id image on n ids with values[t] at keys[t], -1 elsewhere."""
+    glue = [-1] * n
+    for i, j in zip(keys, values):
+        glue[i] = j
+    return glue
+
+
+def _glue_certificate(a: OgPoset, b: OgPoset, glue: list) -> dict:
+    """A glue as certificates print it: sid to sid, sorted by the left sid."""
+    a_labels, b_labels = a.labels, b.labels
+    return dict(sorted((sid(a_labels[i]), sid(b_labels[j]))
+                       for i, j in enumerate(glue) if j >= 0))
+
+
+def _pasted(m1: Molecule, m2: Molecule, glue: list, cert: dict, k: int) -> Molecule:
+    """The pushout of m1 and m2 along glue, with the two inclusions and the
+    generalised pasting at level k recorded as its provenance."""
+    poset, inj1, inj2 = paste_along(m1.poset, m2.poset, glue)
+    result = Molecule(poset, {**cert, "left": m1.certificate, "right": m2.certificate,
+                              "glue": _glue_certificate(m1.poset, m2.poset, glue)})
+    left = Inclusion(m1, result, inj1, kind="paste-left")
+    right = Inclusion(m2, result, inj2, kind="paste-right")
+    result.provenance["left"] = left
+    result.provenance["right"] = right
+    result.provenance["gencp"] = GeneralisedPasting(result, left.image, right.image, k)
+    return result
 
 
 def paste(m1: Molecule, m2: Molecule, k: int) -> Molecule:
@@ -266,32 +274,16 @@ def paste(m1: Molecule, m2: Molecule, k: int) -> Molecule:
     if k < 0:
         raise LevelOutOfRange(f"pasting level {k} is negative")
     p1, p2 = m1.poset, m2.poset
-    b1 = p1.restrict_mask(p1.boundary_mask(p1.full, k, PLUS))
-    b2 = p2.restrict_mask(p2.boundary_mask(p2.full, k, MINUS))
-    iso = find_iso(b1, b2)
+    bd1 = p1.boundary_mask(p1.full, k, PLUS)
+    bd2 = p2.boundary_mask(p2.full, k, MINUS)
+    iso = find_iso(p1.restrict_mask(bd1), p2.restrict_mask(bd2))
     if iso is None:
         raise BoundaryMismatch(
             f"bd_{k}+ of the left shape is not isomorphic to bd_{k}- of the right shape"
         )
-    poset, inj1, inj2 = paste_along(m1.poset, m2.poset, dict(iso.mapping))
-    cert = {
-        "kind": "paste",
-        "k": k,
-        "left": m1.certificate,
-        "right": m2.certificate,
-        "glue": {sid(x): sid(y) for x, y in sorted(iso.mapping.items(), key=lambda i: sid(i[0]))},
-    }
-    result = Molecule(poset, cert)
-    result.provenance["left"] = Inclusion(m1, result, inj1, kind="paste-left")
-    result.provenance["right"] = Inclusion(m2, result, inj2, kind="paste-right")
-    result.provenance["gencp"] = GeneralisedPasting(
-        ambient=result,
-        left=frozenset(inj1.values()),
-        right=frozenset(inj2.values()),
-        level=k,
-        checked=False,
-    )
-    return result
+    targets = bits(bd2)
+    glue = _glue(len(p1), bits(bd1), [targets[j] for j in iso])
+    return _pasted(m1, m2, glue, {"kind": "paste", "k": k}, k)
 
 
 def paste_at(m1: Molecule, iota: Inclusion, m2: Molecule, side: str, k: int) -> Molecule:
@@ -300,56 +292,38 @@ def paste_at(m1: Molecule, iota: Inclusion, m2: Molecule, side: str, k: int) -> 
     side "left": iota : bd_k+ m1 -> bd_k- m2 rewritable; m1 is glued onto
     the input side of m2.  side "right": iota : bd_k- m2 -> bd_k+ m1; m2 is
     glued onto the output side of m1.  Either way the left argument keeps
-    its ids in the pushout.
+    its ids in the pushout.  The source of iota must be the boundary on
+    ids, the sub-poset that restrict_mask gives, as Molecule.boundary
+    builds it, and its target the shape it lands in.
     """
     if k < 0:
         raise LevelOutOfRange(f"pasting level {k} is negative")
     if side not in ("left", "right"):
         raise LevelOutOfRange(f"unknown side {side!r}")
     if side == "left":
-        expected_src = m1.poset.boundary_set(k, PLUS)
-        expected_tgt = m2.poset.boundary_set(k, MINUS)
-        tgt_poset = m2.poset
+        src_poset, src_sign, tgt_poset, tgt_sign = m1.poset, PLUS, m2.poset, MINUS
     else:
-        expected_src = m2.poset.boundary_set(k, MINUS)
-        expected_tgt = m1.poset.boundary_set(k, PLUS)
-        tgt_poset = m1.poset
-    if frozenset(iota.mapping) != expected_src:
+        src_poset, src_sign, tgt_poset, tgt_sign = m2.poset, MINUS, m1.poset, PLUS
+    expected_src = src_poset.boundary_mask(src_poset.full, k, src_sign)
+    expected_tgt = tgt_poset.boundary_mask(tgt_poset.full, k, tgt_sign)
+    if not same_ids(iota.source.poset, src_poset.restrict_mask(expected_src)):
         raise NotRewritable("inclusion source does not match the required boundary")
-    if not iota.image <= expected_tgt:
+    if not same_ids(iota.target.poset, tgt_poset):
+        raise NotRewritable("inclusion target is not the shape it lands in")
+    if iota.image & ~expected_tgt:
         raise NotRewritable("inclusion image does not land in the required boundary")
     # rewritability is against the boundary the inclusion lands in, not the
     # whole molecule: round source of the same dimension
     if not is_round(iota.source):
         raise NotRewritable("inclusion source must be round")
-    if iota.source.dim != tgt_poset.restrict(expected_tgt).dim:
+    if iota.source.dim != tgt_poset.dim_mask(expected_tgt):
         raise NotRewritable("inclusion must not drop dimension into its boundary")
 
-    if side == "left":
-        glue = dict(iota.mapping)  # m1 boundary ids -> m2 ids
-        poset, inj1, inj2 = paste_along(m1.poset, m2.poset, glue)
-    else:
-        glue = {y: x for x, y in iota.mapping.items()}  # m1 ids -> m2 boundary ids
-        poset, inj1, inj2 = paste_along(m1.poset, m2.poset, glue)
-    cert = {
-        "kind": "paste_at",
-        "side": side,
-        "k": k,
-        "left": m1.certificate,
-        "right": m2.certificate,
-        "glue": {sid(x): sid(y) for x, y in sorted(glue.items(), key=lambda i: sid(i[0]))},
-    }
-    result = Molecule(poset, cert)
-    result.provenance["left"] = Inclusion(m1, result, inj1, kind="paste-left")
-    result.provenance["right"] = Inclusion(m2, result, inj2, kind="paste-right")
-    result.provenance["gencp"] = GeneralisedPasting(
-        ambient=result,
-        left=frozenset(inj1.values()),
-        right=frozenset(inj2.values()),
-        level=k,
-        checked=False,
-    )
-    return result
+    if side == "left":  # m1 boundary ids -> m2 ids
+        glue = _glue(len(m1), bits(expected_src), iota.ids)
+    else:  # m1 ids -> m2 boundary ids
+        glue = _glue(len(m1), iota.ids, bits(expected_src))
+    return _pasted(m1, m2, glue, {"kind": "paste_at", "side": side, "k": k}, k)
 
 
 def atom(m1: Molecule, m2: Molecule) -> Molecule:
@@ -359,31 +333,33 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
         raise DimMismatch(f"atom inputs have dimensions {m1.dim} and {m2.dim}")
     if not is_round(m1) or not is_round(m2):
         raise NotRound("atom inputs must be round")
-    glue = {}
     p1, p2 = m1.poset, m2.poset
+    glue = [-1] * len(p1)
     for s in SIGNS:
-        b1 = p1.restrict_mask(p1.boundary_mask(p1.full, n - 1, s))
-        b2 = p2.restrict_mask(p2.boundary_mask(p2.full, n - 1, s))
-        iso = find_iso(b1, b2)
+        bd1 = p1.boundary_mask(p1.full, n - 1, s)
+        bd2 = p2.boundary_mask(p2.full, n - 1, s)
+        iso = find_iso(p1.restrict_mask(bd1), p2.restrict_mask(bd2))
         if iso is None:
             raise BoundaryMismatch(f"bd{s} of the two inputs are not isomorphic")
-        for x, y in iso.mapping.items():
-            if x in glue and glue[x] != y:
+        targets = bits(bd2)
+        for i, j in zip(bits(bd1), iso):
+            if glue[i] >= 0 and glue[i] != targets[j]:
                 raise BoundaryMismatch("input and output boundary isos disagree on the overlap")
-            glue[x] = y
+            glue[i] = targets[j]
     poset, inj1, inj2 = paste_along(p1, p2, glue)
     # the top's faces: the n-cells of each input, which the glue along the
-    # (n-1)-boundaries keeps apart
-    top_in = poset.encode(inj1[x] for x in p1.grade(n))
-    top_out = poset.encode(inj2[y] for y in p2.grade(n))
+    # (n-1)-boundaries keeps apart; m1 keeps its ids.  Empty inputs have
+    # none, and their atom is a point.
+    top_in = p1.grade_masks()[n] if n >= 0 else 0
+    top_out = map_mask(p2.grade_masks()[n], inj2) if n >= 0 else 0
     cert = {
         "kind": "atom",
         "left": m1.certificate,
         "right": m2.certificate,
-        "glue": {sid(x): sid(y) for x, y in sorted(glue.items(), key=lambda i: sid(i[0]))},
+        "glue": _glue_certificate(p1, p2, glue),
     }
     result = Molecule(OgPoset(poset.dims + [n + 1], poset.fin + [top_in],
-                              poset.fout + [top_out], (*poset.labels, TOP_ID)), cert)
+                              poset.fout + [top_out], lambda: (*poset.labels, TOP_ID)), cert)
     result.provenance["left"] = Inclusion(m1, result, inj1, kind="atom-input")
     result.provenance["right"] = Inclusion(m2, result, inj2, kind="atom-output")
     return result
@@ -422,32 +398,32 @@ def op(m: Molecule) -> Molecule:
 @dataclass(eq=False)
 class GeneralisedPasting:
     """A decomposition ambient = left u right recognised (or recorded) as a
-    generalised pasting at the level-k boundary."""
+    generalised pasting at the level-k boundary; left and right are masks
+    of the ambient's ids."""
 
     ambient: Molecule
-    left: frozenset
-    right: frozenset
+    left: int
+    right: int
     level: int
     checked: bool = False
 
     @property
-    def shared(self) -> frozenset:
+    def shared(self) -> int:
         return self.left & self.right
 
 
 def recognise_generalised_pasting(
     ambient: Molecule,
-    left,
-    right,
+    left: int,
+    right: int,
     k: int,
     *,
-    shared=None,
     reconstruct_cap: int = 120,
     verdicts: dict | None = None,
 ):
     """Check the three generalised-pasting conditions for a decomposition.
 
-    left and right are closed element subsets of the ambient covering it.
+    left and right are closed masks of the ambient's ids covering it.
     On success the two pasting factorisations through the k-boundaries are
     materialised (as unions inside the ambient, with every intermediate
     pasting precondition checked) and the ambient is asserted rigid, which
@@ -461,20 +437,16 @@ def recognise_generalised_pasting(
     passes the same dict to every recognition of one check.
     """
     w = ambient.poset
-    left, right = frozenset(left), frozenset(right)
-    if left | right != w.element_set:
+    if left | right != w.full:
         return None
-    lm, rm = w.encode(left), w.encode(right)
-    if not (w.is_closed_mask(lm) and w.is_closed_mask(rm)):
+    if not (w.is_closed_mask(left) and w.is_closed_mask(right)):
         return None
-    meet = lm & rm
-    if shared is not None and w.encode(shared) != meet:
-        return None
+    meet = left & right
     bd = w.boundary_mask
 
     # condition 1: the shared part lies in bd_k+ of the left and bd_k- of
     # the right piece
-    if meet & ~bd(lm, k, PLUS) or meet & ~bd(rm, k, MINUS):
+    if meet & ~bd(left, k, PLUS) or meet & ~bd(right, k, MINUS):
         return None
     bdm = bd(w.full, k, MINUS)
     bdp = bd(w.full, k, PLUS)
@@ -485,7 +457,7 @@ def recognise_generalised_pasting(
         if not _is_molecule(w.restrict_mask(subset), reconstruct_cap, verdicts):
             return None
     # condition 3
-    if bd(lm, k, MINUS) & ~bdm or bd(rm, k, PLUS) & ~bdp:
+    if bd(left, k, MINUS) & ~bdm or bd(right, k, PLUS) & ~bdp:
         return None
 
     def stage(base: int, piece_bd: int, target_sign: str, piece: int) -> int:
@@ -504,11 +476,11 @@ def recognise_generalised_pasting(
         return base | piece
 
     # (bd_k- W subcp U) subcp V
-    g1 = stage(bdm, bd(lm, k, MINUS), PLUS, lm)
-    g2 = stage(g1, bd(rm, k, MINUS), PLUS, rm)
+    g1 = stage(bdm, bd(left, k, MINUS), PLUS, left)
+    g2 = stage(g1, bd(right, k, MINUS), PLUS, right)
     # U cpsub (V cpsub bd_k+ W)
-    h1 = stage(bdp, bd(rm, k, PLUS), MINUS, rm)
-    h2 = stage(h1, bd(lm, k, PLUS), MINUS, lm)
+    h1 = stage(bdp, bd(right, k, PLUS), MINUS, right)
+    h2 = stage(h1, bd(left, k, PLUS), MINUS, left)
     if g2 != w.full or h2 != w.full:
         raise RecognitionFailed("factorisation does not cover the ambient", {})
     if len(all_isos(w, w)) != 1:

@@ -69,6 +69,22 @@ def map_mask(m: int, image: list) -> int:
     return out
 
 
+def preimage(m: int, image: list) -> int:
+    """The mask of the ids i whose image[i] is a bit of m: a mask carried
+    back along an id image."""
+    out = 0
+    for i, j in enumerate(image):
+        if j >= 0 and m >> j & 1:
+            out |= 1 << i
+    return out
+
+
+def same_ids(p: "OgPoset", q: "OgPoset") -> bool:
+    """Whether p and q are one poset on ids: the same dimension and face
+    masks for every id, whatever their labels."""
+    return p is q or (p.dims == q.dims and p.fin == q.fin and p.fout == q.fout)
+
+
 @dataclass(eq=False)
 class OgPoset:
     """Validated oriented graded poset.  Treat as immutable after build.
@@ -89,6 +105,15 @@ class OgPoset:
     sub-mask, gathered over the grades of the mask that the read needs)
     and one pass down the faces of the boundary: it builds no coface or
     closure table.
+
+    Maps.  A map from p to q is an id image: a list holding, for each id
+    i of p, the id in q of its image (-1 where a partial map, such as a
+    pushout's glue, has none).  find_iso and all_isos return isomorphisms
+    in this form, and molecule.Inclusion and cylinder.Projection carry
+    one.  map_mask carries a mask forward along an image, preimage carries
+    it back, and embedding_defect validates an image on masks.  A map is
+    decoded to labels only at the edges: certificates, CLI output and
+    failure reports.
 
     Labels.  labels[i] is the structured id (see ids.sid) of element i,
     and index maps labels back to ids.  dim_of, faces_in and faces_out are
@@ -534,24 +559,6 @@ def build(elements, faces) -> OgPoset:
 # -- isomorphism search ---------------------------------------------------
 
 
-@dataclass
-class Iso:
-    """Dimension- and orientation-preserving bijection between two posets."""
-
-    source: OgPoset
-    target: OgPoset
-    mapping: dict
-
-    def inverse(self) -> "Iso":
-        return Iso(self.target, self.source, {v: k for k, v in self.mapping.items()})
-
-    def __getitem__(self, x):
-        return self.mapping[x]
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.mapping.items())
-
-
 def _preserves_faces(p: OgPoset, q: OgPoset, image: list) -> bool:
     """Whether the id map image (image[i] for id i of p) preserves the
     dimension and both face masks of every element."""
@@ -562,28 +569,24 @@ def _preserves_faces(p: OgPoset, q: OgPoset, image: list) -> bool:
     return True
 
 
-def embedding_defect(p: OgPoset, q: OgPoset, mapping: dict) -> str | None:
-    """Why mapping is not an embedding of p into q, or None if it is.
+def embedding_defect(p: OgPoset, q: OgPoset, ids: list) -> str | None:
+    """Why the id image ids is not an embedding of p into q, or None if
+    it is.
 
     An embedding is total on p, injective, and preserves dimension and
-    both face sides of every element.  The label mapping is encoded once
-    as an id map, and faces are compared as masks.
+    both face masks of every element.
     """
-    p_index, q_index = p.index, q.index
-    if mapping.keys() != p_index.keys():
+    if len(ids) != len(p) or min(ids, default=0) < 0 or max(ids, default=-1) >= len(q):
         return "map must be total"
-    if len(set(mapping.values())) != len(mapping):
+    if len(set(ids)) != len(ids):
         return "map must be injective"
-    image = [q_index.get(mapping[x], -1) for x in p.labels]
-    if -1 not in image and _preserves_faces(p, q, image):
+    if _preserves_faces(p, q, ids):
         return None
-    for x in mapping:
-        i = p_index[x]
-        j = image[i]
-        if j < 0 or p.dims[i] != q.dims[j]:
-            return f"map must preserve dimension at {sid(x)}"
-        if map_mask(p.fin[i], image) != q.fin[j] or map_mask(p.fout[i], image) != q.fout[j]:
-            return f"map must preserve faces at {sid(x)}"
+    for i, j in enumerate(ids):
+        if p.dims[i] != q.dims[j]:
+            return f"map must preserve dimension at {sid(p.labels[i])}"
+        if map_mask(p.fin[i], ids) != q.fin[j] or map_mask(p.fout[i], ids) != q.fout[j]:
+            return f"map must preserve faces at {sid(p.labels[i])}"
     return None
 
 
@@ -668,7 +671,7 @@ def canonical_key(p: OgPoset):
 
 
 def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
-    """Isomorphisms p -> q, each as a list of (id of p, id of q) pairs."""
+    """Isomorphisms p -> q, each as an id image."""
     if len(p) != len(q):
         return []
     colour_p, count_p = _colours(p)
@@ -683,7 +686,7 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
         for j, c in enumerate(colour_q):
             of_colour[c] = j
         image = [of_colour[c] for c in colour_p]
-        return [list(enumerate(image))] if _preserves_faces(p, q, image) else []
+        return [image] if _preserves_faces(p, q, image) else []
     if _colour_form(p) != _colour_form(q):
         return []
 
@@ -703,7 +706,7 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
     near_q = (q.fin, q.fout, *q.coface_masks())
     image = [-1] * len(p)
     used = [False] * len(q)
-    order, found = [], []
+    found = []
 
     def consistent(i, j):
         for ids, masks in zip(near_p, near_q):
@@ -716,7 +719,7 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
     def backtrack(t):
         if t == len(todo):
             if _preserves_faces(p, q, image):
-                found.append([(i, image[i]) for i in order])
+                found.append(list(image))
                 return first_only
             return False
         i = todo[t]
@@ -725,10 +728,8 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
                 continue
             image[i] = j
             used[j] = True
-            order.append(i)
             if backtrack(t + 1):
                 return True
-            order.pop()
             image[i] = -1
             used[j] = False
         return False
@@ -737,20 +738,18 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
     return found
 
 
-def _as_iso(p: OgPoset, q: OgPoset, pairs: list) -> Iso:
-    p_labels, q_labels = p.labels, q.labels
-    return Iso(p, q, {p_labels[i]: q_labels[j] for i, j in pairs})
-
-
 def find_iso(p: OgPoset, q: OgPoset):
-    """First orientation-preserving isomorphism in search order, or None."""
+    """First orientation-preserving isomorphism in search order, as an id
+    image, or None.  Between two empty posets it is [], so test the result
+    with `is None`."""
     result = _iso_search(p, q, first_only=True)
-    return _as_iso(p, q, result[0]) if result else None
+    return result[0] if result else None
 
 
-def all_isos(p: OgPoset, q: OgPoset):
-    """Every orientation-preserving isomorphism, in deterministic order."""
-    return [_as_iso(p, q, pairs) for pairs in _iso_search(p, q, first_only=False)]
+def all_isos(p: OgPoset, q: OgPoset) -> list:
+    """Every orientation-preserving isomorphism, as id images, in
+    deterministic order."""
+    return _iso_search(p, q, first_only=False)
 
 
 def is_isomorphic(p: OgPoset, q: OgPoset) -> bool:

@@ -14,3 +14,11 @@ def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session")
+def d3_catalog():
+    """The depth-3 catalog of the catalog-d3 benchmark workload."""
+    from ogpkit.harness import Bounds, enumerate_catalog
+
+    return enumerate_catalog(Bounds(depth=3, max_dim=4, max_elements=12))

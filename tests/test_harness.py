@@ -56,9 +56,11 @@ class TestCatalog:
         cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
         for expr in ("paste(arrow,arrow,0)", "gray(arrow,arrow)"):
             target = eval_text(expr)
-            assert any(find_iso(e.molecule.poset, target.poset) for e in cat.entries), expr
+            assert any(find_iso(e.molecule.poset, target.poset) is not None
+                       for e in cat.entries), expr
         # the 2-globe is present up to isomorphism
-        assert any(find_iso(e.molecule.poset, globe(2).poset) for e in cat.entries)
+        assert any(find_iso(e.molecule.poset, globe(2).poset) is not None
+                   for e in cat.entries)
 
     def test_deduplication(self):
         cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
@@ -473,3 +475,25 @@ def test_horn_commands_match_shapes_goldens():
         code, data, _ = child.run_command(cli, entry["argv"])
         assert (code, hashlib.sha256(data).hexdigest()) == (entry["exit"], entry["sha256"]), \
             entry["argv"]
+
+
+def test_shape_commands_match_shapes_goldens():
+    # every build, check, boundary, iso and render command of the shapes
+    # workload: these print iso maps and paste certificates
+    from ogpkit import cli
+
+    spec, child = load_bench_spec(), load_bench_module("child")
+    pool = json.loads((spec.GOLDENS / "shapes.json").read_text())["pool"]
+    entries = [e for e in pool if e["kind"] in ("build", "check", "boundary", "iso", "render")]
+    assert len(entries) == 240
+    for entry in entries:
+        code, data, _ = child.run_command(cli, entry["argv"])
+        assert (code, hashlib.sha256(data).hexdigest()) == (entry["exit"], entry["sha256"]), \
+            entry["argv"]
+
+
+def test_depth3_catalog_matches_catalog_golden(d3_catalog):
+    spec = load_bench_spec()
+    assert spec.CATALOG["catalog-d3"] == (3, 4, 12)
+    golden = json.loads((spec.GOLDENS / "catalog.json").read_text())["catalog-d3"]
+    assert [e.expr for e in d3_catalog.entries] == golden

@@ -1,8 +1,11 @@
-"""Isomorphism search and canonical keys against an independent oracle.
+"""Isomorphism search, canonical keys and pushout maps against
+independent oracles.
 
 networkx's DiGraphMatcher sees a poset as a directed graph with an edge
 from each element to each of its faces, nodes matched on dimension and
-edges on sign; it shares no code with ogpkit's colour refinement.
+edges on sign; it shares no code with ogpkit's colour refinement.  Maps
+are id images; both sides are compared as label dicts.  The inclusions
+of a pushout are checked against the labels it is defined to give.
 """
 
 import random
@@ -10,14 +13,13 @@ import random
 import pytest
 
 from ogpkit.gray import gray_poset
-from ogpkit.harness import PRODUCT_CAP, Bounds, enumerate_catalog
+from ogpkit.harness import PRODUCT_CAP, Bounds, _paste_at_instances, enumerate_catalog
+from ogpkit.ids import inl, inr, sid
 from ogpkit.poset import all_isos, build, canonical_key, find_iso
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import DiGraphMatcher  # noqa: E402
 
-# depth-3 catalog of the catalog-d3 benchmark workload
-D3 = Bounds(depth=3, max_dim=4, max_elements=12)
 PRODUCT_SAMPLE = 24
 
 
@@ -42,6 +44,11 @@ def oracle_isos(p, q):
     return list(matcher.isomorphisms_iter())
 
 
+def labelled(p, q, ids):
+    """An id image from p to q as a label dict, as the oracle gives maps."""
+    return {p.labels[i]: q.labels[j] for i, j in enumerate(ids)}
+
+
 def relabelled(p, rng):
     """A copy of p under a random renaming of its ids, with its elements
     inserted in a random order; returns (copy, renaming)."""
@@ -63,18 +70,13 @@ def check_against_oracle(p, rng):
     oracle = oracle_isos(p, q)
     iso = find_iso(p, q)
     assert (iso is not None) == bool(oracle)
-    assert iso.mapping in oracle
+    assert labelled(p, q, iso) in oracle
     autos = all_isos(p, p)
     oracle_autos = oracle_isos(p, p)
     assert len(autos) == len(oracle_autos)
-    assert all(a.mapping in oracle_autos for a in autos)
+    assert all(labelled(p, p, a) in oracle_autos for a in autos)
     if canonical_key(p) is not None:
-        assert iso.mapping == rename
-
-
-@pytest.fixture(scope="module")
-def d3_catalog():
-    return enumerate_catalog(D3)
+        assert labelled(p, q, iso) == rename
 
 
 def test_catalog_shapes_match_oracle(d3_catalog):
@@ -122,3 +124,40 @@ def test_symmetric_shapes_fall_back_to_backtracking():
     assert canonical_key(p) is None
     check_against_oracle(p, random.Random(2))
     assert len(all_isos(p, p)) == 2
+
+
+def check_pushout_maps(m):
+    """The two provenance id images of a paste, paste-at or atom result m
+    are injective, cover m (all but an atom's top), and decode to the
+    labels of the pushout: inl(x) for each left x, inr(y) for an unglued
+    right y, and for a glued one the left label its certificate names."""
+    p = m.poset
+    left, right = m.provenance["left"], m.provenance["right"]
+    a, b = left.source.poset, right.source.poset
+    for inc in (left, right):
+        assert len(set(inc.ids)) == len(inc.ids)
+    covered = left.image | right.image
+    if m.certificate["kind"] == "atom":
+        assert covered == p.full & ~(1 << m.top_id())
+    else:
+        assert covered == p.full
+        g = m.provenance["gencp"]
+        assert (g.left, g.right) == (left.image, right.image)
+    assert [p.labels[j] for j in left.ids] == [inl(x) for x in a.labels]
+    glued_to = {y: x for x, y in m.certificate["glue"].items()}
+    left_of = {sid(x): x for x in a.labels}
+    for y, j in zip(b.labels, right.ids):
+        if sid(y) in glued_to:
+            assert p.labels[j] == inl(left_of[glued_to[sid(y)]])
+        else:
+            assert p.labels[j] == inr(y)
+
+
+def test_pushout_maps_match_labels(d3_catalog):
+    pushouts = [e.molecule for e in d3_catalog.entries
+                if e.molecule.certificate["kind"] in ("paste", "atom")]
+    pushouts += [whole for _, _, _, whole in _paste_at_instances(d3_catalog)]
+    kinds = {m.certificate["kind"] for m in pushouts}
+    assert kinds == {"paste", "paste_at", "atom"}
+    for m in pushouts:
+        check_pushout_maps(m)
