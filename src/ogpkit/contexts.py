@@ -3,9 +3,7 @@ context recognition against a marking, marked horns, and the horn
 pushout-product identities.
 
 A context is carried by a molecule with a distinguished rewritable hole.
-Derivations, when present, are lists of extended-pasting steps from the
-hole outward in ambient coordinates; a stored derivation re-evaluates to
-exactly its (ambient, hole) pair.  Recognition against a marking A peels
+Contexts are recognised, not built: recognition against a marking A peels
 one atom at a time off the carrier, restricted to atoms whose top is in A;
 the search is exhaustive over peel orders with memoisation, hence complete
 at the sizes this package targets.
@@ -22,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BadDerivation,
     BadHole,
     BadMarking,
-    ClauseViolation,
     IdentityFailed,
     NotAContext,
     NotAFacet,
@@ -34,16 +30,8 @@ from .errors import (
 from .gray import gray
 from .ids import sid
 from .marked import MarkedMap, MarkedShape, pushout_product
-from .molecule import (
-    Inclusion,
-    Molecule,
-    atom,
-    find_derivation,
-    is_round,
-    paste_at,
-    replay_derivation,
-)
-from .poset import MINUS, PLUS, OgPoset, bits, find_iso, flip, map_mask, preimage, spread
+from .molecule import Molecule, find_derivation, is_round
+from .poset import MINUS, PLUS, bits, preimage, spread
 
 
 # -- context shapes -----------------------------------------------------------
@@ -52,11 +40,10 @@ from .poset import MINUS, PLUS, OgPoset, bits, find_iso, flip, map_mask, preimag
 @dataclass(eq=False)
 class ContextShape:
     """Ambient molecule with a rewritable hole, a mask of the ambient's
-    ids, plus an optional derivation."""
+    ids."""
 
     ambient: Molecule
     hole: int
-    derivation: list | None = None
 
     def __post_init__(self):
         p = self.ambient.poset
@@ -69,155 +56,9 @@ class ContextShape:
             raise BadHole("hole must have full dimension")
         if not is_round(p, hole):
             raise BadHole("hole must be round")
-        if self.derivation is not None and not replay_derivation(
-                p, hole, self.derivation, p.full):
-            raise BadDerivation("stored derivation must re-evaluate to the ambient")
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.dim
 
     def is_identity(self) -> bool:
         return self.hole == self.ambient.poset.full
-
-
-def identity_context(v: Molecule, w: Molecule) -> ContextShape:
-    """Identity context at the type v => w: hole equals ambient."""
-    amb = atom(v, w)
-    return ContextShape(amb, amb.poset.full, derivation=[])
-
-
-def _translate_steps(steps, image: list) -> list:
-    """Steps carried along an id image."""
-    return [{**s, "top": None if s["top"] is None else image[s["top"]],
-             **{key: map_mask(s[key], image) for key in ("piece", "removed", "shared", "rest")}}
-            for s in steps]
-
-
-def _forward_step(result: Molecule, piece: int, side: str, k: int) -> dict:
-    """The step that pasted the closed mask piece onto the rest of result."""
-    p = result.poset
-    d = p.dim_mask(piece)
-    tops = piece & p.grade_masks()[d]
-    shared = p.boundary_mask(piece, d - 1, MINUS if side == "right" else PLUS)
-    return {
-        "side": side,
-        "k": k,
-        "top": tops.bit_length() - 1 if tops.bit_count() == 1 else None,
-        "piece": piece,
-        "removed": piece & ~shared,
-        "shared": shared,
-        "rest": p.full & ~(piece & ~shared),
-    }
-
-
-def left_paste(u: Molecule, iota: Inclusion, c: ContextShape, k: int) -> ContextShape:
-    """The clause pasting u on the input side: iota maps bd_k+ u into the
-    k-input boundary of the ambient."""
-    result = paste_at(u, iota, c.ambient, side="left", k=k)
-    image = result.provenance["right"].ids
-    deriv = None
-    if c.derivation is not None and u.is_atom():
-        piece = result.provenance["left"].image
-        deriv = _translate_steps(c.derivation, image)
-        deriv.append(_forward_step(result, piece, "left", k))
-    return ContextShape(result, map_mask(c.hole, image), deriv)
-
-
-def right_paste(u: Molecule, iota: Inclusion, c: ContextShape, k: int) -> ContextShape:
-    """The clause pasting u on the output side: iota maps bd_k- u into the
-    k-output boundary of the ambient."""
-    result = paste_at(c.ambient, iota, u, side="right", k=k)
-    image = result.provenance["left"].ids
-    deriv = None
-    if c.derivation is not None and u.is_atom():
-        piece = result.provenance["right"].image
-        deriv = _translate_steps(c.derivation, image)
-        deriv.append(_forward_step(result, piece, "right", k))
-    return ContextShape(result, map_mask(c.hole, image), deriv)
-
-
-def _replay(old_poset: OgPoset, old_hole: int, steps, base: Molecule):
-    """Re-run a derivation on a new base of matching boundary type.
-
-    Gluing positions transport through the unique isomorphisms between the
-    k-boundaries of the old and new carriers; molecule rigidity (checked by
-    the harness) makes the transport canonical.  Returns the new ambient,
-    the id image of base in it, and the transported steps.
-    """
-    carrier_old = old_hole
-    current = base
-    base_image = list(range(len(base.poset)))
-    new_steps = []
-    for step in steps:
-        k, side = step["k"], step["side"]
-        attach_sign = PLUS if side == "right" else MINUS
-        old_bd = old_poset.boundary_mask(carrier_old, k, attach_sign)
-        cur = current.poset
-        new_bd = cur.boundary_mask(cur.full, k, attach_sign)
-        iso = find_iso(cur.restrict_mask(new_bd), old_poset.restrict_mask(old_bd))
-        if iso is None:
-            raise ClauseViolation(
-                f"cannot transport a level-{k} pasting onto the new carrier"
-            )
-        # the current id of each old id on the boundary, -1 off it
-        back = [-1] * len(old_poset)
-        old_ids = bits(old_bd)
-        for i, j in zip(bits(new_bd), iso):
-            back[old_ids[j]] = i
-        piece = Molecule(old_poset.restrict_mask(step["piece"]), {"kind": "atom-closure"})
-        pp = piece.poset
-        piece_bd_mask = pp.boundary_mask(pp.full, k, flip(attach_sign))
-        piece_ids = bits(step["piece"])
-        iota = Inclusion(Molecule(pp.restrict_mask(piece_bd_mask), {"kind": "boundary"}),
-                         current, [back[piece_ids[t]] for t in bits(piece_bd_mask)])
-        if side == "right":
-            result = paste_at(current, iota, piece, side="right", k=k)
-            keep, put = "left", "right"
-        else:
-            result = paste_at(piece, iota, current, side="left", k=k)
-            keep, put = "right", "left"
-        image = result.provenance[keep].ids
-        base_image = [image[i] for i in base_image]
-        new_steps = _translate_steps(new_steps, image)
-        new_steps.append(_forward_step(result, result.provenance[put].image, side, k))
-        carrier_old |= step["piece"]
-        current = result
-    return current, base_image, new_steps
-
-
-def compose(c: ContextShape, d: ContextShape) -> ContextShape:
-    """d after c: replay d's derivation with c's ambient in d's hole."""
-    if d.derivation is None:
-        raise ClauseViolation("composition needs a derivation for the outer context")
-    ambient, base_image, outer_steps = _replay(d.ambient.poset, d.hole, d.derivation,
-                                               c.ambient)
-    hole = map_mask(c.hole, base_image)
-    if c.derivation is None:
-        return ContextShape(ambient, hole, None)
-    inner_steps = _translate_steps(c.derivation, base_image)
-    return ContextShape(ambient, hole, inner_steps + outer_steps)
-
-
-def promote(c: ContextShape, v: Molecule, w: Molecule) -> ContextShape:
-    """Promotion clause: the same pastes around a hole one dimension up.
-
-    v and w must be parallel round molecules whose boundaries match the
-    type of c's hole: bd- of the hole is bd- v and bd+ of the hole is
-    bd+ w, up to unique isomorphism.
-    """
-    if c.derivation is None:
-        raise ClauseViolation("promotion needs a derivation")
-    p = c.ambient.poset
-    for sign, m in ((MINUS, v), (PLUS, w)):
-        old_bd = p.restrict_mask(p.boundary_mask(c.hole, c.dim - 1, sign))
-        q = m.poset
-        new_bd = q.restrict_mask(q.boundary_mask(q.full, m.dim - 1, sign))
-        if find_iso(new_bd, old_bd) is None:
-            raise ClauseViolation("promotion types do not match the hole type")
-    base = atom(v, w)
-    ambient, base_image, steps = _replay(p, c.hole, c.derivation, base)
-    return ContextShape(ambient, map_mask(base.poset.full, base_image), steps)
 
 
 # -- atomic horns --------------------------------------------------------------
@@ -269,7 +110,7 @@ def classified_context(h: AtomicHorn) -> ContextShape:
     carrier = p.boundary_mask(p.full, u.dim - 1, h.sign)
     # the boundary molecule's ids are the carrier's bits in order
     hole = preimage(p.closure_masks()[h.facet], bits(carrier))
-    return ContextShape(u.boundary_molecule(u.dim - 1, h.sign), hole, derivation=None)
+    return ContextShape(u.boundary_molecule(u.dim - 1, h.sign), hole)
 
 
 def is_a_context(c: ContextShape, marking: int) -> list | None:

@@ -38,7 +38,8 @@ def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> tuple:
     n = p.dim
     elements, faces = {}, {}
     collapse = []
-    for y in K:
+    # K in the base's id order, so the ids do not depend on the hash seed
+    for y in sorted(K, key=p.index.__getitem__):
         elements[y] = p.dim_of[y]
         collapse.append(p.index[y])
         if p.dim_of[y] > 0:

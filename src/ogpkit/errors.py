@@ -98,17 +98,9 @@ class NotAContext(ShapeError):
     pass
 
 
-class ClauseViolation(ShapeError):
-    pass
-
-
 class BadHole(ShapeError):
     """A context's hole is not a closed, full-dimensional, round subset of
     its ambient, or a horn's carrier is not closed."""
-
-
-class BadDerivation(ShapeError):
-    """A stored derivation does not re-evaluate to its context."""
 
 
 class BadMarking(ShapeError):

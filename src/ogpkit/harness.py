@@ -487,10 +487,24 @@ def gencp_boundary_instances(catalog: Catalog, config):
                 yield {"pasting": expr, "n": n, "sign": sign}, boundary
 
 
-def _paste_at_instances(catalog: Catalog):
+def _paste_at_instances(catalog: Catalog) -> list:
     """Pastings w cpsub u (w round, glued along its whole output boundary or
-    into a facet of the input boundary of u) and the mirrored u subcp w."""
+    into a facet of the input boundary of u) and the mirrored u subcp w.
+
+    Each is a tuple (kind, w, u, whole, w_img, u_img, sign, vsign) with what
+    both paste-at lemmas read off it: the images of w and u in whole, the
+    sign of the product boundaries they compare (plus for cpsub, minus for
+    subcp), and that sign twisted by the parity of dim w, at which the
+    boundaries of the second Gray factor enter the w-piece.
+    """
     instances = []
+
+    def add(kind, w, u, whole):
+        w_side, u_side = ("left", "right") if kind == "cpsub" else ("right", "left")
+        sign = PLUS if kind == "cpsub" else MINUS
+        instances.append((kind, w, u, whole, whole.provenance[w_side].image,
+                          whole.provenance[u_side].image, sign, twist(sign, w.dim)))
+
     rounds = [m for m in catalog.round_molecules() if 1 <= m.dim]
     others = catalog.molecules()
     for w in rounds:
@@ -501,12 +515,12 @@ def _paste_at_instances(catalog: Catalog):
                 continue
             try:
                 whole = paste(w, u, k)
-                instances.append(("cpsub", w, u, whole))
+                add("cpsub", w, u, whole)
             except ShapeError:
                 pass
             try:
                 whole = paste(u, w, k)
-                instances.append(("subcp", w, u, whole))
+                add("subcp", w, u, whole)
             except ShapeError:
                 pass
             # proper submolecule gluings: facet closures inside the boundary
@@ -528,7 +542,7 @@ def _paste_at_instances(catalog: Catalog):
                         whole = paste_at(w, iota, u, side="left", k=k)
                     except ShapeError:
                         continue
-                    instances.append(("cpsub", w, u, whole))
+                    add("cpsub", w, u, whole)
                     break
     return instances
 
@@ -538,13 +552,9 @@ def dist_lower_instances(catalog: Catalog, config):
     boundaries above the pasting level."""
     small = [m for m in catalog.molecules() if len(m) <= 9][:DIST_FACTOR_COUNT]
     verdicts = {}
-    for kind, w, u, whole in _paste_at_instances(catalog):
+    for kind, w, u, whole, w_img, u_img, sign, vsign in _paste_at_instances(catalog):
         n = w.dim
         pw = whole.poset
-        w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
-        u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
-        sign = PLUS if kind == "cpsub" else MINUS
-        vsign = twist(sign, n)
         for v in small:
             if len(whole) * len(v) > PRODUCT_CAP:
                 continue
@@ -647,19 +657,15 @@ def ctx_recursion_instances(catalog: Catalog, config):
                     "u": catalog.expr_of(u), "v": catalog.expr_of(v), "side": side})
 
     # pasted-subdiagram contexts, reusing the paste-at instances
-    for kind, w, u, whole in _paste_at_instances(catalog):
+    for kind, w, u, whole, w_img, u_img, sign, vsign in _paste_at_instances(catalog):
         n = w.dim
         pw = whole.poset
-        w_img = whole.provenance["left" if kind == "cpsub" else "right"].image
-        u_img = whole.provenance["right" if kind == "cpsub" else "left"].image
         for v in small[:CTX_FACTOR_COUNT]:
             if len(whole) * len(v) > PRODUCT_CAP:
                 continue
             pv = v.poset
             prod = gray_poset(pw, pv)
             stride = len(pv)
-            sign = PLUS if kind == "cpsub" else MINUS
-            vsign = twist(sign, n)
             hole = spread(u_img, stride) * pv.full
             pieces = [spread(w_img, stride) * pv.boundary_mask(pv.full, j, vsign)
                       for j in range(u.dim + v.dim - n + 1)]
@@ -667,7 +673,14 @@ def ctx_recursion_instances(catalog: Catalog, config):
                 "w": catalog.expr_of(w), "u": catalog.expr_of(u),
                 "v": catalog.expr_of(v), "kind": kind})
 
-    # transport of marking-restricted contexts through the product
+    # transport of marking-restricted contexts through the product.  This
+    # setup runs outside the thunks' isolation, and cannot raise: the atoms
+    # have dimension at least 1 and the facet is a face of the top, so
+    # atomic_horn accepts it; its closure is an atom of the facet's
+    # dimension, so a round hole of full dimension in the boundary; the
+    # marking holds only positive elements of the ambient; and an ambient
+    # of at most 9 elements has at most 2^9 carriers for the search to
+    # visit, far below its 500,000-state budget
     horn_contexts = []
     for uatom in catalog.atoms(max_dim=2, min_dim=1, max_elements=9):
         p = uatom.poset
@@ -688,7 +701,7 @@ def ctx_recursion_instances(catalog: Catalog, config):
         def transported():
             pv = v.poset
             grid = spread(ctx.hole, len(pv)) * pv.full
-            prod_ctx = ContextShape(gray(ctx.ambient, v), grid, None)
+            prod_ctx = ContextShape(gray(ctx.ambient, v), grid)
             if is_a_context(prod_ctx, spread(marking, len(pv)) * pv.full) is None:
                 return "derivation", "none"
             return None

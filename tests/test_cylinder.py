@@ -45,6 +45,34 @@ class TestGrayCylinder:
         with pytest.raises(KNotClosed):
             gray_cylinder(arrow(), {"1"})
 
+    def test_ids_do_not_depend_on_the_hash_seed(self, src_env):
+        # the collapse set is a frozenset of labels, whose iteration order
+        # changes with PYTHONHASHSEED; the cylinder's ids must not
+        import json
+        import subprocess
+        import sys
+
+        outs = []
+        for seed in ("1", "2"):
+            out = subprocess.run([sys.executable, "-c", CYLINDER_IDS],
+                                 env={**src_env, "PYTHONHASHSEED": seed},
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            outs.append(json.loads(out.stdout))
+        assert outs[0] == outs[1]
+
+
+CYLINDER_IDS = """
+import json
+from ogpkit.cylinder import gray_cylinder
+from ogpkit.ids import sid
+from ogpkit.molecule import globe
+g = globe(2)
+p = gray_cylinder(g, g.poset.full_boundary_set()).poset
+print(json.dumps({"dims": p.dims, "fin": p.fin, "fout": p.fout,
+                  "labels": [sid(x) for x in p.labels]}))
+"""
+
 
 class TestInvertedCylinder:
     def test_left_inverted_arrow(self):

@@ -156,7 +156,7 @@ def check_pushout_maps(m):
 def test_pushout_maps_match_labels(d3_catalog):
     pushouts = [e.molecule for e in d3_catalog.entries
                 if e.molecule.certificate["kind"] in ("paste", "atom")]
-    pushouts += [whole for _, _, _, whole in _paste_at_instances(d3_catalog)]
+    pushouts += [whole for _, _, _, whole, *_ in _paste_at_instances(d3_catalog)]
     kinds = {m.certificate["kind"] for m in pushouts}
     assert kinds == {"paste", "paste_at", "atom"}
     for m in pushouts:

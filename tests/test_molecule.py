@@ -36,9 +36,10 @@ from ogpkit.molecule import (
     point,
     recognise_generalised_pasting,
     reconstruct,
-    replay_derivation,
 )
 from ogpkit.poset import MINUS, PLUS, SIGNS, bits, build, canonical_key, find_iso, is_isomorphic
+
+from derivation_oracle import replay_derivation
 
 molecule_mod = importlib.import_module("ogpkit.molecule")
 
