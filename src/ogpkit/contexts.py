@@ -220,7 +220,7 @@ def pp_horn(h: AtomicHorn, v: Molecule, order: str = "uv",
 
 
 def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv",
-                   products: dict | None = None) -> MarkedHorn:
+                   products: dict | None = None, horns: dict | None = None) -> MarkedHorn:
     """Pushout-product of a marked horn with a cellular-model generator,
     re-recognised from scratch as a marked horn.
 
@@ -234,7 +234,11 @@ def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv",
     and pp_horn, as the ambient whose horn the pushout domain must equal.
     products, when given, maps (first factor, second factor) to that
     product and is filled in here; a caller passes the same dict to every
-    horn, generator and order of one check.
+    horn, generator and order of one check.  horns, when given, likewise
+    keeps each product horn pp_horn returned, keyed by (U, facet, V,
+    order): every marking of one horn and both generator families of one
+    V share it.  Only successes are kept, so a failing pp_horn raises on
+    every instance.
     """
     v = gen.meta.get("atom")
     if v is None or gen.meta.get("family") not in ("minbd", "markbd"):
@@ -251,7 +255,12 @@ def pp_marked_horn(mh: MarkedHorn, gen: MarkedMap, order: str = "uv",
         pp = pushout_product(i, gen, prod.poset)
     else:
         pp = pushout_product(gen, i, prod.poset)
-    new_horn = pp_horn(mh.horn, v, order, prod)
+    hkey = (u, mh.horn.facet, v, order)
+    new_horn = horns.get(hkey) if horns is not None else None
+    if new_horn is None:
+        new_horn = pp_horn(mh.horn, v, order, prod)
+        if horns is not None:
+            horns[hkey] = new_horn
 
     # closed-form domain marking: A' (x) bd V  u  A (x) V  u  horn (x) B,
     # where B is the generator's target marking (empty for minbd)

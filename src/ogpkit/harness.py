@@ -31,6 +31,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .contexts import (
     ContextShape,
@@ -160,10 +161,72 @@ class Catalog:
         return self._names.get(id(m), "<anonymous>")
 
 
+class _Row(NamedTuple):
+    """What the depth loop reads of one entry before it builds a candidate.
+    plus[k] and minus[k], for k below max_dim, number the iso_invariants of
+    bd_k+ and bd_k- (equal numbers for equal invariants), and plus_sizes[k]
+    is the size of bd_k+."""
+
+    dim: int
+    size: int
+    round: bool
+    plus: list
+    minus: list
+    plus_sizes: list
+    full_boundary: int  # the size of bd_(dim-1)- u bd_(dim-1)+
+
+
+def _boundary_rows(previous: list, max_dim: int) -> list:
+    """The _Row of each entry of previous.  Its keys are read from the
+    boundary sub-posets that Molecule.boundary_poset memoises and paste and
+    atom read, so the colours behind each key are computed once and
+    find_iso reuses them."""
+    numbers: dict = {}
+
+    def keys(m, sign):
+        return [numbers.setdefault(iso_invariant(m.boundary_poset(k, sign)), len(numbers))
+                for k in range(max_dim)]
+
+    return [_Row(m.dim, len(m), is_round(m), keys(m, PLUS), keys(m, MINUS),
+                 [len(m.boundary_poset(k, PLUS)) for k in range(max_dim)],
+                 m.poset.full_boundary_mask().bit_count())
+            for m in (e.molecule for e in previous)]
+
+
+def _binary_candidates(r1: _Row, r2: _Row) -> list:
+    """The binary constructions worth trying on a pair, in the order the
+    depth loop tries them, each as (kind, k, size, dim) of what it would
+    build: the Gray product; each paste whose bd_k+ and bd_k- keys agree;
+    and the atom, when both inputs are round of one dimension n and their
+    (n-1)-boundaries agree sign by sign.  Isomorphic posets have equal
+    invariants, so every construction left out would raise."""
+    dim = max(r1.dim, r2.dim)
+    out = [("gray", None, r1.size * r2.size, r1.dim + r2.dim)]
+    for k in range(dim):
+        if r1.plus[k] == r2.minus[k]:
+            out.append(("paste", k, r1.size + r2.size - r1.plus_sizes[k], dim))
+    n = r1.dim
+    if n == r2.dim and r1.round and r2.round and (
+            n == 0 or r1.plus[n - 1] == r2.plus[n - 1] and r1.minus[n - 1] == r2.minus[n - 1]):
+        out.append(("atom", None, r1.size + r2.size + 1 - r1.full_boundary, n + 1))
+    return out
+
+
 def enumerate_catalog(bounds: Bounds) -> Catalog:
     """Closure of {point, arrow} under paste, atom, gray, cylinders and
     inverted cylinders up to the bounds, with duals taken for free and
-    deduplication up to isomorphism."""
+    deduplication up to isomorphism.
+
+    A binary candidate is built only if `add` could keep it.  Its size and
+    dimension follow from its inputs: |m1| + |m2| - |bd_k+ m1| and
+    max(d1, d2) for a paste, |m1| + |m2| + 1 - |bd_(n-1)- m1 u bd_(n-1)+ m1|
+    and n + 1 for an atom of two n-dimensional inputs, |m1| |m2| and
+    d1 + d2 for a Gray product; a candidate over the bounds is skipped.  A paste or atom is
+    tried only where the iso_invariants of the boundaries it glues agree
+    (_binary_candidates); isomorphic posets have equal invariants, so every
+    other one would raise.  What is skipped is exactly what `add` would
+    reject or the constructor refuse, so the entries, their order and the
+    dedup choices are those of trying every candidate."""
     entries: list[CatalogEntry] = []
     buckets: dict = {}
 
@@ -206,7 +269,8 @@ def enumerate_catalog(bounds: Bounds) -> Catalog:
 
     for depth in range(1, bounds.depth + 1):
         previous = list(entries)
-        for e1 in previous:
+        rows = _boundary_rows(previous, bounds.max_dim)
+        for e1, r1 in zip(previous, rows):
             m1 = e1.molecule
             # unary constructors
             if m1.dim >= 1:
@@ -224,7 +288,7 @@ def enumerate_catalog(bounds: Bounds) -> Catalog:
                     else:
                         ids = ",".join(f'"{s}"' for s in sorted(map(sid, K)))
                         add(f"cyl({e1.expr},{{{ids}}})", c, depth)
-            if is_round(m1) and m1.dim >= 1:
+            if r1.round and m1.dim >= 1:
                 for side, tag in (("L", "lcyl"), ("R", "rcyl")):
                     sign = PLUS if side == "L" else MINUS
                     try:
@@ -234,21 +298,21 @@ def enumerate_catalog(bounds: Bounds) -> Catalog:
                     except ShapeError:
                         continue
                     add(f"{tag}({e1.expr})", c, depth)
-            for e2 in previous:
+            for e2, r2 in zip(previous, rows):
                 m2 = e2.molecule
-                if len(m1) * len(m2) <= bounds.max_elements * 4:
-                    add(f"gray({e1.expr},{e2.expr})", gray(m1, m2), depth)
-                for k in range(max(m1.dim, m2.dim)):
+                for kind, k, size, dim in _binary_candidates(r1, r2):
+                    if size > bounds.max_elements or dim > bounds.max_dim:
+                        continue
+                    if kind == "gray":
+                        add(f"gray({e1.expr},{e2.expr})", gray(m1, m2), depth)
+                        continue
                     try:
-                        p = paste(m1, m2, k)
+                        c = paste(m1, m2, k) if kind == "paste" else atom(m1, m2)
                     except ShapeError:
                         continue
-                    add(f"paste({e1.expr},{e2.expr},{k})", p, depth)
-                try:
-                    a = atom(m1, m2)
-                except ShapeError:
-                    continue
-                add(f"atom({e1.expr},{e2.expr})", a, depth)
+                    at = f",{k}" if kind == "paste" else ""
+                    add(f"{kind}({e1.expr},{e2.expr}{at})", c, depth)
+        del rows  # the keys serve one depth; keep peak memory flat
         close_under_duals(depth)
     return Catalog(bounds, entries)
 
@@ -774,9 +838,10 @@ def marked_horn_pp_instances(catalog: Catalog, config):
     vs = catalog.atoms(max_dim=2, max_elements=HORN_V_CAP)
     gens = generators(vs)
     for u in us:
-        # Gray products keyed by factor pair; every key holds u, so a dict
-        # per u shares each product with every horn, generator and order
-        products = {}
+        # Gray products keyed by factor pair, and product horns keyed by
+        # (u, facet, v, order); every key holds u, so a dict per u shares
+        # each with every horn, marking, generator and order
+        products, pp_horns = {}, {}
         horns, exhausted = _marked_horns(catalog, u)
         yield from exhausted
         for mh in horns:
@@ -788,7 +853,7 @@ def marked_horn_pp_instances(catalog: Catalog, config):
                 for order in ("uv", "vu"):
                     yield ({**horn, "V": catalog.expr_of(v),
                             "family": gen.meta["family"], "order": order},
-                           _raising(pp_marked_horn, mh, gen, order, products))
+                           _raising(pp_marked_horn, mh, gen, order, products, pp_horns))
 
 
 def entire_residual_instances(catalog: Catalog, config):

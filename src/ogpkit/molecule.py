@@ -51,6 +51,7 @@ class Molecule:
     certificate: dict
     provenance: dict = field(default_factory=dict, repr=False)
     _boundaries: dict = field(default_factory=dict, repr=False)
+    _boundary_posets: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -93,15 +94,30 @@ class Molecule:
             n = self.dim - 1
         key = (n, sign)
         if key not in self._boundaries:
-            p = self.poset
-            mask = p.boundary_mask(p.full, n, sign)
-            if mask == p.full:
+            q = self.boundary_poset(n, sign)
+            if q is self.poset:
                 self._boundaries[key] = identity_inclusion(self)
             else:
-                src = Molecule(p.restrict_mask(mask), {"kind": "boundary", "n": n, "sign": sign,
-                                                       "of": self.certificate})
-                self._boundaries[key] = Inclusion(src, self, bits(mask), kind="boundary")
+                src = Molecule(q, {"kind": "boundary", "n": n, "sign": sign,
+                                   "of": self.certificate})
+                p = self.poset
+                self._boundaries[key] = Inclusion(src, self, bits(p.boundary_mask(p.full, n, sign)),
+                                                  kind="boundary")
         return self._boundaries[key]
+
+    def boundary_poset(self, n: int, sign: str) -> OgPoset:
+        """The sub-poset on the n-boundary of the given sign, its ids in
+        order, or the poset itself for n >= dim; memoised.  It is the
+        source of boundary(n, sign); paste and atom read it without the
+        inclusion, so its colours are computed once per molecule."""
+        key = (n, sign)
+        q = self._boundary_posets.get(key)
+        if q is None:
+            p = self.poset
+            mask = p.boundary_mask(p.full, n, sign)
+            q = p if mask == p.full else p.restrict_mask(mask)
+            self._boundary_posets[key] = q
+        return q
 
     def boundary_molecule(self, n=None, sign=MINUS) -> "Molecule":
         return self.boundary(n, sign).source
@@ -273,16 +289,14 @@ def paste(m1: Molecule, m2: Molecule, k: int) -> Molecule:
     """Pasting m1 #_k m2 along the unique iso bd_k+ m1 = bd_k- m2."""
     if k < 0:
         raise LevelOutOfRange(f"pasting level {k} is negative")
-    p1, p2 = m1.poset, m2.poset
-    bd1 = p1.boundary_mask(p1.full, k, PLUS)
-    bd2 = p2.boundary_mask(p2.full, k, MINUS)
-    iso = find_iso(p1.restrict_mask(bd1), p2.restrict_mask(bd2))
+    iso = find_iso(m1.boundary_poset(k, PLUS), m2.boundary_poset(k, MINUS))
     if iso is None:
         raise BoundaryMismatch(
             f"bd_{k}+ of the left shape is not isomorphic to bd_{k}- of the right shape"
         )
-    targets = bits(bd2)
-    glue = _glue(len(p1), bits(bd1), [targets[j] for j in iso])
+    p1, p2 = m1.poset, m2.poset
+    targets = bits(p2.boundary_mask(p2.full, k, MINUS))
+    glue = _glue(len(p1), bits(p1.boundary_mask(p1.full, k, PLUS)), [targets[j] for j in iso])
     return _pasted(m1, m2, glue, {"kind": "paste", "k": k}, k)
 
 
@@ -336,13 +350,11 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
     p1, p2 = m1.poset, m2.poset
     glue = [-1] * len(p1)
     for s in SIGNS:
-        bd1 = p1.boundary_mask(p1.full, n - 1, s)
-        bd2 = p2.boundary_mask(p2.full, n - 1, s)
-        iso = find_iso(p1.restrict_mask(bd1), p2.restrict_mask(bd2))
+        iso = find_iso(m1.boundary_poset(n - 1, s), m2.boundary_poset(n - 1, s))
         if iso is None:
             raise BoundaryMismatch(f"bd{s} of the two inputs are not isomorphic")
-        targets = bits(bd2)
-        for i, j in zip(bits(bd1), iso):
+        targets = bits(p2.boundary_mask(p2.full, n - 1, s))
+        for i, j in zip(bits(p1.boundary_mask(p1.full, n - 1, s)), iso):
             if glue[i] >= 0 and glue[i] != targets[j]:
                 raise BoundaryMismatch("input and output boundary isos disagree on the overlap")
             glue[i] = targets[j]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ogpkit.errors import BoundExceeded, UnknownLemma
+from ogpkit.errors import BoundExceeded, IdentityFailed, ShapeError, UnknownLemma
 from ogpkit.harness import (
     Bounds,
     SuiteConfig,
@@ -24,9 +24,9 @@ from ogpkit.harness import (
     run_suite,
 )
 from ogpkit.exprlang import eval_text
-from ogpkit.gray import gray_poset
+from ogpkit.gray import gray, gray_poset
 from ogpkit.ids import sid
-from ogpkit.molecule import arrow, globe, paste
+from ogpkit.molecule import arrow, atom, globe, paste
 from ogpkit.poset import SIGNS, all_isos, bits, find_iso
 
 
@@ -79,6 +79,42 @@ class TestCatalog:
         cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
         for e in cat.entries:
             assert eval_text(e.expr).poset == e.molecule.poset
+
+    def test_candidate_predictions_match_what_the_constructors_build(self):
+        # every ordered pair of the depth-2 catalog and every level k: what
+        # paste, atom and gray build is listed by _binary_candidates with
+        # its exact size and dimension, so the depth loop's skips (over the
+        # bounds, or not listed) never drop a buildable candidate
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=16))
+        rows = harness_mod._boundary_rows(cat.entries, 4)
+        built = {"gray": 0, "paste": 0, "atom": 0}
+        for e1, r1 in zip(cat.entries, rows):
+            m1 = e1.molecule
+            for e2, r2 in zip(cat.entries, rows):
+                m2 = e2.molecule
+                listed = harness_mod._binary_candidates(r1, r2)
+                attempts = [("gray", None, lambda: gray(m1, m2)),
+                            ("atom", None, lambda: atom(m1, m2))]
+                attempts += [("paste", k, lambda k=k: paste(m1, m2, k))
+                             for k in range(max(m1.dim, m2.dim))]
+                for kind, k, make in attempts:
+                    try:
+                        c = make()
+                    except ShapeError:
+                        continue
+                    built[kind] += 1
+                    assert (kind, k, len(c), c.dim) in listed, (e1.expr, e2.expr, kind, k)
+        assert min(built.values()) > 0, built
+
+    def test_depth3_catalog_at_16_elements_matches_recorded_digest(self):
+        # recorded before enumeration skipped candidates: the exact Gray
+        # size bound skips the most here against the former |m1| |m2| <=
+        # 4 max_elements filter
+        cat = enumerate_catalog(Bounds(depth=3, max_dim=4, max_elements=16))
+        exprs = "\n".join(e.expr for e in cat.entries)
+        assert len(cat.entries) == 996
+        assert hashlib.sha256(exprs.encode()).hexdigest() == \
+            "f2f6c593db23673a3a409ae9d580c74d252d390515bd95e1966254e5229ccf46"
 
 
 class TestCheck:
@@ -292,6 +328,27 @@ class TestPlantedFaults:
         rep = check("HORN_PP", cat, SuiteConfig())
         assert len(rep.failures) == rep.instances > 0
         assert all(f["got"]["lemma"] == "HORN_PP" for f in rep.failures)
+
+    def test_failing_product_horn_fails_every_marked_horn_pp_instance(self, monkeypatch):
+        # MARKED_HORN_PP keeps the product horns pp_horn returns, but only
+        # successes: a pp_horn that fails for one order fails each of that
+        # order's instances, not only the first of each horn
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        real = contexts_mod.pp_horn
+        calls = []
+
+        def fails_vu(h, v, order="uv", product=None):
+            calls.append(order)
+            if order == "vu":
+                raise IdentityFailed("planted", certificate={"lemma": "HORN_PP"})
+            return real(h, v, order, product)
+
+        monkeypatch.setattr(contexts_mod, "pp_horn", fails_vu)
+        rep = check("MARKED_HORN_PP", cat, SuiteConfig())
+        vu = sum(1 for f in rep.failures if f["inputs"].get("order") == "vu")
+        assert vu == len(rep.failures) == calls.count("vu") == rep.instances // 2 > 0
+        # the passing order reuses each product horn across markings and families
+        assert 0 < calls.count("uv") < vu
 
     def test_rejected_atoms_fail_atom_closures(self, monkeypatch):
         # the set-level atom test turns every carrier down: only points
