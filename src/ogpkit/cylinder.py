@@ -1,12 +1,11 @@
 """Partial Gray cylinders, their one-sided inverted variants, higher
 invertor shapes, collapse projections, and unit/unitor shapes.
 
-A partial cylinder on U relative to a closed K glues the K-part of two
-parallel copies of U: elements are pairs (i, x) for x outside K with i one
-of the arrow's elements, plus the K elements themselves.  The inverted
-variants reorient the top dimension so that the top cells witness one-sided
-invertibility; only their printed exceptional clauses differ from the plain
-orientation.
+The partial cylinder I (x)_K U on U, for a closed K, is the Gray product
+of the arrow I with U, with both end copies of K glued onto K and its
+middle copy dropped.  The inverted variants reverse one end copy of each
+top cell, so that the top cells witness one-sided invertibility.  K is a
+mask of U's ids, decoded to labels only for certificates.
 """
 
 from __future__ import annotations
@@ -20,100 +19,90 @@ from .errors import (
     NotComposable,
     NotRewritable,
     NotRound,
+    ZeroDimensional,
 )
+from .gray import gray_poset
 from .ids import sid
-from .molecule import Inclusion, Molecule, is_round
-from .poset import MINUS, PLUS, OgPoset, bits, build, map_mask, same_ids
+from .molecule import Inclusion, Molecule, arrow, is_round
+from .poset import MINUS, PLUS, OgPoset, bits, map_mask, same_ids
 
-I_SRC = "0-"
-I_MID = "1"
-I_TGT = "0+"
+_ARROW = arrow().poset  # ids 0-, 0+, 1 = 0, 1, 2
 
 
-def _cylinder_poset(p: OgPoset, K: frozenset, variant: str) -> tuple:
-    """Shared construction; variant is "plain", "L", or "R".  Returns the
-    cylinder and its collapse map onto p as an id image: an element of K
-    and each (i, x) go to the id of x, recorded as the elements are
-    numbered."""
-    n = p.dim
-    elements, faces = {}, {}
-    collapse = []
-    # K in the base's id order, so the ids do not depend on the hash seed
-    for y in sorted(K, key=p.index.__getitem__):
-        elements[y] = p.dim_of[y]
-        collapse.append(p.index[y])
-        if p.dim_of[y] > 0:
-            faces[y] = (set(p.faces(y, MINUS)), set(p.faces(y, PLUS)))
+def _cylinder_poset(p: OgPoset, K: int, variant: str) -> tuple:
+    """The cylinder on p collapsing the closed mask K, as a quotient of
+    G = I (x) p; variant is "plain", "L" or "R".  Returns the cylinder and
+    its collapse map onto p as an id image.
 
-    def side_copy(i, x, sign):
-        """Faces of (i, x) for i an endpoint, the plain rule."""
-        return {(i, y) for y in p.faces(x, sign) - K} | (p.faces(x, sign) & K)
-
-    for x_id, (x, dx) in enumerate(p.dim_of.items()):
-        if x in K:
-            continue
-        top = dx == n and variant != "plain"
-        for i in (I_SRC, I_TGT):
-            e = (i, x)
-            elements[e] = dx
-            collapse.append(x_id)
-            if dx == 0:
-                continue
-            if top and variant == "L" and i == I_TGT:
-                # left-inverted: the far copy of a top cell is reversed
-                faces[e] = (side_copy(i, x, PLUS), side_copy(i, x, MINUS))
-            elif top and variant == "R" and i == I_SRC:
-                faces[e] = (side_copy(i, x, PLUS), side_copy(i, x, MINUS))
-            else:
-                faces[e] = (side_copy(i, x, MINUS), side_copy(i, x, PLUS))
-        e = (I_MID, x)
-        elements[e] = dx + 1
-        collapse.append(x_id)
-        if top and variant == "L":
-            fin = {(I_SRC, x), (I_TGT, x)} | {(I_MID, y) for y in p.faces(x, PLUS) - K}
-            fout = {(I_MID, y) for y in p.faces(x, MINUS)}
-        elif top and variant == "R":
-            fin = {(I_MID, y) for y in p.faces(x, PLUS)}
-            fout = {(I_SRC, x), (I_TGT, x)} | {(I_MID, y) for y in p.faces(x, MINUS) - K}
-        else:
-            fin = {(I_SRC, x)} | {(I_MID, y) for y in p.faces(x, PLUS) - K}
-            fout = {(I_TGT, x)} | {(I_MID, y) for y in p.faces(x, MINUS) - K}
-        faces[e] = (fin, fout)
-    return build(elements, faces), collapse
+    G has the copy (i, x) at id i * |p| + x.  The cylinder keeps K's ids
+    in base order, then (0-, x), (0+, x), (1, x) for each other x; it
+    sends (0-, y) and (0+, y) onto y for y in K and drops (1, y), and each
+    face mask is G's carried along that image.  "L" reverses the (0+, x)
+    copy of each top cell x, "R" the (0-, x) copy, and that copy's bit
+    moves across the faces of (1, x).  The collapse image of G's id e is
+    e % |p|.
+    """
+    np_ = len(p)
+    g = gray_poset(_ARROW, p)
+    kept = bits(K)
+    order = kept + [e for x in range(np_) if not K >> x & 1
+                    for e in (x, np_ + x, 2 * np_ + x)]
+    image = [-1] * len(g)
+    for new, e in enumerate(order):
+        image[e] = new
+    for y in kept:
+        image[np_ + y] = image[y]
+    keep = ~(K << 2 * np_)
+    fin = [map_mask(g.fin[e] & keep, image) for e in order]
+    fout = [map_mask(g.fout[e] & keep, image) for e in order]
+    if variant != "plain":
+        copy, read = (np_, p.fin) if variant == "L" else (0, p.fout)
+        for x in bits(p.grade_masks()[p.dim]):
+            if read[x] & K:
+                raise BadCollapseSet("collapse set meets a face of a reversed top cell")
+            c, t = image[copy + x], image[2 * np_ + x]
+            fin[c], fout[c] = fout[c], fin[c]
+            fin[t] ^= 1 << c
+            fout[t] ^= 1 << c
+    poset = OgPoset([g.dims[e] for e in order], fin, fout,
+                    lambda: tuple([p.labels[e] if K >> e & 1 else g.labels[e] for e in order]))
+    return poset, [e % np_ for e in order]
 
 
-def gray_cylinder(u: Molecule, K) -> Molecule:
-    """The partial Gray cylinder I (x)_K U; K = U collapses to U itself."""
-    K = frozenset(K)
-    for y in K:
-        u.poset.id_of(y)
-    if not u.poset.is_closed(K):
+def gray_cylinder(u: Molecule, K: int) -> Molecule:
+    """The partial Gray cylinder I (x)_K U for a closed mask K of U's ids;
+    K = U collapses to U itself."""
+    p = u.poset
+    if K & ~p.full:
+        raise BadCollapseSet("collapse set has ids outside the base")
+    if not p.is_closed_mask(K):
         raise KNotClosed("collapse set must be closed")
-    if K == frozenset(u.poset.dim_of):
+    if K == p.full:
         return u
-    poset, collapse = _cylinder_poset(u.poset, K, "plain")
-    cert = {"kind": "cylinder", "K": sorted(map(sid, K)), "of": u.certificate}
+    poset, collapse = _cylinder_poset(p, K, "plain")
+    cert = {"kind": "cylinder", "K": p.sids(K), "of": u.certificate}
     result = Molecule(poset, cert)
     result.provenance["cylinder"] = {"base": u, "K": K, "variant": "plain",
                                      "collapse": collapse}
     return result
 
 
-def inverted_cylinder(u: Molecule, K, side: str) -> Molecule:
-    """Left- or right-inverted partial Gray cylinder on a molecule."""
+def inverted_cylinder(u: Molecule, K: int, side: str) -> Molecule:
+    """Left- or right-inverted partial Gray cylinder on a molecule of
+    dimension n >= 1, for a closed mask K inside bd_(n-1)^+ ("L") or
+    bd_(n-1)^- ("R")."""
     if side not in ("L", "R"):
         raise BadCollapseSet(f"side must be L or R, got {side!r}")
-    K = frozenset(K)
-    for y in K:
-        u.poset.id_of(y)
-    bound = u.poset.boundary_set(u.dim - 1, PLUS if side == "L" else MINUS)
-    if not (u.poset.is_closed(K) and K <= bound):
+    if u.dim < 1:
+        raise ZeroDimensional("inverted cylinders need dimension >= 1")
+    p = u.poset
+    bound = p.boundary_mask(p.full, u.dim - 1, PLUS if side == "L" else MINUS)
+    if K & ~bound or not p.is_closed_mask(K):
         raise BadCollapseSet(
             f"collapse set must be a closed subset of the {'output' if side == 'L' else 'input'} boundary"
         )
-    poset, collapse = _cylinder_poset(u.poset, K, side)
-    cert = {"kind": "inverted-cylinder", "side": side,
-            "K": sorted(map(sid, K)), "of": u.certificate}
+    poset, collapse = _cylinder_poset(p, K, side)
+    cert = {"kind": "inverted-cylinder", "side": side, "K": p.sids(K), "of": u.certificate}
     result = Molecule(poset, cert)
     result.provenance["cylinder"] = {"base": u, "K": K, "variant": side,
                                      "collapse": collapse}
@@ -135,7 +124,7 @@ def invertor_shape(s: str, u: Molecule) -> Molecule:
         return u
     inner = invertor_shape(s[1:], u)
     sign = PLUS if s[0] == "L" else MINUS
-    K = inner.poset.boundary_set(inner.dim - 1, sign)
+    K = inner.poset.boundary_mask(inner.poset.full, inner.dim - 1, sign)
     result = inverted_cylinder(inner, K, s[0])
     result.provenance["invertor"] = {"base": u, "s": s, "inner": inner}
     return result
@@ -201,7 +190,7 @@ def _one_step_projection(c: Molecule) -> Projection:
 
 def unit_shape(u: Molecule) -> Molecule:
     """Cylinder collapsed over the whole boundary: the shape of u => u."""
-    return gray_cylinder(u, u.poset.full_boundary_set())
+    return gray_cylinder(u, u.poset.full_boundary_mask())
 
 
 def unitor_shape(u: Molecule, iota: Inclusion, side: str) -> Molecule:
@@ -222,4 +211,4 @@ def unitor_shape(u: Molecule, iota: Inclusion, side: str) -> Molecule:
     K = p.full_boundary_mask() & ~interior
     if not p.is_closed_mask(K):
         raise KNotClosed("unitor collapse set is not closed")
-    return gray_cylinder(u, p.decode(K))
+    return gray_cylinder(u, K)

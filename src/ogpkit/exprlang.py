@@ -281,12 +281,13 @@ def _apply(head, args):
     if head == "op":
         return op(_as_molecule(args[0], head))
     if head == "cyl":
-        return gray_cylinder(_as_molecule(args[0], head), args[1])
+        m = _as_molecule(args[0], head)
+        return gray_cylinder(m, m.poset.encode(args[1]))
     if head in ("lcyl", "rcyl"):
         m = _as_molecule(args[0], head)
         side = "L" if head == "lcyl" else "R"
         sign = PLUS if side == "L" else MINUS
-        return inverted_cylinder(m, m.poset.boundary_set(m.dim - 1, sign), side)
+        return inverted_cylinder(m, m.poset.boundary_mask(m.poset.full, m.dim - 1, sign), side)
     if head == "inv":
         return invertor_shape(args[0], _as_molecule(args[1], head))
     if head == "unit":

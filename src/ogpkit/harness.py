@@ -273,11 +273,11 @@ def enumerate_catalog(bounds: Bounds) -> Catalog:
         for e1, r1 in zip(previous, rows):
             m1 = e1.molecule
             # unary constructors
+            p1 = m1.poset
             if m1.dim >= 1:
-                bd = m1.poset.full_boundary_set()
-                sets = [("unit", bd)]
-                sets.append(("cylm", m1.poset.boundary_set(m1.dim - 1, MINUS)))
-                sets.append(("cylp", m1.poset.boundary_set(m1.dim - 1, PLUS)))
+                sets = [("unit", p1.full_boundary_mask())]
+                sets.append(("cylm", p1.boundary_mask(p1.full, m1.dim - 1, MINUS)))
+                sets.append(("cylp", p1.boundary_mask(p1.full, m1.dim - 1, PLUS)))
                 for tag, K in sets:
                     try:
                         c = gray_cylinder(m1, K)
@@ -286,14 +286,14 @@ def enumerate_catalog(bounds: Bounds) -> Catalog:
                     if tag == "unit":
                         add(f"unit({e1.expr})", c, depth)
                     else:
-                        ids = ",".join(f'"{s}"' for s in sorted(map(sid, K)))
+                        ids = ",".join(f'"{s}"' for s in p1.sids(K))
                         add(f"cyl({e1.expr},{{{ids}}})", c, depth)
             if r1.round and m1.dim >= 1:
                 for side, tag in (("L", "lcyl"), ("R", "rcyl")):
                     sign = PLUS if side == "L" else MINUS
                     try:
                         c = inverted_cylinder(
-                            m1, m1.poset.boundary_set(m1.dim - 1, sign), side
+                            m1, p1.boundary_mask(p1.full, m1.dim - 1, sign), side
                         )
                     except ShapeError:
                         continue

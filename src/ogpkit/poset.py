@@ -123,13 +123,15 @@ class OgPoset:
     the mask query, whose memo they share, and decode its answer.
 
     Construction.  build() validates label data and numbers it in its
-    input order; its label views are that data.  The constructors that
-    combine validated posets build masks directly, with no build()
-    re-check, since their result is valid when their inputs are:
-    gray.gray_poset (by index arithmetic), molecule.paste_along and
-    molecule.atom (one new top), restrict_mask and dual.  Their labels are
-    taken or decoded from their inputs on first read, and their label
-    views are decoded from the masks.
+    input order; its label views are that data.  It serves only the base
+    shapes (point, arrow, globes), the mutation check and outside data.
+    The constructors that combine validated posets build masks directly,
+    with no build() re-check, since their result is valid when their
+    inputs are: gray.gray_poset (by index arithmetic), the cylinders (a
+    quotient of a Gray product), molecule.paste_along and molecule.atom
+    (one new top), restrict_mask and dual.  Their labels are taken or
+    decoded from their inputs on first read, and their label views are
+    decoded from the masks.
     """
 
     dims: list

@@ -2,7 +2,9 @@
 
 import pytest
 
+from ogpkit.cli import main
 from ogpkit.cylinder import (
+    _cylinder_poset,
     gray_cylinder,
     inverted_cylinder,
     invertor_shape,
@@ -10,21 +12,22 @@ from ogpkit.cylinder import (
     unit_shape,
     unitor_shape,
 )
-from ogpkit.errors import BadCollapseSet, KNotClosed, NotRound
+from ogpkit.errors import BadCollapseSet, KNotClosed, NotRound, ZeroDimensional
 from ogpkit.gray import gray
+from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.molecule import arrow, globe, identity_inclusion, is_round, paste, point
-from ogpkit.poset import MINUS, PLUS, find_iso
+from ogpkit.poset import MINUS, PLUS, bits, build, find_iso, same_ids
 
 
 class TestGrayCylinder:
     def test_empty_collapse_is_gray_product(self):
-        cyl = gray_cylinder(arrow(), frozenset())
+        cyl = gray_cylinder(arrow(), 0)
         prod = gray(arrow(), arrow())
         assert cyl.poset == prod.poset
 
     def test_total_collapse_is_base(self):
         a = arrow()
-        assert gray_cylinder(a, frozenset(a.poset.dim_of)) is a
+        assert gray_cylinder(a, a.poset.full) is a
 
     def test_unit_shape_of_arrow(self):
         u = unit_shape(arrow())
@@ -43,11 +46,12 @@ class TestGrayCylinder:
 
     def test_not_closed_rejected(self):
         with pytest.raises(KNotClosed):
-            gray_cylinder(arrow(), {"1"})
+            gray_cylinder(arrow(), 0b100)  # {1} without its end points
 
     def test_ids_do_not_depend_on_the_hash_seed(self, src_env):
-        # the collapse set is a frozenset of labels, whose iteration order
-        # changes with PYTHONHASHSEED; the cylinder's ids must not
+        # the expression's collapse set is a frozenset of labels, whose
+        # iteration order changes with PYTHONHASHSEED; the cylinder's ids
+        # must not
         import json
         import subprocess
         import sys
@@ -64,11 +68,9 @@ class TestGrayCylinder:
 
 CYLINDER_IDS = """
 import json
-from ogpkit.cylinder import gray_cylinder
+from ogpkit.exprlang import eval_text
 from ogpkit.ids import sid
-from ogpkit.molecule import globe
-g = globe(2)
-p = gray_cylinder(g, g.poset.full_boundary_set()).poset
+p = eval_text('cyl(globe(2), {"1+", "0-", "1-", "0+"})').poset
 print(json.dumps({"dims": p.dims, "fin": p.fin, "fout": p.fout,
                   "labels": [sid(x) for x in p.labels]}))
 """
@@ -76,7 +78,7 @@ print(json.dumps({"dims": p.dims, "fin": p.fin, "fout": p.fout,
 
 class TestInvertedCylinder:
     def test_left_inverted_arrow(self):
-        c = inverted_cylinder(arrow(), {"0+"}, "L")
+        c = inverted_cylinder(arrow(), 0b010, "L")  # {0+}
         assert len(c) == 7 and c.dim == 2
         assert c.is_atom()
         top = ("1", "1")
@@ -90,13 +92,13 @@ class TestInvertedCylinder:
 
     def test_left_inverted_globe(self):
         g = globe(2)
-        c = inverted_cylinder(g, g.poset.boundary_set(1, PLUS), "L")
+        c = inverted_cylinder(g, g.poset.boundary_mask(g.poset.full, 1, PLUS), "L")
         assert len(c) == 9 and c.dim == 3
         assert c.is_atom()
         assert is_round(c)
 
     def test_right_inverted_arrow(self):
-        c = inverted_cylinder(arrow(), {"0-"}, "R")
+        c = inverted_cylinder(arrow(), 0b001, "R")  # {0-}
         assert len(c) == 7 and c.dim == 2
         assert c.is_atom()
         top = ("1", "1")
@@ -105,11 +107,11 @@ class TestInvertedCylinder:
 
     def test_bad_collapse_set(self):
         with pytest.raises(BadCollapseSet):
-            inverted_cylinder(arrow(), {"0-"}, "L")  # 0- is not in bd+
+            inverted_cylinder(arrow(), 0b001, "L")  # 0- is not in bd+
 
     def test_nonexceptional_part_matches_plain(self):
         g = globe(2)
-        K = g.poset.boundary_set(1, PLUS)
+        K = g.poset.boundary_mask(g.poset.full, 1, PLUS)
         inv = inverted_cylinder(g, K, "L")
         plain = gray_cylinder(g, K)
         n = g.dim
@@ -153,6 +155,106 @@ class TestInvertorShapes:
         with pytest.raises(NotRound):
             invertor_shape("L", whisk)
 
+    def test_zero_dimensional_base_rejected(self, capsys):
+        for side in ("L", "R"):
+            with pytest.raises(ZeroDimensional):
+                inverted_cylinder(point(), 0, side)
+        with pytest.raises(ZeroDimensional):
+            invertor_shape("L", point())
+        assert main(["build", "lcyl(point)"]) == 1
+        assert "dimension" in capsys.readouterr().err
+
+
+# -- a label-level oracle ------------------------------------------------------
+
+I_SRC, I_MID, I_TGT = "0-", "1", "0+"
+
+
+def reference_cylinder(p, K, variant):
+    """The cylinder on p collapsing the closed label set K, written out
+    face by face on labels and validated by build(); it shares no code
+    with gray_poset.  Returns the poset and the collapse map onto p as an
+    id image."""
+    n = p.dim
+    elements, faces = {}, {}
+    collapse = []
+    for y in sorted(K, key=p.index.__getitem__):
+        elements[y] = p.dim_of[y]
+        collapse.append(p.index[y])
+        if p.dim_of[y] > 0:
+            faces[y] = (set(p.faces(y, MINUS)), set(p.faces(y, PLUS)))
+
+    def side_copy(i, x, sign):
+        """Faces of (i, x) for i an endpoint, the plain rule."""
+        return {(i, y) for y in p.faces(x, sign) - K} | (p.faces(x, sign) & K)
+
+    for x_id, (x, dx) in enumerate(p.dim_of.items()):
+        if x in K:
+            continue
+        top = dx == n and variant != "plain"
+        for i in (I_SRC, I_TGT):
+            e = (i, x)
+            elements[e] = dx
+            collapse.append(x_id)
+            if dx == 0:
+                continue
+            reversed_copy = i == (I_TGT if variant == "L" else I_SRC)
+            if top and reversed_copy:
+                faces[e] = (side_copy(i, x, PLUS), side_copy(i, x, MINUS))
+            else:
+                faces[e] = (side_copy(i, x, MINUS), side_copy(i, x, PLUS))
+        e = (I_MID, x)
+        elements[e] = dx + 1
+        collapse.append(x_id)
+        if top and variant == "L":
+            fin = {(I_SRC, x), (I_TGT, x)} | {(I_MID, y) for y in p.faces(x, PLUS) - K}
+            fout = {(I_MID, y) for y in p.faces(x, MINUS)}
+        elif top and variant == "R":
+            fin = {(I_MID, y) for y in p.faces(x, PLUS)}
+            fout = {(I_SRC, x), (I_TGT, x)} | {(I_MID, y) for y in p.faces(x, MINUS) - K}
+        else:
+            fin = {(I_SRC, x)} | {(I_MID, y) for y in p.faces(x, PLUS) - K}
+            fout = {(I_TGT, x)} | {(I_MID, y) for y in p.faces(x, MINUS) - K}
+        faces[e] = (fin, fout)
+    return build(elements, faces), collapse
+
+
+def closed_submasks(p, within):
+    """Every closed mask of p inside the mask within."""
+    ids = bits(within)
+    for r in range(1 << len(ids)):
+        m = 0
+        for k, i in enumerate(ids):
+            if r >> k & 1:
+                m |= 1 << i
+        if p.is_closed_mask(m):
+            yield m
+
+
+class TestOracle:
+    def test_quotient_matches_the_label_rules(self):
+        # every shape of at most 9 elements, with every collapse set
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=9))
+        cases = 0
+        for e in cat.entries:
+            p = e.molecule.poset
+            runs = [("plain", K) for K in closed_submasks(p, p.full)]
+            if p.dim >= 1:
+                for variant, sign in (("L", PLUS), ("R", MINUS)):
+                    bound = p.boundary_mask(p.full, p.dim - 1, sign)
+                    runs += [(variant, K) for K in closed_submasks(p, bound)]
+            for variant, K in runs:
+                got, got_collapse = _cylinder_poset(p, K, variant)
+                want, want_collapse = reference_cylinder(p, p.decode(K), variant)
+                where = (e.expr, p.sids(K), variant)
+                assert got.labels == want.labels, where
+                assert got.faces_in == want.faces_in, where
+                assert got.faces_out == want.faces_out, where
+                assert same_ids(got, want), where
+                assert got_collapse == want_collapse, where
+                cases += 1
+        assert cases == 1551
+
 
 def image_of(tau, x):
     """The label that the projection tau sends the label x to."""
@@ -190,7 +292,7 @@ class TestUnitor:
         iota = identity_inclusion(g.boundary_molecule(sign=MINUS))
         shape = unitor_shape(g, iota, "left")
         info = shape.provenance["cylinder"]
-        assert info["K"] == g.poset.boundary_set(1, PLUS)
+        assert info["K"] == g.poset.boundary_mask(g.poset.full, 1, PLUS)
 
     def test_unitor_on_arrow(self):
         a = arrow()
@@ -218,7 +320,7 @@ a, pt = arrow(), point()
 pinched = Molecule(build(
     {("0-", "0-"): 0, ("0+", "0-"): 0, ("0+", "0+"): 0, ("0-", "1"): 1},
     {("0-", "1"): ({("0-", "0-")}, {("0+", "0-")})}), {})
-pinched.provenance["cylinder"] = {"base": a, "K": frozenset(), "variant": "plain",
+pinched.provenance["cylinder"] = {"base": a, "K": 0, "variant": "plain",
                                   "collapse": [0, 0, 1, 2]}
 tries = [
     lambda: Projection(a, a, [0, 2]),
@@ -235,6 +337,51 @@ for attempt in tries:
         raised.append(type(exc).__name__)
 print(sys.flags.optimize, *raised)
 """
+
+
+CYLINDER_FAULTS = """
+import sys
+from ogpkit.cylinder import _cylinder_poset, gray_cylinder, inverted_cylinder, invertor_shape
+from ogpkit.errors import ShapeError
+from ogpkit.molecule import arrow, globe, point
+from ogpkit.poset import MINUS
+
+a, g = arrow(), globe(2)  # the arrow has ids 0-, 0+, 1 = 0, 1, 2
+tries = [
+    lambda: gray_cylinder(a, 0b1000),  # a bit outside the base
+    lambda: inverted_cylinder(a, 0b1010, "L"),
+    lambda: gray_cylinder(a, 0b100),  # {1} without its end points
+    lambda: inverted_cylinder(a, 0b001, "L"),  # 0- is not in bd+
+    lambda: inverted_cylinder(point(), 0, "R"),
+    lambda: invertor_shape("L", point()),
+    # L reverses the top cell's far copy, reading its input faces, here in K
+    lambda: _cylinder_poset(g.poset, g.poset.boundary_mask(g.poset.full, 1, MINUS), "L"),
+]
+raised = []
+for attempt in tries:
+    try:
+        attempt()
+    except ShapeError as exc:
+        raised.append(type(exc).__name__)
+print(sys.flags.optimize, *raised)
+"""
+
+
+class TestCollapseSetValidation:
+    """Collapse sets are checked by ShapeError subclasses, which survive
+    python -O."""
+
+    def test_bad_collapse_sets_raise_under_optimize(self, src_env):
+        import subprocess
+        import sys
+
+        for flags in ((), ("-O",)):
+            out = subprocess.run([sys.executable, *flags, "-c", CYLINDER_FAULTS],
+                                 env=src_env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == [str(len(flags)), "BadCollapseSet", "BadCollapseSet",
+                                          "KNotClosed", "BadCollapseSet", "ZeroDimensional",
+                                          "ZeroDimensional", "BadCollapseSet"]
 
 
 class TestProjectionValidation:
