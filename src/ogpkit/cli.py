@@ -17,7 +17,7 @@ from .exprlang import eval_text
 from .harness import LEMMAS, Bounds, SuiteConfig, run_suite
 from .ids import parse_sid, sid
 from .marked import boundary_inclusion_marked, boundary_inclusion_min
-from .molecule import Molecule, is_round
+from .molecule import Molecule, is_round, poset_of
 from .poset import find_iso
 from .render import marked_map_to_dict, poset_to_dict, render, to_json_bytes
 
@@ -60,12 +60,12 @@ def cmd_check(args) -> int:
             "carrier_elements": shape.horn.bit_count(),
         }
     else:
-        p = shape.poset if isinstance(shape, Molecule) else shape
+        p = poset_of(shape)
         doc = {
             "kind": "molecule" if isinstance(shape, Molecule) else "poset",
             "elements": len(p),
             "dim": p.dim,
-            "maximal": len(p.maximal_elements()),
+            "maximal": p.maximal_mask(p.full).bit_count(),
             "round": is_round(shape),
             "atom": isinstance(shape, Molecule) and shape.is_atom(),
         }
@@ -77,8 +77,7 @@ def cmd_check(args) -> int:
 
 def cmd_iso(args) -> int:
     a, b = _eval_shape(args.left), _eval_shape(args.right)
-    pa = a.poset if isinstance(a, Molecule) else a
-    pb = b.poset if isinstance(b, Molecule) else b
+    pa, pb = poset_of(a), poset_of(b)
     iso = find_iso(pa, pb)
     if iso is None:
         sys.stdout.buffer.write(to_json_bytes(None))

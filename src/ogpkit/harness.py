@@ -744,7 +744,7 @@ def ctx_recursion_instances(catalog: Catalog, config):
     # dimension, so a round hole of full dimension in the boundary; the
     # marking holds only positive elements of the ambient; and an ambient
     # of at most 9 elements has at most 2^9 carriers for the search to
-    # visit, far below its 500,000-state budget
+    # visit, far below molecule.DERIVATION_BUDGET
     horn_contexts = []
     for uatom in catalog.atoms(max_dim=2, min_dim=1, max_elements=9):
         p = uatom.poset
@@ -951,14 +951,15 @@ def atom_closures_instances(catalog: Catalog, config):
         p = e.molecule.poset
         if len(p) > ATOM_CLOSURE_CAP:
             continue
-        for x in p.elements:
+        dims, rank, cl = p.dims, p.sid_ranks(), p.closure_masks()
+        for x in sorted(range(len(p)), key=lambda i: (dims[i], rank[i])):
             def closure():
-                sub = p.restrict(p.closure({x}))
-                if reconstruct(sub) is None or len(sub.maximal_elements()) != 1:
+                sub = p.restrict_mask(cl[x])
+                if reconstruct(sub) is None or sub.maximal_mask(sub.full).bit_count() != 1:
                     return "atom-certified closure", "reconstruction failed"
                 return None
 
-            yield {"shape": e.expr, "element": sid(x)}, closure
+            yield {"shape": e.expr, "element": sid(p.labels[x])}, closure
 
 
 def globularity_holds(p: OgPoset) -> bool:

@@ -19,12 +19,8 @@ from dataclasses import dataclass, field
 from .errors import BadEmbedding, NotEntire, ShapeError
 from .gray import gray_poset
 from .ids import sid
-from .molecule import Molecule
+from .molecule import Molecule, poset_of
 from .poset import OgPoset, spread
-
-
-def _poset(shape) -> OgPoset:
-    return shape.poset if isinstance(shape, Molecule) else shape
 
 
 @dataclass(eq=False)
@@ -46,7 +42,7 @@ class MarkedShape:
 
     @property
     def poset(self) -> OgPoset:
-        return _poset(self.shape)
+        return poset_of(self.shape)
 
     def op(self) -> "MarkedShape":
         return MarkedShape(self.poset.op(), self.marking)
@@ -196,11 +192,10 @@ class GeneratorFamilies:
         return self.minbd + self.markbd
 
 
-def generators(atoms, max_dim=None) -> GeneratorFamilies:
-    """Generator families over the given atoms, optionally dimension-capped."""
-    selected = [u for u in atoms if max_dim is None or u.dim <= max_dim]
+def generators(atoms) -> GeneratorFamilies:
+    """Generator families over the given atoms."""
     return GeneratorFamilies(
-        minbd=[boundary_inclusion_min(u) for u in selected],
-        t=[marking_inclusion(u) for u in selected],
-        markbd=[boundary_inclusion_marked(u) for u in selected],
+        minbd=[boundary_inclusion_min(u) for u in atoms],
+        t=[marking_inclusion(u) for u in atoms],
+        markbd=[boundary_inclusion_marked(u) for u in atoms],
     )

@@ -42,6 +42,13 @@ from .poset import (
 POINT_ID = "*"
 TOP_ID = "top"
 
+# The searches' budgets, read at call time: reconstruct refuses posets of
+# more than RECONSTRUCT_CAP elements, and find_derivation gives up after
+# DERIVATION_BUDGET search states.  Both raise BoundExceeded, which the
+# harness records as the instance's failure.
+RECONSTRUCT_CAP = 120
+DERIVATION_BUDGET = 500_000
+
 
 @dataclass(eq=False)
 class Molecule:
@@ -60,16 +67,7 @@ class Molecule:
     def __len__(self):
         return len(self.poset)
 
-    @property
-    def elements(self):
-        return self.poset.elements
-
-    def grade(self, n):
-        return self.poset.grade(n)
-
-    def maximal_elements(self):
-        return self.poset.maximal_elements()
-
+    # perfbench/make_goldens.py reads it
     def top(self):
         """The unique maximal element of an atom."""
         return self.poset.labels[self.top_id()]
@@ -189,6 +187,11 @@ def globe(n: int) -> Molecule:
     return Molecule(build(elements, faces), {"kind": "globe", "n": n})
 
 
+def poset_of(shape) -> OgPoset:
+    """The poset of a molecule or a marked shape; a poset is its own."""
+    return shape if isinstance(shape, OgPoset) else shape.poset
+
+
 # -- roundness -------------------------------------------------------------
 
 
@@ -198,7 +201,7 @@ def is_round(shape, subset: int | None = None) -> bool:
     With subset, the mask of a closed subset of the shape's poset, the
     question is asked of the sub-poset on it, read from the poset's masks.
     """
-    p = shape.poset if isinstance(shape, Molecule) else shape
+    p = poset_of(shape)
     m = p.full if subset is None else subset
     bd = p.boundary_mask
     for k in range(p.dim_mask(m)):
@@ -430,7 +433,6 @@ def recognise_generalised_pasting(
     right: int,
     k: int,
     *,
-    reconstruct_cap: int = 120,
     verdicts: dict | None = None,
 ):
     """Check the three generalised-pasting conditions for a decomposition.
@@ -466,7 +468,7 @@ def recognise_generalised_pasting(
     if verdicts is None:
         verdicts = {}
     for subset in (bdm, bdp):
-        if not _is_molecule(w.restrict_mask(subset), reconstruct_cap, verdicts):
+        if not _is_molecule(w.restrict_mask(subset), verdicts):
             return None
     # condition 3
     if bd(left, k, MINUS) & ~bdm or bd(right, k, PLUS) & ~bdp:
@@ -500,14 +502,14 @@ def recognise_generalised_pasting(
     return GeneralisedPasting(ambient, left, right, k, checked=True)
 
 
-def _is_molecule(p: OgPoset, cap: int, verdicts: dict) -> bool:
+def _is_molecule(p: OgPoset, verdicts: dict) -> bool:
     """Whether reconstruct certifies p, looked up by canonical key in
     verdicts and recorded there; without a key, reconstruct runs."""
     key = canonical_key(p)
     if key is None:
-        return reconstruct(p, cap=cap) is not None
+        return reconstruct(p) is not None
     if key not in verdicts:
-        verdicts[key] = reconstruct(p, cap=cap) is not None
+        verdicts[key] = reconstruct(p) is not None
     return verdicts[key]
 
 
@@ -559,8 +561,7 @@ def _peel_candidates(p: OgPoset, carrier: int, protected: int) -> list:
     return out
 
 
-def find_derivation(p: OgPoset, carrier: int, hole: int, allowed: int | None = None,
-                    max_states: int = 500_000):
+def find_derivation(p: OgPoset, carrier: int, hole: int, allowed: int | None = None):
     """Exhaustive peel search: decompose carrier onto hole by extended
     pastings of single atoms.
 
@@ -569,7 +570,8 @@ def find_derivation(p: OgPoset, carrier: int, hole: int, allowed: int | None = N
     A-context condition).  Returns the steps ordered from the hole
     outward, each a dict of _peel_candidates (top an id, the rest masks
     of p), or None.  Complete at the sizes this package targets: all
-    peel orders are explored with memoisation on the remaining carrier.
+    peel orders are explored with memoisation on the remaining carrier,
+    up to DERIVATION_BUDGET states.
     """
     failed = set()
     states = 0
@@ -581,7 +583,7 @@ def find_derivation(p: OgPoset, carrier: int, hole: int, allowed: int | None = N
         if current in failed:
             return None
         states += 1
-        if states > max_states:
+        if states > DERIVATION_BUDGET:
             raise BoundExceeded("derivation search exceeded its state budget")
         for cand in _peel_candidates(p, current, hole):
             if allowed is not None and not allowed >> cand["top"] & 1:
@@ -623,7 +625,7 @@ def glues_to_atom(p: OgPoset, carrier: int) -> bool:
     return minus & plus == rim
 
 
-def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
+def reconstruct(p: OgPoset) -> Molecule | None:
     """Bounded certifier: rebuild a paste/atom certificate for a poset.
 
     Returns a Molecule carrying p itself (ids preserved) on success, None
@@ -631,10 +633,11 @@ def reconstruct(p: OgPoset, cap: int = 120) -> Molecule | None:
     the theory guarantees to be molecules; a None on such an instance is a
     harness failure.  The search runs on closed masks of p and builds no
     poset: a single-maximum carrier is certified as an atom by
-    glues_to_atom on its two boundaries.
+    glues_to_atom on its two boundaries.  It refuses posets of more than
+    RECONSTRUCT_CAP elements.
     """
-    if len(p) > cap:
-        raise BoundExceeded(f"reconstruct called on {len(p)} elements (cap {cap})")
+    if len(p) > RECONSTRUCT_CAP:
+        raise BoundExceeded(f"reconstruct called on {len(p)} elements (cap {RECONSTRUCT_CAP})")
     memo = {}
     bd = p.boundary_mask
 

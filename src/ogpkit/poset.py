@@ -116,11 +116,15 @@ class OgPoset:
     failure reports.
 
     Labels.  labels[i] is the structured id (see ids.sid) of element i,
-    and index maps labels back to ids.  dim_of, faces_in and faces_out are
-    read-only label views, decoded once per poset and iterating in id
-    order.  The label-valued queries (closure, is_closed, boundary_set,
-    restrict, ...) are thin wrappers: they encode their arguments, call
-    the mask query, whose memo they share, and decode its answer.
+    and index maps labels back to ids; encode, decode and sids convert
+    masks at the edges, where reports, certificates, render and the CLI
+    print labels.  Every query is a mask query.  dim_of, faces_in and
+    faces_out are read-only label views, decoded once per poset and
+    iterating in id order; render, the mutation check and __eq__ across
+    label orders read them.  The label wrappers faces, closure,
+    boundary_set and restrict remain only because the benchmark reads
+    them: its tracer wraps the last three by name and its golden recorder
+    calls faces.  They go when the benchmark moves onto the mask layer.
 
     Construction.  build() validates label data and numbers it in its
     input order; its label views are that data.  It serves only the base
@@ -146,9 +150,7 @@ class OgPoset:
         self._labels = self.source if isinstance(self.source, tuple) else None
         self._index = None
         self._views = None
-        self._order = None
         self._sid_rank = None
-        self._element_set = None
         self._grades = None
         self._cofaces = None
         self._cl = None
@@ -203,6 +205,7 @@ class OgPoset:
                            {x: decode(m) for x, m in zip(labels, self.fout)})
         return self._views
 
+    # the label views, read by render, __eq__, MUTATION and perfbench/tracer.py
     @property
     def dim_of(self) -> dict:
         return self._label_views()[0]
@@ -391,7 +394,7 @@ class OgPoset:
                        [map_mask(fout[i], image) for i in ids],
                        labels)
 
-    # -- basic queries on labels ---------------------------------------------
+    # -- labels and equality -------------------------------------------------
 
     def sid_ranks(self) -> list:
         """The rank of each id's label in sid order, made on first read."""
@@ -402,22 +405,6 @@ class OgPoset:
                 rank[i] = r
             self._sid_rank = rank
         return self._sid_rank
-
-    @property
-    def elements(self):
-        """All elements in (dimension, sid) order, sorted on first read."""
-        if self._order is None:
-            dims, rank, labels = self.dims, self.sid_ranks(), self.labels
-            self._order = tuple([labels[i] for i in
-                                 sorted(range(len(dims)), key=lambda i: (dims[i], rank[i]))])
-        return self._order
-
-    @property
-    def element_set(self) -> frozenset:
-        """All elements as one frozenset, made on first read and kept."""
-        if self._element_set is None:
-            self._element_set = frozenset(self.labels)
-        return self._element_set
 
     def __len__(self):
         return len(self.dims)
@@ -436,32 +423,6 @@ class OgPoset:
             and self.faces_out == other.faces_out
         )
 
-    def grade(self, n: int) -> frozenset:
-        grades = self.grade_masks()
-        return self.decode(grades[n]) if 0 <= n < len(grades) else frozenset()
-
-    def faces(self, x, sign: str) -> frozenset:
-        self.id_of(x)
-        return self.faces_in[x] if sign == MINUS else self.faces_out[x]
-
-    def all_faces(self, x) -> frozenset:
-        self.id_of(x)
-        return self.faces_in[x] | self.faces_out[x]
-
-    def cofaces(self, x, sign: str) -> frozenset:
-        """Elements having x among their faces of the given sign."""
-        return self.decode(self.coface_masks()[0 if sign == MINUS else 1][self.id_of(x)])
-
-    def maximal_elements(self) -> frozenset:
-        return self.decode(self.maximal_mask(self.full))
-
-    def closure(self, subset) -> frozenset:
-        """Smallest downward-closed set containing the given elements."""
-        return self.decode(self.closure_mask(self.encode(subset)))
-
-    def is_closed(self, subset) -> bool:
-        return self.is_closed_mask(self.encode(subset))
-
     def id_of(self, x) -> int:
         """The id of a label; UnknownElement for a label outside p."""
         i = self.index.get(x)
@@ -469,20 +430,29 @@ class OgPoset:
             raise _unknown(x)
         return i
 
-    # -- boundaries and closed subsets, on labels --------------------------------
+    # -- label wrappers ------------------------------------------------------
     #
-    # Each equals the same query on self.restrict(subset), for a closed
-    # subset, without building the sub-poset.
+    # Each encodes its arguments, calls the mask query and decodes the
+    # answer.  They remain only while the benchmark reads them by name,
+    # until its tracer moves onto the mask queries.
 
+    # the mutation check and perfbench/make_goldens.py read it
+    def faces(self, x, sign: str) -> frozenset:
+        self.id_of(x)
+        return self.faces_in[x] if sign == MINUS else self.faces_out[x]
+
+    # perfbench/tracer.py wraps it as poset.closure
+    def closure(self, subset) -> frozenset:
+        """Smallest downward-closed set containing the given elements."""
+        return self.decode(self.closure_mask(self.encode(subset)))
+
+    # perfbench/tracer.py wraps it as poset.boundary_set
     def boundary_set(self, n: int, sign: str) -> frozenset:
         """Element set of the n-dimensional input or output boundary; see
         boundary_mask."""
         return self.decode(self.boundary_mask(self.full, n, sign))
 
-    def full_boundary_set(self) -> frozenset:
-        """Union of input and output boundaries one level below the top."""
-        return self.decode(self.full_boundary_mask())
-
+    # perfbench/tracer.py wraps it as poset.restrict
     def restrict(self, subset) -> "OgPoset":
         """Sub-poset on a closed subset, labels preserved."""
         m = self.encode(subset)
@@ -752,10 +722,6 @@ def all_isos(p: OgPoset, q: OgPoset) -> list:
     """Every orientation-preserving isomorphism, as id images, in
     deterministic order."""
     return _iso_search(p, q, first_only=False)
-
-
-def is_isomorphic(p: OgPoset, q: OgPoset) -> bool:
-    return find_iso(p, q) is not None
 
 
 def iso_invariant(p: OgPoset):

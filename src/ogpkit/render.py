@@ -10,16 +10,8 @@ import json
 
 from .ids import sid
 from .marked import MarkedMap, MarkedShape
-from .molecule import Molecule
+from .molecule import Molecule, poset_of
 from .poset import MINUS, PLUS, OgPoset
-
-
-def _poset(shape) -> OgPoset:
-    if isinstance(shape, Molecule):
-        return shape.poset
-    if isinstance(shape, MarkedShape):
-        return shape.poset
-    return shape
 
 
 def _named_order(p: OgPoset):
@@ -31,7 +23,7 @@ def _named_order(p: OgPoset):
 
 
 def poset_to_dict(shape) -> dict:
-    p = _poset(shape)
+    p = poset_of(shape)
     name, order = _named_order(p)
     dim_of, faces_in, faces_out = p.dim_of, p.faces_in, p.faces_out
     doc = {
@@ -62,7 +54,7 @@ def to_json_bytes(doc) -> bytes:
 
 
 def to_dot_bytes(shape) -> bytes:
-    p = _poset(shape)
+    p = poset_of(shape)
     name, order = _named_order(p)
     dim_of = p.dim_of
     lines = ["digraph shape {"]

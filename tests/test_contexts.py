@@ -100,7 +100,7 @@ class TestAtomicHorn:
         for s in (MINUS, PLUS):
             for x in sq.poset.faces(sq.top(), s):
                 h = horn(sq, x)
-                assert sq.poset.is_closed(labels(sq, h.horn))
+                assert sq.poset.is_closed_mask(h.horn)
                 assert sq.poset.closure(labels(sq, h.horn)) == labels(sq, h.horn)
 
     def test_not_a_facet(self):
@@ -227,7 +227,7 @@ class TestMarkedHorn:
     def test_fully_marked_always_recognised(self):
         sq = square()
         marking = frozenset(
-            x for x in sq.poset.full_boundary_set()
+            x for x in labels(sq, sq.poset.full_boundary_mask())
             if sq.poset.dim_of[x] > 0 and x != ("0-", "1")
         )
         mh = labelled_marked_horn(sq, ("0-", "1"), marking)

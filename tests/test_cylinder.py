@@ -115,7 +115,7 @@ class TestInvertedCylinder:
         inv = inverted_cylinder(g, K, "L")
         plain = gray_cylinder(g, K)
         n = g.dim
-        tops = g.poset.grade(n)
+        tops = g.poset.decode(g.poset.grade_masks()[n])
         for e in inv.poset.dim_of:
             exceptional = (
                 isinstance(e, tuple)

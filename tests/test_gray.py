@@ -49,8 +49,9 @@ class TestProduct:
 
     def test_cofaces_in_square(self):
         sq = square().poset
-        assert sq.cofaces(("0-", "1"), PLUS) == frozenset()
-        assert sq.cofaces(("0-", "1"), MINUS) == {("1", "1")}
+        cin, cout = sq.coface_masks()
+        assert sq.decode(cout[sq.id_of(("0-", "1"))]) == frozenset()
+        assert sq.decode(cin[sq.id_of(("0-", "1"))]) == {("1", "1")}
 
     def test_associativity_after_flattening(self):
         def flatten_triple_left(x):

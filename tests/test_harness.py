@@ -27,7 +27,7 @@ from ogpkit.exprlang import eval_text
 from ogpkit.gray import gray, gray_poset
 from ogpkit.ids import sid
 from ogpkit.molecule import arrow, atom, globe, paste
-from ogpkit.poset import SIGNS, all_isos, bits, find_iso
+from ogpkit.poset import MINUS, SIGNS, all_isos, bits, find_iso
 
 
 contexts_mod = importlib.import_module("ogpkit.contexts")
@@ -456,6 +456,44 @@ class TestBoundExceeded:
             assert all(f["got"] == "reconstruct ran past its size cap"
                        for f in rep.failures), lemma
 
+    def test_derivation_budget_raises(self, monkeypatch):
+        # the real state count against DERIVATION_BUDGET, read at call time
+        p = globe(2).poset
+        hole = p.boundary_mask(p.full, 1, MINUS)
+        assert molecule_mod.find_derivation(p, p.full, hole) is not None
+        monkeypatch.setattr(molecule_mod, "DERIVATION_BUDGET", 0)
+        with pytest.raises(BoundExceeded, match="state budget"):
+            molecule_mod.find_derivation(p, p.full, hole)
+        # a carrier that is already the hole visits no state
+        assert molecule_mod.find_derivation(p, hole, hole) == []
+
+    def test_derivation_budget_recorded_in_marked_horn_checks(self, monkeypatch):
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        monkeypatch.setattr(molecule_mod, "DERIVATION_BUDGET", 0)
+        rep = check("MARKED_HORN_PP", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+        assert all(f["got"] == "derivation search exceeded its state budget"
+                   for f in rep.failures)
+        keys = {tuple(sorted(f["inputs"])) for f in rep.failures}
+        # failures while enumerating the horns, and on products of horns
+        assert keys == {("A", "U", "x"), ("A", "U", "V", "family", "order", "x")}
+
+    def test_reconstruct_cap_raises(self, monkeypatch):
+        # arrow taken five times under gray: 3^5 elements
+        big = arrow()
+        for _ in range(4):
+            big = gray(arrow(), big)
+        assert len(big) == 243 > molecule_mod.RECONSTRUCT_CAP
+        with pytest.raises(BoundExceeded, match=r"243 elements \(cap 120\)"):
+            molecule_mod.reconstruct(big.poset)
+        # read at call time: the cap admits exactly its own size
+        p = globe(2).poset
+        monkeypatch.setattr(molecule_mod, "RECONSTRUCT_CAP", len(p))
+        assert molecule_mod.reconstruct(p) is not None
+        monkeypatch.setattr(molecule_mod, "RECONSTRUCT_CAP", len(p) - 1)
+        with pytest.raises(BoundExceeded):
+            molecule_mod.reconstruct(p)
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only a ShapeError is an instance's failure; anything else is a bug
         cat = enumerate_catalog(Bounds(depth=0, max_dim=1, max_elements=3))
@@ -478,6 +516,22 @@ def load_bench_module(name):
 
 def load_bench_spec():
     return load_bench_module("spec")
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these by name, OgPoset's label wrappers
+    # among them; resolve each without install(), which rebinds modules
+    tracer = load_bench_module("tracer")
+    for module, attr, name in tracer.TARGETS:
+        owner = importlib.import_module(f"ogpkit.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
+    # its repeat key reads the label views
+    a, g = arrow().poset, globe(2).poset
+    key = tracer.poset_key(gray_poset(a, g))
+    assert key == tracer.poset_key(gray_poset(a, g))
+    assert key != tracer.poset_key(gray_poset(g, a))
 
 
 def check_verify_pass_against_goldens(src_env, workload, seed, golden_key, flags=()):

@@ -192,21 +192,21 @@ class TestLabelOracle:
             src_i, src_j = X.decode(i.source_marking), Y.decode(j.source_marking)
             pp = pushout_product(i, j)
             P = pp.target.poset
-            want_target = self.pairs(A, Y.element_set) | self.pairs(X.element_set, B)
+            want_target = self.pairs(A, Y.labels) | self.pairs(X.labels, B)
             assert P.decode(gray_marked(i.target, j.target).marking) == want_target
             assert P.decode(pp.target.marking) == want_target
             assert P.decode(pp.image) == frozenset(
-                (x, y) for x in X.element_set for y in Y.element_set
+                (x, y) for x in X.labels for y in Y.labels
                 if x in img_i or y in img_j)
             assert P.decode(pp.source_marking) == (
-                self.pairs(A, img_j) | self.pairs(X.element_set, src_j)
-                | self.pairs(src_i, Y.element_set) | self.pairs(img_i, B))
+                self.pairs(A, img_j) | self.pairs(X.labels, src_j)
+                | self.pairs(src_i, Y.labels) | self.pairs(img_i, B))
             if i.entire:
                 new = A - src_i
-                outside = Y.element_set - img_j - B
+                outside = frozenset(Y.labels) - img_j - B
                 assert P.decode(residual_formula(i, j)) == self.pairs(new, outside)
                 assert (P.decode(residual_upper_bound(i, j))
-                        == self.pairs(new, Y.element_set - img_j))
+                        == self.pairs(new, frozenset(Y.labels) - img_j))
                 swapped = pushout_product(j, i).target.poset
                 assert (swapped.decode(residual_formula_swapped(j, i))
                         == self.pairs(outside, new))
@@ -216,12 +216,12 @@ class TestLabelOracle:
             if u.dim < 1:
                 continue
             U, V = u.poset, v.poset
-            bd_v = V.full_boundary_set()
+            bd_v = V.decode(V.full_boundary_mask())
             for x in bits(U.fin[u.top_id()] | U.fout[u.top_id()]):
                 h = atomic_horn(u, x)
                 horn = U.decode(h.horn)
                 domain = frozenset(
-                    (a, b) for a in U.element_set for b in V.element_set
+                    (a, b) for a in U.labels for b in V.labels
                     if a in horn or b in bd_v)
                 out = pp_horn(h, v, "uv")
                 assert out.shape.poset.decode(out.horn) == domain
@@ -240,8 +240,8 @@ class TestLabelOracle:
                 V = gen.target.poset
                 A, Ap = U.decode(mh.marking), U.decode(mh.enlarged)
                 horn, B = U.decode(mh.horn.horn), V.decode(gen.target.marking)
-                domain = (self.pairs(Ap, V.full_boundary_set()) | self.pairs(A, V.element_set)
-                          | self.pairs(horn, B))
+                domain = (self.pairs(Ap, V.decode(V.full_boundary_mask()))
+                          | self.pairs(A, V.labels) | self.pairs(horn, B))
                 out = pp_marked_horn(mh, gen, "uv")
                 assert out.horn.shape.poset.decode(out.marking) == domain
                 out = pp_marked_horn(mh, gen, "vu")
