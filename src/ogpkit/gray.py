@@ -3,7 +3,14 @@ relate them.
 
 The product carrier is the set of pairs (x, y) with additive dimension;
 faces of (x, y) combine the left factor's faces with the right factor's
-faces at a sign twisted by the parity of dim x.
+faces at a sign twisted by the parity of dim x.  gray_poset is the one
+place for that formula.
+
+op_swap_iso checks op(P (x) Q) = op Q (x) op P against a second face
+formula, written in P (x) Q's id order and used only there.  In op Q (x)
+op P the twist falls on P's faces and is read from Q's dimensions, so the
+second formula shares no step with gray_poset, and a fault in
+gray_poset's twist shows as a mismatch instead of appearing on both sides.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import itertools
 from .errors import IdentityFailed
 from .ids import sid
 from .molecule import GeneralisedPasting, Molecule
-from .poset import MINUS, PLUS, SIGNS, OgPoset, flip, map_mask, spread
+from .poset import MINUS, PLUS, SIGNS, OgPoset, flip, spread
 
 
 def twist(sign: str, parity: int) -> str:
@@ -131,30 +138,51 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> list:
     id on the left.  Raises IdentityFailed, naming the offending element
     and sign in its message and certificate, if the swap is not one.
 
-    Each face mask of the left side, carried through the swap, must equal
-    the right side's.  Labels are decoded only for a failure.
+    Only the left side, gray_poset(p, q).op(), is built with the code
+    under test.  The right side is written straight into the left side's
+    id order by a second face formula, used only here: element (i, j),
+    at id i * |Q| + j, pairs with (y_j, x_i) of op Q (x) op P, whose
+    faces of sign s are op Q's of sign s at y_j, shifted by i * |Q|,
+    and op P's of sign (-)^(dim y_j) . s at x_i, spread at stride |Q|
+    and shifted by j.  gray_poset twists the right factor's faces by the
+    left factor's dimension; here the twist falls on P's faces and is
+    read from Q's dimensions, so a fault in gray_poset's twist cannot
+    cancel against itself.  The three lists are compared whole; the
+    elements are walked, and labels decoded, only to report a failure.
     """
     lhs = gray_poset(p, q).op()
-    rhs = gray_poset(q.op(), p.op())
-    if len(lhs) != len(rhs):
+    op_p, op_q = p.op(), q.op()
+    np_, nq = len(p), len(q)
+    if len(lhs) != np_ * nq:
         raise IdentityFailed("op-swap is not a bijection of the carriers")
-    swap = swap_ids(len(p), len(q))
-    sides = ((MINUS, lhs.fin, rhs.fin), (PLUS, lhs.fout, rhs.fout))
+    # one row per y_j for faces of sign s: (j, op Q's face mask of sign s,
+    # t), where t picks op P's faces of sign (-)^(dim y_j) . s, 0 for the
+    # inputs and 1 for the outputs
+    odd = [dy & 1 for dy in op_q.dims]
+    in_rows = list(zip(range(nq), op_q.fin, odd))
+    out_rows = list(zip(range(nq), op_q.fout, [1 - t for t in odd]))
+    dims, fin, fout = [], [], []
+    for i, dx in enumerate(op_p.dims):
+        base = i * nq
+        p_faces = (spread(op_p.fin[i], nq), spread(op_p.fout[i], nq))
+        dims += [dx + dy for dy in op_q.dims]
+        fin += [m << base | p_faces[t] << j for j, m, t in in_rows]
+        fout += [m << base | p_faces[t] << j for j, m, t in out_rows]
+    if lhs.dims == dims and lhs.fin == fin and lhs.fout == fout:
+        return swap_ids(np_, nq)
     for e, d in enumerate(lhs.dims):
-        t = swap[e]
-        if rhs.dims[t] != d:
+        if dims[e] != d:
             name = sid(lhs.labels[e])
             raise IdentityFailed(
                 f"op-swap changes the dimension of {name}",
-                {"element": name, "got": d, "want": rhs.dims[t]},
+                {"element": name, "got": d, "want": dims[e]},
             )
-        for s, lhs_faces, rhs_faces in sides:
-            if map_mask(lhs_faces[e], swap) != rhs_faces[t]:
+        for s, got_faces, want_faces in ((MINUS, lhs.fin, fin), (PLUS, lhs.fout, fout)):
+            if got_faces[e] != want_faces[e]:
                 name = sid(lhs.labels[e])
-                got = sorted(sid((b, a)) for (a, b) in lhs.decode(lhs_faces[e]))
-                want = rhs.sids(rhs_faces[t])
+                got, want = (sorted(sid((b, a)) for (a, b) in lhs.decode(m))
+                             for m in (got_faces[e], want_faces[e]))
                 raise IdentityFailed(
                     f"op-swap failed at {name} sign {s}: {got} != {want}",
                     {"element": name, "sign": s, "got": got, "want": want},
                 )
-    return swap

@@ -900,17 +900,18 @@ def op_pp_instances(catalog: Catalog, config):
     atoms = catalog.atoms(max_dim=2, max_elements=9)
     fams = generators(atoms)
     gens = fams.minbd + fams.t + fams.markbd
+    opposites = [g.op() for g in gens]
     # the ambient swap depends only on the two target posets, which the
     # generators over one atom share; a pair that failed is checked again
     swapping_ambients = set()
-    for i in gens:
-        for j in gens:
+    for i, op_i in zip(gens, opposites):
+        for j, op_j in zip(gens, opposites):
             if len(i.target.poset) * len(j.target.poset) > PRODUCT_CAP:
                 continue
 
             def swapped():
                 lhs = pushout_product(i, j).op()
-                rhs = pushout_product(j.op(), i.op())
+                rhs = pushout_product(op_j, op_i)
                 swap = swap_ids(len(i.target.poset), len(j.target.poset))
                 if (map_mask(lhs.image, swap) != rhs.image
                         or map_mask(lhs.source_marking, swap) != rhs.source_marking):

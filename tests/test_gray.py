@@ -6,10 +6,11 @@ import pytest
 
 from ogpkit.errors import IdentityFailed
 from ogpkit.gray import gray, gray_boundary_decomposition, gray_poset, op_swap_iso, twist
-from ogpkit.harness import (SPLIT_CAP, Bounds, check_gray_boundary_sides, enumerate_catalog,
-                            gray_union_rows)
+from ogpkit.harness import (PRODUCT_CAP, SPLIT_CAP, Bounds, check_gray_boundary_sides,
+                            enumerate_catalog, gray_union_rows)
+from ogpkit.ids import sid
 from ogpkit.molecule import arrow, globe, is_round, op, point
-from ogpkit.poset import MINUS, PLUS, find_iso, flip
+from ogpkit.poset import MINUS, PLUS, find_iso, flip, map_mask
 
 gray_mod = importlib.import_module("ogpkit.gray")
 
@@ -131,6 +132,41 @@ class TestBoundaryFormula:
             assert got == want
 
 
+def reference_op_swap(p, q) -> list:
+    """Oracle for op_swap_iso: build both sides with gray_poset, the right
+    one as op Q (x) op P in its own id order, and carry every face mask of
+    the left side through the swap."""
+    lhs = gray_mod.gray_poset(p, q).op()
+    rhs = gray_mod.gray_poset(q.op(), p.op())
+    if len(lhs) != len(rhs):
+        raise IdentityFailed("op-swap is not a bijection of the carriers")
+    swap = gray_mod.swap_ids(len(p), len(q))
+    for e, d in enumerate(lhs.dims):
+        t = swap[e]
+        if rhs.dims[t] != d:
+            raise IdentityFailed(f"op-swap changes the dimension of {sid(lhs.labels[e])}")
+        for s, lhs_faces, rhs_faces in ((MINUS, lhs.fin, rhs.fin), (PLUS, lhs.fout, rhs.fout)):
+            if map_mask(lhs_faces[e], swap) != rhs_faces[t]:
+                raise IdentityFailed(f"op-swap failed at {sid(lhs.labels[e])} sign {s}")
+    return swap
+
+
+def flipped_twist(monkeypatch):
+    """Planted fault: gray_poset with the twist parity flipped."""
+    real = gray_mod.gray_poset
+    monkeypatch.setattr(gray_mod, "gray_poset", lambda p, q: real(p, q.dual(range(q.dim + 1))))
+
+
+def op_swap_failures(check_pair, pairs) -> set:
+    failed = set()
+    for k, (u, v) in enumerate(pairs):
+        try:
+            check_pair(u.poset, v.poset)
+        except IdentityFailed:
+            failed.add(k)
+    return failed
+
+
 def swap_labels(p, q) -> dict:
     """op_swap_iso's id list decoded: the label in op(Q) (x) op(P) of each
     label of op(P (x) Q)."""
@@ -162,15 +198,38 @@ class TestOpSwap:
     def test_failure_raises_with_element_and_sign(self, monkeypatch):
         # a product built with the twist parity flipped is not op-swappable;
         # the failure must survive python -O, so it is no assert
-        real = gray_mod.gray_poset
-        monkeypatch.setattr(gray_mod, "gray_poset",
-                            lambda p, q: real(p, q.dual(range(q.dim + 1))))
+        flipped_twist(monkeypatch)
         with pytest.raises(IdentityFailed) as info:
             op_swap_iso(arrow().poset, arrow().poset)
         cert = info.value.certificate
         assert cert["sign"] in (MINUS, PLUS)
         assert f"at {cert['element']} sign {cert['sign']}" in str(info.value)
         assert cert["got"] != cert["want"]
+
+    def test_builds_one_product(self, monkeypatch):
+        real, calls = gray_mod.gray_poset, []
+        monkeypatch.setattr(gray_mod, "gray_poset", lambda p, q: calls.append(1) or real(p, q))
+        op_swap_iso(globe(2).poset, arrow().poset)
+        assert len(calls) == 1
+
+    def test_agrees_with_reference_on_catalog_pairs(self, monkeypatch):
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=10))
+        pairs = [(u, v) for u in cat.molecules() for v in cat.molecules()
+                 if len(u) * len(v) <= PRODUCT_CAP]
+        assert len(pairs) == 729
+        for u, v in pairs:
+            assert op_swap_iso(u.poset, v.poset) == reference_op_swap(u.poset, v.poset)
+        # The fault changes P (x) Q exactly when Q has a cell of positive
+        # dimension.  The second face formula does not call gray_poset, so
+        # op_swap_iso fails on exactly those pairs.  The reference builds
+        # its right side with the faulty gray_poset too, and fails on
+        # (P, point) as well, since op(point) (x) op P is then faulty.
+        flipped_twist(monkeypatch)
+        got = op_swap_failures(op_swap_iso, pairs)
+        ref = op_swap_failures(reference_op_swap, pairs)
+        assert got == {k for k, (u, v) in enumerate(pairs) if v.dim > 0}
+        assert got <= ref
+        assert (len(got), len(ref)) == (702, 728)
 
     def test_op_of_product_vs_swapped_product(self):
         # op(gray(I, I)) evaluates to gray(op I, op I) after the swap
