@@ -15,7 +15,6 @@ from .contexts import AtomicHorn, atomic_horn, marked_horn, pp_horn, pp_marked_h
 from .errors import ExprSyntaxError, ShapeError
 from .exprlang import eval_text
 from .harness import LEMMAS, Bounds, SuiteConfig, run_suite
-from .ids import parse_sid, sid
 from .marked import boundary_inclusion_marked, boundary_inclusion_min
 from .molecule import Molecule, is_round, poset_of
 from .poset import find_iso
@@ -55,7 +54,7 @@ def cmd_check(args) -> int:
         doc = {
             "kind": "horn",
             "atom_elements": len(shape.shape),
-            "facet": sid(shape.shape.poset.labels[shape.facet]),
+            "facet": shape.shape.poset.labels[shape.facet],
             "sign": shape.sign,
             "carrier_elements": shape.horn.bit_count(),
         }
@@ -84,7 +83,7 @@ def cmd_iso(args) -> int:
     else:
         pa_labels, pb_labels = pa.labels, pb.labels
         sys.stdout.buffer.write(to_json_bytes(
-            dict(sorted((sid(pa_labels[i]), sid(pb_labels[j])) for i, j in enumerate(iso)))
+            dict(sorted((pa_labels[i], pb_labels[j]) for i, j in enumerate(iso)))
         ))
     return EXIT_OK
 
@@ -94,12 +93,12 @@ def cmd_horn(args) -> int:
     if not isinstance(shape, Molecule):
         raise ShapeError("horn needs a molecule expression")
     p = shape.poset
-    h = atomic_horn(shape, p.id_of(parse_sid(args.facet)))
+    h = atomic_horn(shape, p.id_of(args.facet))
     doc = poset_to_dict(p.restrict_mask(h.horn))
-    doc["facet"] = sid(p.labels[h.facet])
+    doc["facet"] = p.labels[h.facet]
     doc["sign"] = h.sign
     if args.marking is not None:
-        mh = marked_horn(h, p.encode(map(parse_sid, args.marking)))
+        mh = marked_horn(h, p.encode(args.marking))
         doc["marking"] = p.sids(mh.marking)
         doc["enlarged"] = p.sids(mh.enlarged)
     sys.stdout.buffer.write(to_json_bytes(doc))
@@ -111,23 +110,23 @@ def cmd_pp(args) -> int:
     v = eval_text(args.right)
     if not isinstance(u, Molecule) or not isinstance(v, Molecule):
         raise ShapeError("pp needs molecule expressions")
-    h = atomic_horn(u, u.poset.id_of(parse_sid(args.facet)))
+    h = atomic_horn(u, u.poset.id_of(args.facet))
     if args.what == "horn":
         out = pp_horn(h, v, args.order)
         p = out.shape.poset
         doc = {
-            "facet": sid(p.labels[out.facet]),
+            "facet": p.labels[out.facet],
             "sign": out.sign,
             "carrier": p.sids(out.horn),
         }
     else:
-        mh = marked_horn(h, u.poset.encode(map(parse_sid, args.marking or ())))
+        mh = marked_horn(h, u.poset.encode(args.marking or ()))
         gen = (boundary_inclusion_min(v) if args.family == "minbd"
                else boundary_inclusion_marked(v))
         out = pp_marked_horn(mh, gen, args.order)
         p = out.horn.shape.poset
         doc = {
-            "facet": sid(p.labels[out.horn.facet]),
+            "facet": p.labels[out.horn.facet],
             "marking": p.sids(out.marking),
             "enlarged": p.sids(out.enlarged),
             "map": marked_map_to_dict(out.as_marked_map()),

@@ -28,7 +28,6 @@ from .errors import (
     RecognitionFailed,
 )
 from .gray import gray
-from .ids import sid
 from .marked import MarkedMap, MarkedShape, pushout_product
 from .molecule import Molecule, find_derivation, is_round
 from .poset import MINUS, PLUS, bits, preimage, spread
@@ -98,7 +97,7 @@ def atomic_horn(u: Molecule, x: int) -> AtomicHorn:
     elif p.fout[top] >> x & 1:
         sign = PLUS
     else:
-        raise NotAFacet(f"{sid(p.labels[x])} is not a facet of the top element")
+        raise NotAFacet(f"{p.labels[x]} is not a facet of the top element")
     return AtomicHorn(u, x, sign, p.full_boundary_mask() & ~(1 << x))
 
 
@@ -153,7 +152,7 @@ def marked_horn(h: AtomicHorn, marking: int) -> MarkedHorn:
     the enlarged marking adds the top, and the facet as well when every
     facet on the other side is already marked.  The context is searched on
     the atom's own poset: its ambient is a closed subset there, whose
-    boundaries, closures and cofaces within it, and sid order, are those
+    boundaries, closures and cofaces within it, and label order, are those
     of the boundary molecule.
     """
     u = h.shape
@@ -161,7 +160,7 @@ def marked_horn(h: AtomicHorn, marking: int) -> MarkedHorn:
     stray = marking & ~(h.horn & ~p.grade_masks()[0])
     if stray:
         i = (stray & -stray).bit_length() - 1
-        name = sid(p.labels[i]) if i < len(p) else f"id {i}"
+        name = p.labels[i] if i < len(p) else f"id {i}"
         raise NotAContext(f"marking element {name} is not on the horn")
     carrier = p.boundary_mask(p.full, u.dim - 1, h.sign)
     if find_derivation(p, carrier, p.closure_masks()[h.facet], allowed=marking) is None:
@@ -211,7 +210,7 @@ def pp_horn(h: AtomicHorn, v: Molecule, order: str = "uv",
             "pushout-product of the horn is not the expected horn",
             certificate={
                 "lemma": "HORN_PP",
-                "inputs": {"facet": sid(pu.labels[h.facet]), "order": order},
+                "inputs": {"facet": pu.labels[h.facet], "order": order},
                 "expected": prod.poset.sids(expected.horn),
                 "got": prod.poset.sids(domain),
             },

@@ -22,7 +22,6 @@ from .errors import (
     ZeroDimensional,
 )
 from .gray import gray_poset
-from .ids import sid
 from .molecule import Inclusion, Molecule, arrow, is_round
 from .poset import MINUS, PLUS, OgPoset, bits, map_mask, same_ids
 
@@ -149,7 +148,7 @@ class Projection:
         for i, (d, j) in enumerate(zip(src.dims, ids)):
             if d < tgt.dims[j]:
                 raise BadProjection(
-                    f"projection must not raise the dimension of {sid(src.labels[i])}")
+                    f"projection must not raise the dimension of {src.labels[i]}")
 
     def preserves_closures(self) -> bool:
         """Image of a closure is the closure of the image, elementwise."""

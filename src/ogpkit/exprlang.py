@@ -4,7 +4,7 @@ Constructors mirror the shape operations: point, arrow, globe(n),
 paste(e, e, k), atom(e, e), gray(e, e), dual({j, ...}, e), op(e),
 cyl(e, {ids}), lcyl(e), rcyl(e), inv("LR...", e), unit(e), lunitor(e),
 runitor(e), merger(e), boundary(e, n, +|-), horn(e, "id").  Ids are
-double-quoted and use the structured-id syntax ("(a,b)", "in0:a").
+double-quoted labels, such as "(a,b)" or "in0:a", matched as written.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .cylinder import (
 )
 from .errors import EvalError, ExprSyntaxError, ShapeError
 from .gray import gray as gray_product
-from .ids import parse_sid, sid
 from .molecule import (
     Molecule,
     arrow,
@@ -46,7 +45,7 @@ class Expr:
 
 
 # argument kinds: e = expression, n = integer, J = int set, K = id set,
-# s = string, x = id, sign = +/-
+# s = string (an id, matched as written, is one), sign = +/-
 SIGNATURES = {
     "point": "",
     "arrow": "",
@@ -65,7 +64,7 @@ SIGNATURES = {
     "runitor": "e",
     "merger": "e",
     "boundary": "en!",
-    "horn": "ex",
+    "horn": "es",
 }
 # "!" marks a trailing sign argument
 
@@ -183,8 +182,6 @@ class _Parser:
             return tok[0]
         if code == "s":
             return self.expect("string")[1]
-        if code == "x":
-            return parse_sid(self.expect("string")[1])
         if code in ("J", "K"):
             self.expect("{")
             items = []
@@ -194,7 +191,7 @@ class _Parser:
                 if code == "J":
                     items.append(self.expect("int")[1])
                 else:
-                    items.append(parse_sid(self.expect("string")[1]))
+                    items.append(self.expect("string")[1])
             self.next()
             return frozenset(items)
         raise AssertionError(code)
@@ -223,12 +220,10 @@ def print_expr(e: Expr) -> str:
             parts.append(arg)
         elif code == "s":
             parts.append(f'"{arg}"')
-        elif code == "x":
-            parts.append(f'"{sid(arg)}"')
         elif code == "J":
             parts.append("{" + ",".join(str(j) for j in sorted(arg)) + "}")
         elif code == "K":
-            parts.append("{" + ",".join(f'"{s}"' for s in sorted(map(sid, arg))) + "}")
+            parts.append("{" + ",".join(f'"{s}"' for s in sorted(arg)) + "}")
     return f"{e.head}({','.join(parts)})"
 
 

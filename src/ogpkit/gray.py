@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import IdentityFailed
-from .ids import sid
+from .ids import pair
 from .molecule import GeneralisedPasting, Molecule
-from .poset import MINUS, PLUS, SIGNS, OgPoset, flip, spread
+from .poset import MINUS, PLUS, SIGNS, OgPoset, bits, flip, spread
 
 
 def twist(sign: str, parity: int) -> str:
@@ -35,7 +35,7 @@ def gray_poset(p: OgPoset, q: OgPoset) -> OgPoset:
     Element (i, j) has id i * |Q| + j.  Its face mask of sign s is the
     left factor's mask of sign s spread at stride |Q| and shifted by j,
     or the right factor's mask of sign (-)^(dim i) . s shifted by i * |Q|.
-    Its label (x, y) pairs the factors' labels, decoded on first read.
+    Its label "(x,y)" pairs the factors' labels, made on first read.
     """
     nq = len(q)
     dims, fin, fout = [], [], []
@@ -46,16 +46,15 @@ def gray_poset(p: OgPoset, q: OgPoset) -> OgPoset:
         dims += [dx + dy for dy in q.dims]
         fin += [p_in << j | m << base for j, m in enumerate(q_in)]
         fout += [p_out << j | m << base for j, m in enumerate(q_out)]
-    return OgPoset(dims, fin, fout, lambda: tuple(itertools.product(p.labels, q.labels)))
+    return OgPoset(dims, fin, fout,
+                   lambda: tuple(itertools.starmap(pair, itertools.product(p.labels, q.labels))))
 
 
 def gray(m1: Molecule, m2: Molecule) -> Molecule:
     """Gray product of molecules; molecule-hood is theorem-backed."""
     poset = gray_poset(m1.poset, m2.poset)
     cert = {"kind": "gray", "left": m1.certificate, "right": m2.certificate}
-    result = Molecule(poset, cert)
-    result.provenance["factors"] = (m1, m2)
-    return result
+    return Molecule(poset, cert)
 
 
 def gray_boundary_decomposition(p: OgPoset, q: OgPoset, product: OgPoset) -> list:
@@ -148,7 +147,9 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> list:
     left factor's dimension; here the twist falls on P's faces and is
     read from Q's dimensions, so a fault in gray_poset's twist cannot
     cancel against itself.  The three lists are compared whole; the
-    elements are walked, and labels decoded, only to report a failure.
+    elements are walked, and labels read, only to report a failure: the
+    face e of a failing element is named as its swap (y, x), from the
+    factors' labels at e % |Q| and e // |Q|.
     """
     lhs = gray_poset(p, q).op()
     op_p, op_q = p.op(), q.op()
@@ -172,15 +173,15 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> list:
         return swap_ids(np_, nq)
     for e, d in enumerate(lhs.dims):
         if dims[e] != d:
-            name = sid(lhs.labels[e])
+            name = lhs.labels[e]
             raise IdentityFailed(
                 f"op-swap changes the dimension of {name}",
                 {"element": name, "got": d, "want": dims[e]},
             )
         for s, got_faces, want_faces in ((MINUS, lhs.fin, fin), (PLUS, lhs.fout, fout)):
             if got_faces[e] != want_faces[e]:
-                name = sid(lhs.labels[e])
-                got, want = (sorted(sid((b, a)) for (a, b) in lhs.decode(m))
+                name = lhs.labels[e]
+                got, want = (sorted(pair(q.labels[f % nq], p.labels[f // nq]) for f in bits(m))
                              for m in (got_faces[e], want_faces[e]))
                 raise IdentityFailed(
                     f"op-swap failed at {name} sign {s}: {got} != {want}",

@@ -59,7 +59,6 @@ from .gray import (
     swap_ids,
     twist,
 )
-from .ids import sid
 from .marked import (
     generators,
     pushout_product,
@@ -785,7 +784,7 @@ def horn_pp_instances(catalog: Catalog, config):
                 if len(u) * len(v) > PRODUCT_CAP:
                     continue
                 for order in ("uv", "vu"):
-                    yield ({"U": catalog.expr_of(u), "x": sid(p.labels[x]),
+                    yield ({"U": catalog.expr_of(u), "x": p.labels[x],
                             "V": catalog.expr_of(v), "order": order},
                            _raising(pp_horn, h, v, order))
 
@@ -793,7 +792,7 @@ def horn_pp_instances(catalog: Catalog, config):
 def enumerate_marked_horns(u: Molecule):
     """All marked horns on the atom: every facet, every marking of the horn
     for which the context recognition succeeds.  Exhaustive over subsets of
-    the positive-dimensional horn elements, facets and markings in sid
+    the positive-dimensional horn elements, facets and markings in label
     order.
 
     Returns (horns, exhausted): exhausted holds (facet, marking, message)
@@ -821,7 +820,7 @@ def enumerate_marked_horns(u: Molecule):
 
 def _horn_inputs(catalog: Catalog, u: Molecule, x: int, marking: int) -> dict:
     p = u.poset
-    return {"U": catalog.expr_of(u), "x": sid(p.labels[x]), "A": p.sids(marking)}
+    return {"U": catalog.expr_of(u), "x": p.labels[x], "A": p.sids(marking)}
 
 
 def _marked_horns(catalog: Catalog, u: Molecule):
@@ -960,7 +959,7 @@ def atom_closures_instances(catalog: Catalog, config):
                     return "atom-certified closure", "reconstruction failed"
                 return None
 
-            yield {"shape": e.expr, "element": sid(p.labels[x])}, closure
+            yield {"shape": e.expr, "element": p.labels[x]}, closure
 
 
 def globularity_holds(p: OgPoset) -> bool:
@@ -1014,26 +1013,23 @@ def mutate_one_face(p: OgPoset, seed: int) -> tuple:
     rng = random.Random(seed)
     fin = {e: set(p.faces_in[e]) for e in p.dim_of}
     fout = {e: set(p.faces_out[e]) for e in p.dim_of}
-    candidates = sorted(
-        ((x, s) for x in p.dim_of if p.dim_of[x] > 0 for s in SIGNS
-         if len(p.faces(x, s)) >= 2),
-        key=lambda t: (sid(t[0]), t[1]),
-    )
+    candidates = sorted((x, s) for x in p.dim_of if p.dim_of[x] > 0 for s in SIGNS
+                        if len(p.faces(x, s)) >= 2)
     if candidates:
         x, s = rng.choice(candidates)
-        y = rng.choice(sorted(p.faces(x, s), key=sid))
+        y = rng.choice(sorted(p.faces(x, s)))
         if s == MINUS:
             fin[x].discard(y)
             fout[x].add(y)
         else:
             fout[x].discard(y)
             fin[x].add(y)
-        info = {"element": sid(x), "face": sid(y), "from": s}
+        info = {"element": x, "face": y, "from": s}
     else:
-        swappable = sorted((x for x in p.dim_of if p.dim_of[x] > 0), key=sid)
+        swappable = sorted(x for x in p.dim_of if p.dim_of[x] > 0)
         x = rng.choice(swappable)
         fin[x], fout[x] = fout[x], fin[x]
-        info = {"element": sid(x), "face": "*", "from": "swap"}
+        info = {"element": x, "face": "*", "from": "swap"}
     mutated = build(dict(p.dim_of), {e: (fin[e], fout[e])
                                      for e in p.dim_of if p.dim_of[e] > 0})
     return mutated, info

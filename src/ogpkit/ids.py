@@ -1,88 +1,30 @@
-"""Element identifiers and their canonical serialized form.
+"""Element labels: each is a string, built here and nowhere else.
 
-Ids are either plain strings (base shapes, JSON input), pairs (x, y) of ids
-(Gray products and cylinders), or tagged injections (IN0, x) / (IN1, x)
-introduced by pushouts.  Pushouts keep left ids under the "in0" tag, right
-ids under "in1", and the shared part reuses the left tag, so no fresh-name
-generator is ever needed and serialization is stable.
+Base shapes name their elements with plain strings ("0-", "1", ...).  A
+Gray product names (x, y) as "(x,y)", and a pushout names the left
+input's x as "in0:x" and the right input's unglued y as "in1:y", so the
+shared part keeps the left label and no fresh-name generator is needed.
+No base label contains "(", ",", ")" or an "in0:"/"in1:" prefix, so the
+names built here are distinct, and a label is matched, sorted and
+printed as the string it is: nothing parses it.
 """
 
 from __future__ import annotations
 
 
-class _Tag:
-    """Sentinel marking a pushout injection; distinct from any pair id."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
+def pair(x: str, y: str) -> str:
+    return f"({x},{y})"
 
 
-IN0 = _Tag("in0")
-IN1 = _Tag("in1")
+def inl(x: str) -> str:
+    return f"in0:{x}"
 
 
-def inl(x):
-    return (IN0, x)
+def inr(x: str) -> str:
+    return f"in1:{x}"
 
 
-def inr(x):
-    return (IN1, x)
-
-
-def is_injection(x):
-    return isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], _Tag)
-
-
-def is_pair(x):
-    return isinstance(x, tuple) and len(x) == 2 and not isinstance(x[0], _Tag)
-
-
-def sid(x) -> str:
-    """Canonical string form: "a", "(a,b)", "in0:a"."""
-    if isinstance(x, str):
-        return x
-    if is_injection(x):
-        return f"{x[0].name}:{sid(x[1])}"
-    if is_pair(x):
-        return f"({sid(x[0])},{sid(x[1])})"
-    raise TypeError(f"not an element id: {x!r}")
-
-
-def parse_sid(text: str):
-    """Inverse of sid on structured ids; plain strings parse to themselves.
-
-    Used by the expression language to refer to elements of constructed
-    shapes.  Ids loaded from JSON stay plain strings and never pass through
-    here.
-    """
-    value, rest = _parse(text)
-    if rest:
-        raise ValueError(f"trailing input in id {text!r}")
-    return value
-
-
-def _parse(text: str):
-    if text.startswith("in0:"):
-        inner, rest = _parse(text[4:])
-        return (IN0, inner), rest
-    if text.startswith("in1:"):
-        inner, rest = _parse(text[4:])
-        return (IN1, inner), rest
-    if text.startswith("("):
-        left, rest = _parse(text[1:])
-        if not rest.startswith(","):
-            raise ValueError(f"bad pair id near {rest!r}")
-        right, rest = _parse(rest[1:])
-        if not rest.startswith(")"):
-            raise ValueError(f"bad pair id near {rest!r}")
-        return (left, right), rest[1:]
-    # plain atom: up to the next delimiter at this nesting level
-    for i, ch in enumerate(text):
-        if ch in ",)":
-            return text[:i], text[i:]
-    return text, ""
+# The identity on labels.  Only perfbench/make_goldens.py reads it; it goes
+# when the benchmark moves onto the mask layer.
+def sid(x: str) -> str:
+    return x

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .errors import BadEmbedding, NotEntire, ShapeError
 from .gray import gray_poset
-from .ids import sid
 from .molecule import Molecule, poset_of
 from .poset import OgPoset, spread
 
@@ -38,7 +37,7 @@ class MarkedShape:
         points = self.marking & p.grade_masks()[0] if self.marking else 0
         if points:
             x = p.labels[(points & -points).bit_length() - 1]
-            raise ShapeError(f"marked element {sid(x)} must have positive dimension")
+            raise ShapeError(f"marked element {x} must have positive dimension")
 
     @property
     def poset(self) -> OgPoset:

@@ -23,7 +23,7 @@ from .errors import (
     RecognitionFailed,
     ZeroDimensional,
 )
-from .ids import inl, inr, sid
+from .ids import inl, inr
 from .poset import (
     MINUS,
     PLUS,
@@ -220,9 +220,9 @@ def paste_along(a: OgPoset, b: OgPoset, glue: list):
     the others.  It must map a closed subset of a isomorphically onto a
     closed subset of b.  a keeps its ids in the pushout, and the unglued
     ids of b follow in b's order.  Returns the pushout and the id images
-    of a and of b in it.  The pushout's labels are decoded on first read:
-    a's under the in0 tag, the unglued elements of b under in1, so the
-    shared part keeps the left labels.  It is built on masks with no
+    of a and of b in it.  The pushout's labels are made on first read:
+    "in0:x" for a's x and "in1:y" for the unglued y of b, so the shared
+    part keeps the left labels.  It is built on masks with no
     build() re-check: a glue that preserves dimension and faces leaves
     every element with nonempty, disjoint face sides one dimension below.
     """
@@ -232,14 +232,14 @@ def paste_along(a: OgPoset, b: OgPoset, glue: list):
         if j < 0:
             continue
         if j >= nb or a.dims[i] != b.dims[j]:
-            raise BadEmbedding(f"glue must preserve dimension at {sid(a.labels[i])}")
+            raise BadEmbedding(f"glue must preserve dimension at {a.labels[i]}")
         if b_image[j] >= 0:
-            raise BadEmbedding(f"glue must be injective at {sid(a.labels[i])}")
+            raise BadEmbedding(f"glue must be injective at {a.labels[i]}")
         b_image[j] = i
     for i, j in enumerate(glue):
         if j >= 0 and (map_mask(a.fin[i], glue) != b.fin[j]
                        or map_mask(a.fout[i], glue) != b.fout[j]):
-            raise BadEmbedding(f"glue must preserve faces at {sid(a.labels[i])}")
+            raise BadEmbedding(f"glue must preserve faces at {a.labels[i]}")
 
     rest = [j for j, i in enumerate(b_image) if i < 0]
     for k, j in enumerate(rest):
@@ -268,10 +268,10 @@ def _glue(n: int, keys: list, values: list) -> list:
 
 
 def _glue_certificate(a: OgPoset, b: OgPoset, glue: list) -> dict:
-    """A glue as certificates print it: sid to sid, sorted by the left sid."""
+    """A glue as certificates print it: label to label, sorted by the left
+    label."""
     a_labels, b_labels = a.labels, b.labels
-    return dict(sorted((sid(a_labels[i]), sid(b_labels[j]))
-                       for i, j in enumerate(glue) if j >= 0))
+    return dict(sorted((a_labels[i], b_labels[j]) for i, j in enumerate(glue) if j >= 0))
 
 
 def _pasted(m1: Molecule, m2: Molecule, glue: list, cert: dict, k: int) -> Molecule:

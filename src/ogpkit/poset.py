@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
-from .ids import sid
 
 MINUS = "-"
 PLUS = "+"
@@ -52,7 +51,7 @@ def spread(m: int, stride: int) -> int:
 
 
 def _unknown(x) -> UnknownElement:
-    return UnknownElement(f"unknown element {sid(x) if not isinstance(x, str) else x!r}")
+    return UnknownElement(f"unknown element {x!r}")
 
 
 def map_mask(m: int, image: list) -> int:
@@ -115,16 +114,18 @@ class OgPoset:
     decoded to labels only at the edges: certificates, CLI output and
     failure reports.
 
-    Labels.  labels[i] is the structured id (see ids.sid) of element i,
-    and index maps labels back to ids; encode, decode and sids convert
-    masks at the edges, where reports, certificates, render and the CLI
-    print labels.  Every query is a mask query.  dim_of, faces_in and
-    faces_out are read-only label views, decoded once per poset and
-    iterating in id order; render, the mutation check and __eq__ across
-    label orders read them.  The label wrappers faces, closure,
-    boundary_set and restrict remain only because the benchmark reads
-    them: its tracer wraps the last three by name and its golden recorder
-    calls faces.  They go when the benchmark moves onto the mask layer.
+    Labels.  labels[i] is the label of element i: the string that
+    reports print, built by the functions of ids, and compared, sorted
+    and matched as written, never parsed.  index maps labels back to
+    ids; encode, decode and sids convert masks at the edges, where
+    reports, certificates, render and the CLI print labels.  Every query
+    is a mask query.  dim_of, faces_in and faces_out are read-only label
+    views, decoded once per poset and iterating in id order; render, the
+    mutation check and __eq__ across label orders read them.  The label
+    wrappers faces, closure, boundary_set and restrict remain only
+    because the benchmark reads them: its tracer wraps the last three by
+    name and its golden recorder calls faces.  They go when the
+    benchmark moves onto the mask layer.
 
     Construction.  build() validates label data and numbers it in its
     input order; its label views are that data.  It serves only the base
@@ -193,8 +194,8 @@ class OgPoset:
         return frozenset([labels[i] for i in bits(m)])
 
     def sids(self, m: int) -> list:
-        """The sorted sids of the labels of a mask, as reports list them."""
-        return sorted(map(sid, self.decode(m)))
+        """The sorted labels of a mask, as reports list them."""
+        return sorted(self.decode(m))
 
     def _label_views(self) -> tuple:
         """(dim_of, faces_in, faces_out), decoded on first read."""
@@ -397,11 +398,11 @@ class OgPoset:
     # -- labels and equality -------------------------------------------------
 
     def sid_ranks(self) -> list:
-        """The rank of each id's label in sid order, made on first read."""
+        """The rank of each id's label in label order, made on first read."""
         if self._sid_rank is None:
-            names = [sid(x) for x in self.labels]
-            rank = [0] * len(names)
-            for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+            labels = self.labels
+            rank = [0] * len(labels)
+            for r, i in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
                 rank[i] = r
             self._sid_rank = rank
         return self._sid_rank
@@ -487,7 +488,7 @@ def build(elements, faces) -> OgPoset:
     dim_of = dict(elements)
     for x, d in dim_of.items():
         if d < 0:
-            raise BadGrading(f"negative dimension for {sid(x)}")
+            raise BadGrading(f"negative dimension for {x}")
     index = {x: i for i, x in enumerate(dim_of)}
     faces_in, faces_out = {}, {}
     fin_masks, fout_masks = [], []
@@ -495,23 +496,23 @@ def build(elements, faces) -> OgPoset:
         if d == 0:
             fin, fout = frozenset(), frozenset()
             if x in faces and (faces[x][0] or faces[x][1]):
-                raise BadGrading(f"0-dimensional element {sid(x)} with faces")
+                raise BadGrading(f"0-dimensional element {x} with faces")
             fin_masks.append(0)
             fout_masks.append(0)
         else:
             if x not in faces:
-                raise EmptySide(f"no faces given for {sid(x)}")
+                raise EmptySide(f"no faces given for {x}")
             fin, fout = frozenset(faces[x][0]), frozenset(faces[x][1])
             if not fin or not fout:
-                raise EmptySide(f"empty face side on {sid(x)}")
+                raise EmptySide(f"empty face side on {x}")
             if fin & fout:
-                raise Overlap(f"input and output faces of {sid(x)} overlap")
+                raise Overlap(f"input and output faces of {x} overlap")
             for y in fin | fout:
                 if y not in dim_of:
-                    raise DanglingFace(f"face {sid(y)} of {sid(x)} is unknown")
+                    raise DanglingFace(f"face {y} of {x} is unknown")
                 if dim_of[y] != d - 1:
                     raise BadGrading(
-                        f"face {sid(y)} of {sid(x)} has dimension {dim_of[y]}, expected {d - 1}"
+                        f"face {y} of {x} has dimension {dim_of[y]}, expected {d - 1}"
                     )
             a = b = 0
             for y in fin:
@@ -556,9 +557,9 @@ def embedding_defect(p: OgPoset, q: OgPoset, ids: list) -> str | None:
         return None
     for i, j in enumerate(ids):
         if p.dims[i] != q.dims[j]:
-            return f"map must preserve dimension at {sid(p.labels[i])}"
+            return f"map must preserve dimension at {p.labels[i]}"
         if map_mask(p.fin[i], ids) != q.fin[j] or map_mask(p.fout[i], ids) != q.fout[j]:
-            return f"map must preserve faces at {sid(p.labels[i])}"
+            return f"map must preserve faces at {p.labels[i]}"
     return None
 
 
@@ -662,7 +663,7 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
     if _colour_form(p) != _colour_form(q):
         return []
 
-    # backtracking over the stable colour classes, in sid order
+    # backtracking over the stable colour classes, in label order
     p_rank, q_rank = p.sid_ranks(), q.sid_ranks()
     bucket = {}
     for j, c in enumerate(colour_q):

@@ -1,37 +1,34 @@
 """Deterministic JSON and DOT serialization for shapes.
 
-Element order is (dimension, serialized id) everywhere, so equal shapes
-render to identical bytes.
+Element order is (dimension, label) everywhere, so equal shapes render to
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 
-from .ids import sid
 from .marked import MarkedMap, MarkedShape
 from .molecule import Molecule, poset_of
 from .poset import MINUS, PLUS, OgPoset
 
 
-def _named_order(p: OgPoset):
-    """Each element's sid, computed once, and the elements in (dimension,
-    sid) order."""
-    name = {x: sid(x) for x in p.dim_of}
+def _order(p: OgPoset) -> list:
+    """The labels in (dimension, label) order."""
     dim_of = p.dim_of
-    return name, sorted(dim_of, key=lambda x: (dim_of[x], name[x]))
+    return sorted(dim_of, key=lambda x: (dim_of[x], x))
 
 
 def poset_to_dict(shape) -> dict:
     p = poset_of(shape)
-    name, order = _named_order(p)
+    order = _order(p)
     dim_of, faces_in, faces_out = p.dim_of, p.faces_in, p.faces_out
     doc = {
-        "elements": [{"id": name[x], "dim": dim_of[x]} for x in order],
+        "elements": [{"id": x, "dim": dim_of[x]} for x in order],
         "faces": {
-            name[x]: {
-                MINUS: sorted([name[f] for f in faces_in[x]]),
-                PLUS: sorted([name[f] for f in faces_out[x]]),
+            x: {
+                MINUS: sorted(faces_in[x]),
+                PLUS: sorted(faces_out[x]),
             }
             for x in order
             if dim_of[x] > 0
@@ -55,18 +52,18 @@ def to_json_bytes(doc) -> bytes:
 
 def to_dot_bytes(shape) -> bytes:
     p = poset_of(shape)
-    name, order = _named_order(p)
+    order = _order(p)
     dim_of = p.dim_of
     lines = ["digraph shape {"]
     for x in order:
-        lines.append(f'  "{name[x]}" [label="{name[x]}:{dim_of[x]}"];')
+        lines.append(f'  "{x}" [label="{x}:{dim_of[x]}"];')
     edges = []
     for x in order:
         if dim_of[x] == 0:
             continue
         for faces, color in ((p.faces_in, "crimson"), (p.faces_out, "navy")):
-            for f in sorted([name[f] for f in faces[x]]):
-                edges.append(f'  "{f}" -> "{name[x]}" [color={color}];')
+            for f in sorted(faces[x]):
+                edges.append(f'  "{f}" -> "{x}" [color={color}];')
     lines.extend(sorted(edges))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()

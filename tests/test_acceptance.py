@@ -134,15 +134,15 @@ def test_criterion_6_cylinders(suite):
     a = arrow()
     unit = unit_shape(a)
     ok = len(unit) == 5
-    top = ("1", "1")
+    top = "(1,1)"
     # type u => u: one input edge, one output edge, both copies of the base
-    ok = ok and unit.poset.faces(top, MINUS) == {("0-", "1")}
-    ok = ok and unit.poset.faces(top, PLUS) == {("0+", "1")}
+    ok = ok and unit.poset.faces(top, MINUS) == {"(0-,1)"}
+    ok = ok and unit.poset.faces(top, PLUS) == {"(0+,1)"}
 
     ql = invertor_shape("L", a)
     ok = ok and len(ql) == 7
-    ok = ok and len(ql.poset.faces(("1", "1"), MINUS)) == 2
-    ok = ok and len(ql.poset.faces(("1", "1"), PLUS)) == 1
+    ok = ok and len(ql.poset.faces("(1,1)", MINUS)) == 2
+    ok = ok and len(ql.poset.faces("(1,1)", PLUS)) == 1
 
     structural = suite["reports"]["CYLINDERS"]
     rounds = [m for m in suite["catalog"].round_molecules()
@@ -204,6 +204,6 @@ def test_square_horn_marking_examples():
     mh = marked_horn(h, p.encode({"1+"}))
     assert p.decode(mh.enlarged) == {"1+", "1-", "2"}
     sq = eval_text("gray(arrow,arrow)")
-    ctx = classified_context(atomic_horn(sq, sq.poset.id_of(("0-", "1"))))
+    ctx = classified_context(atomic_horn(sq, sq.poset.id_of("(0-,1)")))
     assert is_a_context(ctx, 0) is None
-    assert is_a_context(ctx, ctx.ambient.poset.encode({("1", "0+")})) is not None
+    assert is_a_context(ctx, ctx.ambient.poset.encode({"(1,0+)"})) is not None

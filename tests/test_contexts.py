@@ -19,7 +19,7 @@ from ogpkit.contexts import (
 from ogpkit.errors import BadHole, BadMarking, NotAContext, NotAFacet
 from ogpkit.gray import gray
 from ogpkit.harness import HORN_U_CAP, Bounds, enumerate_catalog
-from ogpkit.ids import parse_sid
+from ogpkit.ids import pair
 from ogpkit.marked import boundary_inclusion_marked, boundary_inclusion_min
 from ogpkit.molecule import arrow, globe, paste, point
 from ogpkit.poset import MINUS, PLUS, bits, find_iso, map_mask
@@ -91,7 +91,7 @@ class TestAtomicHorn:
 
     def test_square_horn(self):
         sq = square()
-        h = horn(sq, ("0-", "1"))
+        h = horn(sq, "(0-,1)")
         assert h.horn.bit_count() == 7
         assert h.sign == MINUS
 
@@ -107,7 +107,7 @@ class TestAtomicHorn:
         with pytest.raises(NotAFacet):
             horn(globe(2), "0-")
         with pytest.raises(NotAFacet):
-            horn(paste(arrow(), arrow(), 0), parse_sid("in0:1"))
+            horn(paste(arrow(), arrow(), 0), "in0:1")
         with pytest.raises(NotAFacet):
             atomic_horn(globe(2), len(globe(2)))
 
@@ -123,11 +123,11 @@ class TestClassifiedContext:
 
     def test_square_horn_context(self):
         sq = square()
-        ctx = classified_context(horn(sq, ("0-", "1")))
+        ctx = classified_context(horn(sq, "(0-,1)"))
         assert ctx.ambient.poset.dim_of == {
             e: sq.poset.dim_of[e] for e in sq.poset.boundary_set(1, MINUS)
         }
-        assert labels(ctx.ambient, ctx.hole) == sq.poset.closure({("0-", "1")})
+        assert labels(ctx.ambient, ctx.hole) == sq.poset.closure({"(0-,1)"})
         assert not ctx.is_identity()
 
 
@@ -138,17 +138,17 @@ class TestIsAContext:
 
     def test_square_horn_needs_the_other_edge(self):
         sq = square()
-        ctx = classified_context(horn(sq, ("0-", "1")))
-        deriv = recognised(ctx, marked(ctx, {("1", "0+")}))
+        ctx = classified_context(horn(sq, "(0-,1)"))
+        deriv = recognised(ctx, marked(ctx, {"(1,0+)"}))
         assert deriv is not None and len(deriv) == 1
-        assert ctx.ambient.poset.labels[deriv[0]["top"]] == ("1", "0+")
+        assert ctx.ambient.poset.labels[deriv[0]["top"]] == "(1,0+)"
         assert recognised(ctx, 0) is None
 
     def test_monotone_in_marking(self):
         sq = square()
-        ctx = classified_context(horn(sq, ("0-", "1")))
-        small = marked(ctx, {("1", "0+")})
-        big = small | marked(ctx, {("0-", "1")})
+        ctx = classified_context(horn(sq, "(0-,1)"))
+        small = marked(ctx, {"(1,0+)"})
+        big = small | marked(ctx, {"(0-,1)"})
         assert recognised(ctx, small) is not None
         assert recognised(ctx, big) is not None
 
@@ -175,7 +175,7 @@ class TestContextOps:
     def test_right_paste_builds_square_horn_context(self):
         # pasting an edge on the right of an edge hole gives the same
         # context as the square horn classifies
-        sq_ctx = classified_context(horn(square(), ("0-", "1")))
+        sq_ctx = classified_context(horn(square(), "(0-,1)"))
         assert contexts_equal(pasted(arrow(), arrow(), 0, "left"), sq_ctx)
 
     def test_left_paste(self):
@@ -212,9 +212,9 @@ class TestMarkedHorn:
     def test_square_horn_requires_marking(self):
         sq = square()
         with pytest.raises(NotAContext):
-            labelled_marked_horn(sq, ("0-", "1"), frozenset())
-        mh = labelled_marked_horn(sq, ("0-", "1"), {("1", "0+")})
-        assert labels(sq, mh.enlarged) == {("1", "0+"), ("1", "1")}
+            labelled_marked_horn(sq, "(0-,1)", frozenset())
+        mh = labelled_marked_horn(sq, "(0-,1)", {"(1,0+)"})
+        assert labels(sq, mh.enlarged) == {"(1,0+)", "(1,1)"}
 
     def test_marking_must_lie_on_the_horn(self):
         g = globe(2)
@@ -228,9 +228,9 @@ class TestMarkedHorn:
         sq = square()
         marking = frozenset(
             x for x in labels(sq, sq.poset.full_boundary_mask())
-            if sq.poset.dim_of[x] > 0 and x != ("0-", "1")
+            if sq.poset.dim_of[x] > 0 and x != "(0-,1)"
         )
-        mh = labelled_marked_horn(sq, ("0-", "1"), marking)
+        mh = labelled_marked_horn(sq, "(0-,1)", marking)
         assert sq.top() in labels(sq, mh.enlarged)
 
 
@@ -238,20 +238,20 @@ class TestPPHorn:
     def test_arrow_arrow_uv(self):
         h = horn(arrow(), "0-")
         out = pp_horn(h, arrow(), "uv")
-        assert out.shape.poset.labels[out.facet] == ("0-", "1")
+        assert out.shape.poset.labels[out.facet] == "(0-,1)"
         assert out.shape.poset == square().poset
 
     def test_arrow_arrow_vu(self):
         h = horn(arrow(), "0-")
         out = pp_horn(h, arrow(), "vu")
-        assert out.shape.poset.labels[out.facet] == ("1", "0-")
+        assert out.shape.poset.labels[out.facet] == "(1,0-)"
 
     def test_point_factor_reduces_to_horn(self):
         a = arrow()
         h = horn(a, "0+")
         out = pp_horn(h, point(), "uv")
-        assert out.shape.poset.labels[out.facet] == ("0+", "*")
-        assert {x for (x, y) in labels(out.shape, out.horn)} == labels(a, h.horn)
+        assert out.shape.poset.labels[out.facet] == "(0+,*)"
+        assert labels(out.shape, out.horn) == {pair(x, "*") for x in labels(a, h.horn)}
 
     def test_globe_horns_all_facets(self):
         g = globe(2)
@@ -291,15 +291,15 @@ class TestPPMarkedHorn:
         mh = labelled_marked_horn(arrow(), "0+", frozenset())
         gen = boundary_inclusion_min(arrow())
         out = pp_marked_horn(mh, gen, "uv")
-        assert out.horn.shape.poset.labels[out.horn.facet] == ("0+", "1")
+        assert out.horn.shape.poset.labels[out.horn.facet] == "(0+,1)"
         # case "otherwise": only the product top is newly marked beyond B
-        assert labels(out.horn.shape, out.added) == {("1", "1")}
+        assert labels(out.horn.shape, out.added) == {"(1,1)"}
 
     def test_globe_horn_with_markbd(self):
         mh = labelled_marked_horn(globe(2), "1-", {"1+"})
         gen = boundary_inclusion_marked(arrow())
         out = pp_marked_horn(mh, gen, "uv")
-        assert labels(out.horn.shape, out.added) == {("1-", "1"), ("2", "1")}
+        assert labels(out.horn.shape, out.added) == {"(1-,1)", "(2,1)"}
 
     def test_both_orders(self):
         mh = labelled_marked_horn(globe(2), "1-", frozenset())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogpkit.cli import main
+from ogpkit.cli import EXIT_DOMAIN, main
 from ogpkit.errors import EvalError, ExprSyntaxError
 from ogpkit.exprlang import Expr, eval_text, parse, print_expr
 from ogpkit.molecule import Molecule, globe
@@ -38,7 +38,7 @@ class TestParse:
         e = parse('cyl(arrow, {"0-", "0+"})')
         assert e.args[1] == frozenset({"0-", "0+"})
         e = parse('horn(gray(arrow,arrow), "(0-,1)")')
-        assert e.args[1] == ("0-", "1")
+        assert e.args[1] == "(0-,1)"
 
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError):
@@ -168,6 +168,18 @@ class TestCli:
 
     def test_domain_error_exit_1(self, capsys):
         assert main(["build", "atom(arrow, globe(2))"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["horn", "arrow", "(a"],
+        ["build", 'cyl(arrow, {"(a"})'],
+        ["horn", "globe(2)", "1-", "--marking", "(x"],
+    ])
+    def test_malformed_id_is_an_unknown_element(self, capsys, argv):
+        # ids are matched as written; one that names no element is a
+        # domain error, whatever its brackets
+        assert main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown element" in err
 
     def test_boundary(self, capsys):
         assert main(["boundary", "gray(arrow,arrow)", "1", "-"]) == 0

@@ -8,7 +8,7 @@ from ogpkit.errors import IdentityFailed
 from ogpkit.gray import gray, gray_boundary_decomposition, gray_poset, op_swap_iso, twist
 from ogpkit.harness import (PRODUCT_CAP, SPLIT_CAP, Bounds, check_gray_boundary_sides,
                             enumerate_catalog, gray_union_rows)
-from ogpkit.ids import sid
+from ogpkit.ids import pair
 from ogpkit.molecule import arrow, globe, is_round, op, point
 from ogpkit.poset import MINUS, PLUS, find_iso, flip, map_mask
 
@@ -31,9 +31,9 @@ class TestProduct:
     def test_square_shape(self):
         sq = square()
         assert len(sq) == 9 and sq.dim == 2
-        top = ("1", "1")
-        assert sq.poset.faces(top, MINUS) == {("0-", "1"), ("1", "0+")}
-        assert sq.poset.faces(top, PLUS) == {("0+", "1"), ("1", "0-")}
+        top = "(1,1)"
+        assert sq.poset.faces(top, MINUS) == {"(0-,1)", "(1,0+)"}
+        assert sq.poset.faces(top, PLUS) == {"(0+,1)", "(1,0-)"}
 
     def test_square_is_atom_and_round(self):
         sq = square()
@@ -46,21 +46,21 @@ class TestProduct:
 
     def test_closure_in_square(self):
         sq = square().poset
-        assert sq.closure({("0-", "1")}) == {("0-", "1"), ("0-", "0-"), ("0-", "0+")}
+        assert sq.closure({"(0-,1)"}) == {"(0-,1)", "(0-,0-)", "(0-,0+)"}
 
     def test_cofaces_in_square(self):
         sq = square().poset
         cin, cout = sq.coface_masks()
-        assert sq.decode(cout[sq.id_of(("0-", "1"))]) == frozenset()
-        assert sq.decode(cin[sq.id_of(("0-", "1"))]) == {("1", "1")}
+        assert sq.decode(cout[sq.id_of("(0-,1)")]) == frozenset()
+        assert sq.decode(cin[sq.id_of("(0-,1)")]) == {"(1,1)"}
 
     def test_associativity_after_flattening(self):
-        def flatten_triple_left(x):
-            """((a, b), c) -> (a, (b, c))"""
-            (a, b), c = x
-            return (a, (b, c))
-
         a = arrow()
+        # ((x,y),z) -> (x,(y,z)), built from the factor labels
+        names = a.poset.labels
+        flatten = {pair(pair(x, y), z): pair(x, pair(y, z))
+                   for x in names for y in names for z in names}
+        flatten_triple_left = flatten.__getitem__
         left = gray_poset(gray_poset(a.poset, a.poset), a.poset)
         right = gray_poset(a.poset, gray_poset(a.poset, a.poset))
         relabeled_dims = {flatten_triple_left(x): d for x, d in left.dim_of.items()}
@@ -77,7 +77,8 @@ class TestBoundaryFormula:
         sq, rows = square(), gray_union_rows(arrow(), arrow())
         direct, union = map(sq.poset.decode,
                             check_gray_boundary_sides(sq.poset, rows, arrow(), 1, MINUS))
-        expected = {("0-", x) for x in ("0-", "0+", "1")} | {(x, "0+") for x in ("0-", "0+", "1")}
+        expected = ({pair("0-", x) for x in ("0-", "0+", "1")}
+                    | {pair(x, "0+") for x in ("0-", "0+", "1")})
         assert direct == expected
         assert union == expected
 
@@ -144,10 +145,10 @@ def reference_op_swap(p, q) -> list:
     for e, d in enumerate(lhs.dims):
         t = swap[e]
         if rhs.dims[t] != d:
-            raise IdentityFailed(f"op-swap changes the dimension of {sid(lhs.labels[e])}")
+            raise IdentityFailed(f"op-swap changes the dimension of {lhs.labels[e]}")
         for s, lhs_faces, rhs_faces in ((MINUS, lhs.fin, rhs.fin), (PLUS, lhs.fout, rhs.fout)):
             if map_mask(lhs_faces[e], swap) != rhs_faces[t]:
-                raise IdentityFailed(f"op-swap failed at {sid(lhs.labels[e])} sign {s}")
+                raise IdentityFailed(f"op-swap failed at {lhs.labels[e]} sign {s}")
     return swap
 
 
@@ -176,15 +177,21 @@ def swap_labels(p, q) -> dict:
     return {lhs[e]: rhs[t] for e, t in enumerate(swap)}
 
 
+def swapped_names(p, q) -> dict:
+    """(x,y) -> (y,x) for every x of p and y of q, built from the factor
+    labels."""
+    return {pair(x, y): pair(y, x) for x in p.labels for y in q.labels}
+
+
 class TestOpSwap:
     def test_square(self):
         mapping = swap_labels(arrow().poset, arrow().poset)
         assert len(mapping) == 9
-        assert all(k == (v[1], v[0]) for k, v in mapping.items())
+        assert mapping == swapped_names(arrow().poset, arrow().poset)
 
     def test_point_factor(self):
         mapping = swap_labels(point().poset, arrow().poset)
-        assert all(k == (v[1], v[0]) for k, v in mapping.items())
+        assert mapping == swapped_names(point().poset, arrow().poset)
 
     def test_globe_times_arrow(self):
         assert len(swap_labels(globe(2).poset, arrow().poset)) == 15
@@ -205,6 +212,14 @@ class TestOpSwap:
         assert cert["sign"] in (MINUS, PLUS)
         assert f"at {cert['element']} sign {cert['sign']}" in str(info.value)
         assert cert["got"] != cert["want"]
+        # faces are named as elements of op Q (x) op P
+        p, q = globe(2).poset, arrow().poset
+        with pytest.raises(IdentityFailed) as info:
+            op_swap_iso(p, q)
+        cert = info.value.certificate
+        assert cert["element"] in swapped_names(p, q)
+        names = set(swapped_names(p, q).values())
+        assert cert["got"] and set(cert["got"]) | set(cert["want"]) <= names
 
     def test_builds_one_product(self, monkeypatch):
         real, calls = gray_mod.gray_poset, []

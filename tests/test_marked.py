@@ -8,6 +8,7 @@ from ogpkit.contexts import atomic_horn, pp_horn, pp_marked_horn
 from ogpkit.errors import BadEmbedding, NotEntire, ShapeError
 from ogpkit.gray import gray
 from ogpkit.harness import Bounds, enumerate_catalog, enumerate_marked_horns
+from ogpkit.ids import pair
 from ogpkit.marked import (
     MarkedMap,
     MarkedShape,
@@ -73,7 +74,7 @@ class TestGrayMarked:
         a = marked(arrow(), {"1"})
         b = MarkedShape(arrow(), 0)
         prod = gray_marked(a, b)
-        assert labels(prod, prod.marking) == {("1", "0-"), ("1", "0+"), ("1", "1")}
+        assert labels(prod, prod.marking) == {"(1,0-)", "(1,0+)", "(1,1)"}
 
     def test_two_plain(self):
         a = MarkedShape(arrow(), 0)
@@ -84,8 +85,8 @@ class TestGrayMarked:
         b = marked(arrow(), {"1"})
         prod = gray_marked(a, b)
         for x in ("0-", "0+", "1"):
-            assert ("1", x) in labels(prod, prod.marking)
-            assert (x, "1") in labels(prod, prod.marking)
+            assert pair("1", x) in labels(prod, prod.marking)
+            assert pair(x, "1") in labels(prod, prod.marking)
 
 
 class TestResidual:
@@ -100,8 +101,8 @@ class TestResidual:
 
     def test_point_times_arrow(self):
         prod = gray(point(), arrow())
-        i = MarkedMap(marked(prod, {("*", "1")}), prod.poset.full, 0)
-        assert labels(prod, residual(i)) == {("*", "1")}
+        i = MarkedMap(marked(prod, {"(*,1)"}), prod.poset.full, 0)
+        assert labels(prod, residual(i)) == {"(*,1)"}
 
     def test_not_entire(self):
         with pytest.raises(NotEntire):
@@ -131,7 +132,7 @@ class TestPushoutProduct:
         j = boundary_inclusion_min(globe(2))
         pp = pushout_product(t, j)
         assert pp.entire
-        assert labels(pp.target, residual(pp)) == {("1", "2")}
+        assert labels(pp.target, residual(pp)) == {"(1,2)"}
         assert residual(pp) == residual_formula(t, j)
 
     def test_entire_pp_markbd_residual_empty(self):
@@ -170,9 +171,9 @@ class TestGenerators:
 
 
 class TestLabelOracle:
-    """The grid masks against the label-set formulas, written with plain
-    (x, y) pairs, on every pair of depth-1 generators in both orders and on
-    every horn of a depth-1 atom."""
+    """The grid masks against the label-set formulas, written with labels
+    built by ids.pair, on every pair of depth-1 generators in both orders
+    and on every horn of a depth-1 atom."""
 
     @pytest.fixture(scope="class")
     def atoms(self):
@@ -180,7 +181,7 @@ class TestLabelOracle:
 
     @staticmethod
     def pairs(xs, ys):
-        return frozenset(itertools.product(xs, ys))
+        return frozenset(itertools.starmap(pair, itertools.product(xs, ys)))
 
     def test_products_and_residuals(self, atoms):
         fams = generators(atoms)
@@ -196,7 +197,7 @@ class TestLabelOracle:
             assert P.decode(gray_marked(i.target, j.target).marking) == want_target
             assert P.decode(pp.target.marking) == want_target
             assert P.decode(pp.image) == frozenset(
-                (x, y) for x in X.labels for y in Y.labels
+                pair(x, y) for x in X.labels for y in Y.labels
                 if x in img_i or y in img_j)
             assert P.decode(pp.source_marking) == (
                 self.pairs(A, img_j) | self.pairs(X.labels, src_j)
@@ -220,13 +221,12 @@ class TestLabelOracle:
             for x in bits(U.fin[u.top_id()] | U.fout[u.top_id()]):
                 h = atomic_horn(u, x)
                 horn = U.decode(h.horn)
-                domain = frozenset(
-                    (a, b) for a in U.labels for b in V.labels
-                    if a in horn or b in bd_v)
+                domain = [(a, b) for a in U.labels for b in V.labels
+                          if a in horn or b in bd_v]
                 out = pp_horn(h, v, "uv")
-                assert out.shape.poset.decode(out.horn) == domain
+                assert out.shape.poset.decode(out.horn) == {pair(a, b) for a, b in domain}
                 out = pp_horn(h, v, "vu")
-                assert out.shape.poset.decode(out.horn) == frozenset((b, a) for a, b in domain)
+                assert out.shape.poset.decode(out.horn) == {pair(b, a) for a, b in domain}
 
     def test_pp_marked_horn_closed_form(self, atoms):
         gens = generators(atoms).Mprime
@@ -240,10 +240,10 @@ class TestLabelOracle:
                 V = gen.target.poset
                 A, Ap = U.decode(mh.marking), U.decode(mh.enlarged)
                 horn, B = U.decode(mh.horn.horn), V.decode(gen.target.marking)
-                domain = (self.pairs(Ap, V.decode(V.full_boundary_mask()))
-                          | self.pairs(A, V.labels) | self.pairs(horn, B))
+                grids = [(Ap, V.decode(V.full_boundary_mask())), (A, V.labels), (horn, B)]
                 out = pp_marked_horn(mh, gen, "uv")
-                assert out.horn.shape.poset.decode(out.marking) == domain
+                assert (out.horn.shape.poset.decode(out.marking)
+                        == frozenset().union(*(self.pairs(xs, ys) for xs, ys in grids)))
                 out = pp_marked_horn(mh, gen, "vu")
                 assert (out.horn.shape.poset.decode(out.marking)
-                        == frozenset((b, a) for a, b in domain))
+                        == frozenset().union(*(self.pairs(ys, xs) for xs, ys in grids)))

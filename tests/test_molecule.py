@@ -18,7 +18,6 @@ from ogpkit.errors import (
     ZeroDimensional,
 )
 from ogpkit.harness import Bounds, enumerate_catalog
-from ogpkit.ids import sid
 from ogpkit.molecule import (
     Inclusion,
     Molecule,
@@ -216,7 +215,7 @@ class TestPasteAt:
         g, p = globe(2), path2()
         gout = g.boundary(0, PLUS).source  # a point: dimension drops
         tgt = p.boundary(1, MINUS).source
-        some = sorted(tgt.poset.decode(tgt.poset.grade_masks()[0]), key=sid)[0]
+        some = min(tgt.poset.decode(tgt.poset.grade_masks()[0]))
         iota = Inclusion(gout, p, [p.poset.id_of(some)])
         with pytest.raises(NotRewritable):
             paste_at(g, iota, p, side="left", k=1)
@@ -313,10 +312,10 @@ def atom_by_construction(p, carrier):
 
 def with_new_top(m, split):
     """m with one new top element over elements of m's top dimension, in
-    sid order: an input face where split is True, an output face where it
+    label order: an input face where split is True, an output face where it
     is False, and not a face where it is None."""
     n = m.dim
-    cells = sorted(m.poset.decode(m.poset.grade_masks()[n]), key=sid)
+    cells = sorted(m.poset.decode(m.poset.grade_masks()[n]))
     elements = dict(m.poset.dim_of)
     faces = {x: (m.poset.faces_in[x], m.poset.faces_out[x])
              for x in elements if elements[x] > 0}
