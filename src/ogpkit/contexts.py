@@ -56,9 +56,6 @@ class ContextShape:
         if not is_round(p, hole):
             raise BadHole("hole must be round")
 
-    def is_identity(self) -> bool:
-        return self.hole == self.ambient.poset.full
-
 
 # -- atomic horns --------------------------------------------------------------
 
@@ -135,13 +132,9 @@ class MarkedHorn:
     marking: int     # A, on the horn carrier
     enlarged: int    # A', on the whole atom
 
-    @property
-    def added(self) -> int:
-        return self.enlarged & ~self.marking
-
     def as_marked_map(self) -> MarkedMap:
         return MarkedMap(MarkedShape(self.horn.shape, self.enlarged), self.horn.horn,
-                         self.marking, meta={"kind": "marked-horn", "facet": self.horn.facet})
+                         self.marking)
 
 
 def marked_horn(h: AtomicHorn, marking: int) -> MarkedHorn:

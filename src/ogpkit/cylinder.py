@@ -22,7 +22,7 @@ from .errors import (
     ZeroDimensional,
 )
 from .gray import gray_poset
-from .molecule import Inclusion, Molecule, arrow, is_round
+from .molecule import Molecule, arrow, is_round
 from .poset import MINUS, PLUS, OgPoset, bits, map_mask, same_ids
 
 _ARROW = arrow().poset  # ids 0-, 0+, 1 = 0, 1, 2
@@ -192,22 +192,24 @@ def unit_shape(u: Molecule) -> Molecule:
     return gray_cylinder(u, u.poset.full_boundary_mask())
 
 
-def unitor_shape(u: Molecule, iota: Inclusion, side: str) -> Molecule:
-    """Cylinder collapsed over everything but the open part of a rewritable
-    hole in the input (side "left") or output (side "right") boundary."""
+def unitor_shape(u: Molecule, side: str) -> Molecule:
+    """Cylinder collapsed over everything but the open part of the hole,
+    the whole input (side "left") or output (side "right") boundary of u.
+
+    With n = dim u, the hole is bd_(n-1)^sign u, which must be round, and
+    its rim bd_(n-2)^- hole u bd_(n-2)^+ hole; K is the full boundary of u
+    less the hole's elements outside its rim.
+    """
     if side not in ("left", "right"):
         raise NotRewritable(f"side must be left or right, got {side!r}")
-    sign = MINUS if side == "left" else PLUS
     p = u.poset
-    expected = p.boundary_mask(p.full, u.dim - 1, sign)
-    if not same_ids(iota.target.poset, p.restrict_mask(expected)):
-        raise NotRewritable("unitor inclusion must land in the matching boundary of u")
-    if not iota.rewritable:
+    n = u.dim
+    bd = p.boundary_mask
+    hole = bd(p.full, n - 1, MINUS if side == "left" else PLUS)
+    if not is_round(p, hole):
         raise NotRewritable("unitor hole must be rewritable")
-    # the target's ids are the bits of expected in order
-    hole_boundary = map_mask(iota.source.poset.full_boundary_mask(), iota.ids)
-    interior = map_mask(iota.image & ~hole_boundary, bits(expected))
-    K = p.full_boundary_mask() & ~interior
+    rim = bd(hole, n - 2, MINUS) | bd(hole, n - 2, PLUS)
+    K = p.full_boundary_mask() & ~(hole & ~rim)
     if not p.is_closed_mask(K):
         raise KNotClosed("unitor collapse set is not closed")
     return gray_cylinder(u, K)

@@ -31,6 +31,10 @@ class UnknownElement(ShapeError):
     pass
 
 
+class DuplicateLabel(ShapeError):
+    """Two elements of a constructed poset get the same label."""
+
+
 class BadEmbedding(ShapeError):
     """A map of shapes is not total, injective, dimension- and
     face-preserving (and, for marked shapes, marking-preserving)."""

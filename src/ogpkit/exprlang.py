@@ -27,7 +27,6 @@ from .molecule import (
     atom,
     dual,
     globe,
-    identity_inclusion,
     merger,
     op,
     paste,
@@ -288,11 +287,8 @@ def _apply(head, args):
     if head == "unit":
         return unit_shape(_as_molecule(args[0], head))
     if head in ("lunitor", "runitor"):
-        m = _as_molecule(args[0], head)
-        side = "left" if head == "lunitor" else "right"
-        sign = MINUS if side == "left" else PLUS
-        iota = identity_inclusion(m.boundary_molecule(m.dim - 1, sign))
-        return unitor_shape(m, iota, side)
+        return unitor_shape(_as_molecule(args[0], head),
+                            "left" if head == "lunitor" else "right")
     if head == "merger":
         return merger(_as_molecule(args[0], head))
     if head == "boundary":

@@ -131,11 +131,11 @@ def swap_ids(np_: int, nq: int) -> list:
     return [j * np_ + i for i in range(np_) for j in range(nq)]
 
 
-def op_swap_iso(p: OgPoset, q: OgPoset) -> list:
-    """The orientation-preserving bijection op(P (x) Q) -> op(Q) (x) op(P),
-    (x, y) -> (y, x), as swap_ids(|P|, |Q|): the id on the right of each
-    id on the left.  Raises IdentityFailed, naming the offending element
-    and sign in its message and certificate, if the swap is not one.
+def op_swap_iso(p: OgPoset, q: OgPoset) -> None:
+    """Check that (x, y) -> (y, x) is an orientation-preserving bijection
+    op(P (x) Q) -> op(Q) (x) op(P).  Raises IdentityFailed, naming the
+    offending element and sign in its message and certificate, if it is
+    not one.
 
     Only the left side, gray_poset(p, q).op(), is built with the code
     under test.  The right side is written straight into the left side's
@@ -143,34 +143,39 @@ def op_swap_iso(p: OgPoset, q: OgPoset) -> list:
     at id i * |Q| + j, pairs with (y_j, x_i) of op Q (x) op P, whose
     faces of sign s are op Q's of sign s at y_j, shifted by i * |Q|,
     and op P's of sign (-)^(dim y_j) . s at x_i, spread at stride |Q|
-    and shifted by j.  gray_poset twists the right factor's faces by the
-    left factor's dimension; here the twist falls on P's faces and is
-    read from Q's dimensions, so a fault in gray_poset's twist cannot
-    cancel against itself.  The three lists are compared whole; the
-    elements are walked, and labels read, only to report a failure: the
-    face e of a failing element is named as its swap (y, x), from the
-    factors' labels at e % |Q| and e // |Q|.
+    and shifted by j, all read from the faces of p and q.  gray_poset
+    twists the right factor's faces by the left factor's dimension; here
+    the twist falls on P's faces and is read from Q's dimensions, so a
+    fault in gray_poset's twist cannot cancel against itself.  The three
+    lists are compared whole; the elements are walked, and labels read,
+    only to report a failure: the face e of a failing element is named as
+    its swap (y, x), from the factors' labels at e % |Q| and e // |Q|.
     """
     lhs = gray_poset(p, q).op()
-    op_p, op_q = p.op(), q.op()
     np_, nq = len(p), len(q)
     if len(lhs) != np_ * nq:
         raise IdentityFailed("op-swap is not a bijection of the carriers")
     # one row per y_j for faces of sign s: (j, op Q's face mask of sign s,
     # t), where t picks op P's faces of sign (-)^(dim y_j) . s, 0 for the
-    # inputs and 1 for the outputs
-    odd = [dy & 1 for dy in op_q.dims]
-    in_rows = list(zip(range(nq), op_q.fin, odd))
-    out_rows = list(zip(range(nq), op_q.fout, [1 - t for t in odd]))
+    # inputs and 1 for the outputs.  An opposite swaps the faces of its
+    # odd-dimensional elements, so op Q's inputs at y_j are q's faces of
+    # index dim y_j mod 2 in (inputs, outputs), and op P's faces at x_i
+    # are p's, in the other order when dim x_i is odd.
+    q_faces = (q.fin, q.fout)
+    odd = [dy & 1 for dy in q.dims]
+    in_rows = [(j, q_faces[t][j], t) for j, t in enumerate(odd)]
+    out_rows = [(j, q_faces[1 - t][j], 1 - t) for j, t in enumerate(odd)]
     dims, fin, fout = [], [], []
-    for i, dx in enumerate(op_p.dims):
+    for i, dx in enumerate(p.dims):
         base = i * nq
-        p_faces = (spread(op_p.fin[i], nq), spread(op_p.fout[i], nq))
-        dims += [dx + dy for dy in op_q.dims]
+        p_faces = (spread(p.fin[i], nq), spread(p.fout[i], nq))
+        if dx & 1:
+            p_faces = p_faces[::-1]
+        dims += [dx + dy for dy in q.dims]
         fin += [m << base | p_faces[t] << j for j, m, t in in_rows]
         fout += [m << base | p_faces[t] << j for j, m, t in out_rows]
     if lhs.dims == dims and lhs.fin == fin and lhs.fout == fout:
-        return swap_ids(np_, nq)
+        return
     for e, d in enumerate(lhs.dims):
         if dims[e] != d:
             name = lhs.labels[e]

@@ -543,9 +543,11 @@ def gencp_boundary_instances(catalog: Catalog, config):
                     direct = amb.boundary_mask(amb.full, n, sign)
                     if bd_left | bd_right != direct:
                         return amb.sids(direct), amb.sids(bd_left | bd_right)
-                    inc = g.ambient.boundary(n, sign)
-                    return _recognised(inc.source, preimage(bd_left, inc.ids),
-                                       preimage(bd_right, inc.ids), k, verdicts)
+                    # the boundary molecule's ids are the bits of direct in order
+                    ids = bits(direct)
+                    return _recognised(g.ambient.boundary_molecule(n, sign),
+                                       preimage(bd_left, ids), preimage(bd_right, ids),
+                                       k, verdicts)
 
                 yield {"pasting": expr, "n": n, "sign": sign}, boundary
 
@@ -563,16 +565,17 @@ def _paste_at_instances(catalog: Catalog) -> list:
     instances = []
 
     def add(kind, w, u, whole):
-        w_side, u_side = ("left", "right") if kind == "cpsub" else ("right", "left")
+        g = whole.provenance["gencp"]
+        w_img, u_img = (g.left, g.right) if kind == "cpsub" else (g.right, g.left)
         sign = PLUS if kind == "cpsub" else MINUS
-        instances.append((kind, w, u, whole, whole.provenance[w_side].image,
-                          whole.provenance[u_side].image, sign, twist(sign, w.dim)))
+        instances.append((kind, w, u, whole, w_img, u_img, sign, twist(sign, w.dim)))
 
     rounds = [m for m in catalog.round_molecules() if 1 <= m.dim]
     others = catalog.molecules()
     for w in rounds:
         n = w.dim
         k = n - 1
+        wout = w.boundary_molecule(k, PLUS)
         for u in others:
             if u.dim < 1 or len(w) + len(u) > PASTE_CAP:
                 continue
@@ -590,7 +593,6 @@ def _paste_at_instances(catalog: Catalog) -> list:
             if u.dim >= n:
                 pu = u.poset
                 bd_in = pu.boundary_mask(pu.full, k, MINUS)
-                wout = w.boundary_molecule(k, PLUS)
                 for cell in sorted(bits(bd_in & pu.grade_masks()[k]),
                                    key=pu.sid_ranks().__getitem__):
                     hole = pu.closure_masks()[cell]

@@ -114,8 +114,7 @@ def pushout_product(i: MarkedMap, j: MarkedMap, product: OgPoset | None = None) 
     elements = img_i * py.full | rows * j.image
     mark_left = spread(i.target.marking, stride) * j.image | rows * j.source_marking
     mark_right = spread(i.source_marking, stride) * py.full | img_i * j.target.marking
-    return MarkedMap(target, elements, mark_left | mark_right,
-                     meta={"kind": "pushout-product"})
+    return MarkedMap(target, elements, mark_left | mark_right)
 
 
 def residual_formula(i: MarkedMap, j: MarkedMap) -> int:

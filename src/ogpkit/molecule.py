@@ -6,6 +6,12 @@ molecule-hood is guaranteed by a cited result (boundaries, Gray products,
 duals, cylinders).  Molecule-hood of an arbitrary poset is never decided;
 the bounded `reconstruct` search below produces certificates for small
 instances and is used by the verification harness as a spot check.
+
+Boundaries and pushouts record masks, not maps: a boundary molecule's
+ids are the bits of its boundary mask in order, and a paste or paste-at
+records its generalised pasting, the images of its two inputs as masks
+(the left input keeps its ids).  An Inclusion is built only where a
+caller hands paste_at a map.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ class Molecule:
     poset: OgPoset
     certificate: dict
     provenance: dict = field(default_factory=dict, repr=False)
-    _boundaries: dict = field(default_factory=dict, repr=False)
     _boundary_posets: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -82,32 +87,11 @@ class Molecule:
     def is_atom(self) -> bool:
         return self.poset.maximal_mask(self.poset.full).bit_count() == 1
 
-    def boundary(self, n: int | None = None, sign: str = MINUS) -> "Inclusion":
-        """Inclusion of the n-dimensional boundary of the given sign.
-
-        Defaults to the top boundary (n = dim - 1).  For n >= dim this is
-        the identity inclusion.
-        """
-        if n is None:
-            n = self.dim - 1
-        key = (n, sign)
-        if key not in self._boundaries:
-            q = self.boundary_poset(n, sign)
-            if q is self.poset:
-                self._boundaries[key] = identity_inclusion(self)
-            else:
-                src = Molecule(q, {"kind": "boundary", "n": n, "sign": sign,
-                                   "of": self.certificate})
-                p = self.poset
-                self._boundaries[key] = Inclusion(src, self, bits(p.boundary_mask(p.full, n, sign)),
-                                                  kind="boundary")
-        return self._boundaries[key]
-
     def boundary_poset(self, n: int, sign: str) -> OgPoset:
-        """The sub-poset on the n-boundary of the given sign, its ids in
-        order, or the poset itself for n >= dim; memoised.  It is the
-        source of boundary(n, sign); paste and atom read it without the
-        inclusion, so its colours are computed once per molecule."""
+        """The sub-poset on the n-boundary of the given sign, its ids the
+        bits of the boundary mask in order, or the poset itself for
+        n >= dim; memoised, so its colours are computed once per
+        molecule."""
         key = (n, sign)
         q = self._boundary_posets.get(key)
         if q is None:
@@ -117,19 +101,26 @@ class Molecule:
             self._boundary_posets[key] = q
         return q
 
-    def boundary_molecule(self, n=None, sign=MINUS) -> "Molecule":
-        return self.boundary(n, sign).source
+    def boundary_molecule(self, n: int | None = None, sign: str = MINUS) -> "Molecule":
+        """The n-boundary of the given sign as a molecule over
+        boundary_poset(n, sign); the molecule itself for n >= dim.
+        Defaults to the top boundary (n = dim - 1)."""
+        if n is None:
+            n = self.dim - 1
+        q = self.boundary_poset(n, sign)
+        if q is self.poset:
+            return self
+        return Molecule(q, {"kind": "boundary", "n": n, "sign": sign, "of": self.certificate})
 
 
 @dataclass(eq=False)
 class Inclusion:
-    """Tracked injective map of shapes, tagged with how it arose: ids is
+    """Injective map of shapes that a caller hands to paste_at: ids is
     the id image, the target id of each source id."""
 
     source: Molecule
     target: Molecule
     ids: list
-    kind: str = "inclusion"
 
     def __post_init__(self):
         defect = embedding_defect(self.source.poset, self.target.poset, self.ids)
@@ -140,14 +131,6 @@ class Inclusion:
     def image(self) -> int:
         """The mask of the image in the target."""
         return map_mask(self.source.poset.full, self.ids)
-
-    @property
-    def rewritable(self) -> bool:
-        return self.source.dim == self.target.dim and is_round(self.source)
-
-
-def identity_inclusion(m: Molecule) -> Inclusion:
-    return Inclusion(m, m, list(range(len(m))), kind="iso")
 
 
 # -- base shapes -----------------------------------------------------------
@@ -275,16 +258,15 @@ def _glue_certificate(a: OgPoset, b: OgPoset, glue: list) -> dict:
 
 
 def _pasted(m1: Molecule, m2: Molecule, glue: list, cert: dict, k: int) -> Molecule:
-    """The pushout of m1 and m2 along glue, with the two inclusions and the
-    generalised pasting at level k recorded as its provenance."""
-    poset, inj1, inj2 = paste_along(m1.poset, m2.poset, glue)
+    """The pushout of m1 and m2 along glue, with the generalised pasting at
+    level k, the images of m1 and m2 as masks, recorded as its
+    provenance."""
+    p1, p2 = m1.poset, m2.poset
+    poset, inj1, inj2 = paste_along(p1, p2, glue)
     result = Molecule(poset, {**cert, "left": m1.certificate, "right": m2.certificate,
-                              "glue": _glue_certificate(m1.poset, m2.poset, glue)})
-    left = Inclusion(m1, result, inj1, kind="paste-left")
-    right = Inclusion(m2, result, inj2, kind="paste-right")
-    result.provenance["left"] = left
-    result.provenance["right"] = right
-    result.provenance["gencp"] = GeneralisedPasting(result, left.image, right.image, k)
+                              "glue": _glue_certificate(p1, p2, glue)})
+    result.provenance["gencp"] = GeneralisedPasting(result, map_mask(p1.full, inj1),
+                                                    map_mask(p2.full, inj2), k)
     return result
 
 
@@ -310,7 +292,7 @@ def paste_at(m1: Molecule, iota: Inclusion, m2: Molecule, side: str, k: int) -> 
     the input side of m2.  side "right": iota : bd_k- m2 -> bd_k+ m1; m2 is
     glued onto the output side of m1.  Either way the left argument keeps
     its ids in the pushout.  The source of iota must be the boundary on
-    ids, the sub-poset that restrict_mask gives, as Molecule.boundary
+    ids, the sub-poset that restrict_mask gives, as boundary_molecule
     builds it, and its target the shape it lands in.
     """
     if k < 0:
@@ -318,12 +300,12 @@ def paste_at(m1: Molecule, iota: Inclusion, m2: Molecule, side: str, k: int) -> 
     if side not in ("left", "right"):
         raise LevelOutOfRange(f"unknown side {side!r}")
     if side == "left":
-        src_poset, src_sign, tgt_poset, tgt_sign = m1.poset, PLUS, m2.poset, MINUS
+        src, src_sign, tgt_poset, tgt_sign = m1, PLUS, m2.poset, MINUS
     else:
-        src_poset, src_sign, tgt_poset, tgt_sign = m2.poset, MINUS, m1.poset, PLUS
-    expected_src = src_poset.boundary_mask(src_poset.full, k, src_sign)
+        src, src_sign, tgt_poset, tgt_sign = m2, MINUS, m1.poset, PLUS
+    expected_src = src.poset.boundary_mask(src.poset.full, k, src_sign)
     expected_tgt = tgt_poset.boundary_mask(tgt_poset.full, k, tgt_sign)
-    if not same_ids(iota.source.poset, src_poset.restrict_mask(expected_src)):
+    if not same_ids(iota.source.poset, src.boundary_poset(k, src_sign)):
         raise NotRewritable("inclusion source does not match the required boundary")
     if not same_ids(iota.target.poset, tgt_poset):
         raise NotRewritable("inclusion target is not the shape it lands in")
@@ -361,7 +343,7 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
             if glue[i] >= 0 and glue[i] != targets[j]:
                 raise BoundaryMismatch("input and output boundary isos disagree on the overlap")
             glue[i] = targets[j]
-    poset, inj1, inj2 = paste_along(p1, p2, glue)
+    poset, _, inj2 = paste_along(p1, p2, glue)
     # the top's faces: the n-cells of each input, which the glue along the
     # (n-1)-boundaries keeps apart; m1 keeps its ids.  Empty inputs have
     # none, and their atom is a point.
@@ -373,11 +355,8 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
         "right": m2.certificate,
         "glue": _glue_certificate(p1, p2, glue),
     }
-    result = Molecule(OgPoset(poset.dims + [n + 1], poset.fin + [top_in],
-                              poset.fout + [top_out], lambda: (*poset.labels, TOP_ID)), cert)
-    result.provenance["left"] = Inclusion(m1, result, inj1, kind="atom-input")
-    result.provenance["right"] = Inclusion(m2, result, inj2, kind="atom-output")
-    return result
+    return Molecule(OgPoset(poset.dims + [n + 1], poset.fin + [top_in],
+                            poset.fout + [top_out], lambda: (*poset.labels, TOP_ID)), cert)
 
 
 def merger(m: Molecule) -> Molecule:
@@ -420,11 +399,6 @@ class GeneralisedPasting:
     left: int
     right: int
     level: int
-    checked: bool = False
-
-    @property
-    def shared(self) -> int:
-        return self.left & self.right
 
 
 def recognise_generalised_pasting(
@@ -499,7 +473,7 @@ def recognise_generalised_pasting(
         raise RecognitionFailed("factorisation does not cover the ambient", {})
     if len(all_isos(w, w)) != 1:
         raise RecognitionFailed("ambient is not rigid", {})
-    return GeneralisedPasting(ambient, left, right, k, checked=True)
+    return GeneralisedPasting(ambient, left, right, k)
 
 
 def _is_molecule(p: OgPoset, verdicts: dict) -> bool:

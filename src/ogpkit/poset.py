@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
+from .errors import BadGrading, DanglingFace, DuplicateLabel, EmptySide, Overlap, UnknownElement
 
 MINUS = "-"
 PLUS = "+"
@@ -108,24 +108,28 @@ class OgPoset:
     Maps.  A map from p to q is an id image: a list holding, for each id
     i of p, the id in q of its image (-1 where a partial map, such as a
     pushout's glue, has none).  find_iso and all_isos return isomorphisms
-    in this form, and molecule.Inclusion and cylinder.Projection carry
-    one.  map_mask carries a mask forward along an image, preimage carries
-    it back, and embedding_defect validates an image on masks.  A map is
-    decoded to labels only at the edges: certificates, CLI output and
-    failure reports.
+    in this form, cylinder.Projection carries one, and so does
+    molecule.Inclusion, the map a caller hands to paste_at.  Boundaries
+    and pushouts record masks instead: a boundary sub-poset's ids are
+    the bits of its mask in order.  map_mask carries a mask forward along
+    an image, preimage carries it back, and embedding_defect validates an
+    image on masks.  A map is decoded to labels only at the edges:
+    certificates, CLI output and failure reports.
 
     Labels.  labels[i] is the label of element i: the string that
     reports print, built by the functions of ids, and compared, sorted
-    and matched as written, never parsed.  index maps labels back to
-    ids; encode, decode and sids convert masks at the edges, where
-    reports, certificates, render and the CLI print labels.  Every query
-    is a mask query.  dim_of, faces_in and faces_out are read-only label
-    views, decoded once per poset and iterating in id order; render, the
-    mutation check and __eq__ across label orders read them.  The label
-    wrappers faces, closure, boundary_set and restrict remain only
-    because the benchmark reads them: its tracer wraps the last three by
-    name and its golden recorder calls faces.  They go when the
-    benchmark moves onto the mask layer.
+    and matched as written, never parsed.  Labels made from a
+    constructor's inputs are checked distinct when first read, and a
+    repeat raises DuplicateLabel; build()'s labels are distinct dict
+    keys.  index maps labels back to ids; encode, decode and sids convert
+    masks at the edges, where reports, certificates, render and the CLI
+    print labels.  Every query is a mask query.  dim_of, faces_in and
+    faces_out are read-only label views, decoded once per poset and
+    iterating in id order; render, the mutation check and __eq__ across
+    label orders read them.  The label wrappers faces, closure,
+    boundary_set and restrict remain only because the benchmark reads
+    them: its tracer wraps the last three by name and its golden recorder
+    calls faces.  They go when the benchmark moves onto the mask layer.
 
     Construction.  build() validates label data and numbers it in its
     input order; its label views are that data.  It serves only the base
@@ -166,8 +170,13 @@ class OgPoset:
     @property
     def labels(self) -> tuple:
         if self._labels is None:
-            self._labels = self.source()
-            self.source = self._labels  # drop the inputs it was decoded from
+            labels = self.source()
+            if len(set(labels)) != len(labels):
+                seen = set()
+                repeated = next(x for x in labels if x in seen or seen.add(x))
+                raise DuplicateLabel(f"two elements are labelled {repeated!r}")
+            self._labels = labels
+            self.source = labels  # drop the inputs it was decoded from
         return self._labels
 
     @property

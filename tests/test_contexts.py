@@ -73,7 +73,8 @@ def pasted(left, right, k, hole_side):
     """The context on paste(left, right, k) whose hole is the image of
     the factor on hole_side, "left" or "right"."""
     m = paste(left, right, k)
-    return ContextShape(m, m.provenance[hole_side].image)
+    g = m.provenance["gencp"]
+    return ContextShape(m, g.left if hole_side == "left" else g.right)
 
 
 class TestAtomicHorn:
@@ -115,11 +116,11 @@ class TestAtomicHorn:
 class TestClassifiedContext:
     def test_arrow_horn_is_identity_context(self):
         ctx = classified_context(horn(arrow(), "0+"))
-        assert ctx.is_identity()
+        assert ctx.hole == ctx.ambient.poset.full
 
     def test_globe_horn_is_identity_context(self):
         ctx = classified_context(horn(globe(2), "1-"))
-        assert ctx.is_identity()
+        assert ctx.hole == ctx.ambient.poset.full
 
     def test_square_horn_context(self):
         sq = square()
@@ -128,7 +129,7 @@ class TestClassifiedContext:
             e: sq.poset.dim_of[e] for e in sq.poset.boundary_set(1, MINUS)
         }
         assert labels(ctx.ambient, ctx.hole) == sq.poset.closure({"(0-,1)"})
-        assert not ctx.is_identity()
+        assert ctx.hole != ctx.ambient.poset.full
 
 
 class TestIsAContext:
@@ -169,7 +170,7 @@ class TestContextOps:
 
     def test_identity_context(self):
         ctx = ContextShape(arrow(), arrow().poset.full)
-        assert ctx.is_identity()
+        assert ctx.hole == ctx.ambient.poset.full
         assert ctx.ambient.dim == 1
 
     def test_right_paste_builds_square_horn_context(self):
@@ -293,13 +294,13 @@ class TestPPMarkedHorn:
         out = pp_marked_horn(mh, gen, "uv")
         assert out.horn.shape.poset.labels[out.horn.facet] == "(0+,1)"
         # case "otherwise": only the product top is newly marked beyond B
-        assert labels(out.horn.shape, out.added) == {"(1,1)"}
+        assert labels(out.horn.shape, out.enlarged & ~out.marking) == {"(1,1)"}
 
     def test_globe_horn_with_markbd(self):
         mh = labelled_marked_horn(globe(2), "1-", {"1+"})
         gen = boundary_inclusion_marked(arrow())
         out = pp_marked_horn(mh, gen, "uv")
-        assert labels(out.horn.shape, out.added) == {"(1-,1)", "(2,1)"}
+        assert labels(out.horn.shape, out.enlarged & ~out.marking) == {"(1-,1)", "(2,1)"}
 
     def test_both_orders(self):
         mh = labelled_marked_horn(globe(2), "1-", frozenset())
@@ -324,9 +325,10 @@ class TestPeelSearchCompleteness:
         inner = paste(arrow(), arrow(), 0)
         outer = paste(arrow(), inner, 0)
         # the middle arrow: inner's left arrow, carried into outer
-        hole = map_mask(inner.provenance["left"].image, outer.provenance["right"].ids)
-        ctx = ContextShape(outer, hole)
         p = outer.poset
+        hole = p.closure_mask(p.encode({"in1:in0:1"}))
+        assert labels(outer, hole) == {"in0:0+", "in1:in0:0+", "in1:in0:1"}
+        ctx = ContextShape(outer, hole)
         assert not hole & (p.boundary_mask(p.full, 0, MINUS) | p.boundary_mask(p.full, 0, PLUS))
         around = tops(ctx)
         assert around.bit_count() == 2
@@ -339,7 +341,7 @@ class TestPeelSearchCompleteness:
         # the far arrow meets only the near one, so a derivation that
         # pastes them in the wrong order does not replay
         outer = paste(arrow(), paste(arrow(), arrow(), 0), 0)
-        ctx = ContextShape(outer, outer.provenance["left"].image)
+        ctx = ContextShape(outer, outer.provenance["gencp"].left)
         around = tops(ctx)
         assert around.bit_count() == 2
         assert len(recognised(ctx, around)) == 2
@@ -438,7 +440,7 @@ class TestValidation:
         with pytest.raises(BadHole, match="outside"):
             ContextShape(g, p.full | 1 << len(p))
         composite = paste(globe(2), globe(2), 1)
-        hole = composite.provenance["left"].image
+        hole = composite.provenance["gencp"].left
         assert ContextShape(composite, hole).hole == hole
 
     def test_horn_must_be_closed(self):

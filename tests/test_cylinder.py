@@ -12,12 +12,19 @@ from ogpkit.cylinder import (
     unit_shape,
     unitor_shape,
 )
-from ogpkit.errors import BadCollapseSet, KNotClosed, NotRound, ZeroDimensional
+from ogpkit.errors import (
+    BadCollapseSet,
+    KNotClosed,
+    NotRewritable,
+    NotRound,
+    ShapeError,
+    ZeroDimensional,
+)
 from ogpkit.gray import gray
 from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.ids import pair
-from ogpkit.molecule import arrow, globe, identity_inclusion, is_round, paste, point
-from ogpkit.poset import MINUS, PLUS, bits, build, find_iso, same_ids
+from ogpkit.molecule import arrow, globe, is_round, paste, point
+from ogpkit.poset import MINUS, PLUS, bits, build, find_iso, map_mask, same_ids
 
 
 class TestGrayCylinder:
@@ -285,22 +292,52 @@ class TestProjection:
 class TestUnitor:
     def test_identity_hole_collapses_other_side(self):
         g = globe(2)
-        iota = identity_inclusion(g.boundary_molecule(sign=MINUS))
-        shape = unitor_shape(g, iota, "left")
+        shape = unitor_shape(g, "left")
         info = shape.provenance["cylinder"]
         assert info["K"] == g.poset.boundary_mask(g.poset.full, 1, PLUS)
 
     def test_unitor_on_arrow(self):
         a = arrow()
-        iota = identity_inclusion(a.boundary_molecule(sign=MINUS))
-        shape = unitor_shape(a, iota, "left")
+        shape = unitor_shape(a, "left")
         assert len(shape) == 7 and shape.dim == 2
 
     def test_right_unitor(self):
         a = arrow()
-        iota = identity_inclusion(a.boundary_molecule(sign=PLUS))
-        shape = unitor_shape(a, iota, "right")
+        shape = unitor_shape(a, "right")
         assert len(shape) == 7 and shape.dim == 2
+
+    def test_agrees_with_identity_inclusion_construction(self):
+        # the collapse set as it was built from the identity inclusion of
+        # the whole boundary: the hole's interior carried into u
+        cases = {"built": 0, "raised": 0}
+        for u in enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=12)).molecules():
+            for side in ("left", "right"):
+                try:
+                    want = identity_inclusion_collapse_set(u, side)
+                except ShapeError as err:
+                    with pytest.raises(type(err)):
+                        unitor_shape(u, side)
+                    cases["raised"] += 1
+                    continue
+                assert unitor_shape(u, side).provenance["cylinder"]["K"] == want
+                cases["built"] += 1
+        assert cases["built"] and cases["raised"]
+
+
+def identity_inclusion_collapse_set(u, side):
+    """Oracle for unitor_shape's K: the hole is the boundary molecule B on
+    bd_(n-1)^sign u, its ids the bits of its mask; its interior, B less
+    B's own full boundary, is carried into u, and K is u's full boundary
+    less that interior."""
+    p = u.poset
+    hole = p.boundary_mask(p.full, u.dim - 1, MINUS if side == "left" else PLUS)
+    b = p.restrict_mask(hole)
+    if not is_round(b):
+        raise NotRewritable("unitor hole must be rewritable")
+    K = p.full_boundary_mask() & ~map_mask(b.full & ~b.full_boundary_mask(), bits(hole))
+    if not p.is_closed_mask(K):
+        raise KNotClosed("unitor collapse set is not closed")
+    return K
 
 
 PROJECTION_FAULTS = """

@@ -4,17 +4,19 @@ independent oracles.
 networkx's DiGraphMatcher sees a poset as a directed graph with an edge
 from each element to each of its faces, nodes matched on dimension and
 edges on sign; it shares no code with ogpkit's colour refinement.  Maps
-are id images; both sides are compared as label dicts.  The inclusions
-of a pushout are checked against the labels it is defined to give.
+are id images; both sides are compared as label dicts.  A pushout's
+labels are checked against those it is defined to give its inputs.
 """
 
 import random
 
 import pytest
 
+from ogpkit.exprlang import parse, print_expr
 from ogpkit.gray import gray_poset
 from ogpkit.harness import PRODUCT_CAP, Bounds, _paste_at_instances, enumerate_catalog
 from ogpkit.ids import inl, inr
+from ogpkit.molecule import atom, paste
 from ogpkit.poset import all_isos, build, canonical_key, find_iso
 
 nx = pytest.importorskip("networkx")
@@ -126,37 +128,48 @@ def test_symmetric_shapes_fall_back_to_backtracking():
     assert len(all_isos(p, p)) == 2
 
 
-def check_pushout_maps(m):
-    """The two provenance id images of a paste, paste-at or atom result m
-    are injective, cover m (all but an atom's top), and decode to the
-    labels of the pushout: inl(x) for each left x, inr(y) for an unglued
-    right y, and for a glued one the left label its certificate names."""
-    p = m.poset
-    left, right = m.provenance["left"], m.provenance["right"]
-    a, b = left.source.poset, right.source.poset
-    for inc in (left, right):
-        assert len(set(inc.ids)) == len(inc.ids)
-    covered = left.image | right.image
-    if m.certificate["kind"] == "atom":
-        assert covered == p.full & ~(1 << m.top_id())
-    else:
-        assert covered == p.full
-        g = m.provenance["gencp"]
-        assert (g.left, g.right) == (left.image, right.image)
-    assert [p.labels[j] for j in left.ids] == [inl(x) for x in a.labels]
+def check_pushout_labels(m1, m2, m):
+    """The labels of m, a paste, paste-at or atom of m1 and m2: inl(x) at
+    the ids 0..|m1|-1 for each x of m1, inr(y) after them for each unglued
+    y of m2 in m2's order, then an atom's top.  m2's image, read through
+    the glue certificate (inl of the left label a glued y is sent to),
+    carries m2's faces, is the right piece of a pasting's recorded
+    generalised pasting, and gives an atom's top its output faces."""
+    p, a, b = m.poset, m1.poset, m2.poset
     glued_to = {y: x for x, y in m.certificate["glue"].items()}
-    for y, j in zip(b.labels, right.ids):
-        if y in glued_to:
-            assert p.labels[j] == inl(glued_to[y])
-        else:
-            assert p.labels[j] == inr(y)
+    image = {y: inl(glued_to[y]) if y in glued_to else inr(y) for y in b.labels}
+    want = [inl(x) for x in a.labels] + [inr(y) for y in b.labels if y not in glued_to]
+    if m.certificate["kind"] == "atom":
+        want.append("top")
+    assert list(p.labels) == want
+    for y, x in image.items():
+        assert p.dim_of[x] == b.dim_of[y]
+        assert p.faces_in[x] == {image[f] for f in b.faces_in[y]}
+        assert p.faces_out[x] == {image[f] for f in b.faces_out[y]}
+    if m.certificate["kind"] == "atom":
+        top_cells = {y for y, d in b.dim_of.items() if d == b.dim}
+        assert p.faces_out["top"] == {image[y] for y in top_cells}
+    else:
+        g = m.provenance["gencp"]
+        assert g.left == a.full
+        assert p.decode(g.right) == set(image.values())
 
 
 def test_pushout_maps_match_labels(d3_catalog):
-    pushouts = [e.molecule for e in d3_catalog.entries
-                if e.molecule.certificate["kind"] in ("paste", "atom")]
-    pushouts += [whole for _, _, _, whole, *_ in _paste_at_instances(d3_catalog)]
-    kinds = {m.certificate["kind"] for m in pushouts}
+    # each pasted catalog entry rebuilt from its two input entries, and
+    # every pasting at a submolecule, whose inputs are catalog shapes
+    by_expr = {e.expr: e.molecule for e in d3_catalog.entries}
+    pushouts = []
+    for e in d3_catalog.entries:
+        expr = parse(e.expr)
+        if expr.head in ("paste", "atom"):
+            m1, m2 = (by_expr[print_expr(arg)] for arg in expr.args[:2])
+            m = paste(m1, m2, expr.args[2]) if expr.head == "paste" else atom(m1, m2)
+            assert find_iso(m.poset, e.molecule.poset) is not None
+            pushouts.append((m1, m2, m))
+    for kind, w, u, whole, *_ in _paste_at_instances(d3_catalog):
+        pushouts.append((w, u, whole) if kind == "cpsub" else (u, w, whole))
+    kinds = {m.certificate["kind"] for _, _, m in pushouts}
     assert kinds == {"paste", "paste_at", "atom"}
-    for m in pushouts:
-        check_pushout_maps(m)
+    for m1, m2, m in pushouts:
+        check_pushout_labels(m1, m2, m)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogpkit.errors import BadGrading, DanglingFace, EmptySide, Overlap, UnknownElement
+from ogpkit.errors import (
+    BadGrading,
+    DanglingFace,
+    DuplicateLabel,
+    EmptySide,
+    Overlap,
+    UnknownElement,
+)
 from ogpkit.gray import gray_poset
 from ogpkit.harness import PRODUCT_CAP, Bounds, enumerate_catalog
 from ogpkit.poset import MINUS, PLUS, all_isos, build, find_iso
@@ -413,3 +420,12 @@ class TestMaskCore:
                 assert p.encode(p.faces_in[x]) == p.fin[i]
                 assert p.encode(p.faces_out[x]) == p.fout[i]
                 assert p.decode(p.fin[i]) == p.faces_in[x]
+
+    def test_repeated_product_labels_raise(self):
+        # "(x,y)" paired with "z" and "x" paired with "y,z" both print as
+        # "(x,y,z)"; the product would index 3 labels for 4 ids
+        p = gray_poset(build({"x,y": 0, "x": 0}, {}), build({"z": 0, "y,z": 0}, {}))
+        with pytest.raises(DuplicateLabel, match=r"\(x,y,z\)"):
+            p.labels
+        q = gray_poset(build({"x": 0, "w": 0}, {}), build({"z": 0, "y,z": 0}, {}))
+        assert len(q.index) == len(q) == 4
