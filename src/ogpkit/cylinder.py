@@ -196,18 +196,19 @@ def unitor_shape(u: Molecule, side: str) -> Molecule:
     """Cylinder collapsed over everything but the open part of the hole,
     the whole input (side "left") or output (side "right") boundary of u.
 
-    With n = dim u, the hole is bd_(n-1)^sign u, which must be round, and
-    its rim bd_(n-2)^- hole u bd_(n-2)^+ hole; K is the full boundary of u
-    less the hole's elements outside its rim.
+    u must be round, as for invertor_shape.  With n = dim u, the hole is
+    bd_(n-1)^sign u, round because u is (its lower boundaries are u's, by
+    globularity), and its rim bd_(n-2)^- hole u bd_(n-2)^+ hole; K is the
+    full boundary of u less the hole's elements outside its rim.
     """
     if side not in ("left", "right"):
         raise NotRewritable(f"side must be left or right, got {side!r}")
+    if not is_round(u):
+        raise NotRound("unitor shapes are defined on round molecules")
     p = u.poset
     n = u.dim
     bd = p.boundary_mask
     hole = bd(p.full, n - 1, MINUS if side == "left" else PLUS)
-    if not is_round(p, hole):
-        raise NotRewritable("unitor hole must be rewritable")
     rim = bd(hole, n - 2, MINUS) | bd(hole, n - 2, PLUS)
     K = p.full_boundary_mask() & ~(hole & ~rim)
     if not p.is_closed_mask(K):

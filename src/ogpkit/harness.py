@@ -68,7 +68,6 @@ from .marked import (
     residual_upper_bound,
 )
 from .molecule import (
-    Inclusion,
     Molecule,
     arrow,
     atom,
@@ -575,7 +574,6 @@ def _paste_at_instances(catalog: Catalog) -> list:
     for w in rounds:
         n = w.dim
         k = n - 1
-        wout = w.boundary_molecule(k, PLUS)
         for u in others:
             if u.dim < 1 or len(w) + len(u) > PASTE_CAP:
                 continue
@@ -598,13 +596,8 @@ def _paste_at_instances(catalog: Catalog) -> list:
                     hole = pu.closure_masks()[cell]
                     if hole == bd_in:
                         continue
-                    iso = find_iso(wout.poset, pu.restrict_mask(hole))
-                    if iso is None:
-                        continue
-                    hole_ids = bits(hole)
                     try:
-                        iota = Inclusion(wout, u, [hole_ids[j] for j in iso])
-                        whole = paste_at(w, iota, u, side="left", k=k)
+                        whole = paste_at(w, u, hole, k)
                     except ShapeError:
                         continue
                     add("cpsub", w, u, whole)

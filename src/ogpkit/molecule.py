@@ -10,8 +10,8 @@ instances and is used by the verification harness as a spot check.
 Boundaries and pushouts record masks, not maps: a boundary molecule's
 ids are the bits of its boundary mask in order, and a paste or paste-at
 records its generalised pasting, the images of its two inputs as masks
-(the left input keeps its ids).  An Inclusion is built only where a
-caller hands paste_at a map.
+(the left input keeps its ids).  paste_at takes its hole as a closed
+mask of the right input and finds the gluing iso itself.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .poset import (
     bits,
     build,
     canonical_key,
-    embedding_defect,
     find_iso,
     map_mask,
-    same_ids,
 )
 
 POINT_ID = "*"
@@ -111,26 +109,6 @@ class Molecule:
         if q is self.poset:
             return self
         return Molecule(q, {"kind": "boundary", "n": n, "sign": sign, "of": self.certificate})
-
-
-@dataclass(eq=False)
-class Inclusion:
-    """Injective map of shapes that a caller hands to paste_at: ids is
-    the id image, the target id of each source id."""
-
-    source: Molecule
-    target: Molecule
-    ids: list
-
-    def __post_init__(self):
-        defect = embedding_defect(self.source.poset, self.target.poset, self.ids)
-        if defect is not None:
-            raise BadEmbedding(f"inclusion: {defect}")
-
-    @property
-    def image(self) -> int:
-        """The mask of the image in the target."""
-        return map_mask(self.source.poset.full, self.ids)
 
 
 # -- base shapes -----------------------------------------------------------
@@ -202,8 +180,8 @@ def paste_along(a: OgPoset, b: OgPoset, glue: list):
     glue is an id image on a: the id in b of each glued id of a, -1 for
     the others.  It must map a closed subset of a isomorphically onto a
     closed subset of b.  a keeps its ids in the pushout, and the unglued
-    ids of b follow in b's order.  Returns the pushout and the id images
-    of a and of b in it.  The pushout's labels are made on first read:
+    ids of b follow in b's order.  Returns the pushout and the id image
+    of b in it.  The pushout's labels are made on first read:
     "in0:x" for a's x and "in1:y" for the unglued y of b, so the shared
     part keeps the left labels.  It is built on masks with no
     build() re-check: a glue that preserves dimension and faces leaves
@@ -236,18 +214,10 @@ def paste_along(a: OgPoset, b: OgPoset, glue: list):
                     a.fin + [map_mask(b.fin[j], b_image) for j in rest],
                     a.fout + [map_mask(b.fout[j], b_image) for j in rest],
                     labels)
-    return poset, list(range(na)), b_image
+    return poset, b_image
 
 
 # -- pastings --------------------------------------------------------------
-
-
-def _glue(n: int, keys: list, values: list) -> list:
-    """The id image on n ids with values[t] at keys[t], -1 elsewhere."""
-    glue = [-1] * n
-    for i, j in zip(keys, values):
-        glue[i] = j
-    return glue
 
 
 def _glue_certificate(a: OgPoset, b: OgPoset, glue: list) -> dict:
@@ -257,15 +227,20 @@ def _glue_certificate(a: OgPoset, b: OgPoset, glue: list) -> dict:
     return dict(sorted((a_labels[i], b_labels[j]) for i, j in enumerate(glue) if j >= 0))
 
 
-def _pasted(m1: Molecule, m2: Molecule, glue: list, cert: dict, k: int) -> Molecule:
-    """The pushout of m1 and m2 along glue, with the generalised pasting at
-    level k, the images of m1 and m2 as masks, recorded as its
-    provenance."""
+def _pasted(m1: Molecule, m2: Molecule, hole: int, iso: list, cert: dict, k: int) -> Molecule:
+    """The pushout of m1 and m2 that glues bd_k+ m1 onto the closed mask
+    hole of m2 along iso, an id image from m1's boundary poset onto the
+    sub-poset on hole, with the generalised pasting at level k, the images
+    of m1 and m2 as masks, recorded as its provenance."""
     p1, p2 = m1.poset, m2.poset
-    poset, inj1, inj2 = paste_along(p1, p2, glue)
+    targets = bits(hole)
+    glue = [-1] * len(p1)
+    for i, j in zip(bits(p1.boundary_mask(p1.full, k, PLUS)), iso):
+        glue[i] = targets[j]
+    poset, inj2 = paste_along(p1, p2, glue)
     result = Molecule(poset, {**cert, "left": m1.certificate, "right": m2.certificate,
                               "glue": _glue_certificate(p1, p2, glue)})
-    result.provenance["gencp"] = GeneralisedPasting(result, map_mask(p1.full, inj1),
+    result.provenance["gencp"] = GeneralisedPasting(result, p1.full,
                                                     map_mask(p2.full, inj2), k)
     return result
 
@@ -279,50 +254,35 @@ def paste(m1: Molecule, m2: Molecule, k: int) -> Molecule:
         raise BoundaryMismatch(
             f"bd_{k}+ of the left shape is not isomorphic to bd_{k}- of the right shape"
         )
-    p1, p2 = m1.poset, m2.poset
-    targets = bits(p2.boundary_mask(p2.full, k, MINUS))
-    glue = _glue(len(p1), bits(p1.boundary_mask(p1.full, k, PLUS)), [targets[j] for j in iso])
-    return _pasted(m1, m2, glue, {"kind": "paste", "k": k}, k)
+    p2 = m2.poset
+    return _pasted(m1, m2, p2.boundary_mask(p2.full, k, MINUS), iso, {"kind": "paste", "k": k}, k)
 
 
-def paste_at(m1: Molecule, iota: Inclusion, m2: Molecule, side: str, k: int) -> Molecule:
-    """Pasting at a submolecule.
+def paste_at(m1: Molecule, m2: Molecule, hole: int, k: int) -> Molecule:
+    """Pasting m1 at a submolecule of m2: bd_k+ m1 glued onto hole.
 
-    side "left": iota : bd_k+ m1 -> bd_k- m2 rewritable; m1 is glued onto
-    the input side of m2.  side "right": iota : bd_k- m2 -> bd_k+ m1; m2 is
-    glued onto the output side of m1.  Either way the left argument keeps
-    its ids in the pushout.  The source of iota must be the boundary on
-    ids, the sub-poset that restrict_mask gives, as boundary_molecule
-    builds it, and its target the shape it lands in.
+    hole is a closed mask of m2 inside bd_k- m2 and of its dimension, and
+    bd_k+ m1 must be round.  Molecules are rigid, so the iso from bd_k+ m1
+    onto the sub-poset on hole, found here, fixes the gluing.  m1 keeps
+    its ids in the pushout.
     """
     if k < 0:
         raise LevelOutOfRange(f"pasting level {k} is negative")
-    if side not in ("left", "right"):
-        raise LevelOutOfRange(f"unknown side {side!r}")
-    if side == "left":
-        src, src_sign, tgt_poset, tgt_sign = m1, PLUS, m2.poset, MINUS
-    else:
-        src, src_sign, tgt_poset, tgt_sign = m2, MINUS, m1.poset, PLUS
-    expected_src = src.poset.boundary_mask(src.poset.full, k, src_sign)
-    expected_tgt = tgt_poset.boundary_mask(tgt_poset.full, k, tgt_sign)
-    if not same_ids(iota.source.poset, src.boundary_poset(k, src_sign)):
-        raise NotRewritable("inclusion source does not match the required boundary")
-    if not same_ids(iota.target.poset, tgt_poset):
-        raise NotRewritable("inclusion target is not the shape it lands in")
-    if iota.image & ~expected_tgt:
-        raise NotRewritable("inclusion image does not land in the required boundary")
-    # rewritability is against the boundary the inclusion lands in, not the
-    # whole molecule: round source of the same dimension
-    if not is_round(iota.source):
-        raise NotRewritable("inclusion source must be round")
-    if iota.source.dim != tgt_poset.dim_mask(expected_tgt):
-        raise NotRewritable("inclusion must not drop dimension into its boundary")
-
-    if side == "left":  # m1 boundary ids -> m2 ids
-        glue = _glue(len(m1), bits(expected_src), iota.ids)
-    else:  # m1 ids -> m2 boundary ids
-        glue = _glue(len(m1), iota.ids, bits(expected_src))
-    return _pasted(m1, m2, glue, {"kind": "paste_at", "side": side, "k": k}, k)
+    p2 = m2.poset
+    bd_in = p2.boundary_mask(p2.full, k, MINUS)
+    if hole & ~bd_in:
+        raise NotRewritable(f"hole does not land in bd_{k}- of the right shape")
+    if not p2.is_closed_mask(hole):
+        raise NotRewritable("hole is not closed")
+    if p2.dim_mask(hole) != p2.dim_mask(bd_in):
+        raise NotRewritable("hole must not drop dimension into its boundary")
+    src = m1.boundary_poset(k, PLUS)
+    if not is_round(src):
+        raise NotRewritable(f"bd_{k}+ of the left shape must be round")
+    iso = find_iso(src, p2.restrict_mask(hole))
+    if iso is None:
+        raise BoundaryMismatch(f"bd_{k}+ of the left shape is not isomorphic to the hole")
+    return _pasted(m1, m2, hole, iso, {"kind": "paste_at", "k": k}, k)
 
 
 def atom(m1: Molecule, m2: Molecule) -> Molecule:
@@ -343,7 +303,7 @@ def atom(m1: Molecule, m2: Molecule) -> Molecule:
             if glue[i] >= 0 and glue[i] != targets[j]:
                 raise BoundaryMismatch("input and output boundary isos disagree on the overlap")
             glue[i] = targets[j]
-    poset, _, inj2 = paste_along(p1, p2, glue)
+    poset, inj2 = paste_along(p1, p2, glue)
     # the top's faces: the n-cells of each input, which the glue along the
     # (n-1)-boundaries keeps apart; m1 keeps its ids.  Empty inputs have
     # none, and their atom is a point.

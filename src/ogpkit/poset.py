@@ -94,7 +94,7 @@ class OgPoset:
     A set of elements is a mask in the same way.  closure_mask,
     is_closed_mask, dim_mask, maximal_mask, boundary_mask and
     restrict_mask are integer operations, as are dual, the stable
-    colouring, the isomorphism search and embedding_defect.  The coface
+    colouring and the isomorphism search.  The coface
     masks, the per-dimension masks, the closure mask of each element, the
     mask of the maximal elements and the per-dimension unions of the face
     masks are derived on their first read and kept, so a poset that is
@@ -108,13 +108,13 @@ class OgPoset:
     Maps.  A map from p to q is an id image: a list holding, for each id
     i of p, the id in q of its image (-1 where a partial map, such as a
     pushout's glue, has none).  find_iso and all_isos return isomorphisms
-    in this form, cylinder.Projection carries one, and so does
-    molecule.Inclusion, the map a caller hands to paste_at.  Boundaries
-    and pushouts record masks instead: a boundary sub-poset's ids are
-    the bits of its mask in order.  map_mask carries a mask forward along
-    an image, preimage carries it back, and embedding_defect validates an
-    image on masks.  A map is decoded to labels only at the edges:
-    certificates, CLI output and failure reports.
+    in this form, and cylinder.Projection carries one.  Boundaries and
+    pushouts record masks instead: a boundary sub-poset's ids are the bits
+    of its mask in order, and molecule.paste_at takes its hole as a mask.
+    map_mask carries a mask forward along an image, and preimage carries
+    it back; molecule.paste_along validates each glue it is given.  A map
+    is decoded to labels only at the edges: certificates, CLI output and
+    failure reports.
 
     Labels.  labels[i] is the label of element i: the string that
     reports print, built by the functions of ids, and compared, sorted
@@ -549,27 +549,6 @@ def _preserves_faces(p: OgPoset, q: OgPoset, image: list) -> bool:
         if d != qd[j] or map_mask(a, image) != qfin[j] or map_mask(b, image) != qfout[j]:
             return False
     return True
-
-
-def embedding_defect(p: OgPoset, q: OgPoset, ids: list) -> str | None:
-    """Why the id image ids is not an embedding of p into q, or None if
-    it is.
-
-    An embedding is total on p, injective, and preserves dimension and
-    both face masks of every element.
-    """
-    if len(ids) != len(p) or min(ids, default=0) < 0 or max(ids, default=-1) >= len(q):
-        return "map must be total"
-    if len(set(ids)) != len(ids):
-        return "map must be injective"
-    if _preserves_faces(p, q, ids):
-        return None
-    for i, j in enumerate(ids):
-        if p.dims[i] != q.dims[j]:
-            return f"map must preserve dimension at {p.labels[i]}"
-        if map_mask(p.fin[i], ids) != q.fin[j] or map_mask(p.fout[i], ids) != q.fout[j]:
-            return f"map must preserve faces at {p.labels[i]}"
-    return None
 
 
 def _rank(signature: list):

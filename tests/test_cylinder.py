@@ -325,10 +325,12 @@ class TestUnitor:
 
 
 def identity_inclusion_collapse_set(u, side):
-    """Oracle for unitor_shape's K: the hole is the boundary molecule B on
-    bd_(n-1)^sign u, its ids the bits of its mask; its interior, B less
-    B's own full boundary, is carried into u, and K is u's full boundary
-    less that interior."""
+    """Oracle for unitor_shape's K: u must be round; the hole is the
+    boundary molecule B on bd_(n-1)^sign u, its ids the bits of its mask;
+    its interior, B less B's own full boundary, is carried into u, and K
+    is u's full boundary less that interior."""
+    if not is_round(u):
+        raise NotRound("unitor shapes are defined on round molecules")
     p = u.poset
     hole = p.boundary_mask(p.full, u.dim - 1, MINUS if side == "left" else PLUS)
     b = p.restrict_mask(hole)

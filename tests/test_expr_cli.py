@@ -181,6 +181,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown element" in err
 
+    @pytest.mark.parametrize("head", ["lunitor", "runitor"])
+    def test_unitor_of_a_non_round_shape(self, capsys, head):
+        # refused as the invertors refuse it, before any hole is read
+        assert main(["build", f"{head}(paste(globe(2),arrow,0))"]) == EXIT_DOMAIN
+        assert "round" in capsys.readouterr().err
+
     def test_boundary(self, capsys):
         assert main(["boundary", "gray(arrow,arrow)", "1", "-"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -276,3 +282,10 @@ class TestVerifyExitCode:
         doc = json.loads(captured.out)
         failure = doc["reports"][0]["failures"][0]
         assert set(failure) == {"lemma", "inputs", "expected", "got"}
+
+
+def test_every_public_name_resolves():
+    import ogpkit
+
+    missing = [name for name in ogpkit.__all__ if not hasattr(ogpkit, name)]
+    assert not missing

@@ -19,7 +19,6 @@ from ogpkit.errors import (
 )
 from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.molecule import (
-    Inclusion,
     Molecule,
     arrow,
     atom,
@@ -189,41 +188,88 @@ class TestMerger:
 
 class TestPasteAt:
     def test_iso_inclusion_reduces_to_paste(self):
+        # the hole is the whole input boundary: paste_at is a plain paste
         m1, m2 = arrow(), arrow()
-        b1 = m1.boundary_molecule(0, PLUS)
-        b2 = m2.boundary_molecule(0, MINUS)
-        iso = find_iso(b1.poset, b2.poset)
-        # an iso onto the boundary, carried into m2 along its mask's bits
-        b2_ids = bits(m2.poset.boundary_mask(m2.poset.full, 0, MINUS))
-        iota = Inclusion(b1, m2, [b2_ids[j] for j in iso])
-        glued = paste_at(m1, iota, m2, side="left", k=0)
+        hole = m2.poset.boundary_mask(m2.poset.full, 0, MINUS)
+        glued = paste_at(m1, m2, hole, 0)
         assert find_iso(glued.poset, path2().poset) is not None
 
     def test_whiskering(self):
         # glue the 2-globe's output edge onto the first edge of a 2-path
         g, p = globe(2), path2()
-        gout = g.boundary_molecule(1, PLUS)
         # locate the edge whose input endpoint is the path's source
         q = p.poset
         src = next(iter(q.boundary_set(0, MINUS)))
         edge = next(e for e in q.decode(q.grade_masks()[1]) if q.faces(e, MINUS) == {src})
         hole = q.closure_mask(q.encode({edge}))
-        iso = find_iso(gout.poset, q.restrict_mask(hole))
-        hole_ids = bits(hole)
-        iota = Inclusion(gout, p, [hole_ids[j] for j in iso])
-        out = paste_at(g, iota, p, side="left", k=1)
+        out = paste_at(g, p, hole, 1)
         assert len(out) == 7
         assert out.dim == 2
         assert not is_round(out)
 
     def test_not_rewritable(self):
         g, p = globe(2), path2()
-        gout = g.boundary_molecule(0, PLUS)  # a point: dimension drops
-        tgt = p.boundary_molecule(1, MINUS)
-        some = min(tgt.poset.decode(tgt.poset.grade_masks()[0]))
-        iota = Inclusion(gout, p, [p.poset.id_of(some)])
+        q = p.poset
+        # a point of bd_1- p: the hole drops dimension
+        some = min(q.decode(q.boundary_mask(q.full, 1, MINUS) & q.grade_masks()[0]))
         with pytest.raises(NotRewritable):
-            paste_at(g, iota, p, side="left", k=1)
+            paste_at(g, p, q.encode({some}), 1)
+
+
+BAD_HOLES = """
+import sys
+from ogpkit.errors import ShapeError
+from ogpkit.molecule import arrow, globe, paste, paste_at
+# globe(2) has ids 2, 0-, 0+, 1-, 1+ = 0 .. 4; the 2-path arrow #0 arrow
+# has ids in0:0-, in0:0+, in0:1, in1:0+, in1:1 = 0 .. 4
+g, path = globe(2), paste(arrow(), arrow(), 0)
+holes = [
+    (g, 0b10110),  # 0-, 0+, 1+: outside bd_1- of the globe
+    (path, 0b00100),  # the first edge without its end points: not closed
+    (path, 0b00001),  # an end point: drops dimension
+    (path, 0b11111),  # the whole 2-path: no iso to bd_1+ of the globe
+]
+raised = []
+for m2, hole in holes:
+    try:
+        paste_at(g, m2, hole, 1)
+    except ShapeError as err:
+        raised.append(type(err).__name__)
+print(sys.flags.optimize, *raised)
+"""
+
+
+class TestHoleValidation:
+    """paste_at(globe(2), m2, hole, 1) with a bad hole; bd_1+ of the
+    2-globe is an arrow."""
+
+    def test_hole_outside_the_input_boundary(self):
+        g = globe(2)
+        with pytest.raises(NotRewritable, match="bd_1-"):
+            paste_at(g, g, g.poset.encode({"0-", "0+", "1+"}), 1)
+
+    def test_hole_not_closed(self):
+        p = path2()
+        with pytest.raises(NotRewritable, match="closed"):
+            paste_at(globe(2), p, p.poset.encode({"in0:1"}), 1)
+
+    def test_hole_dropping_dimension(self):
+        p = path2()
+        with pytest.raises(NotRewritable, match="dimension"):
+            paste_at(globe(2), p, p.poset.encode({"in0:0-"}), 1)
+
+    def test_hole_with_no_iso(self):
+        p = path2()
+        with pytest.raises(BoundaryMismatch):
+            paste_at(globe(2), p, p.poset.full, 1)
+
+    def test_raises_under_optimize(self, src_env):
+        # assert statements vanish under -O; the hole checks must not
+        out = subprocess.run([sys.executable, "-O", "-c", BAD_HOLES],
+                             env=src_env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "NotRewritable", "NotRewritable",
+                                      "NotRewritable", "BoundaryMismatch"]
 
 
 class TestGeneralisedPasting:
@@ -479,12 +525,8 @@ BAD_EMBEDDINGS = """
 import sys
 from ogpkit.errors import BadEmbedding
 from ogpkit.marked import MarkedMap, MarkedShape
-from ogpkit.molecule import Inclusion, arrow, globe
+from ogpkit.molecule import arrow, globe
 raised = 0
-try:  # dimension not preserved: the edge onto the 2-cell
-    Inclusion(arrow(), globe(2), [1, 2, 0])
-except BadEmbedding:
-    raised += 1
 a = arrow()
 try:  # marking not preserved
     MarkedMap(MarkedShape(a, 0), a.poset.full, a.poset.encode({"1"}))
@@ -505,30 +547,14 @@ print(sys.flags.optimize, raised)
 
 
 class TestEmbeddingValidation:
-    """Id images: arrow has ids 0-, 0+, 1 = 0, 1, 2 and globe(2) has
-    2, 0-, 0+, 1-, 1+ = 0 .. 4."""
-
-    def test_dimension_breaking_inclusion(self):
-        with pytest.raises(BadEmbedding, match="dimension at 1"):
-            Inclusion(arrow(), globe(2), [1, 2, 0])
-
-    def test_partial_and_non_injective_inclusions(self):
-        with pytest.raises(BadEmbedding, match="total"):
-            Inclusion(arrow(), globe(2), [1, 2])
-        two_points = Molecule(build({"a": 0, "b": 0}, {}), {"kind": "test"})
-        with pytest.raises(BadEmbedding, match="injective"):
-            Inclusion(two_points, arrow(), [0, 0])
-
-    def test_face_breaking_inclusion(self):
-        with pytest.raises(BadEmbedding, match="faces at 1"):
-            Inclusion(arrow(), arrow(), [1, 0, 2])
+    """Marked maps check their markings and images with and without -O."""
 
     def test_raises_under_optimize(self, src_env):
         # assert statements vanish under -O; the validation must not
         out = subprocess.run([sys.executable, "-O", "-c", BAD_EMBEDDINGS],
                              env=src_env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["1", "4"]
+        assert out.stdout.split() == ["1", "3"]
 
 
 BAD_GLUES = """
@@ -558,8 +584,9 @@ class TestGlueValidation:
             paste_along(arrow().poset, arrow().poset, [1, 0, 2])
 
     def test_valid_glue_pastes(self):
-        poset, inj_a, inj_b = paste_along(arrow().poset, arrow().poset, [-1, 0, -1])
-        assert len(poset) == 5 and inj_a[1] == inj_b[0]
+        # the left arrow keeps its ids, so its 0+ (id 1) is the right 0-'s image
+        poset, inj_b = paste_along(arrow().poset, arrow().poset, [-1, 0, -1])
+        assert len(poset) == 5 and inj_b[0] == 1
 
     def test_raises_under_optimize(self, src_env):
         out = subprocess.run([sys.executable, "-O", "-c", BAD_GLUES],
