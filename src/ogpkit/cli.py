@@ -33,6 +33,13 @@ def _eval_shape(text: str):
     return value
 
 
+def _eval_molecule(text: str, command: str) -> Molecule:
+    value = eval_text(text)
+    if not isinstance(value, Molecule):
+        raise ShapeError(f"{command} needs a molecule expression")
+    return value
+
+
 def cmd_build(args) -> int:
     shape = _eval_shape(args.expr)
     sys.stdout.buffer.write(to_json_bytes(poset_to_dict(shape)))
@@ -40,9 +47,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    shape = eval_text(args.expr)
-    if not isinstance(shape, Molecule):
-        raise ShapeError("boundary needs a molecule expression")
+    shape = _eval_molecule(args.expr, "boundary")
     sub = shape.boundary_molecule(args.n, args.sign)
     sys.stdout.buffer.write(to_json_bytes(poset_to_dict(sub)))
     return EXIT_OK
@@ -89,9 +94,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_horn(args) -> int:
-    shape = eval_text(args.expr)
-    if not isinstance(shape, Molecule):
-        raise ShapeError("horn needs a molecule expression")
+    shape = _eval_molecule(args.expr, "horn")
     p = shape.poset
     h = atomic_horn(shape, p.id_of(args.facet))
     doc = poset_to_dict(p.restrict_mask(h.horn))
@@ -106,10 +109,8 @@ def cmd_horn(args) -> int:
 
 
 def cmd_pp(args) -> int:
-    u = eval_text(args.left)
-    v = eval_text(args.right)
-    if not isinstance(u, Molecule) or not isinstance(v, Molecule):
-        raise ShapeError("pp needs molecule expressions")
+    u = _eval_molecule(args.left, "pp")
+    v = _eval_molecule(args.right, "pp")
     h = atomic_horn(u, u.poset.id_of(args.facet))
     if args.what == "horn":
         out = pp_horn(h, v, args.order)

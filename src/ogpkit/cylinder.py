@@ -81,8 +81,7 @@ def gray_cylinder(u: Molecule, K: int) -> Molecule:
     poset, collapse = _cylinder_poset(p, K, "plain")
     cert = {"kind": "cylinder", "K": p.sids(K), "of": u.certificate}
     result = Molecule(poset, cert)
-    result.provenance["cylinder"] = {"base": u, "K": K, "variant": "plain",
-                                     "collapse": collapse}
+    result.provenance["cylinder"] = {"base": u, "collapse": collapse}
     return result
 
 
@@ -103,8 +102,7 @@ def inverted_cylinder(u: Molecule, K: int, side: str) -> Molecule:
     poset, collapse = _cylinder_poset(p, K, side)
     cert = {"kind": "inverted-cylinder", "side": side, "K": p.sids(K), "of": u.certificate}
     result = Molecule(poset, cert)
-    result.provenance["cylinder"] = {"base": u, "K": K, "variant": side,
-                                     "collapse": collapse}
+    result.provenance["cylinder"] = {"base": u, "collapse": collapse}
     return result
 
 

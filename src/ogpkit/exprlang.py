@@ -1,10 +1,13 @@
 """Expression language for building shapes.
 
-Constructors mirror the shape operations: point, arrow, globe(n),
-paste(e, e, k), atom(e, e), gray(e, e), dual({j, ...}, e), op(e),
-cyl(e, {ids}), lcyl(e), rcyl(e), inv("LR...", e), unit(e), lunitor(e),
-runitor(e), merger(e), boundary(e, n, +|-), horn(e, "id").  Ids are
-double-quoted labels, such as "(a,b)" or "in0:a", matched as written.
+CONSTRUCTORS is the language: each head's argument kinds and the
+constructor it calls.  The parser, evaluate and the printer `text` read it,
+and harness.enumerate_catalog names its entries with `text`.  The heads
+mirror the shape operations: point, arrow, globe(n), paste(e, e, k),
+atom(e, e), gray(e, e), dual({j, ...}, e), op(e), cyl(e, {ids}), lcyl(e),
+rcyl(e), inv("LR...", e), unit(e), lunitor(e), runitor(e), merger(e),
+boundary(e, n, +|-), horn(e, "id").  Ids are double-quoted labels, such as
+"(a,b)" or "in0:a", matched as written.
 """
 
 from __future__ import annotations
@@ -39,33 +42,40 @@ from .poset import MINUS, PLUS
 class Expr:
     head: str
     args: tuple = ()
-    line: int = 0
-    column: int = 0
 
 
-# argument kinds: e = expression, n = integer, J = int set, K = id set,
-# s = string (an id, matched as written, is one), sign = +/-
-SIGNATURES = {
-    "point": "",
-    "arrow": "",
-    "globe": "n",
-    "paste": "een",
-    "atom": "ee",
-    "gray": "ee",
-    "dual": "Je",
-    "op": "e",
-    "cyl": "eK",
-    "lcyl": "e",
-    "rcyl": "e",
-    "inv": "se",
-    "unit": "e",
-    "lunitor": "e",
-    "runitor": "e",
-    "merger": "e",
-    "boundary": "en!",
-    "horn": "es",
+def _inverted_cylinder(m, side):
+    """Inverted on the whole (n-1)-boundary: the output for L, input for R."""
+    sign = PLUS if side == "L" else MINUS
+    return inverted_cylinder(m, m.poset.boundary_mask(m.poset.full, m.dim - 1, sign), side)
+
+
+# head -> (argument kinds, constructor).  Argument kinds: e = expression,
+# n = integer, J = int set, K = id set, s = string (an id, matched as
+# written, is one), ! = sign (+ or -).  The constructor takes the evaluated
+# arguments in order.  Each is a lambda, so it reads this module's names
+# when called, and a wrapper rebound onto one of them (perfbench/tracer.py
+# times the constructors so) sees the call.
+CONSTRUCTORS = {
+    "point": ("", lambda: point()),
+    "arrow": ("", lambda: arrow()),
+    "globe": ("n", lambda n: globe(n)),
+    "paste": ("een", lambda m1, m2, k: paste(m1, m2, k)),
+    "atom": ("ee", lambda m1, m2: atom(m1, m2)),
+    "gray": ("ee", lambda m1, m2: gray_product(m1, m2)),
+    "dual": ("Je", lambda dims, m: dual(m, dims)),
+    "op": ("e", lambda m: op(m)),
+    "cyl": ("eK", lambda m, ids: gray_cylinder(m, m.poset.encode(ids))),
+    "lcyl": ("e", lambda m: _inverted_cylinder(m, "L")),
+    "rcyl": ("e", lambda m: _inverted_cylinder(m, "R")),
+    "inv": ("se", lambda s, m: invertor_shape(s, m)),
+    "unit": ("e", lambda m: unit_shape(m)),
+    "lunitor": ("e", lambda m: unitor_shape(m, "left")),
+    "runitor": ("e", lambda m: unitor_shape(m, "right")),
+    "merger": ("e", lambda m: merger(m)),
+    "boundary": ("en!", lambda m, n, sign: m.boundary_molecule(n, sign)),
+    "horn": ("es", lambda u, x: atomic_horn(u, u.poset.id_of(x))),
 }
-# "!" marks a trailing sign argument
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -142,30 +152,26 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
         return tok
 
-    def fail(self, message):
-        tok = self.peek()
-        raise ExprSyntaxError(message, tok[2], tok[3])
-
     def parse_expr(self) -> Expr:
         kind, value, line, col = self.next()
         if kind != "name":
             raise ExprSyntaxError(f"expected a constructor, found {value!r}", line, col)
-        if value not in SIGNATURES:
+        if value not in CONSTRUCTORS:
             raise ExprSyntaxError(f"unknown constructor {value!r}", line, col)
-        sig = SIGNATURES[value]
-        if not sig:
+        kinds = CONSTRUCTORS[value][0]
+        if not kinds:
             if self.peek()[0] == "(":
                 self.next()
                 self.expect(")")
-            return Expr(value, (), line, col)
+            return Expr(value)
         self.expect("(")
         args = []
-        for i, code in enumerate(sig):
+        for i, code in enumerate(kinds):
             if i > 0:
                 self.expect(",")
             args.append(self.parse_arg(code, value, i))
         self.expect(")")
-        return Expr(value, tuple(args), line, col)
+        return Expr(value, tuple(args))
 
     def parse_arg(self, code, head, index):
         if code == "e":
@@ -187,10 +193,7 @@ class _Parser:
             while self.peek()[0] != "}":
                 if items:
                     self.expect(",")
-                if code == "J":
-                    items.append(self.expect("int")[1])
-                else:
-                    items.append(self.expect("string")[1])
+                items.append(self.expect("int" if code == "J" else "string")[1])
             self.next()
             return frozenset(items)
         raise AssertionError(code)
@@ -205,25 +208,31 @@ def parse(text: str) -> Expr:
     return expr
 
 
-def print_expr(e: Expr) -> str:
-    sig = SIGNATURES[e.head]
-    if not sig:
-        return e.head
+def text(head: str, *args) -> str:
+    """The text of head applied to args, where an expression argument is
+    given as its text."""
+    kinds = CONSTRUCTORS[head][0]
+    if not kinds:
+        return head
     parts = []
-    for code, arg in zip(sig, e.args):
-        if code == "e":
-            parts.append(print_expr(arg))
-        elif code == "n":
+    for code, arg in zip(kinds, args):
+        if code == "n":
             parts.append(str(arg))
-        elif code == "!":
-            parts.append(arg)
         elif code == "s":
             parts.append(f'"{arg}"')
         elif code == "J":
             parts.append("{" + ",".join(str(j) for j in sorted(arg)) + "}")
         elif code == "K":
             parts.append("{" + ",".join(f'"{s}"' for s in sorted(arg)) + "}")
-    return f"{e.head}({','.join(parts)})"
+        else:  # e, already a text, or a sign
+            parts.append(arg)
+    return f"{head}({','.join(parts)})"
+
+
+def print_expr(e: Expr) -> str:
+    kinds = CONSTRUCTORS[e.head][0]
+    return text(e.head, *(print_expr(arg) if code == "e" else arg
+                          for code, arg in zip(kinds, e.args)))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -236,67 +245,18 @@ def evaluate(e: Expr, path: str = ""):
     at which they occurred.
     """
     here = f"{path}.{e.head}" if path else e.head
-    sig = SIGNATURES[e.head]
-    args = []
-    for i, (code, arg) in enumerate(zip(sig, e.args)):
-        if code == "e":
-            args.append(evaluate(arg, f"{here}.arg{i + 1}"))
-        else:
-            args.append(arg)
+    kinds, construct = CONSTRUCTORS[e.head]
+    args = [evaluate(arg, f"{here}.arg{i + 1}") if code == "e" else arg
+            for i, (code, arg) in enumerate(zip(kinds, e.args))]
     try:
-        return _apply(e.head, args)
+        if any(code == "e" and not isinstance(arg, Molecule)
+               for code, arg in zip(kinds, args)):
+            raise ShapeError(f"{e.head} needs a molecule argument")
+        return construct(*args)
     except ShapeError as exc:
         if isinstance(exc, EvalError):
             raise
         raise EvalError(here, exc) from exc
-
-
-def _as_molecule(value, head):
-    if not isinstance(value, Molecule):
-        raise ShapeError(f"{head} needs a molecule argument")
-    return value
-
-
-def _apply(head, args):
-    if head == "point":
-        return point()
-    if head == "arrow":
-        return arrow()
-    if head == "globe":
-        return globe(args[0])
-    if head == "paste":
-        return paste(_as_molecule(args[0], head), _as_molecule(args[1], head), args[2])
-    if head == "atom":
-        return atom(_as_molecule(args[0], head), _as_molecule(args[1], head))
-    if head == "gray":
-        return gray_product(_as_molecule(args[0], head), _as_molecule(args[1], head))
-    if head == "dual":
-        return dual(_as_molecule(args[1], head), args[0])
-    if head == "op":
-        return op(_as_molecule(args[0], head))
-    if head == "cyl":
-        m = _as_molecule(args[0], head)
-        return gray_cylinder(m, m.poset.encode(args[1]))
-    if head in ("lcyl", "rcyl"):
-        m = _as_molecule(args[0], head)
-        side = "L" if head == "lcyl" else "R"
-        sign = PLUS if side == "L" else MINUS
-        return inverted_cylinder(m, m.poset.boundary_mask(m.poset.full, m.dim - 1, sign), side)
-    if head == "inv":
-        return invertor_shape(args[0], _as_molecule(args[1], head))
-    if head == "unit":
-        return unit_shape(_as_molecule(args[0], head))
-    if head in ("lunitor", "runitor"):
-        return unitor_shape(_as_molecule(args[0], head),
-                            "left" if head == "lunitor" else "right")
-    if head == "merger":
-        return merger(_as_molecule(args[0], head))
-    if head == "boundary":
-        return _as_molecule(args[0], head).boundary_molecule(args[1], args[2])
-    if head == "horn":
-        u = _as_molecule(args[0], head)
-        return atomic_horn(u, u.poset.id_of(args[1]))
-    raise AssertionError(head)
 
 
 def eval_text(text: str):

@@ -125,15 +125,15 @@ class OgPoset:
     masks at the edges, where reports, certificates, render and the CLI
     print labels.  Every query is a mask query.  dim_of, faces_in and
     faces_out are read-only label views, decoded once per poset and
-    iterating in id order; render, the mutation check and __eq__ across
-    label orders read them.  The label wrappers faces, closure,
+    iterating in id order; render and __eq__ across label orders read
+    them.  The label wrappers faces, closure,
     boundary_set and restrict remain only because the benchmark reads
     them: its tracer wraps the last three by name and its golden recorder
     calls faces.  They go when the benchmark moves onto the mask layer.
 
     Construction.  build() validates label data and numbers it in its
     input order; its label views are that data.  It serves only the base
-    shapes (point, arrow, globes), the mutation check and outside data.
+    shapes (point, arrow, globes) and outside data.
     The constructors that combine validated posets build masks directly,
     with no build() re-check, since their result is valid when their
     inputs are: gray.gray_poset (by index arithmetic), the cylinders (a
@@ -215,7 +215,7 @@ class OgPoset:
                            {x: decode(m) for x, m in zip(labels, self.fout)})
         return self._views
 
-    # the label views, read by render, __eq__, MUTATION and perfbench/tracer.py
+    # the label views, read by render, __eq__ and perfbench/tracer.py
     @property
     def dim_of(self) -> dict:
         return self._label_views()[0]
@@ -446,7 +446,7 @@ class OgPoset:
     # answer.  They remain only while the benchmark reads them by name,
     # until its tracer moves onto the mask queries.
 
-    # the mutation check and perfbench/make_goldens.py read it
+    # perfbench/make_goldens.py reads it
     def faces(self, x, sign: str) -> frozenset:
         self.id_of(x)
         return self.faces_in[x] if sign == MINUS else self.faces_out[x]

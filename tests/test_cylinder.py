@@ -293,8 +293,8 @@ class TestUnitor:
     def test_identity_hole_collapses_other_side(self):
         g = globe(2)
         shape = unitor_shape(g, "left")
-        info = shape.provenance["cylinder"]
-        assert info["K"] == g.poset.boundary_mask(g.poset.full, 1, PLUS)
+        p = g.poset
+        assert shape.certificate["K"] == p.sids(p.boundary_mask(p.full, 1, PLUS))
 
     def test_unitor_on_arrow(self):
         a = arrow()
@@ -319,7 +319,7 @@ class TestUnitor:
                         unitor_shape(u, side)
                     cases["raised"] += 1
                     continue
-                assert unitor_shape(u, side).provenance["cylinder"]["K"] == want
+                assert unitor_shape(u, side).certificate["K"] == u.poset.sids(want)
                 cases["built"] += 1
         assert cases["built"] and cases["raised"]
 
@@ -355,8 +355,7 @@ a, pt = arrow(), point()
 pinched = Molecule(build(
     {"(0-,0-)": 0, "(0+,0-)": 0, "(0+,0+)": 0, "(0-,1)": 1},
     {"(0-,1)": ({"(0-,0-)"}, {"(0+,0-)"})}), {})
-pinched.provenance["cylinder"] = {"base": a, "K": 0, "variant": "plain",
-                                  "collapse": [0, 0, 1, 2]}
+pinched.provenance["cylinder"] = {"base": a, "collapse": [0, 0, 1, 2]}
 tries = [
     lambda: Projection(a, a, [0, 2]),
     lambda: Projection(a, a, [0, 0, 2]),

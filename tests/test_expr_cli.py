@@ -113,14 +113,15 @@ def expr_asts(draw, depth=3):
 @given(expr_asts())
 @settings(max_examples=120, deadline=None)
 def test_parse_print_roundtrip(e):
-    # positions aside, parsing the printed form gives the same tree
-    assert _strip(parse(print_expr(e))) == _strip(e)
+    # parsing the printed form gives the same tree
+    assert parse(print_expr(e)) == e
 
 
-def _strip(e):
-    if isinstance(e, Expr):
-        return (e.head, tuple(_strip(a) for a in e.args))
-    return e
+def test_catalog_names_print_as_written(d3_catalog):
+    # enumerate_catalog names its entries with exprlang.text, the printer
+    # print_expr is built on
+    for entry in d3_catalog.entries:
+        assert print_expr(parse(entry.expr)) == entry.expr
 
 
 def poset_from_dict(doc: dict):
@@ -186,6 +187,16 @@ class TestCli:
         # refused as the invertors refuse it, before any hole is read
         assert main(["build", f"{head}(paste(globe(2),arrow,0))"]) == EXIT_DOMAIN
         assert "round" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", 'horn(globe(2),"1-")', "1", "-"],
+        ["horn", 'horn(globe(2),"1-")', "1-"],
+        ["pp", "horn", 'horn(globe(2),"1-")', "1-", "arrow"],
+        ["pp", "horn", "arrow", "0-", 'horn(globe(2),"1-")'],
+    ])
+    def test_horn_expression_where_a_molecule_is_needed(self, capsys, argv):
+        assert main(argv) == EXIT_DOMAIN
+        assert f"{argv[0]} needs a molecule expression" in capsys.readouterr().err
 
     def test_boundary(self, capsys):
         assert main(["boundary", "gray(arrow,arrow)", "1", "-"]) == 0

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ogpkit.errors import BoundExceeded, IdentityFailed, ShapeError, UnknownLemma
+from ogpkit.errors import BadHole, BoundExceeded, IdentityFailed, ShapeError, UnknownLemma
 from ogpkit.harness import (
     Bounds,
     SuiteConfig,
@@ -134,6 +134,30 @@ class TestCheck:
             bounds=Bounds(depth=0, max_dim=-1, max_elements=0)))
         assert all(r.status == "pass" for r in reports)
         assert all("vacuous" in r.warning for r in reports)
+
+    def test_zero_instances_warn_on_a_nonempty_catalog(self):
+        # the depth-0 catalog has no pastings: GENCP_FORMULA passes on no
+        # instances, with a warning that says so
+        gencp, iso = run_suite(small_config(
+            bounds=Bounds(depth=0, max_dim=4, max_elements=16),
+            lemmas=("GENCP_FORMULA", "ISO_UNIQUE")))
+        assert gencp.status == "pass" and gencp.instances == 0
+        assert "vacuous" in gencp.warning
+        assert iso.instances > 0 and not iso.warning
+
+    def test_setup_failure_is_a_recorded_failure(self, monkeypatch):
+        # a ShapeError in a generator's own setup, outside every thunk,
+        # fails that lemma and ends its run; the other lemmas still report
+        def planted(horn):
+            raise BadHole("planted in setup")
+
+        monkeypatch.setattr(harness_mod, "classified_context", planted)
+        ctx, gray_boundary = run_suite(small_config(
+            lemmas=("CTX_RECURSION", "GRAY_BOUNDARY")))
+        assert ctx.status == "fail"
+        assert [(f["inputs"], f["expected"], f["got"]) for f in ctx.failures] == [
+            ({"stage": "setup"}, "derivation", "planted in setup")]
+        assert gray_boundary.status == "pass" and gray_boundary.instances > 0
 
     def test_report_json_deterministic(self):
         cfg = small_config(lemmas=("ISO_UNIQUE", "OP_SWAP"))
