@@ -1,29 +1,27 @@
 """Partial Gray cylinders, their one-sided inverted variants, higher
-invertor shapes, collapse projections, and unit/unitor shapes.
+invertor shapes, and unit/unitor shapes.
 
 The partial cylinder I (x)_K U on U, for a closed K, is the Gray product
 of the arrow I with U, with both end copies of K glued onto K and its
 middle copy dropped.  The inverted variants reverse one end copy of each
 top cell, so that the top cells witness one-sided invertibility.  K is a
-mask of U's ids, decoded to labels only for certificates.
+mask of U's ids, decoded to labels only for certificates.  Each cylinder
+records its collapse onto U, the projection tau, as an id image in
+provenance["collapse"]; collapse_defect checks those images on masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadCollapseSet,
-    BadProjection,
     KNotClosed,
-    NotComposable,
     NotRewritable,
     NotRound,
     ZeroDimensional,
 )
 from .gray import gray_poset
 from .molecule import Molecule, arrow, is_round
-from .poset import MINUS, PLUS, OgPoset, bits, map_mask, same_ids
+from .poset import MINUS, PLUS, OgPoset, bits, map_mask
 
 _ARROW = arrow().poset  # ids 0-, 0+, 1 = 0, 1, 2
 
@@ -68,6 +66,15 @@ def _cylinder_poset(p: OgPoset, K: int, variant: str) -> tuple:
     return poset, [e % np_ for e in order]
 
 
+def _cylinder(u: Molecule, K: int, variant: str, cert: dict) -> Molecule:
+    """The cylinder on u collapsing K, recording its collapse onto u as
+    provenance["collapse"] = (u, id image)."""
+    poset, collapse = _cylinder_poset(u.poset, K, variant)
+    result = Molecule(poset, cert)
+    result.provenance["collapse"] = (u, collapse)
+    return result
+
+
 def gray_cylinder(u: Molecule, K: int) -> Molecule:
     """The partial Gray cylinder I (x)_K U for a closed mask K of U's ids;
     K = U collapses to U itself."""
@@ -78,11 +85,7 @@ def gray_cylinder(u: Molecule, K: int) -> Molecule:
         raise KNotClosed("collapse set must be closed")
     if K == p.full:
         return u
-    poset, collapse = _cylinder_poset(p, K, "plain")
-    cert = {"kind": "cylinder", "K": p.sids(K), "of": u.certificate}
-    result = Molecule(poset, cert)
-    result.provenance["cylinder"] = {"base": u, "collapse": collapse}
-    return result
+    return _cylinder(u, K, "plain", {"kind": "cylinder", "K": p.sids(K), "of": u.certificate})
 
 
 def inverted_cylinder(u: Molecule, K: int, side: str) -> Molecule:
@@ -99,11 +102,16 @@ def inverted_cylinder(u: Molecule, K: int, side: str) -> Molecule:
         raise BadCollapseSet(
             f"collapse set must be a closed subset of the {'output' if side == 'L' else 'input'} boundary"
         )
-    poset, collapse = _cylinder_poset(p, K, side)
-    cert = {"kind": "inverted-cylinder", "side": side, "K": p.sids(K), "of": u.certificate}
-    result = Molecule(poset, cert)
-    result.provenance["cylinder"] = {"base": u, "collapse": collapse}
-    return result
+    return _cylinder(u, K, side, {"kind": "inverted-cylinder", "side": side, "K": p.sids(K),
+                                  "of": u.certificate})
+
+
+def whole_inverted_cylinder(u: Molecule, side: str) -> Molecule:
+    """The inverted cylinder on the whole (n-1)-boundary of u: the output
+    for side "L", the input for "R"."""
+    p = u.poset
+    K = p.boundary_mask(p.full, u.dim - 1, PLUS if side == "L" else MINUS)
+    return inverted_cylinder(u, K, side)
 
 
 def invertor_shape(s: str, u: Molecule) -> Molecule:
@@ -111,7 +119,9 @@ def invertor_shape(s: str, u: Molecule) -> Molecule:
 
     The empty string gives U back; "Ls" is the left-inverted cylinder on
     the "s" shape relative to its full output boundary, "Rs" the
-    right-inverted one relative to the input boundary.
+    right-inverted one relative to the input boundary.  Each of the len(s)
+    steps records its collapse, so collapse_defect(q, len(s)) checks the
+    projection tau_s onto U.
     """
     if any(ch not in "LR" for ch in s):
         raise BadCollapseSet(f"invertor string must be over L/R, got {s!r}")
@@ -119,67 +129,40 @@ def invertor_shape(s: str, u: Molecule) -> Molecule:
         raise NotRound("invertor shapes are defined on round molecules")
     if s == "":
         return u
-    inner = invertor_shape(s[1:], u)
-    sign = PLUS if s[0] == "L" else MINUS
-    K = inner.poset.boundary_mask(inner.poset.full, inner.dim - 1, sign)
-    result = inverted_cylinder(inner, K, s[0])
-    result.provenance["invertor"] = {"base": u, "s": s, "inner": inner}
-    return result
+    return whole_inverted_cylinder(invertor_shape(s[1:], u), s[0])
 
 
-@dataclass
-class Projection:
-    """Surjective collapse map of a cylinder or invertor shape onto its
-    base: ids is the id image, the target id of each source id."""
-
-    source: Molecule
-    target: Molecule
-    ids: list
-
-    def __post_init__(self):
-        src, tgt = self.source.poset, self.target.poset
-        ids = self.ids
-        if len(ids) != len(src) or min(ids, default=0) < 0 or max(ids, default=-1) >= len(tgt):
-            raise BadProjection("projection must be total")
-        if len(set(ids)) != len(tgt):
-            raise BadProjection("projection must be surjective")
-        for i, (d, j) in enumerate(zip(src.dims, ids)):
-            if d < tgt.dims[j]:
-                raise BadProjection(
-                    f"projection must not raise the dimension of {src.labels[i]}")
-
-    def preserves_closures(self) -> bool:
-        """Image of a closure is the closure of the image, elementwise."""
-        ids = self.ids
-        src_cl = self.source.poset.closure_masks()
-        tgt_cl = self.target.poset.closure_masks()
-        return all(map_mask(c, ids) == tgt_cl[j] for c, j in zip(src_cl, ids))
-
-    def compose(self, other: "Projection") -> "Projection":
-        if not same_ids(other.source.poset, self.target.poset):
-            raise NotComposable("projection: the second source is not the first target")
-        return Projection(self.source, other.target, [other.ids[j] for j in self.ids])
+def _image_defect(src: OgPoset, tgt: OgPoset, ids: list):
+    """None when the id image ids from src onto tgt is total, surjective,
+    raises no dimension and carries closures onto closures; else the
+    first defect."""
+    if len(ids) != len(src) or min(ids, default=0) < 0 or max(ids, default=-1) >= len(tgt):
+        return "projection must be total"
+    if len(set(ids)) != len(tgt):
+        return "projection must be surjective"
+    for i, (d, j) in enumerate(zip(src.dims, ids)):
+        if d < tgt.dims[j]:
+            return f"projection must not raise the dimension of {src.labels[i]}"
+    tgt_cl = tgt.closure_masks()
+    if any(map_mask(c, ids) != tgt_cl[j] for c, j in zip(src.closure_masks(), ids)):
+        return "projection must respect closures"
+    return None
 
 
-def projection(c: Molecule) -> Projection:
-    """Collapse map tau of a cylinder, or tau_s of an invertor shape."""
-    if "invertor" in c.provenance:
-        info = c.provenance["invertor"]
-        if info["s"] == "":
-            return Projection(c, info["base"], list(range(len(c))))
-        return _one_step_projection(c).compose(projection(info["inner"]))
-    if "cylinder" in c.provenance:
-        return _one_step_projection(c)
-    # a shape that is its own trivial cylinder (s = "", or K = U collapse)
-    return Projection(c, c, list(range(len(c))))
-
-
-def _one_step_projection(c: Molecule) -> Projection:
-    info = c.provenance["cylinder"]
-    proj = Projection(c, info["base"], info["collapse"])
-    if not proj.preserves_closures():
-        raise BadProjection("cylinder projection must respect closures")
-    return proj
+def collapse_defect(c: Molecule, steps: int):
+    """None when the collapses recorded on c and on the bases below it,
+    steps of them, and then their composite onto the last base, are each
+    a projection (see _image_defect); else the first defect."""
+    composite = list(range(len(c)))
+    top = c
+    for _ in range(steps):
+        base, ids = c.provenance["collapse"]
+        defect = _image_defect(c.poset, base.poset, ids)
+        if defect:
+            return defect
+        composite = [ids[j] for j in composite]
+        c = base
+    return _image_defect(top.poset, c.poset, composite)
 
 
 # -- units and unitors ---------------------------------------------------
@@ -197,7 +180,8 @@ def unitor_shape(u: Molecule, side: str) -> Molecule:
     u must be round, as for invertor_shape.  With n = dim u, the hole is
     bd_(n-1)^sign u, round because u is (its lower boundaries are u's, by
     globularity), and its rim bd_(n-2)^- hole u bd_(n-2)^+ hole; K is the
-    full boundary of u less the hole's elements outside its rim.
+    full boundary of u less the hole's elements outside its rim, a closed
+    set for round u (gray_cylinder raises KNotClosed otherwise).
     """
     if side not in ("left", "right"):
         raise NotRewritable(f"side must be left or right, got {side!r}")
@@ -208,7 +192,4 @@ def unitor_shape(u: Molecule, side: str) -> Molecule:
     bd = p.boundary_mask
     hole = bd(p.full, n - 1, MINUS if side == "left" else PLUS)
     rim = bd(hole, n - 2, MINUS) | bd(hole, n - 2, PLUS)
-    K = p.full_boundary_mask() & ~(hole & ~rim)
-    if not p.is_closed_mask(K):
-        raise KNotClosed("unitor collapse set is not closed")
-    return gray_cylinder(u, K)
+    return gray_cylinder(u, p.full_boundary_mask() & ~(hole & ~rim))

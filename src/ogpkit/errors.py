@@ -76,16 +76,6 @@ class BadCollapseSet(ShapeError):
     pass
 
 
-class BadProjection(ShapeError):
-    """A collapse map is not total, surjective and dimension-lowering, or
-    a cylinder's projection does not carry closures to closures."""
-
-
-class NotComposable(ShapeError):
-    """Two maps do not meet: the first one's target is not the second
-    one's source."""
-
-
 # marked structures
 
 class NotEntire(ShapeError):

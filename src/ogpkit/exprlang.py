@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .contexts import atomic_horn
 from .cylinder import (
     gray_cylinder,
-    inverted_cylinder,
     invertor_shape,
     unit_shape,
     unitor_shape,
+    whole_inverted_cylinder,
 )
 from .errors import EvalError, ExprSyntaxError, ShapeError
 from .gray import gray as gray_product
@@ -44,12 +44,6 @@ class Expr:
     args: tuple = ()
 
 
-def _inverted_cylinder(m, side):
-    """Inverted on the whole (n-1)-boundary: the output for L, input for R."""
-    sign = PLUS if side == "L" else MINUS
-    return inverted_cylinder(m, m.poset.boundary_mask(m.poset.full, m.dim - 1, sign), side)
-
-
 # head -> (argument kinds, constructor).  Argument kinds: e = expression,
 # n = integer, J = int set, K = id set, s = string (an id, matched as
 # written, is one), ! = sign (+ or -).  The constructor takes the evaluated
@@ -66,8 +60,8 @@ CONSTRUCTORS = {
     "dual": ("Je", lambda dims, m: dual(m, dims)),
     "op": ("e", lambda m: op(m)),
     "cyl": ("eK", lambda m, ids: gray_cylinder(m, m.poset.encode(ids))),
-    "lcyl": ("e", lambda m: _inverted_cylinder(m, "L")),
-    "rcyl": ("e", lambda m: _inverted_cylinder(m, "R")),
+    "lcyl": ("e", lambda m: whole_inverted_cylinder(m, "L")),
+    "rcyl": ("e", lambda m: whole_inverted_cylinder(m, "R")),
     "inv": ("se", lambda s, m: invertor_shape(s, m)),
     "unit": ("e", lambda m: unit_shape(m)),
     "lunitor": ("e", lambda m: unitor_shape(m, "left")),

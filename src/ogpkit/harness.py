@@ -42,9 +42,9 @@ from .contexts import (
     pp_marked_horn,
 )
 from .cylinder import (
+    collapse_defect,
     gray_cylinder,
     invertor_shape,
-    projection,
     unit_shape,
 )
 from .errors import BoundExceeded, NotAContext, ShapeError, UnknownLemma
@@ -605,44 +605,54 @@ def _paste_at_instances(catalog: Catalog) -> list:
     return instances
 
 
-def dist_lower_instances(catalog: Catalog):
-    """Distributivity of pastings at a submolecule over Gray products at
-    boundaries above the pasting level."""
-    small = [m for m in catalog.molecules() if len(m) <= 9][:DIST_FACTOR_COUNT]
-    verdicts = {}
+def _pasted_products(catalog: Catalog, count: int):
+    """Each paste-at instance times each of the first count factors v of at
+    most 9 elements, as (kind, n, prod, hole, pieces, sign, names): prod is
+    whole (x) v, n = dim w, hole the grid of u's image, spread(u_img) . v,
+    and pieces[j] the w-piece spread(w_img) . bd_j^vsign v for j up to
+    dim u + dim v - n; names holds the factors' expressions."""
+    small = [m for m in catalog.molecules() if len(m) <= 9][:count]
     for kind, w, u, whole, w_img, u_img, sign, vsign in _paste_at_instances(catalog):
         n = w.dim
-        pw = whole.poset
         for v in small:
             if len(whole) * len(v) > PRODUCT_CAP:
                 continue
             pv = v.poset
-            prod = gray_poset(pw, pv)
             stride = len(pv)
-            u_grid = spread(u_img, stride) * pv.full
-            names = {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                     "v": catalog.expr_of(v)}
-            for ell in range(u.dim + v.dim - n + 1):
-                def distributes():
-                    direct = prod.boundary_mask(prod.full, n + ell, sign)
-                    w_piece = spread(w_img, stride) * pv.boundary_mask(pv.full, ell, vsign)
-                    u_side = prod.boundary_mask(u_grid, n + ell, sign)
-                    formula = w_piece | u_side
-                    if direct != formula:
-                        return prod.sids(direct), prod.sids(formula)
-                    if direct.bit_count() > RECOGNISE_CAP:
-                        return None
-                    bd_mol = Molecule(prod.restrict_mask(direct),
-                                      {"kind": "boundary", "of": "product"})
-                    # generalised pasting at n + ell - 1 with the w-piece
-                    # first for cpsub (it provides the input boundary),
-                    # second for subcp; bd_mol's ids are the bits of direct
-                    left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
-                    ids = bits(direct)
-                    return _recognised(bd_mol, preimage(left, ids), preimage(right, ids),
-                                       n + ell - 1, verdicts)
+            w_grid = spread(w_img, stride)
+            pieces = [w_grid * pv.boundary_mask(pv.full, j, vsign)
+                      for j in range(u.dim + v.dim - n + 1)]
+            yield (kind, n, gray_poset(whole.poset, pv), spread(u_img, stride) * pv.full,
+                   pieces, sign, {"w": catalog.expr_of(w), "u": catalog.expr_of(u),
+                                  "v": catalog.expr_of(v)})
 
-                yield {**names, "ell": ell, "kind": kind}, distributes
+
+def dist_lower_instances(catalog: Catalog):
+    """Distributivity of pastings at a submolecule over Gray products at
+    boundaries above the pasting level."""
+    verdicts = {}
+    for kind, n, prod, u_grid, pieces, sign, names in _pasted_products(catalog,
+                                                                        DIST_FACTOR_COUNT):
+        for ell, w_piece in enumerate(pieces):
+            def distributes():
+                direct = prod.boundary_mask(prod.full, n + ell, sign)
+                u_side = prod.boundary_mask(u_grid, n + ell, sign)
+                formula = w_piece | u_side
+                if direct != formula:
+                    return prod.sids(direct), prod.sids(formula)
+                if direct.bit_count() > RECOGNISE_CAP:
+                    return None
+                bd_mol = Molecule(prod.restrict_mask(direct),
+                                  {"kind": "boundary", "of": "product"})
+                # generalised pasting at n + ell - 1 with the w-piece
+                # first for cpsub (it provides the input boundary),
+                # second for subcp; bd_mol's ids are the bits of direct
+                left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
+                ids = bits(direct)
+                return _recognised(bd_mol, preimage(left, ids), preimage(right, ids),
+                                   n + ell - 1, verdicts)
+
+            yield {**names, "ell": ell, "kind": kind}, distributes
 
 
 def _telescope(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
@@ -715,21 +725,8 @@ def ctx_recursion_instances(catalog: Catalog):
                     "u": catalog.expr_of(u), "v": catalog.expr_of(v), "side": side})
 
     # pasted-subdiagram contexts, reusing the paste-at instances
-    for kind, w, u, whole, w_img, u_img, sign, vsign in _paste_at_instances(catalog):
-        n = w.dim
-        pw = whole.poset
-        for v in small[:CTX_FACTOR_COUNT]:
-            if len(whole) * len(v) > PRODUCT_CAP:
-                continue
-            pv = v.poset
-            prod = gray_poset(pw, pv)
-            stride = len(pv)
-            hole = spread(u_img, stride) * pv.full
-            pieces = [spread(w_img, stride) * pv.boundary_mask(pv.full, j, vsign)
-                      for j in range(u.dim + v.dim - n + 1)]
-            yield from _telescoping(prod, hole, pieces, sign, n, {
-                "w": catalog.expr_of(w), "u": catalog.expr_of(u),
-                "v": catalog.expr_of(v), "kind": kind})
+    for kind, n, prod, hole, pieces, sign, names in _pasted_products(catalog, CTX_FACTOR_COUNT):
+        yield from _telescoping(prod, hole, pieces, sign, n, {**names, "kind": kind})
 
     # transport of marking-restricted contexts through the product
     horn_contexts = []
@@ -978,8 +975,9 @@ def cylinders_instances(catalog: Catalog):
                         and (not m.is_atom() or q.is_atom())
                         and globularity_holds(q.poset)):
                     failures.append(("molecule of the right shape", "structure check failed"))
-                if s and not projection(q).preserves_closures():
-                    failures.append(("closure-preserving projection", "failed"))
+                defect = s and collapse_defect(q, len(s))
+                if defect:
+                    failures.append(("closure-preserving projection", defect))
                 return failures
 
             yield {"base": base, "s": s}, invertor

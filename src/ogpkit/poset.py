@@ -78,12 +78,6 @@ def preimage(m: int, image: list) -> int:
     return out
 
 
-def same_ids(p: "OgPoset", q: "OgPoset") -> bool:
-    """Whether p and q are one poset on ids: the same dimension and face
-    masks for every id, whatever their labels."""
-    return p is q or (p.dims == q.dims and p.fin == q.fin and p.fout == q.fout)
-
-
 @dataclass(eq=False)
 class OgPoset:
     """Validated oriented graded poset.  Treat as immutable after build.
@@ -108,7 +102,8 @@ class OgPoset:
     Maps.  A map from p to q is an id image: a list holding, for each id
     i of p, the id in q of its image (-1 where a partial map, such as a
     pushout's glue, has none).  find_iso and all_isos return isomorphisms
-    in this form, and cylinder.Projection carries one.  Boundaries and
+    in this form, and each cylinder records its collapse onto its base as
+    one (cylinder.collapse_defect checks them).  Boundaries and
     pushouts record masks instead: a boundary sub-poset's ids are the bits
     of its mask in order, and molecule.paste_at takes its hole as a mask.
     map_mask carries a mask forward along an image, and preimage carries
@@ -188,13 +183,9 @@ class OgPoset:
 
     def encode(self, subset) -> int:
         """The mask of a set of labels."""
-        index = self.index
         m = 0
         for x in subset:
-            i = index.get(x)
-            if i is None:
-                raise _unknown(x)
-            m |= 1 << i
+            m |= 1 << self.id_of(x)
         return m
 
     def decode(self, m: int) -> frozenset:
@@ -418,9 +409,6 @@ class OgPoset:
 
     def __len__(self):
         return len(self.dims)
-
-    def __contains__(self, x):
-        return x in self.index
 
     def __eq__(self, other):
         if not isinstance(other, OgPoset):

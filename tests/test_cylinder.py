@@ -1,14 +1,15 @@
-"""Cylinders, inverted cylinders, invertor shapes, projections, units."""
+"""Cylinders, inverted cylinders, invertor shapes, their recorded collapses
+(the projections tau), units."""
 
 import pytest
 
 from ogpkit.cli import main
 from ogpkit.cylinder import (
     _cylinder_poset,
+    collapse_defect,
     gray_cylinder,
     inverted_cylinder,
     invertor_shape,
-    projection,
     unit_shape,
     unitor_shape,
 )
@@ -23,8 +24,8 @@ from ogpkit.errors import (
 from ogpkit.gray import gray
 from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.ids import pair
-from ogpkit.molecule import arrow, globe, is_round, paste, point
-from ogpkit.poset import MINUS, PLUS, bits, build, find_iso, map_mask, same_ids
+from ogpkit.molecule import Molecule, arrow, globe, is_round, paste, point
+from ogpkit.poset import MINUS, PLUS, bits, build, find_iso, map_mask
 
 
 class TestGrayCylinder:
@@ -253,40 +254,51 @@ class TestOracle:
                 assert got.labels == want.labels, where
                 assert got.faces_in == want.faces_in, where
                 assert got.faces_out == want.faces_out, where
-                assert same_ids(got, want), where
+                assert (got.dims, got.fin, got.fout) == (want.dims, want.fin, want.fout), where
                 assert got_collapse == want_collapse, where
                 cases += 1
         assert cases == 1551
 
 
-def image_of(tau, x):
-    """The label that the projection tau sends the label x to."""
-    return tau.target.poset.labels[tau.ids[tau.source.poset.id_of(x)]]
+def collapse_of(c, steps):
+    """The base steps cylinders below c and the composite of the recorded
+    collapses onto it, as an id image."""
+    base, image = c, list(range(len(c)))
+    for _ in range(steps):
+        base, ids = base.provenance["collapse"]
+        image = [ids[j] for j in image]
+    return base, image
+
+
+def image_of(c, steps, x):
+    """The label that the composite collapse sends the label x of c to."""
+    base, image = collapse_of(c, steps)
+    return base.poset.labels[image[c.poset.id_of(x)]]
 
 
 class TestProjection:
     def test_unit_shape_projection(self):
         u = unit_shape(arrow())
-        tau = projection(u)
-        assert image_of(tau, "(1,1)") == "1"
-        assert image_of(tau, "0-") == "0-"
-        assert tau.preserves_closures()
+        assert image_of(u, 1, "(1,1)") == "1"
+        assert image_of(u, 1, "0-") == "0-"
+        assert collapse_defect(u, 1) is None
 
     def test_invertor_projection_composite(self):
         a = arrow()
         q = invertor_shape("L", a)
-        tau = projection(q)
-        assert tau.target is a
+        assert collapse_of(q, 1)[0] is a
         # both input edges collapse onto the base edge
-        assert image_of(tau, "(0-,1)") == "1"
-        assert image_of(tau, "(0+,1)") == "1"
+        assert image_of(q, 1, "(0-,1)") == "1"
+        assert image_of(q, 1, "(0+,1)") == "1"
+        assert collapse_defect(q, 1) is None
 
     def test_projection_drops_dim_by_string_length(self):
         a = arrow()
         for s in ("L", "LR", "RL"):
             q = invertor_shape(s, a)
-            tau = projection(q)
-            assert q.dim - tau.target.dim == len(s)
+            assert collapse_of(q, len(s))[0] is a
+            assert q.dim - a.dim == len(s)
+            assert collapse_defect(q, len(s)) is None
 
 
 class TestUnitor:
@@ -342,34 +354,27 @@ def identity_inclusion_collapse_set(u, side):
     return K
 
 
-PROJECTION_FAULTS = """
+COLLAPSE_FAULT = """
 import sys
-from ogpkit.cylinder import Projection, _one_step_projection
-from ogpkit.errors import BadProjection, NotComposable
-from ogpkit.molecule import Molecule, arrow, point
-from ogpkit.poset import build
+from ogpkit import cylinder
+from ogpkit.harness import Bounds, SuiteConfig, check, enumerate_catalog
 
-# id images: the arrow has ids 0-, 0+, 1 = 0, 1, 2
-a, pt = arrow(), point()
-# a pinched copy of the arrow: its edge's faces land on one end point
-pinched = Molecule(build(
-    {"(0-,0-)": 0, "(0+,0-)": 0, "(0+,0+)": 0, "(0-,1)": 1},
-    {"(0-,1)": ({"(0-,0-)"}, {"(0+,0-)"})}), {})
-pinched.provenance["cylinder"] = {"base": a, "collapse": [0, 0, 1, 2]}
-tries = [
-    lambda: Projection(a, a, [0, 2]),
-    lambda: Projection(a, a, [0, 0, 2]),
-    lambda: Projection(a, a, [2, 1, 0]),
-    lambda: Projection(a, pt, [0, 0, 0]).compose(Projection(a, a, [0, 1, 2])),
-    lambda: _one_step_projection(pinched),
-]
-raised = []
-for attempt in tries:
-    try:
-        attempt()
-    except (BadProjection, NotComposable) as exc:
-        raised.append(type(exc).__name__)
-print(sys.flags.optimize, *raised)
+quotient = cylinder._cylinder_poset
+
+
+def planted(p, K, variant):
+    # the last element's collapse image moved onto the first element's
+    poset, image = quotient(p, K, variant)
+    return poset, image[:-1] + image[:1]
+
+
+cylinder._cylinder_poset = planted
+bounds = Bounds(1, 2, 9)
+rep = check("CYLINDERS", enumerate_catalog(bounds), SuiteConfig(bounds))
+failing = {(f["inputs"]["base"], f["inputs"].get("s")) for f in rep.failures}
+named = {(f["inputs"]["base"], f["inputs"].get("s")) for f in rep.failures
+         if "projection must respect closures" in str(f["got"])}
+print(sys.flags.optimize, rep.instances, len(failing), len(named))
 """
 
 
@@ -419,27 +424,31 @@ class TestCollapseSetValidation:
 
 
 class TestProjectionValidation:
-    """Projections raise ShapeError subclasses, which survive python -O."""
+    """Recorded collapses are checked on masks by collapse_defect, which
+    returns its defect as a string, also under python -O."""
 
-    def test_bad_projections_raise_under_optimize(self, src_env):
+    def test_planted_collapse_fault_fails_cylinders(self, src_env):
         import subprocess
         import sys
 
         for flags in ((), ("-O",)):
-            out = subprocess.run([sys.executable, *flags, "-c", PROJECTION_FAULTS],
+            out = subprocess.run([sys.executable, *flags, "-c", COLLAPSE_FAULT],
                                  env=src_env, capture_output=True, text=True, timeout=120)
             assert out.returncode == 0, out.stderr
-            assert out.stdout.split() == [str(len(flags)), "BadProjection", "BadProjection",
-                                          "BadProjection", "NotComposable", "BadProjection"]
+            assert out.stdout.split() == [str(len(flags)), "48", "36", "36"]
 
     def test_messages_name_the_defect(self):
-        from ogpkit.cylinder import Projection
-        from ogpkit.errors import BadProjection
-
         a = arrow()  # ids 0-, 0+, 1 = 0, 1, 2
-        with pytest.raises(BadProjection, match="total"):
-            Projection(a, a, [0, 2])
-        with pytest.raises(BadProjection, match="surjective"):
-            Projection(a, a, [0, 0, 2])
-        with pytest.raises(BadProjection, match="dimension of 0-"):
-            Projection(a, a, [2, 1, 0])
+        for ids, defect in (([0, 2], "projection must be total"),
+                            ([0, 0, 2], "projection must be surjective"),
+                            ([2, 1, 0], "projection must not raise the dimension of 0-")):
+            c = Molecule(a.poset, {})
+            c.provenance["collapse"] = (a, ids)
+            assert collapse_defect(c, 1) == defect
+            assert collapse_defect(c, 0) is None
+        # a pinched copy of the arrow: its edge's faces land on one end point
+        pinched = Molecule(build(
+            {"(0-,0-)": 0, "(0+,0-)": 0, "(0+,0+)": 0, "(0-,1)": 1},
+            {"(0-,1)": ({"(0-,0-)"}, {"(0+,0-)"})}), {})
+        pinched.provenance["collapse"] = (a, [0, 0, 1, 2])
+        assert collapse_defect(pinched, 1) == "projection must respect closures"
