@@ -88,7 +88,7 @@ def cmd_iso(args) -> int:
     else:
         pa_labels, pb_labels = pa.labels, pb.labels
         sys.stdout.buffer.write(to_json_bytes(
-            dict(sorted((pa_labels[i], pb_labels[j]) for i, j in enumerate(iso)))
+            {pa_labels[i]: pb_labels[j] for i, j in enumerate(iso)}
         ))
     return EXIT_OK
 

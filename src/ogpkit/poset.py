@@ -120,8 +120,9 @@ class OgPoset:
     masks at the edges, where reports, certificates, render and the CLI
     print labels.  Every query is a mask query.  dim_of, faces_in and
     faces_out are read-only label views, decoded once per poset and
-    iterating in id order; render and __eq__ across label orders read
-    them.  The label wrappers faces, closure,
+    iterating in id order; __eq__ across label orders, the faces wrapper,
+    the tests and the benchmark's tracer read them (render reads the ids
+    and prints their labels).  The label wrappers faces, closure,
     boundary_set and restrict remain only because the benchmark reads
     them: its tracer wraps the last three by name and its golden recorder
     calls faces.  They go when the benchmark moves onto the mask layer.
@@ -206,7 +207,7 @@ class OgPoset:
                            {x: decode(m) for x, m in zip(labels, self.fout)})
         return self._views
 
-    # the label views, read by render, __eq__ and perfbench/tracer.py
+    # the label views, read by __eq__, faces, the tests and perfbench/tracer.py
     @property
     def dim_of(self) -> dict:
         return self._label_views()[0]

@@ -1,17 +1,21 @@
 """Expression language and CLI behaviour."""
 
 import json
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogpkit.cli import EXIT_DOMAIN, main
+from ogpkit.contexts import atomic_horn
 from ogpkit.errors import EvalError, ExprSyntaxError
 from ogpkit.exprlang import Expr, eval_text, parse, print_expr
-from ogpkit.molecule import Molecule, globe
-from ogpkit.poset import MINUS, PLUS, build, find_iso
-from ogpkit.render import poset_to_dict, render, to_json_bytes
+from ogpkit.harness import Bounds, enumerate_catalog
+from ogpkit.marked import MarkedShape
+from ogpkit.molecule import Molecule, globe, poset_of
+from ogpkit.poset import MINUS, PLUS, SIGNS, build, find_iso
+from ogpkit.render import poset_to_dict, render, to_dot_bytes, to_json_bytes
 
 
 class TestParse:
@@ -156,6 +160,144 @@ class TestRender:
         out = render(eval_text("point"), "dot").decode()
         assert out.count("label=") == 1
         assert "->" not in out
+
+
+def dumps_bytes(doc) -> bytes:
+    """to_json_bytes as json.dumps writes it, the oracle for the writer."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+ODD_STRINGS = ["", '"', "\\", "\x00\x1f\n\t\x7f", "é☃ 𝄞", "\ud800", 'a"b\\c']
+ODD_SCALARS = [None, True, False, 0, 1, -1, 10**30, -(2**70), 1.5, -0.0,
+               float("nan"), float("inf"), float("-inf"), *ODD_STRINGS]
+
+
+def json_values():
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63),
+        st.floats(), st.text(), st.sampled_from(ODD_STRINGS),
+    )
+    return st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=4),
+        st.dictionaries(st.sampled_from(ODD_STRINGS), kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=4),
+        st.dictionaries(st.text(), kids, max_size=4).map(
+            lambda d: OrderedDict(reversed(d.items()))),
+    ), max_leaves=24)
+
+
+class TestJsonWriter:
+    """to_json_bytes lays out what json.dumps(indent=2, sort_keys=True)
+    would, byte for byte, and hands everything it does not lay out itself
+    to json.dumps."""
+
+    @pytest.mark.parametrize("doc", [
+        *ODD_SCALARS,
+        [], {}, (), [[]], [{}], {"a": [], "b": {}, "c": [[], {}]},
+        ODD_SCALARS, tuple(ODD_STRINGS), {s: s for s in ODD_STRINGS},
+        {"b": [1, True, None], "a": {"y": (2, ("t",)), "x": [-0.0, float("nan")]}},
+        {2: "two", 10: "ten", -1: [{}]},
+        {"outer": {1: "int key", 2: [None]}, "list": [{"k": OrderedDict(z=1, a=2)}]},
+        OrderedDict([("b", 1), ("a", [OrderedDict([("d", "x"), ("c", "y")])])]),
+        [["a", "b"], ["c"], "d", ["é", "\\"]],
+    ])
+    def test_fixed_cases(self, doc):
+        assert to_json_bytes(doc) == dumps_bytes(doc)
+
+    @given(json_values())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert to_json_bytes(doc) == dumps_bytes(doc)
+
+
+def label_view_dict(shape) -> dict:
+    """poset_to_dict as written on the label views, the oracle for the id
+    path."""
+    p = poset_of(shape)
+    dim_of, faces_in, faces_out = p.dim_of, p.faces_in, p.faces_out
+    order = sorted(dim_of, key=lambda x: (dim_of[x], x))
+    doc = {
+        "elements": [{"id": x, "dim": dim_of[x]} for x in order],
+        "faces": {
+            x: {MINUS: sorted(faces_in[x]), PLUS: sorted(faces_out[x])}
+            for x in order
+            if dim_of[x] > 0
+        },
+    }
+    if isinstance(shape, Molecule):
+        doc["certificate"] = shape.certificate
+    if isinstance(shape, MarkedShape):
+        doc["marked"] = p.sids(shape.marking)
+    return doc
+
+
+def label_view_dot(shape) -> bytes:
+    """to_dot_bytes as written on the label views."""
+    p = poset_of(shape)
+    dim_of = p.dim_of
+    order = sorted(dim_of, key=lambda x: (dim_of[x], x))
+    lines = ["digraph shape {"]
+    for x in order:
+        lines.append(f'  "{x}" [label="{x}:{dim_of[x]}"];')
+    edges = []
+    for x in order:
+        if dim_of[x] == 0:
+            continue
+        for faces, color in ((p.faces_in, "crimson"), (p.faces_out, "navy")):
+            for f in sorted(faces[x]):
+                edges.append(f'  "{f}" -> "{x}" [color={color}];')
+    lines.extend(sorted(edges))
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_renders_as_label_views(shape):
+    doc = poset_to_dict(shape)
+    assert doc == label_view_dict(shape)
+    assert to_json_bytes(doc) == dumps_bytes(label_view_dict(shape))
+    assert to_dot_bytes(shape) == label_view_dot(shape)
+
+
+def label_order_breaks_id_order(shape) -> bool:
+    """Whether some dimension's ids are not in label order, so rendering
+    in id order would differ."""
+    p = poset_of(shape)
+    by_id = sorted(range(len(p)), key=lambda i: p.dims[i])
+    return by_id != sorted(by_id, key=lambda i: (p.dims[i], p.labels[i]))
+
+
+class TestRenderOnIds:
+    """The id path renders what the label views rendered."""
+
+    def test_catalog_entries_and_their_boundaries(self):
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=4, max_elements=16))
+        assert len(cat.entries) == 86
+        for entry in cat.entries:
+            m = entry.molecule
+            assert_renders_as_label_views(m)
+            for n in range(m.dim):
+                for sign in SIGNS:
+                    assert_renders_as_label_views(m.boundary_molecule(n, sign))
+
+    def test_horn_restriction(self):
+        u = eval_text("gray(arrow,globe(2))")
+        p = u.poset
+        h = atomic_horn(u, p.id_of("(0-,2)"))
+        sub = p.restrict_mask(h.horn)
+        assert len(sub) == len(p) - 2
+        assert_renders_as_label_views(sub)
+
+    @pytest.mark.parametrize("expr", [
+        "gray(arrow,globe(2))",
+        "paste(globe(2),gray(arrow,arrow),0)",
+        "dual({1},gray(arrow,arrow))",
+    ])
+    def test_product_paste_dual(self, expr):
+        m = eval_text(expr)
+        assert label_order_breaks_id_order(m)
+        assert_renders_as_label_views(m)
 
 
 class TestCli:

@@ -657,6 +657,32 @@ def test_shape_commands_match_shapes_goldens():
             entry["argv"]
 
 
+SHAPES_REPLAY = """
+import hashlib, importlib.util, json, sys
+from ogpkit import cli
+loader = importlib.util.spec_from_file_location("perfbench_child", sys.argv[1])
+child = importlib.util.module_from_spec(loader)
+loader.loader.exec_module(child)
+pool = json.loads(open(sys.argv[2]).read())["pool"]
+for entry in pool:
+    code, data, _ = child.run_command(cli, entry["argv"])
+    if (code, hashlib.sha256(data).hexdigest()) != (entry["exit"], entry["sha256"]):
+        print("mismatch", json.dumps(entry["argv"]))
+print(sys.flags.optimize, len(pool))
+"""
+
+
+def test_shapes_goldens_under_optimize(src_env):
+    # all 384 commands of the shapes workload again under -O, where
+    # assert statements vanish
+    spec = load_bench_spec()
+    out = subprocess.run([sys.executable, "-O", "-c", SHAPES_REPLAY,
+                          str(ROOT / "perfbench" / "child.py"), str(spec.GOLDENS / "shapes.json")],
+                         env=src_env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["1 384"]
+
+
 def test_depth3_catalog_matches_catalog_golden(d3_catalog):
     spec = load_bench_spec()
     assert spec.CATALOG["catalog-d3"] == (3, 4, 12)
