@@ -14,11 +14,10 @@ import sys
 from .contexts import AtomicHorn, atomic_horn, marked_horn, pp_horn, pp_marked_horn
 from .errors import ExprSyntaxError, ShapeError
 from .exprlang import eval_text
-from .harness import LEMMAS, Bounds, SuiteConfig, run_suite
 from .marked import boundary_inclusion_marked, boundary_inclusion_min
 from .molecule import Molecule, is_round, poset_of
 from .poset import find_iso
-from .render import marked_map_to_dict, poset_to_dict, render, to_json_bytes
+from .render import marked_map_to_dict, render, shape_json_bytes, to_json_bytes
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -42,14 +41,14 @@ def _eval_molecule(text: str, command: str) -> Molecule:
 
 def cmd_build(args) -> int:
     shape = _eval_shape(args.expr)
-    sys.stdout.buffer.write(to_json_bytes(poset_to_dict(shape)))
+    sys.stdout.buffer.write(shape_json_bytes(shape))
     return EXIT_OK
 
 
 def cmd_boundary(args) -> int:
     shape = _eval_molecule(args.expr, "boundary")
     sub = shape.boundary_molecule(args.n, args.sign)
-    sys.stdout.buffer.write(to_json_bytes(poset_to_dict(sub)))
+    sys.stdout.buffer.write(shape_json_bytes(sub))
     return EXIT_OK
 
 
@@ -97,14 +96,12 @@ def cmd_horn(args) -> int:
     shape = _eval_molecule(args.expr, "horn")
     p = shape.poset
     h = atomic_horn(shape, p.id_of(args.facet))
-    doc = poset_to_dict(p.restrict_mask(h.horn))
-    doc["facet"] = p.labels[h.facet]
-    doc["sign"] = h.sign
+    extra = {"facet": p.labels[h.facet], "sign": h.sign}
     if args.marking is not None:
         mh = marked_horn(h, p.encode(args.marking))
-        doc["marking"] = p.sids(mh.marking)
-        doc["enlarged"] = p.sids(mh.enlarged)
-    sys.stdout.buffer.write(to_json_bytes(doc))
+        extra["marking"] = p.sids(mh.marking)
+        extra["enlarged"] = p.sids(mh.enlarged)
+    sys.stdout.buffer.write(shape_json_bytes(p.restrict_mask(h.horn), extra))
     return EXIT_OK
 
 
@@ -137,6 +134,9 @@ def cmd_pp(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that the other commands do not load the harness
+    from .harness import LEMMAS, Bounds, SuiteConfig, run_suite
+
     lemmas = tuple(args.lemma) if args.lemma else tuple(LEMMAS)
     for lid in lemmas:
         if lid not in LEMMAS:

@@ -10,7 +10,10 @@ Every identity follows one protocol.  `<lemma>_instances(catalog)`
 yields `(inputs, thunk)` pairs, and `run_instances`, the runner behind
 `check`, does the rest.  A thunk returns None when its instance passes,
 and otherwise the failure as `(expected, got)`, or a list of them where
-one instance can fail in more than one way.  The runner counts the
+one instance can fail in more than one way.  A failure of two element
+sets, from `_masks_differ`, is `(expected, got, diff)`: diff adds what got
+misses ("missing") and what it has besides ("extra") to the record, so a
+reader need not compare the two lists.  The runner counts the
 instances and calls each thunk before it advances the generator, so a
 thunk may close over loop variables.  It records every failure with the
 instance's inputs.  A `ShapeError` raised inside a thunk (`BoundExceeded`,
@@ -333,12 +336,14 @@ class LemmaReport:
             doc["warning"] = self.warning
         return doc
 
-    def record(self, inputs, expected, got):
+    def record(self, inputs, expected, got, diff=None):
+        """Append one failure; diff, when given, adds its keys to it."""
         self.failures.append({
             "lemma": self.lemma,
             "inputs": inputs,
             "expected": expected,
             "got": got,
+            **(diff or {}),
         })
 
 
@@ -366,8 +371,8 @@ def run_instances(lemma_id: str, instances, label: str, catalog: Catalog,
                 failed = label, _raised(exc)
             if failed is None:
                 continue
-            for expected, got in failed if isinstance(failed, list) else [failed]:
-                rep.record(inputs, expected, got)
+            for failure in failed if isinstance(failed, list) else [failed]:
+                rep.record(inputs, *failure)
     except ShapeError as exc:
         rep.record({"stage": "setup"}, label, _raised(exc))
     return rep
@@ -379,9 +384,11 @@ def _differ(expected, got):
 
 
 def _masks_differ(p: OgPoset, expected: int, got: int):
-    """None when two masks of p agree, else the failure as sorted ids."""
+    """None when two masks of p agree, else the failure as sorted labels,
+    with what got misses ("missing") and what it has besides ("extra")."""
     if expected != got:
-        return p.sids(expected), p.sids(got)
+        return p.sids(expected), p.sids(got), {"missing": p.sids(expected & ~got),
+                                               "extra": p.sids(got & ~expected)}
     return None
 
 
@@ -541,7 +548,7 @@ def gencp_boundary_instances(catalog: Catalog):
                     bd_right = amb.boundary_mask(g.right, n, sign)
                     direct = amb.boundary_mask(amb.full, n, sign)
                     if bd_left | bd_right != direct:
-                        return amb.sids(direct), amb.sids(bd_left | bd_right)
+                        return _masks_differ(amb, direct, bd_left | bd_right)
                     # the boundary molecule's ids are the bits of direct in order
                     ids = bits(direct)
                     return _recognised(g.ambient.boundary_molecule(n, sign),
@@ -639,7 +646,7 @@ def dist_lower_instances(catalog: Catalog):
                 u_side = prod.boundary_mask(u_grid, n + ell, sign)
                 formula = w_piece | u_side
                 if direct != formula:
-                    return prod.sids(direct), prod.sids(formula)
+                    return _masks_differ(prod, direct, formula)
                 if direct.bit_count() > RECOGNISE_CAP:
                     return None
                 bd_mol = Molecule(prod.restrict_mask(direct),
@@ -671,7 +678,7 @@ def _telescope(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
         assembled |= piece
     if assembled != direct:
         inputs["detail"] = str(("cover", ell))
-        return prod.sids(direct), prod.sids(assembled)
+        return _masks_differ(prod, direct, assembled)
     # a union of closed subsets is closed
     carrier = hole_bd
     for j, piece in enumerate(pieces):
@@ -680,7 +687,7 @@ def _telescope(prod: OgPoset, hole: int, pieces: list, sign: str, n: int,
         have = bd(carrier, level, flip(sign))
         if need & ~have:
             inputs["detail"] = str(("stage", (ell, j)))
-            return prod.sids(need), prod.sids(have)
+            return _masks_differ(prod, need, have)
         carrier |= piece
     return None
 
@@ -852,16 +859,14 @@ def entire_residual_instances(catalog: Catalog):
             def ij():
                 pp = pushout_product(i, j)
                 got, want = residual(pp), residual_formula(i, j)
-                if got != want or got & ~residual_upper_bound(i, j):
-                    return pp.target.poset.sids(want), pp.target.poset.sids(got)
-                return None
+                # past the upper bound, "extra" lists the elements beyond it
+                return (_masks_differ(pp.target.poset, want, got)
+                        or _masks_differ(pp.target.poset, got & residual_upper_bound(i, j), got))
 
             def ji():
                 pp = pushout_product(j, i)
                 got, want = residual(pp), residual_formula_swapped(j, i)
-                if got != want:
-                    return pp.target.poset.sids(want), pp.target.poset.sids(got)
-                return None
+                return _masks_differ(pp.target.poset, want, got)
 
             names = {"i": catalog.expr_of(i.meta["atom"]),
                      "j": catalog.expr_of(j.meta["atom"]), "family": j.meta["family"]}
@@ -922,9 +927,7 @@ def op_horn_instances(catalog: Catalog):
         for mh in horns:
             def opposite():
                 other = marked_horn(opposite_horns[mh.horn.facet], mh.marking)
-                if other.enlarged != mh.enlarged:
-                    return u.poset.sids(mh.enlarged), u.poset.sids(other.enlarged)
-                return None
+                return _masks_differ(u.poset, mh.enlarged, other.enlarged)
 
             yield _horn_inputs(catalog, u, mh.horn.facet, mh.marking), opposite
 

@@ -29,7 +29,8 @@ def bits(m: int) -> list:
     map_mask, spread, coface_masks, closure_masks and _boundary_below_top
     run this loop inline: they run once per face mask, factor boundary or
     boundary grade, and a call per mask made verify-products 6% and
-    catalog-d3 9% slower (BENCH_int_core.json, "bit_listing")."""
+    catalog-d3 9% slower (BENCH_int_core.json, "bit_listing").
+    render._face_row does too, once per face row of a JSON document."""
     out = []
     while m:
         low = m & -m
@@ -121,11 +122,13 @@ class OgPoset:
     print labels.  Every query is a mask query.  dim_of, faces_in and
     faces_out are read-only label views, decoded once per poset and
     iterating in id order; __eq__ across label orders, the faces wrapper,
-    the tests and the benchmark's tracer read them (render reads the ids
-    and prints their labels).  The label wrappers faces, closure,
-    boundary_set and restrict remain only because the benchmark reads
-    them: its tracer wraps the last three by name and its golden recorder
-    calls faces.  They go when the benchmark moves onto the mask layer.
+    the tests and the benchmark's tracer read them.  render reads the ids:
+    its JSON writer escapes each label once and orders labels by
+    sid_ranks(), the rank of each id's label.  The label wrappers faces,
+    closure, boundary_set and restrict remain only because the benchmark
+    reads them: its tracer wraps the last three by name and its golden
+    recorder calls faces.  They go when the benchmark moves onto the mask
+    layer.
 
     Construction.  build() validates label data and numbers it in its
     input order; its label views are that data.  It serves only the base

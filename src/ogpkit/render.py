@@ -2,10 +2,13 @@
 
 Element order is (dimension, label) everywhere, so equal shapes render to
 identical bytes.  Both formats read the id storage (dims, fin, fout) and
-decode each id to its label as they print it.  The JSON bytes are those of
-json.dumps(doc, indent=2, sort_keys=True): _indented lays out strings,
-ints and non-empty containers itself, escaping strings with the C escaper
-json uses, since with indent set json.dumps runs its pure-Python encoder.
+decode each id to its label as they print it.  A shape's JSON document is
+written in one pass by shape_json_bytes, with the bytes of
+json.dumps(doc, indent=2, sort_keys=True); poset_to_dict parses those
+bytes back.  Other documents go through to_json_bytes, whose _indented
+lays out strings, ints and non-empty containers itself.  Both escape
+strings with the C escaper json uses, since with indent set json.dumps
+runs its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -15,38 +18,78 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .marked import MarkedMap, MarkedShape
 from .molecule import Molecule, poset_of
-from .poset import MINUS, PLUS, bits
+from .poset import bits
 
 _STR = {str}
 
 
+def _by_label(p) -> list:
+    """The ids in label order, read from sid_ranks()."""
+    by_label = [0] * len(p.dims)
+    for i, r in enumerate(p.sid_ranks()):
+        by_label[r] = i
+    return by_label
+
+
 def _order(p) -> list:
     """The ids in (dimension, label) order."""
-    order = sorted(range(len(p.dims)), key=p.labels.__getitem__)
-    order.sort(key=p.dims.__getitem__)  # stable: label order within a dimension
-    return order
+    # stable: label order within a dimension
+    return sorted(_by_label(p), key=p.dims.__getitem__)
+
+
+def _face_row(mask: int, rank: list, quoted: list) -> str:
+    """The escaped labels of a face mask in label order, as the list
+    json.dumps writes at the depth of a face row."""
+    if not mask:
+        return "[]"
+    row = []
+    while mask:
+        low = mask & -mask
+        row.append(rank[low.bit_length() - 1])
+        mask ^= low
+    row.sort()
+    return "[\n        %s\n      ]" % ",\n        ".join([quoted[r] for r in row])
+
+
+def shape_json_bytes(shape, extra=None) -> bytes:
+    """The bytes of json.dumps({**poset_to_dict(shape), **extra}, indent=2,
+    sort_keys=True) + "\n", written from dims, fin, fout and labels: each
+    label is escaped once, each element is one %-format, and face rows are
+    ordered by label rank, since escaped strings sort differently from
+    the labels they escape.  extra's keys are strings."""
+    p = poset_of(shape)
+    dims, fin, fout, labels = p.dims, p.fin, p.fout, p.labels
+    rank = p.sid_ranks()
+    by_label = _by_label(p)
+    quoted = [_quote(labels[i]) for i in by_label]  # indexed by rank
+    elements = ",\n    ".join([
+        '{\n      "dim": %d,\n      "id": %s\n    }' % (dims[i], quoted[rank[i]])
+        for i in _order(p)
+    ])
+    faces = ",\n    ".join([
+        '%s: {\n      "+": %s,\n      "-": %s\n    }'
+        % (quoted[rank[i]], _face_row(fout[i], rank, quoted), _face_row(fin[i], rank, quoted))
+        for i in by_label
+        if dims[i] > 0
+    ])
+    chunks = {
+        "elements": "[\n    " + elements + "\n  ]" if elements else "[]",
+        "faces": "{\n    " + faces + "\n  }" if faces else "{}",
+    }
+    if isinstance(shape, Molecule):
+        chunks["certificate"] = _indented(shape.certificate, "  ")
+    if isinstance(shape, MarkedShape):
+        chunks["marked"] = _indented(p.sids(shape.marking), "  ")
+    if extra:
+        for key, value in extra.items():
+            chunks[key] = _indented(value, "  ")
+    body = ",\n  ".join([_quote(k) + ": " + chunks[k] for k in sorted(chunks)])
+    return ("{\n  " + body + "\n}\n").encode()
 
 
 def poset_to_dict(shape) -> dict:
-    p = poset_of(shape)
-    dims, labels = p.dims, p.labels
-    order = _order(p)
-    doc = {
-        "elements": [{"id": labels[i], "dim": dims[i]} for i in order],
-        "faces": {
-            labels[i]: {
-                MINUS: sorted([labels[j] for j in bits(p.fin[i])]),
-                PLUS: sorted([labels[j] for j in bits(p.fout[i])]),
-            }
-            for i in order
-            if dims[i] > 0
-        },
-    }
-    if isinstance(shape, Molecule):
-        doc["certificate"] = shape.certificate
-    if isinstance(shape, MarkedShape):
-        doc["marked"] = p.sids(shape.marking)
-    return doc
+    """The shape's JSON document as a dict; shape_json_bytes lays it out."""
+    return json.loads(shape_json_bytes(shape))
 
 
 def marked_map_to_dict(m: MarkedMap) -> dict:
@@ -99,7 +142,7 @@ def to_dot_bytes(shape) -> bytes:
 def render(shape, fmt: str) -> bytes:
     """Serialize a shape; fmt is "json" or "dot"."""
     if fmt == "json":
-        return to_json_bytes(poset_to_dict(shape))
+        return shape_json_bytes(shape)
     if fmt == "dot":
         return to_dot_bytes(shape)
     raise ValueError(f"unknown format {fmt!r}")

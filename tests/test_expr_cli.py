@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogpkit.cli import EXIT_DOMAIN, main
-from ogpkit.contexts import atomic_horn
+from ogpkit.contexts import atomic_horn, marked_horn
 from ogpkit.errors import EvalError, ExprSyntaxError
 from ogpkit.exprlang import Expr, eval_text, parse, print_expr
 from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.marked import MarkedShape
 from ogpkit.molecule import Molecule, globe, poset_of
 from ogpkit.poset import MINUS, PLUS, SIGNS, build, find_iso
-from ogpkit.render import poset_to_dict, render, to_dot_bytes, to_json_bytes
+from ogpkit.render import poset_to_dict, render, shape_json_bytes, to_dot_bytes, to_json_bytes
 
 
 class TestParse:
@@ -254,10 +254,17 @@ def label_view_dot(shape) -> bytes:
 
 
 def assert_renders_as_label_views(shape):
-    doc = poset_to_dict(shape)
-    assert doc == label_view_dict(shape)
-    assert to_json_bytes(doc) == dumps_bytes(label_view_dict(shape))
+    expected = dumps_bytes(label_view_dict(shape))
+    assert shape_json_bytes(shape) == expected
+    assert render(shape, "json") == expected
+    # json.loads turns the certificates' tuples into lists, so the dict is
+    # compared with the oracle's bytes read back
+    assert poset_to_dict(shape) == json.loads(expected)
     assert to_dot_bytes(shape) == label_view_dot(shape)
+
+
+def assert_writes_with_extra(shape, extra):
+    assert shape_json_bytes(shape, extra) == dumps_bytes({**label_view_dict(shape), **extra})
 
 
 def label_order_breaks_id_order(shape) -> bool:
@@ -298,6 +305,59 @@ class TestRenderOnIds:
         m = eval_text(expr)
         assert label_order_breaks_id_order(m)
         assert_renders_as_label_views(m)
+
+
+# Labels that json escapes: a quote, a backslash, control characters, and
+# "é" beside "z", whose escaped forms sort the other way ("\\u00e9" < "z").
+# The 2-cell "A" sorts before the 1-cells "a" and "b" but comes after them
+# in (dimension, label) order.
+ODD_LABELS = build(
+    {"z": 0, "é": 0, 'q"': 0, "b\\": 0, "\x07": 0,
+     "a": 1, "b": 1, "\t1": 1, "A": 2},
+    {"a": (["z", "é"], ['q"']), "b": (["z", "é"], ['q"']),
+     "\t1": (["b\\"], ["\x07"]), "A": (["a"], ["b"])},
+)
+
+
+class TestShapeJsonBytes:
+    """shape_json_bytes writes json.dumps's bytes of the label-view
+    document, with its extra keys, straight from the ids."""
+
+    def test_odd_labels(self):
+        assert_renders_as_label_views(ODD_LABELS)
+        assert_writes_with_extra(ODD_LABELS, {"facet": "é", "sign": "-", "marking": []})
+
+    def test_marked_shapes(self):
+        m = eval_text("gray(arrow,globe(2))")
+        p = m.poset
+        marking = p.encode(["(1,2)", "(0-,2)", "(1,1+)"])
+        assert_renders_as_label_views(MarkedShape(m, marking))
+        assert_renders_as_label_views(MarkedShape(p, marking))
+        assert_renders_as_label_views(MarkedShape(ODD_LABELS, ODD_LABELS.encode(["A", "b"])))
+
+    @pytest.mark.parametrize("expr,facet,marking", [
+        ("globe(2)", "1-", None),
+        ("globe(2)", "1-", ["1+"]),
+        ("dual({1},gray(arrow,unit(arrow)))", "(1,(0-,1))", None),
+        ('unit(cyl(arrow,{"0+"}))', "(0-,(1,1))", ["(0+,1)", "(1,0-)"]),
+        ('unit(cyl(arrow,{"0-"}))', "(0-,(1,1))", ["(1,0+)"]),
+        ("gray(arrow,gray(arrow,arrow))", "(0+,(1,1))", None),
+    ])
+    def test_horn_documents(self, capsysbinary, expr, facet, marking):
+        u = eval_text(expr)
+        p = u.poset
+        h = atomic_horn(u, p.id_of(facet))
+        extra = {"facet": facet, "sign": h.sign}
+        argv = ["horn", expr, facet]
+        if marking is not None:
+            mh = marked_horn(h, p.encode(marking))
+            extra["marking"] = p.sids(mh.marking)
+            extra["enlarged"] = p.sids(mh.enlarged)
+            argv += ["--marking", *marking]
+        sub = p.restrict_mask(h.horn)
+        assert_writes_with_extra(sub, extra)
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == shape_json_bytes(sub, extra)
 
 
 class TestCli:

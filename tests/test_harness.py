@@ -404,6 +404,29 @@ class TestPlantedFaults:
         assert caught and all(f["expected"] < f["got"] for f in caught)
         assert len(rep.failures) < rep.instances
 
+    def test_dropped_seeds_record_missing_and_extra(self, monkeypatch):
+        # the boundary rule keeps only its n-seeds, dropping the maximal
+        # elements below n; a failing mask comparison records what its got
+        # side misses and what it has besides, as sorted labels
+        def dropped_seeds(self, m, n, sign):
+            grades = self.grade_masks()
+            cofaced = 0
+            for i in bits(m & grades[n + 1]):
+                cofaced |= (self.fout if sign == MINUS else self.fin)[i]
+            return self.closure_mask(m & grades[n] & ~cofaced)
+
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=3, max_elements=8))
+        monkeypatch.setattr(poset_mod.OgPoset, "_boundary_below_top", dropped_seeds)
+        for lemma in ("GRAY_BOUNDARY", "DIST_LOWER", "CTX_RECURSION"):
+            rep = check(lemma, cat, SuiteConfig())
+            compared = [f for f in rep.failures if "missing" in f]
+            assert compared, lemma
+            for f in compared:
+                expected, got = set(f["expected"]), set(f["got"])
+                assert f["missing"] == sorted(expected - got), lemma
+                assert f["extra"] == sorted(got - expected), lemma
+                assert f["missing"] or f["extra"], lemma
+
     def test_wrong_stage_sign_fails_ctx_recursion(self, monkeypatch):
         # each telescoping stage reads the carrier's boundary at the
         # piece's own sign instead of the opposite one
