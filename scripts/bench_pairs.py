@@ -2,19 +2,20 @@
 """Compare two checkouts on the benchmark in alternating pinned pairs.
 
 Usage: python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W
-           --seeds A-B [--workload W2 ...] [--seconds S] [--out BENCH_x.json]
+           --seeds A-B [--workload W2 ...] [--out BENCH_x.json]
 
 For each workload and each seed from A to B, runs
 `python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0`
 once in each tree (the tree is the working directory), each run under
-`taskset -c 1`.  The change runs first for odd seeds and the parent first
-for even seeds, so that drift of the machine favours neither side.  Writes
-one JSON file with, per workload and end-to-end metric, the per-pair
-values of both sides, their medians, the parent's quartiles and the number
-of pairs the change wins, plus the attempted and failed counts of both
-sides.  Which way a metric is better is read from the change tree's
-BENCHMARK.json.  The output must be a BENCH_*.json outside any perfbench
-directory; the runs themselves write only to each tree's .perfbench-work/.
+`taskset -c 1`.  S is run_seconds from the change tree's BENCHMARK.json,
+which also says which way each metric is better.  The change runs first
+for odd seeds and the parent first for even seeds, so that drift of the
+machine favours neither side.  Writes one JSON file with, per workload
+and end-to-end metric, the per-pair values of both sides, their medians,
+the parent's quartiles and the number of pairs the change wins, plus the
+attempted and failed counts of both sides.  The output must be a
+BENCH_*.json outside any perfbench directory; the runs themselves write
+only to each tree's .perfbench-work/.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
-    parser.add_argument("--seconds", type=float, default=22.0)
     parser.add_argument("--out", type=Path, default=None,
                         help="default BENCH_pairs_<workloads>.json here")
     args = parser.parse_args(argv)
@@ -94,12 +94,13 @@ def main(argv=None) -> int:
         parser.error("--out must name a BENCH_*.json file")
     if "perfbench" in out.resolve().parts:
         parser.error("--out must not lie under a perfbench directory")
-    better = {m["name"]: m["better"]
-              for m in json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
     doc = {
         "command": f"taskset -c {CPU} python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "protocol": "alternating pairs: the change ran first for odd seeds, the parent "
                     "first for even seeds; each side in its own tree",
         "workloads": {},
@@ -109,7 +110,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = ("change", "parent") if seed % 2 else ("parent", "change")
             for side in order:
-                runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                runs[side].append(run_once(trees[side], workload, seed, seconds))
             print(f"{workload} seed {seed} done", file=sys.stderr)
         doc["workloads"][workload] = summarise(runs, args.seeds, better)
         out.write_text(json.dumps(doc, indent=1) + "\n")

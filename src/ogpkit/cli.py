@@ -14,6 +14,7 @@ import sys
 from .contexts import AtomicHorn, atomic_horn, marked_horn, pp_horn, pp_marked_horn
 from .errors import ExprSyntaxError, ShapeError
 from .exprlang import eval_text
+from .harness import LEMMAS, Bounds, SuiteConfig, run_suite
 from .marked import boundary_inclusion_marked, boundary_inclusion_min
 from .molecule import Molecule, is_round, poset_of
 from .poset import find_iso
@@ -134,9 +135,6 @@ def cmd_pp(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here, so that the other commands do not load the harness
-    from .harness import LEMMAS, Bounds, SuiteConfig, run_suite
-
     lemmas = tuple(args.lemma) if args.lemma else tuple(LEMMAS)
     for lid in lemmas:
         if lid not in LEMMAS:

@@ -29,8 +29,7 @@ def bits(m: int) -> list:
     map_mask, spread, coface_masks, closure_masks and _boundary_below_top
     run this loop inline: they run once per face mask, factor boundary or
     boundary grade, and a call per mask made verify-products 6% and
-    catalog-d3 9% slower (BENCH_int_core.json, "bit_listing").
-    render._face_row does too, once per face row of a JSON document."""
+    catalog-d3 9% slower (BENCH_int_core.json, "bit_listing")."""
     out = []
     while m:
         low = m & -m

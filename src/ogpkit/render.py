@@ -42,12 +42,7 @@ def _face_row(mask: int, rank: list, quoted: list) -> str:
     json.dumps writes at the depth of a face row."""
     if not mask:
         return "[]"
-    row = []
-    while mask:
-        low = mask & -mask
-        row.append(rank[low.bit_length() - 1])
-        mask ^= low
-    row.sort()
+    row = sorted([rank[j] for j in bits(mask)])
     return "[\n        %s\n      ]" % ",\n        ".join([quoted[r] for r in row])
 
 
@@ -64,7 +59,7 @@ def shape_json_bytes(shape, extra=None) -> bytes:
     quoted = [_quote(labels[i]) for i in by_label]  # indexed by rank
     elements = ",\n    ".join([
         '{\n      "dim": %d,\n      "id": %s\n    }' % (dims[i], quoted[rank[i]])
-        for i in _order(p)
+        for i in sorted(by_label, key=dims.__getitem__)  # stable: (dim, label)
     ])
     faces = ",\n    ".join([
         '%s: {\n      "+": %s,\n      "-": %s\n    }'

@@ -27,7 +27,7 @@ from ogpkit.harness import (
 from ogpkit.exprlang import eval_text
 from ogpkit.gray import gray, gray_poset
 from ogpkit.molecule import arrow, atom, globe, paste
-from ogpkit.poset import MINUS, SIGNS, all_isos, bits, find_iso
+from ogpkit.poset import MINUS, PLUS, SIGNS, all_isos, bits, find_iso
 
 
 contexts_mod = importlib.import_module("ogpkit.contexts")
@@ -239,6 +239,19 @@ print(sys.flags.optimize, rep.instances, len(rep.failures))
 """
 
 
+def assert_missing_and_extra(rep):
+    """Every failure from a mask comparison lists what its got side misses
+    and what it has besides, as sorted labels; returns those failures."""
+    compared = [f for f in rep.failures if "missing" in f]
+    assert compared, rep.lemma
+    for f in compared:
+        expected, got = set(f["expected"]), set(f["got"])
+        assert f["missing"] == sorted(expected - got), rep.lemma
+        assert f["extra"] == sorted(got - expected), rep.lemma
+        assert f["missing"] or f["extra"], rep.lemma
+    return compared
+
+
 class TestPlantedFaults:
     """Each check must be able to fail: the catalog is built first, then
     the fault is planted in the construction under test."""
@@ -290,6 +303,24 @@ class TestPlantedFaults:
         monkeypatch.setattr(harness_mod, "residual_formula", marked_mod.residual_upper_bound)
         rep = check("ENTIRE_RESIDUAL", cat, SuiteConfig())
         assert 0 < len(rep.failures) < rep.instances
+        # the bound holds the residual, so the residual only misses pairs
+        assert all(not f["extra"] for f in assert_missing_and_extra(rep))
+
+    def test_residual_outside_upper_bound_records_extra(self, monkeypatch):
+        # a bound without the residual's own pairs: the formula still
+        # agrees, so every residual lies wholly outside the bound, and
+        # "extra" lists exactly its pairs
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
+        real = harness_mod.residual_upper_bound
+        monkeypatch.setattr(harness_mod, "residual_upper_bound",
+                            lambda i, j: real(i, j) & ~marked_mod.residual_formula(i, j))
+        rep = check("ENTIRE_RESIDUAL", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+        assert len(assert_missing_and_extra(rep)) == len(rep.failures)
+        for f in rep.failures:
+            assert f["inputs"]["order"] == "ij"
+            assert f["expected"] == f["missing"] == []
+            assert f["extra"] == f["got"] != []
 
     def test_swapped_inverted_sides_fail_cylinders(self, monkeypatch):
         cat = enumerate_catalog(Bounds(depth=1, max_dim=2, max_elements=9))
@@ -418,14 +449,37 @@ class TestPlantedFaults:
         cat = enumerate_catalog(Bounds(depth=2, max_dim=3, max_elements=8))
         monkeypatch.setattr(poset_mod.OgPoset, "_boundary_below_top", dropped_seeds)
         for lemma in ("GRAY_BOUNDARY", "DIST_LOWER", "CTX_RECURSION"):
-            rep = check(lemma, cat, SuiteConfig())
-            compared = [f for f in rep.failures if "missing" in f]
-            assert compared, lemma
-            for f in compared:
-                expected, got = set(f["expected"]), set(f["got"])
-                assert f["missing"] == sorted(expected - got), lemma
-                assert f["extra"] == sorted(got - expected), lemma
-                assert f["missing"] or f["extra"], lemma
+            assert_missing_and_extra(check(lemma, cat, SuiteConfig()))
+
+    def test_interface_only_left_piece_records_missing(self, monkeypatch):
+        # pastings record their left piece as the glued interface alone,
+        # so the piece boundaries miss part of the ambient's boundary
+        real = molecule_mod.GeneralisedPasting
+        monkeypatch.setattr(molecule_mod, "GeneralisedPasting",
+                            lambda ambient, left, right, k: real(ambient, left & right, right, k))
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=3, max_elements=8))
+        rep = check("GENCP_BOUNDARY", cat, SuiteConfig())
+        compared = assert_missing_and_extra(rep)
+        assert all(f["missing"] and not f["extra"] for f in compared)
+
+    def test_sign_blind_facet_rule_records_missing_facet(self, monkeypatch):
+        # the enlarged marking reads the top's output facets whatever the
+        # horn's sign, so a horn at an output facet never marks its facet;
+        # op flips the sign in odd dimensions, so where one side of OP_HORN
+        # marks the facet the other does not
+        cat = enumerate_catalog(Bounds(depth=2, max_dim=3, max_elements=8))
+        real = harness_mod.marked_horn
+
+        def sign_blind(h, marking):
+            mh = real(h, marking)
+            if h.sign == PLUS:
+                return dataclasses.replace(mh, enlarged=mh.enlarged & ~(1 << h.facet))
+            return mh
+
+        monkeypatch.setattr(harness_mod, "marked_horn", sign_blind)
+        rep = check("OP_HORN", cat, SuiteConfig())
+        compared = assert_missing_and_extra(rep)
+        assert all(f["missing"] + f["extra"] == [f["inputs"]["x"]] for f in compared)
 
     def test_wrong_stage_sign_fails_ctx_recursion(self, monkeypatch):
         # each telescoping stage reads the carrier's boundary at the
