@@ -48,8 +48,13 @@ def cmd_build(args) -> int:
 
 def cmd_boundary(args) -> int:
     shape = _eval_molecule(args.expr, "boundary")
-    sub = shape.boundary_molecule(args.n, args.sign)
-    sys.stdout.buffer.write(shape_json_bytes(sub))
+    p = shape.poset
+    bd = p.boundary_mask(p.full, args.n, args.sign)
+    if bd == p.full:  # n >= dim: the molecule itself
+        sys.stdout.buffer.write(shape_json_bytes(shape))
+    else:
+        cert = {"certificate": shape.boundary_certificate(args.n, args.sign)}
+        sys.stdout.buffer.write(shape_json_bytes(p, cert, carrier=bd))
     return EXIT_OK
 
 
@@ -102,7 +107,7 @@ def cmd_horn(args) -> int:
         mh = marked_horn(h, p.encode(args.marking))
         extra["marking"] = p.sids(mh.marking)
         extra["enlarged"] = p.sids(mh.enlarged)
-    sys.stdout.buffer.write(shape_json_bytes(p.restrict_mask(h.horn), extra))
+    sys.stdout.buffer.write(shape_json_bytes(p, extra, carrier=h.horn))
     return EXIT_OK
 
 

@@ -108,7 +108,11 @@ class Molecule:
         q = self.boundary_poset(n, sign)
         if q is self.poset:
             return self
-        return Molecule(q, {"kind": "boundary", "n": n, "sign": sign, "of": self.certificate})
+        return Molecule(q, self.boundary_certificate(n, sign))
+
+    def boundary_certificate(self, n: int, sign: str) -> dict:
+        """The certificate of the n-boundary of the given sign, n below dim."""
+        return {"kind": "boundary", "n": n, "sign": sign, "of": self.certificate}
 
 
 # -- base shapes -----------------------------------------------------------
@@ -578,7 +582,9 @@ def reconstruct(p: OgPoset) -> Molecule | None:
     def rec(carrier: int):
         if carrier in memo:
             return memo[carrier]
-        result = None
+        # peels and boundaries are proper sub-masks, so only broken maxima
+        # lead back to a carrier whose search is open: it has no certificate
+        memo[carrier] = result = None
         n = p.dim_mask(carrier)
         if n == 0 and carrier & (carrier - 1) == 0:
             result = {"kind": "point"}

@@ -26,10 +26,11 @@ def flip(sign: str) -> str:
 def bits(m: int) -> list:
     """Positions of the set bits of m, ascending.
 
-    map_mask, spread, coface_masks, closure_masks and _boundary_below_top
-    run this loop inline: they run once per face mask, factor boundary or
-    boundary grade, and a call per mask made verify-products 6% and
-    catalog-d3 9% slower (BENCH_int_core.json, "bit_listing")."""
+    map_mask, spread, coface_masks, closure_masks, maximal_mask and
+    _boundary_below_top run this loop inline: they run once per face mask,
+    factor boundary, boundary grade or search state, and a call per mask
+    made verify-products 6% and catalog-d3 9% slower (BENCH_int_core.json,
+    "bit_listing")."""
     out = []
     while m:
         low = m & -m
@@ -91,8 +92,11 @@ class OgPoset:
     colouring and the isomorphism search.  The coface
     masks, the per-dimension masks, the closure mask of each element, the
     mask of the maximal elements and the per-dimension unions of the face
-    masks are derived on their first read and kept, so a poset that is
-    only built, compared or dualised never inverts its faces.
+    masks are derived on their first read and kept.  Only the colouring,
+    the isomorphism search and the peel search read cofaces, so a poset
+    that is only built, dualised, printed, or asked for its maxima or
+    boundaries never inverts its faces: maximal_mask(m) is m less the
+    faces of its elements.
     boundary_mask is memoised per (closed mask, n, sign).  A boundary read
     takes only the per-dimension masks and face unions (for a proper
     sub-mask, gathered over the grades of the mask that the read needs)
@@ -296,17 +300,25 @@ class OgPoset:
         return -1
 
     def maximal_mask(self, m: int) -> int:
-        """Elements of m with no coface in m; kept for the whole poset."""
-        if m == self.full and self._maximal is not None:
-            return self._maximal
-        cin, cout = self.coface_masks()
-        out = 0
-        for i in bits(m):
-            if not (cin[i] | cout[i]) & m:
-                out |= 1 << i
+        """Elements of m with no coface in m: m less the faces of its
+        elements, for any mask m, closed or not.  For the whole poset it is
+        read from the face unions and kept; no coface table is built."""
         if m == self.full:
-            self._maximal = out
-        return out
+            if self._maximal is None:
+                faces = 0
+                for a, b in zip(*self._face_unions()):
+                    faces |= a | b
+                self._maximal = self.full & ~faces
+            return self._maximal
+        fin, fout = self.fin, self.fout
+        faces = 0
+        g = m
+        while g:
+            low = g & -g
+            i = low.bit_length() - 1
+            faces |= fin[i] | fout[i]
+            g ^= low
+        return m & ~faces
 
     def boundary_mask(self, m: int, n: int, sign: str) -> int:
         """The n-boundary of the given sign of the sub-poset on m, a closed
@@ -344,13 +356,7 @@ class OgPoset:
         grades = self.grade_masks()
         dims, fin, fout = self.dims, self.fin, self.fout
         if m == self.full:
-            if self._unions is None:
-                ins, outs = [0] * (self.dim + 1), [0] * (self.dim + 1)
-                for d, a, b in zip(dims, fin, fout):
-                    ins[d] |= a
-                    outs[d] |= b
-                self._unions = ins, outs
-            ins, outs = self._unions
+            ins, outs = self._face_unions()
         else:
             ins, outs = [0] * (n + 2), [0] * (n + 2)
             g = 0
@@ -374,6 +380,17 @@ class OgPoset:
                 out |= fin[i] | fout[i]
                 g ^= low
         return out
+
+    def _face_unions(self) -> tuple:
+        """(ins, outs): ins[d] and outs[d] are the unions of the input and
+        of the output face masks of the d-elements, made on first read."""
+        if self._unions is None:
+            ins, outs = [0] * (self.dim + 1), [0] * (self.dim + 1)
+            for d, a, b in zip(self.dims, self.fin, self.fout):
+                ins[d] |= a
+                outs[d] |= b
+            self._unions = ins, outs
+        return self._unions
 
     def full_boundary_mask(self) -> int:
         """Union of input and output boundaries one level below the top."""

@@ -5,10 +5,14 @@ identical bytes.  Both formats read the id storage (dims, fin, fout) and
 decode each id to its label as they print it.  A shape's JSON document is
 written in one pass by shape_json_bytes, with the bytes of
 json.dumps(doc, indent=2, sort_keys=True); poset_to_dict parses those
-bytes back.  Other documents go through to_json_bytes, whose _indented
-lays out strings, ints and non-empty containers itself.  Both escape
-strings with the C escaper json uses, since with indent set json.dumps
-runs its pure-Python encoder.
+bytes back.  Given a carrier, a closed mask such as a horn or a boundary,
+shape_json_bytes writes the sub-poset on it straight from the parent's
+ids, so a sub-shape is printed without being restricted into a poset of
+its own.  Other documents go through to_json_bytes, whose _indented
+lays out strings, ints and non-empty containers itself.  Both JSON
+writers escape strings with the C escaper json uses, since with indent
+set json.dumps runs its pure-Python encoder; DOT escapes backslashes and
+double quotes in its quoted labels.
 """
 
 from __future__ import annotations
@@ -37,26 +41,37 @@ def _order(p) -> list:
     return sorted(_by_label(p), key=p.dims.__getitem__)
 
 
-def _face_row(mask: int, rank: list, quoted: list) -> str:
+def _face_row(mask: int, rank: list, quoted: dict) -> str:
     """The escaped labels of a face mask in label order, as the list
-    json.dumps writes at the depth of a face row."""
+    json.dumps writes at the depth of a face row; quoted maps each rank
+    to its escaped label."""
     if not mask:
         return "[]"
     row = sorted([rank[j] for j in bits(mask)])
     return "[\n        %s\n      ]" % ",\n        ".join([quoted[r] for r in row])
 
 
-def shape_json_bytes(shape, extra=None) -> bytes:
+def shape_json_bytes(shape, extra=None, carrier=None) -> bytes:
     """The bytes of json.dumps({**poset_to_dict(shape), **extra}, indent=2,
     sort_keys=True) + "\n", written from dims, fin, fout and labels: each
     label is escaped once, each element is one %-format, and face rows are
     ordered by label rank, since escaped strings sort differently from
-    the labels they escape.  extra's keys are strings."""
+    the labels they escape.  extra's keys are strings.
+
+    With a carrier, a closed mask of the shape's poset, the elements and
+    faces are those of the sub-poset restrict_mask(carrier), written from
+    the parent's ids: a closed mask holds the faces of its elements, and
+    the parent's label ranks order its labels as the sub-poset's would.
+    A Molecule's certificate and a MarkedShape's marking are the shape's
+    own, so a sub-poset is written from the poset."""
     p = poset_of(shape)
     dims, fin, fout, labels = p.dims, p.fin, p.fout, p.labels
     rank = p.sid_ranks()
-    by_label = _by_label(p)
-    quoted = [_quote(labels[i]) for i in by_label]  # indexed by rank
+    if carrier is None:
+        by_label = _by_label(p)
+    else:
+        by_label = sorted(bits(carrier), key=rank.__getitem__)
+    quoted = {rank[i]: _quote(labels[i]) for i in by_label}
     elements = ",\n    ".join([
         '{\n      "dim": %d,\n      "id": %s\n    }' % (dims[i], quoted[rank[i]])
         for i in sorted(by_label, key=dims.__getitem__)  # stable: (dim, label)
@@ -122,7 +137,9 @@ def to_json_bytes(doc) -> bytes:
 
 def to_dot_bytes(shape) -> bytes:
     p = poset_of(shape)
-    dims, labels = p.dims, p.labels
+    dims = p.dims
+    # the labels as written inside DOT's double quotes
+    labels = [x.replace("\\", "\\\\").replace('"', '\\"') for x in p.labels]
     lines = ["digraph shape {"]
     lines += [f'  "{labels[i]}" [label="{labels[i]}:{dims[i]}"];' for i in _order(p)]
     edges = []

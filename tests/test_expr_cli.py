@@ -1,6 +1,7 @@
 """Expression language and CLI behaviour."""
 
 import json
+import re
 from collections import OrderedDict
 
 import pytest
@@ -14,7 +15,7 @@ from ogpkit.exprlang import Expr, eval_text, parse, print_expr
 from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.marked import MarkedShape
 from ogpkit.molecule import Molecule, globe, poset_of
-from ogpkit.poset import MINUS, PLUS, SIGNS, build, find_iso
+from ogpkit.poset import MINUS, PLUS, SIGNS, bits, build, find_iso
 from ogpkit.render import poset_to_dict, render, shape_json_bytes, to_dot_bytes, to_json_bytes
 
 
@@ -233,6 +234,11 @@ def label_view_dict(shape) -> dict:
     return doc
 
 
+def dot_escaped(x: str) -> str:
+    """x as written inside DOT's double quotes."""
+    return x.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def label_view_dot(shape) -> bytes:
     """to_dot_bytes as written on the label views."""
     p = poset_of(shape)
@@ -240,14 +246,14 @@ def label_view_dot(shape) -> bytes:
     order = sorted(dim_of, key=lambda x: (dim_of[x], x))
     lines = ["digraph shape {"]
     for x in order:
-        lines.append(f'  "{x}" [label="{x}:{dim_of[x]}"];')
+        lines.append(f'  "{dot_escaped(x)}" [label="{dot_escaped(x)}:{dim_of[x]}"];')
     edges = []
     for x in order:
         if dim_of[x] == 0:
             continue
         for faces, color in ((p.faces_in, "crimson"), (p.faces_out, "navy")):
             for f in sorted(faces[x]):
-                edges.append(f'  "{f}" -> "{x}" [color={color}];')
+                edges.append(f'  "{dot_escaped(f)}" -> "{dot_escaped(x)}" [color={color}];')
     lines.extend(sorted(edges))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()
@@ -358,6 +364,88 @@ class TestShapeJsonBytes:
         assert_writes_with_extra(sub, extra)
         assert main(argv) == 0
         assert capsysbinary.readouterr().out == shape_json_bytes(sub, extra)
+
+
+class TestCarrierWriter:
+    """shape_json_bytes on a carrier writes the bytes of the sub-poset
+    restricted to it, which is the oracle."""
+
+    def test_every_facet_horn_of_the_catalog_atoms(self, d3_catalog):
+        checked = 0
+        for entry in d3_catalog.entries:
+            u = entry.molecule
+            if not u.is_atom() or u.dim < 1:
+                continue
+            p = u.poset
+            top = u.top_id()
+            for x in bits(p.fin[top] | p.fout[top]):
+                h = atomic_horn(u, x)
+                extra = {"facet": p.labels[x], "sign": h.sign}
+                assert shape_json_bytes(p, extra, carrier=h.horn) == \
+                    shape_json_bytes(p.restrict_mask(h.horn), extra)
+                checked += 1
+        assert checked > 90
+
+    def test_every_boundary_of_the_catalog(self, d3_catalog):
+        checked = 0
+        for entry in d3_catalog.entries:
+            m = entry.molecule
+            p = m.poset
+            for n in range(-1, m.dim):
+                for sign in SIGNS:
+                    cert = {"certificate": m.boundary_certificate(n, sign)}
+                    assert shape_json_bytes(p, cert, carrier=p.boundary_mask(p.full, n, sign)) == \
+                        shape_json_bytes(m.boundary_molecule(n, sign))
+                    checked += 1
+        assert checked > 500
+
+    def test_whole_carrier_and_odd_labels(self):
+        # the parent's label ranks order the carrier's labels, escaped
+        # strings and all
+        p = ODD_LABELS
+        assert shape_json_bytes(p, carrier=p.full) == shape_json_bytes(p)
+        for c in p.closure_masks():
+            assert shape_json_bytes(p, carrier=c) == shape_json_bytes(p.restrict_mask(c))
+
+    @pytest.mark.parametrize("expr,n,sign", [
+        ("gray(arrow,globe(2))", 1, "+"),
+        ("gray(arrow,globe(2))", 0, "-"),
+        ("gray(arrow,globe(2))", 3, "-"),
+        ("globe(2)", -1, "+"),
+    ])
+    def test_boundary_command(self, capsysbinary, expr, n, sign):
+        assert main(["boundary", expr, str(n), sign]) == 0
+        m = eval_text(expr)
+        assert capsysbinary.readouterr().out == shape_json_bytes(m.boundary_molecule(n, sign))
+
+
+# a DOT quoted string: anything but a quote or a backslash, or a backslash
+# and the character it escapes
+DOT_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"|[^\s"]+')
+
+
+def dot_tokens(line: str) -> list:
+    """The tokens of a DOT line, each quoted string as ("q", its text)."""
+    out = []
+    for tok in DOT_TOKEN.finditer(line):
+        if tok.group(1) is None:
+            out.append(tok.group(0))
+        else:
+            out.append(("q", re.sub(r"\\(.)", r"\1", tok.group(1))))
+    return out
+
+
+def test_dot_quotes_close_where_they_should():
+    p = build({'q"': 0, "a\\": 0, "e": 1}, {"e": (['q"'], ["a\\"])})
+    lines = to_dot_bytes(p).decode().splitlines()
+    assert lines[0] == "digraph shape {" and lines[-1] == "}"
+    assert [dot_tokens(line) for line in lines[1:-1]] == [
+        [("q", "a\\"), "[label=", ("q", "a\\:0"), "];"],
+        [("q", 'q"'), "[label=", ("q", 'q":0'), "];"],
+        [("q", "e"), "[label=", ("q", "e:1"), "];"],
+        [("q", "a\\"), "->", ("q", "e"), "[color=navy];"],
+        [("q", 'q"'), "->", ("q", "e"), "[color=crimson];"],
+    ]
 
 
 class TestCli:

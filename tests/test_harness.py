@@ -416,6 +416,30 @@ class TestPlantedFaults:
                      if d == 0)
         assert len(rep.failures) == rep.instances - points > 0
 
+    def test_maxima_without_output_faces_fail_atom_closures(self, monkeypatch):
+        # maximal_mask forgets output faces, so an element that is only an
+        # output face looks maximal: atoms no longer have one maximum, and
+        # reconstruct's peel search meets its own carrier again, which
+        # gets no certificate.  Catalog enumeration reads no maxima, so the
+        # catalog does not move.
+        bounds = Bounds(depth=1, max_dim=2, max_elements=9)
+        cat = enumerate_catalog(bounds)
+        assert check("ATOM_CLOSURES", cat, SuiteConfig()).status == "pass"
+
+        def forgets_outputs(self, m):
+            faces = 0
+            for i in bits(m):
+                faces |= self.fin[i]
+            return m & ~faces
+
+        monkeypatch.setattr(poset_mod.OgPoset, "maximal_mask", forgets_outputs)
+        rep = check("ATOM_CLOSURES", cat, SuiteConfig())
+        assert 0 < len(rep.failures) < rep.instances
+        assert all(f["got"] == "reconstruction failed" for f in rep.failures)
+        assert not cat.atoms(min_dim=1)
+        assert [e.expr for e in enumerate_catalog(bounds).entries] == \
+            [e.expr for e in cat.entries]
+
     def test_unsigned_iso_search_fails_iso_unique(self, monkeypatch):
         # the iso search forgets face signs: every face becomes both an
         # input and an output face, so reversible shapes gain automorphisms

@@ -1,6 +1,10 @@
 """Poset storage, validation, order queries, duals, and iso search."""
 
 import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from ogpkit.errors import (
 )
 from ogpkit.gray import gray_poset
 from ogpkit.harness import PRODUCT_CAP, Bounds, enumerate_catalog
-from ogpkit.poset import MINUS, PLUS, all_isos, build, find_iso
+from ogpkit.poset import MINUS, PLUS, OgPoset, all_isos, build, find_iso
 
 
 def the_arrow():
@@ -429,3 +433,88 @@ class TestMaskCore:
             p.labels
         q = gray_poset(build({"x": 0, "w": 0}, {}), build({"z": 0, "y,z": 0}, {}))
         assert len(q.index) == len(q) == 4
+
+
+# -- maxima against their coface definition ------------------------------------
+
+
+def coface_maxima(p, m):
+    """maximal_mask's definition: the elements of m with no coface in m,
+    read from coface_masks()."""
+    cin, cout = p.coface_masks()
+    return sum(1 << i for i in range(len(p)) if m >> i & 1 and not (cin[i] | cout[i]) & m)
+
+
+def maxima_masks(p):
+    """The masks the maxima oracle reads on p: the full mask, each of its
+    boundaries, each element's closure, and masks that are not closed:
+    each closure less one face of its element, and the full mask less
+    each element."""
+    cl = p.closure_masks()
+    masks = [p.full]
+    masks += [p.boundary_mask(p.full, n, s) for n in range(p.dim) for s in (MINUS, PLUS)]
+    masks += cl
+    masks += [c & ~(a & -a) for c, a in zip(cl, p.fin) if a]
+    masks += [p.full & ~(1 << i) for i in range(len(p))]
+    return masks
+
+
+def maxima_mismatches(posets) -> dict:
+    """maximal_mask against coface_maxima on the maxima_masks of each
+    poset, read on the poset as given and on a fresh copy that derives
+    nothing before its maxima.  Counts the masks read, those not closed,
+    those that disagree, and the fresh copies whose maxima built a coface
+    table."""
+    out = {"masks": 0, "open": 0, "wrong": 0, "inverted": 0}
+    for p in posets:
+        fresh = OgPoset(p.dims, p.fin, p.fout, p.labels)
+        masks = maxima_masks(p)
+        for q in (fresh, p):
+            for m in masks:
+                out["masks"] += 1
+                out["open"] += not p.is_closed_mask(m)
+                out["wrong"] += q.maximal_mask(m) != coface_maxima(p, m)
+        out["inverted"] += fresh._cofaces is not None
+    return out
+
+
+MAXIMA_UNDER_OPTIMIZE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from ogpkit.harness import Bounds, enumerate_catalog
+from test_poset import maxima_mismatches
+cat = enumerate_catalog(Bounds(depth=3, max_dim=4, max_elements=12))
+print(sys.flags.optimize, json.dumps(maxima_mismatches([e.molecule.poset for e in cat.entries])))
+"""
+
+
+class TestMaxima:
+    """maximal_mask(m) is m less the faces of its elements, which is its
+    definition, the elements of m with no coface in m, on every mask."""
+
+    def test_catalog_masks_match_coface_definition(self, d3_catalog):
+        got = maxima_mismatches([e.molecule.poset for e in d3_catalog.entries])
+        assert got["wrong"] == got["inverted"] == 0
+        assert got["open"] > 1000 and got["masks"] > 10000
+
+    def test_catalog_masks_under_optimize(self, src_env):
+        out = subprocess.run([sys.executable, "-O", "-c", MAXIMA_UNDER_OPTIMIZE,
+                              str(Path(__file__).parent)],
+                             env=src_env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        optimize, counts = out.stdout.split(" ", 1)
+        got = json.loads(counts)
+        assert optimize == "1"
+        assert got["wrong"] == got["inverted"] == 0
+        assert got["open"] > 1000 and got["masks"] > 10000
+
+    @given(small_posets(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_masks_match_coface_definition(self, p, data):
+        # random layered posets have maxima below the top dimension, and
+        # any mask of them, closed or not, is read
+        masks = maxima_masks(p) + data.draw(st.lists(st.integers(0, p.full), max_size=8))
+        for m in masks:
+            assert p.maximal_mask(m) == coface_maxima(p, m)
+        assert OgPoset(p.dims, p.fin, p.fout, p.labels).maximal_mask(p.full) == \
+            coface_maxima(p, p.full)
