@@ -8,10 +8,17 @@ atom(e, e), gray(e, e), dual({j, ...}, e), op(e), cyl(e, {ids}), lcyl(e),
 rcyl(e), inv("LR...", e), unit(e), lunitor(e), runitor(e), merger(e),
 boundary(e, n, +|-), horn(e, "id").  Ids are double-quoted labels, such as
 "(a,b)" or "in0:a", matched as written.
+
+Tokens are ASCII-exact: an int is [0-9]+, a name [A-Za-z_] then letters,
+digits or _, a string anything but " between double quotes, and each of
+(){},+- a token of its own; whitespace between tokens is skipped.  Each
+token carries its offset, which _syntax_error turns into the line:column
+of an ExprSyntaxError only when one is raised.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .contexts import atomic_horn
@@ -74,53 +81,39 @@ CONSTRUCTORS = {
 
 # -- tokenizer -----------------------------------------------------------------
 
+_PUNCT = "(){},+-"
+_TOKEN = re.compile(
+    r'\s+|(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|"(?P<string>[^"]*)"')
+# the token kind read by each literal argument kind, or by each item of a set
+_LITERAL = {"n": "int", "s": "string", "J": "int", "K": "string"}
+
+
+def _syntax_error(text: str, offset: int, message: str) -> ExprSyntaxError:
+    """The error at offset in text, placed at its line and column (from 1)."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ExprSyntaxError(message, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
+
 
 def _tokens(text: str):
-    line, col = 1, 1
-    i = 0
+    """(kind, value, offset) for each token of text, then ("eof", None, len(text))."""
     out = []
-    while i < len(text):
+    i, end = 0, len(text)
+    while i < end:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in _PUNCT:
+            out.append((ch, ch, i))
             i += 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "(){},+-":
-            out.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ExprSyntaxError("unterminated string literal", line, col)
-            out.append(("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    out.append(("eof", None, line, col))
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise _syntax_error(text, i, "unterminated string literal" if ch == '"'
+                                else f"unexpected character {ch!r}")
+        kind = m.lastgroup
+        if kind is not None:  # else whitespace
+            value = m[kind]
+            out.append((kind, int(value) if kind == "int" else value, i))
+        i = m.end()
+    out.append(("eof", None, end))
     return out
 
 
@@ -129,29 +122,30 @@ def _tokens(text: str):
 
 class _Parser:
     def __init__(self, text):
-        self.toks = _tokens(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _tokens(text)[::-1]  # the next token last
+
+    def fail(self, offset, message):
+        raise _syntax_error(self.text, offset, message)
 
     def peek(self):
-        return self.toks[self.pos]
+        return self.toks[-1]
 
     def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+        return self.toks.pop()
 
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+            self.fail(tok[2], f"expected {kind!r}, found {tok[1]!r}")
         return tok
 
     def parse_expr(self) -> Expr:
-        kind, value, line, col = self.next()
+        kind, value, offset = self.next()
         if kind != "name":
-            raise ExprSyntaxError(f"expected a constructor, found {value!r}", line, col)
+            self.fail(offset, f"expected a constructor, found {value!r}")
         if value not in CONSTRUCTORS:
-            raise ExprSyntaxError(f"unknown constructor {value!r}", line, col)
+            self.fail(offset, f"unknown constructor {value!r}")
         kinds = CONSTRUCTORS[value][0]
         if not kinds:
             if self.peek()[0] == "(":
@@ -170,27 +164,21 @@ class _Parser:
     def parse_arg(self, code, head, index):
         if code == "e":
             return self.parse_expr()
-        if code == "n":
-            return self.expect("int")[1]
         if code == "!":
-            tok = self.next()
-            if tok[0] not in (MINUS, PLUS):
-                raise ExprSyntaxError(
-                    f"{head} needs a sign (+ or -) in position {index + 1}", tok[2], tok[3]
-                )
-            return tok[0]
-        if code == "s":
-            return self.expect("string")[1]
-        if code in ("J", "K"):
-            self.expect("{")
-            items = []
-            while self.peek()[0] != "}":
-                if items:
-                    self.expect(",")
-                items.append(self.expect("int" if code == "J" else "string")[1])
-            self.next()
-            return frozenset(items)
-        raise AssertionError(code)
+            kind, _, offset = self.next()
+            if kind not in (MINUS, PLUS):
+                self.fail(offset, f"{head} needs a sign (+ or -) in position {index + 1}")
+            return kind
+        if code in "ns":
+            return self.expect(_LITERAL[code])[1]
+        self.expect("{")  # J or K
+        items = []
+        while self.peek()[0] != "}":
+            if items:
+                self.expect(",")
+            items.append(self.expect(_LITERAL[code])[1])
+        self.next()
+        return frozenset(items)
 
 
 def parse(text: str) -> Expr:
@@ -198,7 +186,7 @@ def parse(text: str) -> Expr:
     expr = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "eof":
-        raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+        parser.fail(tok[2], f"trailing input {tok[1]!r}")
     return expr
 
 

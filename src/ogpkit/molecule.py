@@ -23,6 +23,7 @@ from .errors import (
     BoundaryMismatch,
     BoundExceeded,
     DimMismatch,
+    EmptySide,
     LevelOutOfRange,
     NotRewritable,
     NotRound,
@@ -76,11 +77,16 @@ class Molecule:
         return self.poset.labels[self.top_id()]
 
     def top_id(self) -> int:
-        """The id of the unique maximal element of an atom."""
-        ms = self.poset.maximal_mask(self.poset.full)
+        """The id of the unique maximal element of an atom, which has input
+        and output faces when its dimension is positive."""
+        p = self.poset
+        ms = p.maximal_mask(p.full)
         if ms.bit_count() != 1:
             raise NotRound(f"shape with {ms.bit_count()} maximal elements is not an atom")
-        return ms.bit_length() - 1
+        top = ms.bit_length() - 1
+        if p.dims[top] > 0 and not (p.fin[top] and p.fout[top]):
+            raise EmptySide(f"top {p.labels[top]} has no input or no output faces")
+        return top
 
     def is_atom(self) -> bool:
         return self.poset.maximal_mask(self.poset.full).bit_count() == 1

@@ -12,7 +12,11 @@ its own.  Other documents go through to_json_bytes, whose _indented
 lays out strings, ints and non-empty containers itself.  Both JSON
 writers escape strings with the C escaper json uses, since with indent
 set json.dumps runs its pure-Python encoder; DOT escapes backslashes and
-double quotes in its quoted labels.
+double quotes in its quoted labels.  _indented also lays out the
+certificate, markings and extras of a shape document.  Writing both
+through json.dumps(indent=2, sort_keys=True) kept the bytes but made the
+median shapes command about 2% slower in two runs of 6 pinned pairs
+(BENCH_scan_offsets.json), so _indented stays.
 """
 
 from __future__ import annotations

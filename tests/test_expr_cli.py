@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ogpkit.cli import EXIT_DOMAIN, main
 from ogpkit.contexts import atomic_horn, marked_horn
 from ogpkit.errors import EvalError, ExprSyntaxError
-from ogpkit.exprlang import Expr, eval_text, parse, print_expr
+from ogpkit.exprlang import CONSTRUCTORS, Expr, eval_text, parse, print_expr
 from ogpkit.harness import Bounds, enumerate_catalog
 from ogpkit.marked import MarkedShape
 from ogpkit.molecule import Molecule, globe, poset_of
@@ -120,6 +120,83 @@ def expr_asts(draw, depth=3):
 def test_parse_print_roundtrip(e):
     # parsing the printed form gives the same tree
     assert parse(print_expr(e)) == e
+
+
+# every head of the table, its tokens printed apart by whitespace and newlines
+
+IDS = st.text(alphabet='ab(),-+: \n', max_size=4)
+ARGS = {"n": st.integers(0, 12), "!": st.sampled_from([MINUS, PLUS]), "s": IDS,
+        "J": st.frozensets(st.integers(0, 5), max_size=3), "K": st.frozensets(IDS, max_size=3)}
+
+
+def table_exprs():
+    def apply(children):
+        return st.one_of([
+            st.tuples(*(children if code == "e" else ARGS[code] for code in kinds)).map(
+                lambda args, head=head: Expr(head, args))
+            for head, (kinds, _) in CONSTRUCTORS.items()])
+
+    return st.recursive(st.sampled_from([Expr("point"), Expr("arrow")]), apply, max_leaves=6)
+
+
+def expr_tokens(e: Expr) -> list:
+    """The tokens of e's text, written apart from the parser."""
+    kinds = CONSTRUCTORS[e.head][0]
+    if not kinds:
+        return [e.head]
+    out = [e.head, "("]
+    for i, (code, arg) in enumerate(zip(kinds, e.args)):
+        if i:
+            out.append(",")
+        if code == "e":
+            out += expr_tokens(arg)
+        elif code in "JK":
+            out.append("{")
+            for k, x in enumerate(sorted(arg)):
+                if k:
+                    out.append(",")
+                out.append(str(x) if code == "J" else f'"{x}"')
+            out.append("}")
+        else:
+            out.append(f'"{arg}"' if code == "s" else str(arg))
+    return out + [")"]
+
+
+GAPS = st.text(alphabet=" \t\r\n", max_size=3)
+
+
+@given(table_exprs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tokens_apart_by_whitespace_parse_back(e, data):
+    toks = expr_tokens(e)
+    gaps = data.draw(st.lists(GAPS, min_size=len(toks) + 1, max_size=len(toks) + 1))
+    text = "".join(g + t for g, t in zip(gaps, toks + [""]))
+    assert parse(text) == e
+    # a stray character after it is placed at its own line and column,
+    # counting the newlines inside string literals
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text + "#")
+    assert (err.value.line, err.value.column) == (
+        text.count("\n") + 1, len(text) - text.rfind("\n"))
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ('horn(arrow,\n "ab', "2:2", "unterminated string literal"),
+    ("gray(arrow,\n\tarrow#)", "2:7", "unexpected character '#'"),
+    ("paste(arrow,\n  arrow\n  0)", "3:3", "expected ',', found 0"),
+    ("gray(\n  ,arrow)", "2:3", "expected a constructor, found ','"),
+    ("gray(arrow,\n  nonsense)", "2:3", "unknown constructor 'nonsense'"),
+    ("boundary(arrow,0,\n 1)", "2:2", "boundary needs a sign (+ or -) in position 3"),
+    ("arrow\n\n  arrow", "3:3", "trailing input 'arrow'"),
+    ("gray(arrow,", "1:12", "expected a constructor, found None"),
+    ('horn(arrow, "a\nb") x', "2:5", "trailing input 'x'"),
+    ('dual({0,\n"a"},arrow)', "2:1", "expected 'int', found 'a'"),
+])
+def test_syntax_error_positions(text, where, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"{where}: {message}"
+    assert f"{err.value.line}:{err.value.column}" == where
 
 
 def test_catalog_names_print_as_written(d3_catalog):
@@ -456,6 +533,13 @@ class TestCli:
 
     def test_syntax_error_exit_2(self, capsys):
         assert main(["build", "paste(arrow,arrow)"]) == 2
+
+    @pytest.mark.parametrize("digit", ["²", "①", "٣"])
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys, digit):
+        # ints are ASCII digits only; other digits are not tokens
+        assert main(["build", f"globe({digit})"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"syntax error: 1:7: unexpected character {digit!r}\n"
 
     def test_domain_error_exit_1(self, capsys):
         assert main(["build", "atom(arrow, globe(2))"]) == 1

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ogpkit.cli import EXIT_VERIFY, main
 from ogpkit.errors import BadHole, BoundExceeded, IdentityFailed, ShapeError, UnknownLemma
 from ogpkit.harness import (
     Bounds,
@@ -27,7 +28,7 @@ from ogpkit.harness import (
 from ogpkit.exprlang import eval_text
 from ogpkit.gray import gray, gray_poset
 from ogpkit.molecule import arrow, atom, globe, paste
-from ogpkit.poset import MINUS, PLUS, SIGNS, all_isos, bits, find_iso
+from ogpkit.poset import MINUS, PLUS, SIGNS, OgPoset, all_isos, bits, find_iso, spread
 
 
 contexts_mod = importlib.import_module("ogpkit.contexts")
@@ -227,6 +228,24 @@ def flip_twist_parity(monkeypatch):
     monkeypatch.setattr(harness_mod, "gray_poset", flipped)
 
 
+def untwist_gray(monkeypatch):
+    """Planted fault: build every Gray product, the catalog's included,
+    with the right factor's faces read untwisted, so (x, y) takes y's
+    faces of sign s whatever the dimension of x."""
+
+    def untwisted(p, q):
+        nq = len(q)
+        dims, fin, fout = [], [], []
+        for i, dx in enumerate(p.dims):
+            dims += [dx + dy for dy in q.dims]
+            fin += [spread(p.fin[i], nq) << j | m << i * nq for j, m in enumerate(q.fin)]
+            fout += [spread(p.fout[i], nq) << j | m << i * nq for j, m in enumerate(q.fout)]
+        return OgPoset(dims, fin, fout, tuple(f"({x},{y})" for x in p.labels for y in q.labels))
+
+    for mod in (gray_mod, harness_mod, marked_mod, cylinder_mod):
+        monkeypatch.setattr(mod, "gray_poset", untwisted)
+
+
 OP_SWAP_UNDER_FAULT = """
 import importlib, sys
 from ogpkit.harness import Bounds, SuiteConfig, check, enumerate_catalog
@@ -270,6 +289,20 @@ class TestPlantedFaults:
         rep = check("OP_SWAP", cat, SuiteConfig())
         assert rep.failures
         assert all("sign" in f["got"] for f in rep.failures)
+
+    def test_untwisted_products_fail_at_setup_instead_of_crashing(self, monkeypatch, capsys):
+        # some catalog "atom" then has a top with no faces of one sign;
+        # top_id refuses it, so each lemma that reads atoms' top faces in
+        # its setup records one failure there instead of crashing the run
+        untwist_gray(monkeypatch)
+        assert main(["verify", "--depth", "1", "--max-dim", "4", "--max-elems", "8"]) == EXIT_VERIFY
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        at_setup = {r["lemma"]: [f["got"] for f in r["failures"] if f["inputs"] == {"stage": "setup"}]
+                    for r in reports}
+        assert {lemma for lemma, got in at_setup.items() if got} == {
+            "CTX_RECURSION", "HORN_PP", "MARKED_HORN_PP", "OP_HORN"}
+        assert all(len(got) == 1 and "no input or no output faces" in got[0]
+                   for got in at_setup.values() if got)
 
     def test_op_swap_fails_under_optimize(self, src_env):
         # assert statements vanish under -O; the check must not
