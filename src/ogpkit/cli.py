@@ -139,6 +139,21 @@ def cmd_pp(args) -> int:
     return EXIT_OK
 
 
+def verify_document(config: SuiteConfig, reports: list) -> bytes:
+    """The JSON report that verify prints: the run's config and the reports."""
+    bounds = config.bounds
+    return to_json_bytes({
+        "config": {
+            "depth": bounds.depth,
+            "max_dim": bounds.max_dim,
+            "max_elems": bounds.max_elements,
+            "seed": config.seed,
+            "lemmas": list(config.lemmas),
+        },
+        "reports": [r.to_dict() for r in reports],
+    })
+
+
 def cmd_verify(args) -> int:
     lemmas = tuple(args.lemma) if args.lemma else tuple(LEMMAS)
     for lid in lemmas:
@@ -153,17 +168,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     reports = run_suite(config)
-    doc = {
-        "config": {
-            "depth": args.depth,
-            "max_dim": args.max_dim,
-            "max_elems": args.max_elems,
-            "seed": args.seed,
-            "lemmas": list(lemmas),
-        },
-        "reports": [r.to_dict() for r in reports],
-    }
-    sys.stdout.buffer.write(to_json_bytes(doc))
+    sys.stdout.buffer.write(verify_document(config, reports))
     failed = [r for r in reports if r.status == "fail"]
     for r in reports:
         note = f" ({r.warning})" if r.warning else ""

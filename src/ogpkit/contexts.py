@@ -145,7 +145,7 @@ def marked_horn(h: AtomicHorn, marking: int) -> MarkedHorn:
     the enlarged marking adds the top, and the facet as well when every
     facet on the other side is already marked.  The context is searched on
     the atom's own poset: its ambient is a closed subset there, whose
-    boundaries, closures and cofaces within it, and label order, are those
+    boundaries, closures and cofaces within it, and id order, are those
     of the boundary molecule.
     """
     u = h.shape

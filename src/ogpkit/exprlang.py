@@ -111,7 +111,12 @@ def _tokens(text: str):
         kind = m.lastgroup
         if kind is not None:  # else whitespace
             value = m[kind]
-            out.append((kind, int(value) if kind == "int" else value, i))
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise _syntax_error(text, i, "integer literal too long") from None
+            out.append((kind, value, i))
         i = m.end()
     out.append(("eof", None, end))
     return out

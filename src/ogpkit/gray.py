@@ -99,15 +99,15 @@ def gray_boundary_decomposition(p: OgPoset, q: OgPoset, product: OgPoset) -> lis
     return result
 
 
-def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
-                                      side: str) -> tuple:
-    """Transport a generalised pasting through a Gray product.
+def gray_split_of_generalised_pasting(g: GeneralisedPasting, ambient: Molecule,
+                                      other: Molecule, side: str) -> tuple:
+    """Transport a generalised pasting g of ambient through a Gray product.
 
     side "left": the pasting lives in the left factor; the product splits as
     (W (x) V, W' (x) V) at level k + dim V.  side "right": the pasting lives
     in the right factor; the product splits at level k + dim U, with the
     two pieces swapped when dim U is odd.
-    Returns (left mask, right mask, level) in the product of g.ambient and
+    Returns (left mask, right mask, level) in the product of ambient and
     the other factor (in the order dictated by side), each piece the grid
     of one side of g and the whole of the other factor.
     """
@@ -115,7 +115,7 @@ def gray_split_of_generalised_pasting(g: GeneralisedPasting, other: Molecule,
     if side == "left":
         stride = len(other)
         return spread(g.left, stride) * full, spread(g.right, stride) * full, g.level + other.dim
-    stride = len(g.ambient)
+    stride = len(ambient)
     first, second = spread(full, stride) * g.left, spread(full, stride) * g.right
     if other.dim % 2 == 1:
         first, second = second, first

@@ -405,11 +405,10 @@ def _raising(fn, *args):
     return thunk
 
 
-def _recognised(ambient: Molecule, left: int, right: int, level: int, verdicts: dict):
-    """None when the masks (left, right) are a generalised pasting of the
-    ambient at level, else the failure."""
-    if recognise_generalised_pasting(ambient, left, right, level,
-                                     verdicts=verdicts) is None:
+def _recognised(w: OgPoset, left: int, right: int, level: int, verdicts: dict):
+    """None when the masks (left, right) are a generalised pasting of w at
+    level, else the failure."""
+    if recognise_generalised_pasting(w, left, right, level, verdicts=verdicts) is None:
         return "recognised", "conditions failed"
     return None
 
@@ -501,13 +500,13 @@ def brute_force_isos(p: OgPoset, q: OgPoset):
 
 
 def _gencp_pastings(catalog: Catalog):
-    """Recognised generalised pastings: the canonical decomposition of every
-    pasted catalog entry."""
+    """Recognised generalised pastings: (expr, molecule, pasting) for the
+    canonical decomposition of every pasted catalog entry."""
     out = []
     for e in catalog.entries:
         g = e.molecule.provenance.get("gencp")
         if g is not None:
-            out.append((e.expr, g))
+            out.append((e.expr, e.molecule, g))
     return out
 
 
@@ -516,19 +515,19 @@ def gencp_formula_instances(catalog: Catalog):
     products on both sides."""
     verdicts = {}
     pastings = _gencp_pastings(catalog)
-    for expr, g in pastings:
+    for expr, m, g in pastings:
         yield ({"pasting": expr},
-               lambda: _recognised(g.ambient, g.left, g.right, g.level, verdicts))
+               lambda: _recognised(m.poset, g.left, g.right, g.level, verdicts))
     small = [m for m in catalog.molecules() if len(m) <= 9]
-    for (expr, g), v in itertools.product(pastings, small):
-        if len(g.ambient) * len(v) > GENCP_PRODUCT_CAP:
+    for (expr, m, g), v in itertools.product(pastings, small):
+        if len(m) * len(v) > GENCP_PRODUCT_CAP:
             continue
         for side in ("left", "right"):
-            left, right, level = gray_split_of_generalised_pasting(g, v, side)
+            left, right, level = gray_split_of_generalised_pasting(g, m, v, side)
 
             def transported():
-                prod = gray(g.ambient, v) if side == "left" else gray(v, g.ambient)
-                return _recognised(prod, left, right, level, verdicts)
+                factors = (m.poset, v.poset) if side == "left" else (v.poset, m.poset)
+                return _recognised(gray_poset(*factors), left, right, level, verdicts)
 
             yield ({"pasting": expr, "factor": catalog.expr_of(v), "side": side,
                     "level": level}, transported)
@@ -538,8 +537,8 @@ def gencp_boundary_instances(catalog: Catalog):
     """Boundaries of generalised pastings are generalised pastings of the
     piece boundaries, at the same level."""
     verdicts = {}
-    for expr, g in _gencp_pastings(catalog):
-        amb = g.ambient.poset
+    for expr, m, g in _gencp_pastings(catalog):
+        amb = m.poset
         k = g.level
         for n in range(k + 1, amb.dim + 1):
             for sign in SIGNS:
@@ -549,9 +548,9 @@ def gencp_boundary_instances(catalog: Catalog):
                     direct = amb.boundary_mask(amb.full, n, sign)
                     if bd_left | bd_right != direct:
                         return _masks_differ(amb, direct, bd_left | bd_right)
-                    # the boundary molecule's ids are the bits of direct in order
+                    # the boundary poset's ids are the bits of direct in order
                     ids = bits(direct)
-                    return _recognised(g.ambient.boundary_molecule(n, sign),
+                    return _recognised(m.boundary_poset(n, sign),
                                        preimage(bd_left, ids), preimage(bd_right, ids),
                                        k, verdicts)
 
@@ -649,15 +648,14 @@ def dist_lower_instances(catalog: Catalog):
                     return _masks_differ(prod, direct, formula)
                 if direct.bit_count() > RECOGNISE_CAP:
                     return None
-                bd_mol = Molecule(prod.restrict_mask(direct),
-                                  {"kind": "boundary", "of": "product"})
                 # generalised pasting at n + ell - 1 with the w-piece
                 # first for cpsub (it provides the input boundary),
-                # second for subcp; bd_mol's ids are the bits of direct
+                # second for subcp; the boundary's ids are the bits of
+                # direct in order
                 left, right = (w_piece, u_side) if kind == "cpsub" else (u_side, w_piece)
                 ids = bits(direct)
-                return _recognised(bd_mol, preimage(left, ids), preimage(right, ids),
-                                   n + ell - 1, verdicts)
+                return _recognised(prod.restrict_mask(direct), preimage(left, ids),
+                                   preimage(right, ids), n + ell - 1, verdicts)
 
             yield {**names, "ell": ell, "kind": kind}, distributes
 

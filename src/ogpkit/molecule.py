@@ -250,8 +250,7 @@ def _pasted(m1: Molecule, m2: Molecule, hole: int, iso: list, cert: dict, k: int
     poset, inj2 = paste_along(p1, p2, glue)
     result = Molecule(poset, {**cert, "left": m1.certificate, "right": m2.certificate,
                               "glue": _glue_certificate(p1, p2, glue)})
-    result.provenance["gencp"] = GeneralisedPasting(result, p1.full,
-                                                    map_mask(p2.full, inj2), k)
+    result.provenance["gencp"] = GeneralisedPasting(p1.full, map_mask(p2.full, inj2), k)
     return result
 
 
@@ -353,7 +352,7 @@ def dual(m: Molecule, dims) -> Molecule:
 
 
 def op(m: Molecule) -> Molecule:
-    return dual(m, range(1, m.dim + 1, 2)) if m.dim >= 1 else dual(m, ())
+    return dual(m, range(1, m.dim + 1, 2))
 
 
 # -- generalised pastings ----------------------------------------------------
@@ -361,40 +360,38 @@ def op(m: Molecule) -> Molecule:
 
 @dataclass(eq=False)
 class GeneralisedPasting:
-    """A decomposition ambient = left u right recognised (or recorded) as a
-    generalised pasting at the level-k boundary; left and right are masks
-    of the ambient's ids."""
+    """A decomposition of a poset into the closed masks left and right,
+    recognised (or recorded) as a generalised pasting at the level-k
+    boundary."""
 
-    ambient: Molecule
     left: int
     right: int
     level: int
 
 
 def recognise_generalised_pasting(
-    ambient: Molecule,
+    w: OgPoset,
     left: int,
     right: int,
     k: int,
     *,
     verdicts: dict | None = None,
 ):
-    """Check the three generalised-pasting conditions for a decomposition.
+    """Check the three generalised-pasting conditions for a decomposition
+    of w into the masks left and right.
 
-    left and right are closed masks of the ambient's ids covering it.
-    On success the two pasting factorisations through the k-boundaries are
-    materialised (as unions inside the ambient, with every intermediate
-    pasting precondition checked) and the ambient is asserted rigid, which
-    together witness the unique isomorphism of the factorisations with the
-    ambient.  Condition failures return None; a factorisation failure on a
-    decomposition that passed the conditions raises, since it contradicts a
-    cited lemma.
+    They must be closed and cover w.  Past the conditions, the last stages
+    of the two pasting orders, (bd_k- W subcp U) subcp V and
+    U cpsub (V cpsub bd_k+ W), are checked on w's masks, and w is asserted
+    rigid, which together witness the unique isomorphism of the
+    factorisations with w.
+    Condition failures return None; a failure past them raises
+    RecognitionFailed, since it contradicts a cited lemma.
 
     verdicts, when given, maps canonical keys to molecule verdicts of
     condition 2 and is filled in as boundaries are certified; a caller
     passes the same dict to every recognition of one check.
     """
-    w = ambient.poset
     if left | right != w.full:
         return None
     if not (w.is_closed_mask(left) and w.is_closed_mask(right)):
@@ -414,36 +411,23 @@ def recognise_generalised_pasting(
     for subset in (bdm, bdp):
         if not _is_molecule(w.restrict_mask(subset), verdicts):
             return None
-    # condition 3
+    # condition 3: bd_k- U lies in bd_k- W and bd_k+ V in bd_k+ W, the
+    # first stages of both pasting orders (a mask of dimension at most k
+    # is its own k-boundary)
     if bd(left, k, MINUS) & ~bdm or bd(right, k, PLUS) & ~bdp:
         return None
-
-    def stage(base: int, piece_bd: int, target_sign: str, piece: int) -> int:
-        """One pasting stage: glue piece onto base along piece_bd, which must
-        land in the target_sign k-boundary of base."""
-        target = bd(base, k, target_sign)
+    # V pastes onto bd_k- W u U, and U onto V u bd_k+ W
+    for piece_bd, base, sign in ((bd(right, k, MINUS), bdm | left, PLUS),
+                                 (bd(left, k, PLUS), bdp | right, MINUS)):
+        target = bd(base, k, sign)
         if piece_bd & ~target:
             raise RecognitionFailed(
                 "generalised pasting factorisation stage failed",
-                {
-                    "level": k,
-                    "stage_boundary": w.sids(piece_bd),
-                    "target": w.sids(target),
-                },
+                {"level": k, "stage_boundary": w.sids(piece_bd), "target": w.sids(target)},
             )
-        return base | piece
-
-    # (bd_k- W subcp U) subcp V
-    g1 = stage(bdm, bd(left, k, MINUS), PLUS, left)
-    g2 = stage(g1, bd(right, k, MINUS), PLUS, right)
-    # U cpsub (V cpsub bd_k+ W)
-    h1 = stage(bdp, bd(right, k, PLUS), MINUS, right)
-    h2 = stage(h1, bd(left, k, PLUS), MINUS, left)
-    if g2 != w.full or h2 != w.full:
-        raise RecognitionFailed("factorisation does not cover the ambient", {})
     if len(all_isos(w, w)) != 1:
         raise RecognitionFailed("ambient is not rigid", {})
-    return GeneralisedPasting(ambient, left, right, k)
+    return GeneralisedPasting(left, right, k)
 
 
 def _is_molecule(p: OgPoset, verdicts: dict) -> bool:
@@ -469,12 +453,11 @@ def _peel_candidates(p: OgPoset, carrier: int, protected: int) -> list:
     pasting preconditions checked on p's masks.
     """
     dims = p.dims
-    rank = p.sid_ranks()
     cin, cout = p.coface_masks()
     cl = p.closure_masks()
     bd = p.boundary_mask
     out = []
-    for top in sorted(bits(p.maximal_mask(carrier)), key=lambda i: (-dims[i], rank[i])):
+    for top in sorted(bits(p.maximal_mask(carrier)), key=lambda i: -dims[i]):
         d = dims[top]
         if d < 1 or protected >> top & 1:
             continue

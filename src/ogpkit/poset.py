@@ -492,7 +492,7 @@ class OgPoset:
 
     def op(self) -> "OgPoset":
         """Dual at every odd dimension."""
-        return self.dual(range(1, self.dim + 1, 2)) if self.dim >= 1 else self.dual(())
+        return self.dual(range(1, self.dim + 1, 2))
 
 
 def build(elements, faces) -> OgPoset:
@@ -659,18 +659,12 @@ def _iso_search(p: OgPoset, q: OgPoset, first_only: bool) -> list:
     if _colour_form(p) != _colour_form(q):
         return []
 
-    # backtracking over the stable colour classes, in label order
-    p_rank, q_rank = p.sid_ranks(), q.sid_ranks()
+    # backtracking over the stable colour classes, in id order
     bucket = {}
     for j, c in enumerate(colour_q):
         bucket.setdefault(c, []).append(j)
-    for ys in bucket.values():
-        ys.sort(key=q_rank.__getitem__)
     # order: dimension descending, then rarest colour first
-    todo = sorted(
-        range(len(p)),
-        key=lambda i: (-p.dims[i], len(bucket[colour_p[i]]), p_rank[i]),
-    )
+    todo = sorted(range(len(p)), key=lambda i: (-p.dims[i], len(bucket[colour_p[i]])))
     near_p = [[bits(m) for m in masks] for masks in (p.fin, p.fout, *p.coface_masks())]
     near_q = (q.fin, q.fout, *q.coface_masks())
     image = [-1] * len(p)

@@ -5,10 +5,12 @@ asserts on its reports plus criterion-specific structure, and prints one
 pass/fail line (visible with pytest -s or in the captured output).
 """
 
+import hashlib
 import time
 
 import pytest
 
+from ogpkit.cli import verify_document
 from ogpkit.contexts import atomic_horn, classified_context, is_a_context, marked_horn
 from ogpkit.cylinder import invertor_shape, unit_shape
 from ogpkit.exprlang import eval_text
@@ -47,8 +49,8 @@ def suite():
         reports[lemma] = check(lemma, catalog, config)
         timings[lemma] = time.time() - t1
     total = time.time() - t0
-    return {"catalog": catalog, "reports": reports, "timings": timings,
-            "total": total}
+    return {"config": config, "catalog": catalog, "reports": reports,
+            "timings": timings, "total": total}
 
 
 def announce(name, ok, detail):
@@ -192,6 +194,13 @@ def test_criterion_9_mutation_and_wall_clock(suite):
         rep.status == "pass" and total < 300.0,
         f"mutation {rep.warning or 'detected'}; suite wall clock {total:.1f}s",
     )
+
+
+def test_default_report_digest(suite):
+    # the bytes `ogpkit verify` prints at its default bounds, pinned
+    reports = [suite["reports"][lemma] for lemma in suite["config"].lemmas]
+    doc = verify_document(suite["config"], reports)
+    assert hashlib.md5(doc).hexdigest() == "7c6355c4b3926a9424a8c1db8b8f7f4e"
 
 
 def test_square_horn_marking_examples():

@@ -541,6 +541,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"syntax error: 1:7: unexpected character {digit!r}\n"
 
+    def test_overlong_int_is_a_syntax_error(self, capsys):
+        # past the interpreter's int-string digit limit, int() refuses it
+        assert main(["build", "globe(" + "1" * 5000 + ")"]) == 2
+        assert capsys.readouterr().err == "syntax error: 1:7: integer literal too long\n"
+
     def test_domain_error_exit_1(self, capsys):
         assert main(["build", "atom(arrow, globe(2))"]) == 1
 

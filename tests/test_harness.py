@@ -329,6 +329,17 @@ class TestPlantedFaults:
             rep = check(lemma, cat, SuiteConfig())
             assert len(rep.failures) == rep.instances > 0
 
+    def test_non_rigid_ambient_fails_recognition_checks(self, monkeypatch):
+        # the automorphism search finds a second image, so every ambient
+        # that passes the conditions fails the rigidity check; DIST_LOWER
+        # recognises no boundary of more than RECOGNISE_CAP elements
+        cat = enumerate_catalog(Bounds(depth=1, max_dim=4, max_elements=8))
+        monkeypatch.setattr(molecule_mod, "all_isos", lambda p, q: [list(range(len(p)))] * 2)
+        gencp = check("GENCP_FORMULA", cat, SuiteConfig())
+        dist = check("DIST_LOWER", cat, SuiteConfig())
+        assert len(gencp.failures) == gencp.instances > 0
+        assert 0 < len(dist.failures) < dist.instances
+        assert all(f["got"] == "ambient is not rigid" for f in gencp.failures + dist.failures)
 
     def test_residual_upper_bound_fails_entire_residual(self, monkeypatch):
         # the published bound lacks the marked-target exclusion
@@ -513,7 +524,7 @@ class TestPlantedFaults:
         # so the piece boundaries miss part of the ambient's boundary
         real = molecule_mod.GeneralisedPasting
         monkeypatch.setattr(molecule_mod, "GeneralisedPasting",
-                            lambda ambient, left, right, k: real(ambient, left & right, right, k))
+                            lambda left, right, k: real(left & right, right, k))
         cat = enumerate_catalog(Bounds(depth=2, max_dim=3, max_elements=8))
         rep = check("GENCP_BOUNDARY", cat, SuiteConfig())
         compared = assert_missing_and_extra(rep)

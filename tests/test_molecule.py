@@ -14,6 +14,7 @@ from ogpkit.errors import (
     DimMismatch,
     NotRewritable,
     NotRound,
+    RecognitionFailed,
     ShapeError,
     ZeroDimensional,
 )
@@ -35,7 +36,7 @@ from ogpkit.molecule import (
     recognise_generalised_pasting,
     reconstruct,
 )
-from ogpkit.poset import MINUS, PLUS, SIGNS, bits, build, canonical_key, find_iso
+from ogpkit.poset import MINUS, PLUS, SIGNS, OgPoset, bits, build, canonical_key, find_iso
 
 from derivation_oracle import replay_derivation
 
@@ -276,7 +277,7 @@ class TestGeneralisedPasting:
     def test_plain_pasting_recognised(self):
         p = path2()
         left, right = p.provenance["gencp"].left, p.provenance["gencp"].right
-        g = recognise_generalised_pasting(p, left, right, 0)
+        g = recognise_generalised_pasting(p.poset, left, right, 0)
         assert g is not None
         assert (g.left, g.right, g.level) == (left, right, 0)
 
@@ -286,14 +287,47 @@ class TestGeneralisedPasting:
         left = p.provenance["gencp"].left
         # not a decomposition: right misses the far endpoint
         right = q.full & ~q.boundary_mask(q.full, 0, PLUS)
-        assert recognise_generalised_pasting(p, left, right, 0) is None
+        assert recognise_generalised_pasting(p.poset, left, right, 0) is None
 
     def test_vertical_composite_recognised(self):
         v = paste(globe(2), globe(2), 1)
         g = recognise_generalised_pasting(
-            v, v.provenance["gencp"].left, v.provenance["gencp"].right, 1
+            v.poset, v.provenance["gencp"].left, v.provenance["gencp"].right, 1
         )
         assert g is not None
+
+    @pytest.mark.parametrize("order", ["right onto bd- u left", "left onto right u bd+"])
+    def test_pasting_order_fault_raises(self, monkeypatch, order):
+        # a 2-globe pasted at the first 1-cell of the input boundary of two
+        # 2-globes side by side, so bd_1- W u U is more than U; reversing
+        # the 2-cells swaps the pieces, and then V u bd_1+ W is more than V
+        m2 = paste(globe(2), globe(2), 0)
+        p2 = m2.poset
+        cell = next(i for i in bits(p2.boundary_mask(p2.full, 1, MINUS)) if p2.dims[i] == 1)
+        m = paste_at(globe(2), m2, p2.closure_masks()[cell], 1)
+        w, g = m.poset, m.provenance["gencp"]
+        left, right = g.left, g.right
+        if order == "right onto bd- u left":
+            base = w.boundary_mask(w.full, 1, MINUS) | left
+        else:
+            w, left, right = w.dual({2}), right, left
+            base = w.boundary_mask(w.full, 1, PLUS) | right
+        assert base not in (left, right)
+        assert recognise_generalised_pasting(w, left, right, 1) is not None
+        # planted fault: the 1-boundary of that base forgets the shared
+        # part; the conditions read no boundary of the base, so only the
+        # pasting-order check can see it
+        real = OgPoset.boundary_mask
+
+        def forgetful(self, mask, n, sign):
+            got = real(self, mask, n, sign)
+            return got & ~(left & right) if self is w and mask == base else got
+
+        monkeypatch.setattr(OgPoset, "boundary_mask", forgetful)
+        with pytest.raises(RecognitionFailed) as err:
+            recognise_generalised_pasting(w, left, right, 1)
+        assert str(err.value) == "generalised pasting factorisation stage failed"
+        assert set(err.value.certificate) == {"level", "stage_boundary", "target"}
 
 
 class TestDual:
@@ -602,8 +636,8 @@ class TestMoleculeVerdicts:
         verdicts = {}
         for m in shapes + shapes:
             g = m.provenance["gencp"]
-            alone = recognise_generalised_pasting(m, g.left, g.right, g.level)
-            shared = recognise_generalised_pasting(m, g.left, g.right, g.level,
+            alone = recognise_generalised_pasting(m.poset, g.left, g.right, g.level)
+            shared = recognise_generalised_pasting(m.poset, g.left, g.right, g.level,
                                                    verdicts=verdicts)
             assert (alone is None) == (shared is None) and shared is not None
         # both k-boundaries of each pasting are certified once per class
@@ -617,5 +651,5 @@ class TestMoleculeVerdicts:
         # a planted false verdict for the input boundary's class is obeyed:
         # the dict is the only source of the answer once it has the key
         verdicts = {canonical_key(bd): False}
-        assert recognise_generalised_pasting(m, g.left, g.right, g.level,
+        assert recognise_generalised_pasting(m.poset, g.left, g.right, g.level,
                                              verdicts=verdicts) is None
