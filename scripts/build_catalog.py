@@ -3,14 +3,16 @@
 
 Usage: python scripts/build_catalog.py [depth] [max_dim] [max_elements]
 
-After the JSON lines, stderr gets what the bound costs: the wall time of
-the enumeration, the entry count, and the sha256 of the expression list
-(the expressions joined by newlines), which tests/test_harness.py pins for
-some bounds.
+After the JSON lines, stderr gets what the bound costs: the entry count,
+the wall time of the enumeration and the peak RSS of the process when it
+ends (ru_maxrss, read as KiB as Linux reports it), and the sha256 of the
+expression list (the expressions joined by newlines), which
+tests/test_harness.py pins for some bounds.
 """
 
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -28,6 +30,7 @@ def main(argv):
     start = time.perf_counter()
     catalog = enumerate_catalog(Bounds(depth, max_dim, max_elements))
     wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     for entry in catalog.entries:
         doc = {
             "expr": entry.expr,
@@ -40,7 +43,7 @@ def main(argv):
         print(json.dumps(doc, sort_keys=True))
     exprs = "\n".join(entry.expr for entry in catalog.entries)
     print(f"{len(catalog.entries)} catalog entries", file=sys.stderr)
-    print(f"enumerated in {wall:.2f} s", file=sys.stderr)
+    print(f"enumerated in {wall:.2f} s, peak RSS {peak_mb:.1f} MB", file=sys.stderr)
     print(f"expressions sha256 {hashlib.sha256(exprs.encode()).hexdigest()}", file=sys.stderr)
     return 0
 

@@ -42,6 +42,7 @@ from .poset import (
     canonical_key,
     find_iso,
     map_mask,
+    structure_key,
 )
 
 POINT_ID = "*"
@@ -388,9 +389,11 @@ def recognise_generalised_pasting(
     Condition failures return None; a failure past them raises
     RecognitionFailed, since it contradicts a cited lemma.
 
-    verdicts, when given, maps canonical keys to molecule verdicts of
-    condition 2 and is filled in as boundaries are certified; a caller
-    passes the same dict to every recognition of one check.
+    verdicts, when given, holds the molecule verdicts of condition 2,
+    each under the boundary's exact structure key (bytes) and under its
+    canonical key (a tuple) where it has one; it is read by the exact key
+    first and filled in as boundaries are certified.  A caller passes the
+    same dict to every recognition of one check.
     """
     if left | right != w.full:
         return None
@@ -431,14 +434,22 @@ def recognise_generalised_pasting(
 
 
 def _is_molecule(p: OgPoset, verdicts: dict) -> bool:
-    """Whether reconstruct certifies p, looked up by canonical key in
-    verdicts and recorded there; without a key, reconstruct runs."""
+    """Whether reconstruct certifies p, looked up in verdicts first by
+    p's exact structure key, then by its canonical key, and recorded
+    under both.  A repeat of a structure already seen is not coloured;
+    without a canonical key, reconstruct runs."""
+    exact = structure_key(p)
+    if exact in verdicts:
+        return verdicts[exact]
     key = canonical_key(p)
     if key is None:
-        return reconstruct(p) is not None
-    if key not in verdicts:
-        verdicts[key] = reconstruct(p) is not None
-    return verdicts[key]
+        verdict = reconstruct(p) is not None
+    elif key in verdicts:
+        verdict = verdicts[key]
+    else:
+        verdict = verdicts[key] = reconstruct(p) is not None
+    verdicts[exact] = verdict
+    return verdict
 
 
 # -- bounded decomposition search --------------------------------------------

@@ -10,6 +10,7 @@ directed complexes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import BadGrading, DanglingFace, DuplicateLabel, EmptySide, Overlap, UnknownElement
@@ -719,3 +720,29 @@ def iso_invariant(p: OgPoset):
     """Catalog-dedup prefilter, equal for isomorphic posets: the stable
     colour form, which equals canonical_key(p) whenever that key exists."""
     return _colour_form(p)
+
+
+# -- exact structure key ----------------------------------------------------
+
+# array typecodes by item size, for the key widths that have one
+_KEY_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def structure_key(p: OgPoset) -> bytes:
+    """p's dims, fin and fout as one bytes string: equal keys mean the
+    same poset id for id, not only an isomorphic one.
+
+    Each of the 3n numbers (n = len(p)) takes one field of n + 7 >> 3
+    bytes, the width of a mask over n ids; a dimension is below n, since
+    an element of dimension d has a chain of d faces below it.  The key's
+    length, 3n times that width, grows with n, so it fixes n and the
+    fields.  Callers look answers up by this key before colouring a poset
+    they may have seen; iso_invariant and canonical_key serve the
+    isomorphic ones."""
+    n = len(p.dims)
+    width = n + 7 >> 3
+    values = p.dims + p.fin + p.fout
+    code = _KEY_CODES.get(width)
+    if code is not None:  # packed in C, several times faster than to_bytes
+        return array(code, values).tobytes()
+    return b"".join([x.to_bytes(width, "little") for x in values])

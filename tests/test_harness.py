@@ -41,6 +41,22 @@ poset_mod = importlib.import_module("ogpkit.poset")
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# (depth, max_dim, max_elements) -> entry count and the sha256 of the
+# expression list (the expressions joined by newlines), as
+# scripts/build_catalog.py prints them
+PINNED_CATALOGS = {
+    (3, 4, 16): (996, "f2f6c593db23673a3a409ae9d580c74d252d390515bd95e1966254e5229ccf46"),
+    (4, 4, 12): (221, "19c21e6b97ba7cfc7085f9fbd972022ab467733626e82f0253c652132474129a"),
+}
+
+
+def catalog_digest(bounds: tuple) -> tuple:
+    """The entry count and expression-list sha256 of the catalog at bounds."""
+    cat = enumerate_catalog(Bounds(*bounds))
+    exprs = "\n".join(e.expr for e in cat.entries)
+    return len(cat.entries), hashlib.sha256(exprs.encode()).hexdigest()
+
+
 def small_config(**kw):
     defaults = dict(bounds=Bounds(depth=1, max_dim=2, max_elements=9),
                     lemmas=("ISO_UNIQUE",))
@@ -111,11 +127,24 @@ class TestCatalog:
         # recorded before enumeration skipped candidates: the exact Gray
         # size bound skips the most here against the former |m1| |m2| <=
         # 4 max_elements filter
-        cat = enumerate_catalog(Bounds(depth=3, max_dim=4, max_elements=16))
-        exprs = "\n".join(e.expr for e in cat.entries)
-        assert len(cat.entries) == 996
-        assert hashlib.sha256(exprs.encode()).hexdigest() == \
-            "f2f6c593db23673a3a409ae9d580c74d252d390515bd95e1966254e5229ccf46"
+        assert catalog_digest((3, 4, 16)) == PINNED_CATALOGS[3, 4, 16]
+
+    def test_depth4_catalog_at_12_elements_matches_recorded_digest(self):
+        # recorded before known() looked up exact structure keys
+        assert catalog_digest((4, 4, 12)) == PINNED_CATALOGS[4, 4, 12]
+
+    def test_lossy_structure_key_moves_the_pinned_digests(self, monkeypatch):
+        # known() takes a candidate whose structure key it has seen for a
+        # repeat, with no isomorphism check.  A key that forgets orientation
+        # makes op(m) and every dual(m, {j}) a repeat of m, so the catalogs
+        # lose those entries and neither pinned digest holds
+        def unoriented(p):
+            return tuple(p.dims), tuple([a | b for a, b in zip(p.fin, p.fout)])
+
+        monkeypatch.setattr(harness_mod, "structure_key", unoriented)
+        for bounds, (count, digest) in PINNED_CATALOGS.items():
+            got_count, got_digest = catalog_digest(bounds)
+            assert got_count < count and got_digest != digest, bounds
 
 
 class TestCheck:

@@ -36,7 +36,17 @@ from ogpkit.molecule import (
     recognise_generalised_pasting,
     reconstruct,
 )
-from ogpkit.poset import MINUS, PLUS, SIGNS, OgPoset, bits, build, canonical_key, find_iso
+from ogpkit.poset import (
+    MINUS,
+    PLUS,
+    SIGNS,
+    OgPoset,
+    bits,
+    build,
+    canonical_key,
+    find_iso,
+    structure_key,
+)
 
 from derivation_oracle import replay_derivation
 
@@ -640,9 +650,12 @@ class TestMoleculeVerdicts:
             shared = recognise_generalised_pasting(m.poset, g.left, g.right, g.level,
                                                    verdicts=verdicts)
             assert (alone is None) == (shared is None) and shared is not None
-        # both k-boundaries of each pasting are certified once per class
+        # both k-boundaries of each pasting are coloured once per structure
+        # and certified once per class: the dict holds each verdict under
+        # the exact structure key (bytes) and the canonical key (a tuple)
         assert verdicts and all(verdicts.values())
         assert all(key is not None for key in verdicts)
+        assert {type(key) for key in verdicts} == {bytes, tuple}
 
     def test_verdict_is_read_by_key(self):
         m = paste(globe(2), globe(2), 1)
@@ -653,3 +666,37 @@ class TestMoleculeVerdicts:
         verdicts = {canonical_key(bd): False}
         assert recognise_generalised_pasting(m.poset, g.left, g.right, g.level,
                                              verdicts=verdicts) is None
+
+    def test_exact_key_is_read_before_the_canonical_key(self):
+        m = paste(globe(2), globe(2), 1)
+        g = m.provenance["gencp"]
+        p = m.poset
+        bd = p.restrict_mask(p.boundary_mask(p.full, g.level, MINUS))
+        # a false verdict planted under the input boundary's exact key is
+        # obeyed, although the entry for its class says it is a molecule
+        verdicts = {structure_key(bd): False, canonical_key(bd): True}
+        assert recognise_generalised_pasting(p, g.left, g.right, g.level,
+                                             verdicts=verdicts) is None
+
+    def test_repeated_recognitions_colour_each_boundary_once(self, monkeypatch):
+        # canonical_key colours a poset; a repeat of a boundary structure is
+        # answered by its exact key before that
+        coloured = []
+
+        def counted(q):
+            coloured.append(structure_key(q))
+            return canonical_key(q)
+
+        monkeypatch.setattr(molecule_mod, "canonical_key", counted)
+        # a 2-path merged into an arrow, then a 2-globe: its 1-boundaries differ
+        m = paste(atom(path2(), arrow()), globe(2), 1)
+        g = m.provenance["gencp"]
+        p = m.poset
+        verdicts = {}
+        for _ in range(3):
+            assert recognise_generalised_pasting(p, g.left, g.right, g.level,
+                                                 verdicts=verdicts) is not None
+        boundaries = [structure_key(p.restrict_mask(p.boundary_mask(p.full, g.level, sign)))
+                      for sign in SIGNS]
+        assert len(set(boundaries)) == 2
+        assert sorted(coloured) == sorted(boundaries)

@@ -20,7 +20,7 @@ from ogpkit.errors import (
 )
 from ogpkit.gray import gray_poset
 from ogpkit.harness import PRODUCT_CAP, Bounds, enumerate_catalog
-from ogpkit.poset import MINUS, PLUS, OgPoset, all_isos, build, find_iso
+from ogpkit.poset import MINUS, PLUS, OgPoset, all_isos, build, find_iso, structure_key
 
 
 def the_arrow():
@@ -352,6 +352,23 @@ def core_shapes():
     small = [m.poset for m in enumerate_catalog(Bounds(depth=1)).molecules()]
     products = [gray_poset(a, b) for a in small for b in small if len(a) * len(b) <= PRODUCT_CAP]
     return shapes + [p.op() for p in shapes] + products
+
+
+class TestStructureKey:
+    def test_keys_are_equal_exactly_for_equal_structures(self):
+        # the core shapes and their duals at each dimension, of 1 to 140
+        # elements: array packs the key widths of 1, 2, 4 and 8 bytes a
+        # number, to_bytes the others
+        shapes = core_shapes()
+        shapes += [p.dual({d}) for p in shapes for d in range(1, p.dim + 1)]
+        structures = {}
+        for p in shapes:
+            structures.setdefault(structure_key(p), set()).add(
+                (tuple(p.dims), tuple(p.fin), tuple(p.fout)))
+        assert all(len(same) == 1 for same in structures.values())
+        assert len(structures) == len(set().union(*structures.values()))
+        widths = {len(p) + 7 >> 3 for p in shapes}
+        assert widths >= {1, 2, 3, 4, 8} and max(widths) > 8
 
 
 class TestMaskCore:
